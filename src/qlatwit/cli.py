@@ -298,8 +298,8 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         results, rows, fields = handler(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     config = {
         "n": args.n,

@@ -25,6 +25,7 @@ from .qcore import (
     expectation,
     matrix_exponential,
     variance,
+    variance_from_moments,
 )
 
 VIOLATION_TOL = 1e-9
@@ -148,11 +149,7 @@ def _build_collective(kind: str, n_sites: int, cutoff: int | None):
         ops = {ax: bosonic.collective_J_fock(lattice, ax) for ax in AXES}
     else:
         raise ValueError(f"no collective spin defined for space kind {kind!r}")
-    squares = {
-        ax: LinearOperator(op.space, op.matrix @ op.matrix, hermitian_hint=True)
-        for ax, op in ops.items()
-    }
-    return ops, squares
+    return ops
 
 
 @lru_cache(maxsize=8)
@@ -160,22 +157,12 @@ def _collective_cached(kind: str, n_sites: int, cutoff: int | None):
     return _build_collective(kind, n_sites, cutoff)
 
 
-def _collective_with_squares(space: HilbertSpace):
+def collective_j_operators(space: HilbertSpace) -> dict[str, LinearOperator]:
+    """The three collective angular momentum components for this space."""
     # only small spaces are worth keeping around
     if space.dim <= 1024:
         return _collective_cached(space.kind, space.n_sites, space.fock_cutoff)
     return _build_collective(space.kind, space.n_sites, space.fock_cutoff)
-
-
-def collective_j_operators(space: HilbertSpace) -> dict[str, LinearOperator]:
-    """The three collective angular momentum components for this space."""
-    return _collective_with_squares(space)[0]
-
-
-def _cached_variance(op: LinearOperator, square: LinearOperator, state) -> float:
-    mean = expectation(op, state)
-    var = expectation(square, state) - mean * mean
-    return 0.0 if -1e-10 <= var < 0.0 else var
 
 
 @lru_cache(maxsize=16)
@@ -194,17 +181,11 @@ def total_particle_number(state) -> float:
     raise ValueError(f"no particle number defined for space kind {space.kind!r}")
 
 
-@lru_cache(maxsize=16)
-def _tilde_cached(n_sites: int) -> tuple[LinearOperator, ...]:
-    chain = spinchain.ChainSpec(n_sites)
-    return tuple(spinchain.tilde_sigma_x(chain, k) for k in range(1, n_sites + 1))
-
-
-def _tilde_operators(n_sites: int) -> tuple[LinearOperator, ...]:
-    if n_sites <= 10:
-        return _tilde_cached(n_sites)
-    chain = spinchain.ChainSpec(n_sites)
-    return tuple(spinchain.tilde_sigma_x(chain, k) for k in range(1, n_sites + 1))
+def _correlator_means(state, chain: spinchain.ChainSpec) -> list[float]:
+    return [
+        spinchain.pauli_sum_moments(state, [spinchain.tilde_factors(chain, k)])[0]
+        for k in range(1, chain.n_sites + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +195,7 @@ def _tilde_operators(n_sites: int) -> tuple[LinearOperator, ...]:
 def witness_criterion(state) -> CriterionReport:
     """Sum of three-site correlators; above n/2 certifies entanglement."""
     chain = _require_qubit_chain(state, even=True)
-    correlators = [expectation(op, state) for op in _tilde_operators(chain.n_sites)]
+    correlators = _correlator_means(state, chain)
     value = float(sum(correlators))
     return _report(
         "witness",
@@ -235,7 +216,7 @@ def quadruplet_bound(witness_value: float, n_sites: int) -> float:
 def squared_criterion(state) -> CriterionReport:
     """Sum of squared correlator expectations; detects both sign sectors."""
     chain = _require_qubit_chain(state, even=True)
-    correlators = [expectation(op, state) for op in _tilde_operators(chain.n_sites)]
+    correlators = _correlator_means(state, chain)
     value = float(sum(c * c for c in correlators))
     return _report(
         "squared_witness",
@@ -244,24 +225,6 @@ def squared_criterion(state) -> CriterionReport:
         "<=",
         {"n_sites": chain.n_sites, "correlators": correlators},
     )
-
-
-def _build_class_sums(n_sites: int) -> tuple[LinearOperator, ...]:
-    tilde = _tilde_operators(n_sites)
-    space = spinchain.ChainSpec(n_sites).space()
-    out = []
-    for m in (1, 2, 3):
-        mat = np.zeros((space.dim, space.dim), dtype=complex)
-        for k in range(1, n_sites + 1):
-            if k % 3 == m % 3:
-                mat += tilde[k - 1].matrix
-        out.append(LinearOperator(space, mat, hermitian_hint=True))
-    return tuple(out)
-
-
-@lru_cache(maxsize=16)
-def _class_sums_cached(n_sites: int) -> tuple[LinearOperator, ...]:
-    return _build_class_sums(n_sites)
 
 
 def variance_x_criterion(state) -> CriterionReport:
@@ -273,8 +236,10 @@ def variance_x_criterion(state) -> CriterionReport:
     """
     chain = _require_qubit_chain(state, even=True)
     n = chain.n_sites
-    class_ops = _class_sums_cached(n) if n <= 10 else _build_class_sums(n)
-    class_variances = [variance(x_m, state) for x_m in class_ops]
+    class_variances = []
+    for m in (1, 2, 3):
+        terms = [spinchain.tilde_factors(chain, k) for k in range(1, n + 1) if k % 3 == m % 3]
+        class_variances.append(variance_from_moments(*spinchain.pauli_sum_moments(state, terms)))
     value = float(sum(class_variances))
     return _report(
         "variance_x",
@@ -291,8 +256,8 @@ def variance_x_criterion(state) -> CriterionReport:
 
 def collective_uncertainty_criterion(state) -> CriterionReport:
     """Total collective-spin variance against half the mean particle number."""
-    ops, squares = _collective_with_squares(state.space)
-    variances = {ax: _cached_variance(ops[ax], squares[ax], state) for ax in AXES}
+    ops = collective_j_operators(state.space)
+    variances = {ax: variance(ops[ax], state) for ax in AXES}
     value = float(sum(variances.values()))
     n_total = total_particle_number(state)
     return _report(

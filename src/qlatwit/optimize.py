@@ -37,16 +37,13 @@ def pulse_generator(chain: spinchain.ChainSpec, params: PulseParams) -> LinearOp
     if chain.n_sites > 10:
         raise ValueError("pulse generator capped at 10 sites")
     space = chain.space()
-    j = {
-        ax: [spinchain.pauli(chain, k, ax).matrix / 2 for k in range(1, chain.n_sites + 1)]
-        for ax in ("x", "y", "z")
-    }
     mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for k in range(chain.n_sites - 1):
-        mat += params.theta_xx * (j["x"][k] @ j["x"][k + 1])
-        mat += params.theta_yy * (j["y"][k] @ j["y"][k + 1])
-    for k in range(chain.n_sites):
-        mat += params.theta_z * j["z"][k]
+    # j_k j_{k+1} = (sigma_k sigma_{k+1}) / 4 is one two-site Pauli string
+    for k in range(1, chain.n_sites):
+        mat += params.theta_xx * (spinchain.pauli_string(chain, {k: "x", k + 1: "x"}).matrix / 4)
+        mat += params.theta_yy * (spinchain.pauli_string(chain, {k: "y", k + 1: "y"}).matrix / 4)
+    for k in range(1, chain.n_sites + 1):
+        mat += params.theta_z * (spinchain.pauli(chain, k, "z").matrix / 2)
     return LinearOperator(space, mat, hermitian_hint=True)
 
 

@@ -65,7 +65,7 @@ class HilbertSpace:
             raise ValueError(f"site {site} out of range 1..{self.n_sites}")
 
 
-def _as_readonly_complex(values, name: str, shape_hint: str) -> np.ndarray:
+def _as_readonly_complex(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, order="C")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or Inf entries")
@@ -102,7 +102,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _as_readonly_complex(self.amplitudes, "amplitudes", "vector")
+        amps = _as_readonly_complex(self.amplitudes, "amplitudes")
         if amps.ndim != 1 or amps.shape[0] != self.space.dim:
             raise ValueError(
                 f"amplitude vector has length {amps.shape}, space has dimension {self.space.dim}"
@@ -121,7 +121,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _as_readonly_complex(self.matrix, "density matrix", "square matrix")
+        mat = _as_readonly_complex(self.matrix, "density matrix")
         d = self.space.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match space dimension {d}")
@@ -148,7 +148,7 @@ class LinearOperator:
     hermitian_hint: bool = False
 
     def __post_init__(self):
-        mat = _as_readonly_complex(self.matrix, "operator", "square matrix")
+        mat = _as_readonly_complex(self.matrix, "operator")
         d = self.space.dim
         if mat.shape != (d, d):
             raise ValueError(f"operator shape {mat.shape} does not match space dimension {d}")
@@ -241,6 +241,11 @@ def variance(op: LinearOperator, state) -> float:
             e2 = _real_part(complex(np.einsum("ij,ji->", m @ rho, m)), "second moment")
     else:
         raise ValueError(f"cannot take a variance on {type(state).__name__}")
+    return variance_from_moments(e1, e2)
+
+
+def variance_from_moments(e1: float, e2: float) -> float:
+    """e2 - e1^2, clamped to zero when within -1e-10 of it; more negative raises."""
     var = e2 - e1 * e1
     if var < 0.0:
         if var < -IMAG_TOL:

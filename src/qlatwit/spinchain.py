@@ -3,6 +3,8 @@ neighbor phase gate, cluster states, and Hamiltonian evolution.
 
 The chain is open: the three-site correlator at the ends drops the
 out-of-range z factor, and the phase-gate exponent couples sites 1..N-1.
+A Pauli string acts on the big-endian basis as a bit flip times a sign
+vector, so expectations of Pauli sums need no 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -13,19 +15,19 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .qcore import (
+    DensityMatrix,
     HilbertSpace,
     LinearOperator,
     PureState,
+    _real_part,
     dim_cap,
     matrix_exponential,
 )
 
-SIGMA = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-_IDENTITY2 = np.eye(2, dtype=complex)
+_AXES = ("x", "y", "z")
+# phase of a string with m factors of y, indexed by m mod 4: y = i x z acts on
+# one site as (y v)[b] = -i (-1)^b v[b ^ 1]
+_Y_PHASES = (1 + 0j, -1j, -1 + 0j, 1j)
 
 _QUBIT_EIGENSTATES = {
     ("x", +1): np.array([1, 1], dtype=complex) / np.sqrt(2),
@@ -68,38 +70,85 @@ class ClusterSpec:
             raise ValueError("signs must be +1 or -1")
 
 
-def qubit_space(chain: ChainSpec) -> HilbertSpace:
-    return chain.space()
+def _site_masks(n_sites: int) -> np.ndarray:
+    # site s is bit n - s of the basis index: site 1 is the most significant
+    return 1 << np.arange(n_sites - 1, -1, -1)
 
 
-def _apply_single_site(vec: np.ndarray, dims: tuple[int, ...], site: int, gate: np.ndarray):
-    t = vec.reshape(dims)
-    t = np.tensordot(gate, t, axes=([1], [site - 1]))
-    t = np.moveaxis(t, 0, site - 1)
-    return np.ascontiguousarray(t).reshape(-1)
+def _bit_table(n_sites: int) -> np.ndarray:
+    """Boolean (2^n, n) table whose entry [i, s - 1] is the bit of site s in index i."""
+    return (np.arange(2**n_sites)[:, None] & _site_masks(n_sites)) != 0
+
+
+def _pauli_action(chain: ChainSpec, factors: Mapping[int, str]) -> tuple[int, np.ndarray]:
+    """A Pauli string as a bit flip and a phase: (P v)[i] = phase[i] * v[i ^ flip].
+
+    x flips its site's bit, z multiplies by (-1)^bit, and y does both and
+    contributes a factor -i.
+    """
+    space = chain.space()
+    for site, axis in factors.items():
+        space.check_site(site)
+        if axis not in _AXES:
+            raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+    flipped = [site - 1 for site, axis in factors.items() if axis in ("x", "y")]
+    signed = [site - 1 for site, axis in factors.items() if axis in ("y", "z")]
+    n_y = sum(axis == "y" for axis in factors.values())
+    flip = int(_site_masks(chain.n_sites)[flipped].sum())
+    parity = _bit_table(chain.n_sites)[:, signed].sum(axis=1) % 2
+    return flip, _Y_PHASES[n_y % 4] * (1.0 - 2.0 * parity)
 
 
 def pauli_string(chain: ChainSpec, factors: Mapping[int, str]) -> LinearOperator:
     """Product of single-site Paulis, identity on unlisted sites."""
-    space = chain.space()
-    for site in factors:
-        space.check_site(site)
-    mat = np.ones((1, 1), dtype=complex)
-    for site in range(1, chain.n_sites + 1):
-        local = SIGMA[factors[site]] if site in factors else _IDENTITY2
-        mat = np.kron(mat, local)
-    return LinearOperator(space, mat, hermitian_hint=True)
+    flip, phase = _pauli_action(chain, factors)
+    rows = np.arange(chain.space().dim)
+    mat = np.zeros((rows.size, rows.size), dtype=complex)
+    mat[rows, rows ^ flip] = phase
+    return LinearOperator(chain.space(), mat, hermitian_hint=True)
+
+
+def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[float, float]:
+    """<S> and <S^2> for the sum S of the given Pauli strings on a qubit chain.
+
+    No operator matrix is built: a pure state costs O(len(strings) 2^n), a
+    density matrix O(len(strings)^2 2^n).
+    """
+    if state.space.kind != "qubit":
+        raise ValueError("Pauli strings act on qubit-chain states")
+    chain = ChainSpec(state.space.n_sites)
+    actions = [_pauli_action(chain, factors) for factors in strings]
+    idx = np.arange(state.space.dim)
+    if isinstance(state, PureState):
+        psi = state.amplitudes
+        v = np.zeros_like(psi)
+        for flip, phase in actions:
+            v += phase * psi[idx ^ flip]
+        mean = _real_part(complex(np.vdot(psi, v)), "expectation value")
+        return mean, float(np.vdot(v, v).real)
+    if isinstance(state, DensityMatrix):
+        rho = state.matrix
+
+        def trace(flip, phase):
+            # Tr(rho Q) = sum_j rho[j ^ flip, j] phase[j]
+            return complex(rho[idx ^ flip, idx] @ phase)
+
+        mean = _real_part(sum((trace(*a) for a in actions), 0j), "expectation value")
+        # (P_a P_b v)[i] = phase_a[i] phase_b[i ^ flip_a] v[i ^ flip_a ^ flip_b]
+        second = sum(
+            (trace(fa ^ fb, pa * pb[idx ^ fa]) for fa, pa in actions for fb, pb in actions), 0j
+        )
+        return mean, _real_part(second, "second moment")
+    raise ValueError(f"cannot take moments of {type(state).__name__}")
 
 
 def pauli(chain: ChainSpec, site: int, axis: str) -> LinearOperator:
     """Single-site Pauli embedded in the chain."""
-    if axis not in SIGMA:
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     return pauli_string(chain, {site: axis})
 
 
-def _tilde_factors(chain: ChainSpec, k: int) -> dict[int, str]:
-    # z factors outside the chain are dropped (open ends).
+def tilde_factors(chain: ChainSpec, k: int) -> dict[int, str]:
+    """Factors of the three-site correlator at site k; z factors past the ends drop."""
     chain.space().check_site(k)
     factors = {k: "x"}
     if k > 1:
@@ -111,13 +160,11 @@ def _tilde_factors(chain: ChainSpec, k: int) -> dict[int, str]:
 
 def tilde_sigma_x(chain: ChainSpec, k: int) -> LinearOperator:
     """Three-site correlator: z on site k-1, x on site k, z on site k+1."""
-    return pauli_string(chain, _tilde_factors(chain, k))
+    return pauli_string(chain, tilde_factors(chain, k))
 
 
 def collective_spin(chain: ChainSpec, axis: str) -> LinearOperator:
     """Collective angular momentum component, sum over sites of sigma/2."""
-    if axis not in SIGMA:
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     space = chain.space()
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     for site in range(1, chain.n_sites + 1):
@@ -132,13 +179,9 @@ def phase_gate_diagonal(chain: ChainSpec) -> np.ndarray:
     string a phase pi times its count of adjacent 1-pairs, so every diagonal
     entry is +1 or -1 and the gate is both Hermitian and an involution.
     """
-    n = chain.n_sites
-    d = np.empty(2**n)
-    for i in range(2**n):
-        bits = [(i >> (n - 1 - s)) & 1 for s in range(n)]
-        pairs = sum(bits[j] & bits[j + 1] for j in range(n - 1))
-        d[i] = -1.0 if pairs % 2 else 1.0
-    return d
+    bits = _bit_table(chain.n_sites)
+    pairs = (bits[:, :-1] & bits[:, 1:]).sum(axis=1)
+    return 1.0 - 2.0 * (pairs % 2)
 
 
 def phase_gate_unitary(chain: ChainSpec) -> LinearOperator:
@@ -193,43 +236,23 @@ def plus_chain(chain: ChainSpec) -> PureState:
     return product_state([("x", +1)] * chain.n_sites)
 
 
-def _apply_tilde(vec: np.ndarray, chain: ChainSpec, k: int) -> np.ndarray:
-    dims = chain.space().dims
-    out = vec
-    for site, axis in _tilde_factors(chain, k).items():
-        out = _apply_single_site(out, dims, site, SIGMA[axis])
-    return out
-
-
 def cluster_state(spec: ClusterSpec) -> PureState:
-    """Simultaneous eigenstate of the three-site correlators.
+    """Joint eigenstate of the three-site correlators with eigenvalues ``spec.lambdas``.
 
-    Built by projecting a reference vector onto the joint eigenspace with
-    (1 + lambda_k * correlator_k)/2 for every k.  The sector is
-    one-dimensional for every sign pattern, so any reference with a nonzero
-    component works; a few fallbacks guard against an unlucky choice.
+    A graph state in closed form: the neighbor phase gate applied to all
+    sites along +x is the all +1 sector, and z on each site with lambda = -1
+    flips the sign of that site's correlator alone.  Amplitude i is
+    d[i] (-1)^(set bits of i on the lambda = -1 sites) / sqrt(2^n), with d
+    the phase-gate diagonal.
     """
     chain = spec.chain
     space = chain.space()
     if space.dim > dim_cap():
         raise ValueError(f"dimension {space.dim} exceeds cap {dim_cap()}")
-    references = []
-    e0 = np.zeros(space.dim, dtype=complex)
-    e0[0] = 1.0
-    references.append(e0)
-    references.append(np.ones(space.dim, dtype=complex) / np.sqrt(space.dim))
-    rng = np.random.default_rng(7)
-    references.append(
-        (rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)) / np.sqrt(space.dim)
-    )
-    for ref in references:
-        v = ref
-        for k in range(1, chain.n_sites + 1):
-            v = 0.5 * (v + spec.lambdas[k - 1] * _apply_tilde(v, chain, k))
-        norm = np.linalg.norm(v)
-        if norm > 1e-7:
-            return PureState(space, v / norm)
-    raise ValueError("projector annihilated 3 independent reference vectors")
+    negative = np.array(spec.lambdas) < 0
+    parity = _bit_table(chain.n_sites)[:, negative].sum(axis=1) % 2
+    amps = phase_gate_diagonal(chain) * (1.0 - 2.0 * parity) / np.sqrt(space.dim)
+    return PureState(space, amps)
 
 
 def evolve(h: LinearOperator, t: float, state: PureState) -> PureState:

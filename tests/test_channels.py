@@ -28,6 +28,19 @@ def cluster_density(n):
     return pure_to_density(cluster_state(ClusterSpec(ChainSpec(n), (1,) * n)))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DecoherenceModel("amplitude_damping", 0.9),
+        lambda: decoherence_experiment(4, 0.9, "amplitude_damping"),
+        lambda: localized_pair_state(4, 0.9, channel="amplitude_damping"),
+    ],
+)
+def test_unknown_channel_kind_rejected(build):
+    with pytest.raises(ValueError, match="unknown channel kind"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # single-site channels
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from qlatwit import cli
 from qlatwit.cli import main
 
 
@@ -223,3 +224,15 @@ def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code != 0
+
+
+def test_memory_error_becomes_one_line_error(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 4.00 GiB")
+
+    monkeypatch.setitem(cli._COMMANDS, "cluster-witness", exhausted)
+    rc = main(["cluster-witness", "--n", "4"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: Unable to allocate 4.00 GiB\n"
+    assert captured.out == ""

@@ -4,9 +4,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_site_pauli
-from qlatwit.qcore import LinearOperator, expectation
-from qlatwit.sampling import random_direction, random_hermitian
+from conftest import ID2, PAULIS, kron_all, oracle_site_pauli
+from qlatwit.qcore import LinearOperator, PureState, expectation
+from qlatwit.sampling import (
+    haar_vector,
+    random_direction,
+    random_hermitian,
+    random_separable_density,
+)
 from qlatwit.spinchain import (
     ChainSpec,
     ClusterSpec,
@@ -16,6 +21,8 @@ from qlatwit.spinchain import (
     conjugate_by_phase_gate,
     evolve,
     pauli,
+    pauli_string,
+    pauli_sum_moments,
     phase_gate_unitary,
     plus_chain,
     product_state,
@@ -61,6 +68,47 @@ def test_pauli_matches_oracle():
     for k in range(1, 5):
         for ax in "xyz":
             assert np.allclose(pauli(chain, k, ax).matrix, oracle_site_pauli(ax, k, 4))
+
+
+@st.composite
+def pauli_strings(draw, n):
+    sites = draw(st.sets(st.integers(1, n), max_size=n))
+    return {site: draw(st.sampled_from("xyz")) for site in sorted(sites)}
+
+
+def oracle_pauli_string(factors, n):
+    return kron_all([PAULIS[factors[s]] if s in factors else ID2 for s in range(1, n + 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 8))
+def test_pauli_string_matches_kron_oracle(data, n):
+    factors = data.draw(pauli_strings(n))
+    got = pauli_string(ChainSpec(n), factors).matrix
+    assert np.array_equal(got, oracle_pauli_string(factors, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(2, 8), n_terms=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_pauli_sum_moments_match_dense_oracle(data, n, n_terms, seed):
+    strings = [data.draw(pauli_strings(n)) for _ in range(n_terms)]
+    s_dense = sum(oracle_pauli_string(f, n) for f in strings)
+    space = ChainSpec(n).space()
+    gen = np.random.default_rng(seed)
+    psi = haar_vector(space.dim, gen)
+    mean, second = pauli_sum_moments(PureState(space, psi), strings)
+    assert mean == pytest.approx(np.vdot(psi, s_dense @ psi).real, abs=1e-12)
+    assert second == pytest.approx(np.vdot(s_dense @ psi, s_dense @ psi).real, abs=1e-12)
+    rho = random_separable_density(space, gen)
+    assert np.abs(rho.matrix - np.diag(np.diagonal(rho.matrix))).max() > 1e-8
+    mean, second = pauli_sum_moments(rho, strings)
+    assert mean == pytest.approx(np.trace(rho.matrix @ s_dense).real, abs=1e-12)
+    assert second == pytest.approx(np.trace(rho.matrix @ s_dense @ s_dense).real, abs=1e-12)
+
+
+def test_pauli_rejects_unknown_axis():
+    with pytest.raises(ValueError, match="axis"):
+        pauli(ChainSpec(2), 1, "w")
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@ def main():
             fh.write(json.dumps({"iteration": iteration, "params": list(point),
                                  "ratio": ratio}, sort_keys=True) + "\n")
 
-    print(f"start   ratio: angles {tuple(args.start)}")
+    # the first evaluation is the start point's
+    print(f"start   ratio: {result.trace[0][2]:.12f}")
+    print(f"start angles: {tuple(args.start)}")
     print(f"best    ratio: {result.ratio:.12f}")
     print(f"best  angles: ({result.params.theta_xx:.6f}, "
           f"{result.params.theta_yy:.6f}, {result.params.theta_z:.6f})")

@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import bosonic, spinchain
-from .qcore import (
+# expectation is unused here; clibench/tests checks that its tracer rebinds this name
+from .qcore import (  # noqa: F401
     DensityMatrix,
     HilbertSpace,
     LinearOperator,
     PureState,
+    _apply_site,
+    _real_part,
+    _site_block,
     expectation,
-    matrix_exponential,
-    variance,
     variance_from_moments,
 )
 
@@ -34,6 +35,9 @@ _ORTHOGONALITY_TOL = 1e-10
 _DENOMINATOR_TOL = 1e-12
 
 AXES = ("x", "y", "z")
+_HALF_PAULIS = np.array(
+    [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
+) / 2
 
 
 @dataclass(frozen=True)
@@ -128,7 +132,7 @@ def _report(name: str, value: float, bound: float, direction: str, aux: dict) ->
 
 
 # ---------------------------------------------------------------------------
-# collective operators for either site kind
+# collective spins for either site kind: site sums of one d x d matrix
 
 
 def _require_qubit_chain(state, even: bool) -> spinchain.ChainSpec:
@@ -140,35 +144,89 @@ def _require_qubit_chain(state, even: bool) -> spinchain.ChainSpec:
     return spinchain.ChainSpec(space.n_sites)
 
 
-def _build_collective(kind: str, n_sites: int, cutoff: int | None):
-    if kind == "qubit":
-        chain = spinchain.ChainSpec(n_sites)
-        ops = {ax: spinchain.collective_spin(chain, ax) for ax in AXES}
-    elif kind == "fock":
-        lattice = bosonic.FockLatticeSpec(n_sites, bosonic.SiteFockSpace(cutoff))
-        ops = {ax: bosonic.collective_J_fock(lattice, ax) for ax in AXES}
-    else:
-        raise ValueError(f"no collective spin defined for space kind {kind!r}")
-    return ops
-
-
-@lru_cache(maxsize=8)
-def _collective_cached(kind: str, n_sites: int, cutoff: int | None):
-    return _build_collective(kind, n_sites, cutoff)
-
-
 def collective_j_operators(space: HilbertSpace) -> dict[str, LinearOperator]:
-    """The three collective angular momentum components for this space."""
-    # only small spaces are worth keeping around
-    if space.dim <= 1024:
-        return _collective_cached(space.kind, space.n_sites, space.fock_cutoff)
-    return _build_collective(space.kind, space.n_sites, space.fock_cutoff)
+    """The three collective angular momentum components as dense matrices.
+
+    A reference builder: the criteria and moments below apply J site by
+    site and never call it.
+    """
+    if space.kind == "qubit":
+        chain = spinchain.ChainSpec(space.n_sites)
+        return {ax: spinchain.collective_spin(chain, ax) for ax in AXES}
+    if space.kind == "fock":
+        lattice = bosonic.FockLatticeSpec(space.n_sites, bosonic.SiteFockSpace(space.fock_cutoff))
+        return {ax: bosonic.collective_J_fock(lattice, ax) for ax in AXES}
+    raise ValueError(f"no collective spin defined for space kind {space.kind!r}")
 
 
-@lru_cache(maxsize=16)
-def _fock_number_operator(n_sites: int, cutoff: int) -> LinearOperator:
-    lattice = bosonic.FockLatticeSpec(n_sites, bosonic.SiteFockSpace(cutoff))
-    return bosonic.lattice_number_operator(lattice)
+def _site_spin_matrices(space: HilbertSpace) -> np.ndarray:
+    """The one-site spin matrices j_x, j_y, j_z of this space, stacked (3, d, d).
+
+    Every collective spin here is J_a = sum_k j_a^(k): sigma_a / 2 on a qubit
+    chain, the Schwinger j_a on a two-mode Fock lattice.
+    """
+    if space.kind == "qubit":
+        return _HALF_PAULIS
+    if space.kind == "fock":
+        js = bosonic._schwinger_matrices(bosonic.SiteFockSpace(space.fock_cutoff))
+        return np.stack([js[ax] for ax in AXES])
+    raise ValueError(f"no collective spin defined for space kind {space.kind!r}")
+
+
+def _site_sum(local: np.ndarray, space: HilbertSpace, values: np.ndarray) -> np.ndarray:
+    """sum_k local^(k) applied to the state index of ``values``."""
+    total = _apply_site(local, space, 1, values)
+    for site in range(2, space.n_sites + 1):
+        total += _apply_site(local, space, site, values)
+    return total
+
+
+def _site_product(u: np.ndarray, space: HilbertSpace, values: np.ndarray) -> np.ndarray:
+    """(u x u x ... x u) applied to the state index of ``values``."""
+    for site in range(1, space.n_sites + 1):
+        values = _apply_site(u, space, site, values)
+    return values
+
+
+def _conjugate_sites(u: np.ndarray, space: HilbertSpace, hermitian: np.ndarray) -> np.ndarray:
+    """U M U^dagger for U = u x ... x u and a Hermitian M, as U (U M)^dagger."""
+    return _site_product(u, space, _site_product(u, space, hermitian).conj().T)
+
+
+def _real_array(values: np.ndarray, what: str) -> np.ndarray:
+    return np.array([_real_part(complex(v), what) for v in values.flat]).reshape(values.shape)
+
+
+def collective_moments(state) -> tuple[np.ndarray, np.ndarray]:
+    """<J_k> and the symmetrized <(J_k J_l + J_l J_k) / 2> for k, l in x, y, z.
+
+    Each J_k is applied site by site, so no dim x dim operator is built: a
+    pure state takes v_k = J_k psi and inner products; a density matrix takes
+    a_l = J_l rho and the site sum of traces of j_k against one-site blocks
+    of a_l.
+    """
+    space = state.space
+    local = _site_spin_matrices(space)
+    if isinstance(state, PureState):
+        psi = state.amplitudes
+        v = _site_sum(local, space, psi)
+        mean = v @ psi.conj()
+        gram = v.conj() @ v.T
+    elif isinstance(state, DensityMatrix):
+        a = _site_sum(local, space, state.matrix)  # a[l] = J_l rho
+        mean = np.trace(a, axis1=1, axis2=2)
+        # Tr(J_k a_l) summed site by site over one-site blocks: the products
+        # J_k J_l rho, nine dim x dim matrices, are never formed
+        gram = sum(
+            np.einsum("kji,lij->kl", local, _site_block(space, site, a))
+            for site in range(1, space.n_sites + 1)
+        )
+    else:
+        raise ValueError(f"cannot take moments of {type(state).__name__}")
+    return (
+        _real_array(mean, "expectation value"),
+        _real_array((gram + gram.T) / 2, "second moment"),
+    )
 
 
 def total_particle_number(state) -> float:
@@ -176,9 +234,16 @@ def total_particle_number(state) -> float:
     space = state.space
     if space.kind == "qubit":
         return float(space.n_sites)
-    if space.kind == "fock":
-        return expectation(_fock_number_operator(space.n_sites, space.fock_cutoff), state)
-    raise ValueError(f"no particle number defined for space kind {space.kind!r}")
+    if space.kind != "fock":
+        raise ValueError(f"no particle number defined for space kind {space.kind!r}")
+    number = bosonic.site_number_operator(bosonic.SiteFockSpace(space.fock_cutoff)).matrix
+    if isinstance(state, PureState):
+        value = np.vdot(state.amplitudes, _site_sum(number, space, state.amplitudes))
+    elif isinstance(state, DensityMatrix):
+        value = np.trace(_site_sum(number, space, state.matrix))
+    else:
+        raise ValueError(f"cannot take an expectation on {type(state).__name__}")
+    return _real_part(complex(value), "expectation value")
 
 
 def _correlator_means(state, chain: spinchain.ChainSpec) -> list[float]:
@@ -256,8 +321,10 @@ def variance_x_criterion(state) -> CriterionReport:
 
 def collective_uncertainty_criterion(state) -> CriterionReport:
     """Total collective-spin variance against half the mean particle number."""
-    ops = collective_j_operators(state.space)
-    variances = {ax: variance(ops[ax], state) for ax in AXES}
+    mean, second = collective_moments(state)
+    variances = {
+        ax: variance_from_moments(float(mean[i]), float(second[i, i])) for i, ax in enumerate(AXES)
+    }
     value = float(sum(variances.values()))
     n_total = total_particle_number(state)
     return _report(
@@ -267,16 +334,6 @@ def collective_uncertainty_criterion(state) -> CriterionReport:
         ">=",
         {"variances": variances, "total_number": n_total},
     )
-
-
-def _direction_operator(space: HilbertSpace, direction: Direction) -> LinearOperator:
-    ops = collective_j_operators(space)
-    mat = (
-        direction.x * ops["x"].matrix
-        + direction.y * ops["y"].matrix
-        + direction.z * ops["z"].matrix
-    )
-    return LinearOperator(space, mat, hermitian_hint=True)
 
 
 def spin_squeezing_criterion(
@@ -295,9 +352,10 @@ def spin_squeezing_criterion(
             if abs(float(vecs[i] @ vecs[j])) > _ORTHOGONALITY_TOL:
                 raise ValueError("spin squeezing directions must be mutually orthogonal")
     n_total = total_particle_number(state)
-    var1 = variance(_direction_operator(state.space, n1), state)
-    mean2 = expectation(_direction_operator(state.space, n2), state)
-    mean3 = expectation(_direction_operator(state.space, n3), state)
+    mean, second = collective_moments(state)
+    var1 = variance_from_moments(float(vecs[0] @ mean), float(vecs[0] @ second @ vecs[0]))
+    mean2 = float(vecs[1] @ mean)
+    mean3 = float(vecs[2] @ mean)
     denominator = mean2 * mean2 + mean3 * mean3
     aux = {
         "variance_n1": var1,
@@ -325,19 +383,10 @@ def spin_squeezing_criterion(
 def spin_squeezing_best(state, grid_points: int = 24) -> CriterionReport:
     """Grid search over orthogonal direction triples for the lowest ratio.
 
-    Scans Euler angles on a grid_points^3 grid using the precomputed first
-    and symmetrized second moments, then re-evaluates the best triple.
+    Scans Euler angles on a grid_points^3 grid using the first and
+    symmetrized second moments, then re-evaluates the best triple.
     """
-    ops = collective_j_operators(state.space)
-    jvec = np.array([expectation(ops[ax], state) for ax in AXES])
-    second = np.zeros((3, 3))
-    mats = [ops[ax].matrix for ax in AXES]
-    for i in range(3):
-        for j in range(3):
-            sym = (mats[i] @ mats[j] + mats[j] @ mats[i]) / 2
-            second[i, j] = expectation(
-                LinearOperator(state.space, sym, hermitian_hint=True), state
-            )
+    jvec, second = collective_moments(state)
     n_total = total_particle_number(state)
 
     def ratio_for(rot: np.ndarray) -> float:
@@ -379,33 +428,46 @@ def _euler_rotation(alpha: float, beta: float, gamma: float) -> np.ndarray:
 # collective moments
 
 
+def _moment_distribution(state, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of J_n and the state's weights on its eigenbasis.
+
+    J_n = sum_k (n . j)^(k) is diagonal in the product of the one-site
+    eigenbases, so one d x d eigh suffices: the state is rotated site by
+    site, and the collective eigenvalues are the one-site ones summed over
+    sites.
+    """
+    space = state.space
+    w, v = np.linalg.eigh(np.tensordot(direction.as_array(), _site_spin_matrices(space), 1))
+    if isinstance(state, PureState):
+        weights = np.abs(_site_product(v.conj().T, space, state.amplitudes)) ** 2
+    elif isinstance(state, DensityMatrix):
+        weights = np.real(np.diagonal(_conjugate_sites(v.conj().T, space, state.matrix)))
+    else:
+        raise ValueError(f"cannot take moments of {type(state).__name__}")
+    eig = w
+    for _ in range(space.n_sites - 1):
+        eig = np.add.outer(eig, w).ravel()
+    return eig, weights
+
+
+def _moment(eig: np.ndarray, weights: np.ndarray, order: int) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(weights @ eig**order)
+    if not math.isfinite(value):
+        raise ValueError(f"the order-{order} moment overflows double precision")
+    return value
+
+
 def angular_moment(state, direction: Direction, order: int) -> float:
     """<(J_n)^m> along the given direction."""
     if order < 1:
         raise ValueError("moment order must be at least 1")
-    op = _direction_operator(state.space, direction)
-    w, v = np.linalg.eigh(op.matrix)
-    if isinstance(state, PureState):
-        weights = np.abs(v.conj().T @ state.amplitudes) ** 2
-    elif isinstance(state, DensityMatrix):
-        weights = np.real(np.diagonal(v.conj().T @ state.matrix @ v))
-    else:
-        raise ValueError(f"cannot take moments of {type(state).__name__}")
-    return float(weights @ w**order)
+    return _moment(*_moment_distribution(state, direction), order)
 
 
 def anticommutator_moments(state) -> np.ndarray:
     """Symmetric 3x3 table <J_k J_l + J_l J_k> for k, l in {x, y, z}."""
-    ops = collective_j_operators(state.space)
-    mats = [ops[ax].matrix for ax in AXES]
-    table = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            anti = mats[i] @ mats[j] + mats[j] @ mats[i]
-            val = expectation(LinearOperator(state.space, anti, hermitian_hint=True), state)
-            table[i, j] = val
-            table[j, i] = val
-    return table
+    return 2 * collective_moments(state)[1]
 
 
 def totally_mixed_state(n_sites: int) -> DensityMatrix:
@@ -441,10 +503,11 @@ def moment_matching_separable_state(n_sites: int) -> DensityMatrix:
     mat = np.kron(block_x, block_z)
     for _ in range(n_sites - 4):
         mat = np.kron(mat, np.eye(2, dtype=complex) / 2)
-    chain = spinchain.ChainSpec(n_sites)
-    j_y = spinchain.collective_spin(chain, "y")
-    u = matrix_exponential(j_y, 1j * np.pi / 4).matrix
-    return DensityMatrix(chain.space(), u @ mat @ u.conj().T)
+    space = spinchain.ChainSpec(n_sites).space()
+    # exp(i pi/4 J_y) is exp(i pi/8 sigma_y) = cos(pi/8) + i sin(pi/8) sigma_y on every site
+    c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
+    u = np.array([[c, s], [-s, c]], dtype=complex)
+    return DensityMatrix(space, _conjugate_sites(u, space, mat))
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,9 +536,9 @@ def moment_indistinguishability(
     ma = np.zeros((len(axes), max_order))
     mb = np.zeros((len(axes), max_order))
     for i, direction in enumerate(axes):
-        for j, order in enumerate(orders):
-            ma[i, j] = angular_moment(state_a, direction, order)
-            mb[i, j] = angular_moment(state_b, direction, order)
+        for state, table in ((state_a, ma), (state_b, mb)):
+            eig, weights = _moment_distribution(state, direction)
+            table[i] = [_moment(eig, weights, order) for order in orders]
     diffs = np.abs(ma - mb)
     first = None
     for j in range(max_order):

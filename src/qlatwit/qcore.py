@@ -254,6 +254,35 @@ def variance_from_moments(e1: float, e2: float) -> float:
     return var
 
 
+def _apply_site(local: np.ndarray, space: HilbertSpace, site: int, values: np.ndarray) -> np.ndarray:
+    """A one-site matrix acting on ``site`` of the state index of ``values``.
+
+    ``values`` is an amplitude vector, or an array whose first axis is the
+    state index (the rows of a matrix).  ``local`` is one d x d matrix or a
+    stack (s, d, d), which gives a result of shape (s,) + values.shape.  The
+    state index is reshaped to (d^(site-1), d, rest) for one matmul, so no
+    dim x dim operator is formed.
+    """
+    d = space.dims[site - 1]
+    left = int(np.prod(space.dims[: site - 1]))
+    out = local[..., None, :, :] @ values.reshape(left, d, -1)
+    return out.reshape(local.shape[:-2] + values.shape)
+
+
+def _site_block(space: HilbertSpace, site: int, matrices: np.ndarray) -> np.ndarray:
+    """The d x d block of ``site`` in each of a stack of dim x dim matrices,
+    every other site traced out (``partial_trace`` without validation).
+
+    Tr(local^(site) M) is then Tr(local @ block), read in O(dim d) without
+    forming the product.
+    """
+    d = space.dims[site - 1]
+    left = int(np.prod(space.dims[: site - 1]))
+    right = space.dim // (left * d)
+    t = matrices.reshape(matrices.shape[:-2] + (left, d, right) * 2)
+    return np.einsum("...lirljr->...ij", t)
+
+
 def partial_trace(rho: DensityMatrix, keep_sites: Sequence[int]) -> DensityMatrix:
     """Reduce to ``keep_sites`` (1-based), preserving their original order."""
     space = rho.space

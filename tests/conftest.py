@@ -37,6 +37,41 @@ def oracle_collective(axis, n):
     return sum(oracle_site_pauli(axis, k, n) for k in range(1, n + 1)) / 2
 
 
+def oracle_fock_basis(cutoff):
+    """Two-mode occupations (n_a, n_b), by total number, then decreasing n_a."""
+    return [(total - nb, nb) for total in range(cutoff + 1) for nb in range(total + 1)]
+
+
+def oracle_schwinger_site(cutoff):
+    """One-site Schwinger spin components and number operator from ladder matrices."""
+    basis = oracle_fock_basis(cutoff)
+    index = {occ: i for i, occ in enumerate(basis)}
+    a = np.zeros((len(basis), len(basis)), dtype=complex)
+    b = np.zeros_like(a)
+    for (na, nb), col in index.items():
+        if na > 0:
+            a[index[(na - 1, nb)], col] = np.sqrt(na)
+        if nb > 0:
+            b[index[(na, nb - 1)], col] = np.sqrt(nb)
+    ad, bd = a.conj().T, b.conj().T
+    return {
+        "x": (ad @ b + bd @ a) / 2,
+        "y": (ad @ b - bd @ a) / 2j,
+        "z": (ad @ a - bd @ b) / 2,
+        "n": ad @ a + bd @ b,
+    }
+
+
+def oracle_fock_collective(name, cutoff, n):
+    """Site sum of one Schwinger component (or the number operator), kron-embedded."""
+    local = oracle_schwinger_site(cutoff)[name]
+    eye = np.eye(local.shape[0], dtype=complex)
+    return sum(
+        kron_all([local if k == site else eye for k in range(1, n + 1)])
+        for site in range(1, n + 1)
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -104,6 +104,23 @@ def test_decoherence_scan_rejects_bad_range(capsys):
     assert rc == 1
 
 
+def test_decoherence_scan_rejects_a_repeated_grid_point(capsys):
+    # a fit through copies of one point would report a fabricated slope
+    argv = ["decoherence-scan", "--n", "4", "--p-min", "0.8", "--p-max", "0.8", "--steps", "3"]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: need p-min < p-max for more than one grid point\n"
+    assert captured.out == ""
+
+
+def test_decoherence_scan_single_point_is_allowed(capsys):
+    doc = run_json(capsys, ["decoherence-scan", "--n", "4", "--p-min", "0.8", "--p-max", "0.8",
+                            "--steps", "1"])
+    assert doc["results"]["rows"][0]["value"] == pytest.approx(4 * (2 * 0.8 - 1), abs=1e-9)
+    assert "slope_value_over_n" not in doc["results"]["summary"]
+
+
 # ---------------------------------------------------------------------------
 # singlet-suite / heisenberg
 
@@ -158,6 +175,15 @@ def test_moments_compare_small_chain(capsys):
 def test_moments_compare_rejects_oversize(capsys):
     rc = main(["moments-compare", "--n", "10"])
     assert rc == 1
+
+
+def test_moments_compare_overflowing_order_is_one_line_error(capsys):
+    # <J^1100> overflows double precision; the document must not carry NaN
+    rc = main(["moments-compare", "--n", "4", "--max-order", "1100"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import oracle_collective, oracle_fock_collective
 from qlatwit import bosonic, sampling
 from qlatwit.criteria import (
     AXIS_X,
@@ -9,6 +12,7 @@ from qlatwit.criteria import (
     Direction,
     angular_moment,
     anticommutator_moments,
+    collective_moments,
     collective_uncertainty_criterion,
     moment_indistinguishability,
     moment_matching_separable_state,
@@ -16,11 +20,12 @@ from qlatwit.criteria import (
     spin_squeezing_best,
     spin_squeezing_criterion,
     squared_criterion,
+    total_particle_number,
     totally_mixed_state,
     variance_x_criterion,
     witness_criterion,
 )
-from qlatwit.qcore import expectation, negativity, pure_to_density
+from qlatwit.qcore import PureState, expectation, negativity, pure_to_density
 from qlatwit.spinchain import ChainSpec, ClusterSpec, cluster_state, product_state, tilde_sigma_x
 
 TILTED_XZ = Direction.normalized(1.0, 0.0, 1.0)
@@ -296,6 +301,64 @@ def test_first_moment_of_singlet_vanishes():
 def test_moment_order_must_be_positive():
     with pytest.raises(ValueError):
         angular_moment(totally_mixed_state(2), AXIS_Z, 0)
+
+
+def test_moment_overflow_raises_instead_of_returning_nan():
+    with pytest.raises(ValueError, match="overflows"):
+        angular_moment(totally_mixed_state(4), AXIS_Z, 2000)
+
+
+# ---------------------------------------------------------------------------
+# site-by-site collective spins against dense kron-built oracles
+
+
+@st.composite
+def collective_spaces(draw):
+    """A qubit chain of 2..7 sites, or a Fock lattice of 1..3 sites with cutoff 1..2,
+    with the dense oracles of J_x, J_y, J_z and the total particle number."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 7))
+        space = ChainSpec(n).space()
+        js = [oracle_collective(ax, n) for ax in "xyz"]
+        number = n * np.eye(space.dim)
+    else:
+        n, cutoff = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        space = bosonic.FockLatticeSpec(n, bosonic.SiteFockSpace(cutoff)).space()
+        js = [oracle_fock_collective(ax, cutoff, n) for ax in "xyz"]
+        number = oracle_fock_collective("n", cutoff, n)
+    return space, js, number
+
+
+def oracle_mean(op, state):
+    if hasattr(state, "amplitudes"):
+        return np.vdot(state.amplitudes, op @ state.amplitudes).real
+    return np.trace(state.matrix @ op).real
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=collective_spaces(), mixed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_collective_path_matches_dense_oracles(spec, mixed, seed):
+    space, js, number = spec
+    gen = np.random.default_rng(seed)
+    if mixed:
+        state = sampling.random_separable_density(space, gen)
+        assert np.abs(state.matrix - np.diag(np.diagonal(state.matrix))).max() > 1e-8
+    else:
+        state = PureState(space, sampling.haar_vector(space.dim, gen))
+    mean, second = collective_moments(state)
+    for k in range(3):
+        assert mean[k] == pytest.approx(oracle_mean(js[k], state), abs=1e-12)
+        for m in range(3):
+            want = oracle_mean((js[k] @ js[m] + js[m] @ js[k]) / 2, state)
+            assert second[k, m] == pytest.approx(want, abs=1e-12)
+    assert np.array_equal(anticommutator_moments(state), 2 * second)
+    assert total_particle_number(state) == pytest.approx(oracle_mean(number, state), abs=1e-12)
+    direction = sampling.random_direction(gen)
+    j_n = sum(c * j for c, j in zip(direction, js))
+    for order in range(1, 5):
+        want = oracle_mean(np.linalg.matrix_power(j_n, order), state)
+        got = angular_moment(state, Direction(*direction), order)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(4, 10))

@@ -10,7 +10,6 @@ truncated basis and the spin algebra stays exact on every occupation shell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +18,8 @@ from .qcore import (
     HilbertSpace,
     LinearOperator,
     PureState,
+    _apply_site,
+    _site_sum,
     dim_cap,
 )
 
@@ -88,7 +89,6 @@ class FockLatticeSpec:
         )
 
 
-@lru_cache(maxsize=32)
 def _ladder_matrices(n_max: int) -> dict[str, np.ndarray]:
     space = SiteFockSpace(n_max)
     d = space.dim
@@ -142,32 +142,21 @@ def site_number_operator(space: SiteFockSpace) -> LinearOperator:
     )
 
 
-def _embed(lattice: FockLatticeSpec, site_matrix: np.ndarray, k: int) -> np.ndarray:
-    d = lattice.site_space.dim
-    eye = np.eye(d, dtype=complex)
-    mat = np.ones((1, 1), dtype=complex)
-    for j in range(1, lattice.n_sites + 1):
-        mat = np.kron(mat, site_matrix if j == k else eye)
-    return mat
+def _site_sum_operator(lattice: FockLatticeSpec, local: np.ndarray) -> LinearOperator:
+    """sum_k local^(k) as a dense matrix: the site sum applied to the identity."""
+    space = lattice.space()
+    # the identity is an argument temporary, freed before validation
+    mat = _site_sum(local, space, np.eye(space.dim, dtype=complex))
+    return LinearOperator(space, mat, hermitian_hint=True)
 
 
 def collective_J_fock(lattice: FockLatticeSpec, axis: str) -> LinearOperator:
     """Sum of the single-site Schwinger components over the lattice."""
-    local = schwinger_j(lattice.site_space, axis).matrix
-    space = lattice.space()
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for k in range(1, lattice.n_sites + 1):
-        mat += _embed(lattice, local, k)
-    return LinearOperator(space, mat, hermitian_hint=True)
+    return _site_sum_operator(lattice, schwinger_j(lattice.site_space, axis).matrix)
 
 
 def lattice_number_operator(lattice: FockLatticeSpec) -> LinearOperator:
-    local = site_number_operator(lattice.site_space).matrix
-    space = lattice.space()
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for k in range(1, lattice.n_sites + 1):
-        mat += _embed(lattice, local, k)
-    return LinearOperator(space, mat, hermitian_hint=True)
+    return _site_sum_operator(lattice, site_number_operator(lattice.site_space).matrix)
 
 
 def maximal_angular_momentum_check(space: SiteFockSpace) -> float:
@@ -250,18 +239,21 @@ def heisenberg_hamiltonian(lattice: FockLatticeSpec, sign: int = +1) -> LinearOp
         raise ValueError("coupling sign must be +1 or -1")
     space = lattice.space()
     js = _schwinger_matrices(lattice.site_space)
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    bond = sign * sum(np.kron(js[axis], js[axis]) for axis in ("x", "y", "z"))
+    eye = np.eye(space.dim, dtype=complex)
+    mat = np.zeros_like(eye)
     for k in range(1, lattice.n_sites):
-        for axis in ("x", "y", "z"):
-            mat += _embed(lattice, js[axis], k) @ _embed(lattice, js[axis], k + 1)
-    return LinearOperator(space, sign * mat, hermitian_hint=True)
+        mat += _apply_site(bond, space, k, eye)
+    del eye  # one dim x dim matrix fewer during validation and the eigensolve
+    return LinearOperator(space, mat, hermitian_hint=True)
 
 
 def total_spin_squared(lattice: FockLatticeSpec) -> LinearOperator:
     """J_x^2 + J_y^2 + J_z^2; its zero eigenspace holds the many-body singlets."""
     space = lattice.space()
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for axis in ("x", "y", "z"):
-        big = collective_J_fock(lattice, axis).matrix
-        mat += big @ big
+    js = _schwinger_matrices(lattice.site_space)
+    mat = sum(
+        _site_sum(js[axis], space, collective_J_fock(lattice, axis).matrix)
+        for axis in ("x", "y", "z")
+    )
     return LinearOperator(space, mat, hermitian_hint=True)

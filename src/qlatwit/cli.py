@@ -19,7 +19,7 @@ import scipy
 
 from . import __version__, bosonic, channels, criteria, optimize, spinchain
 # expectation is unused here; clibench/tests checks that its tracer rebinds this name
-from .qcore import PureState, expectation, ground_state  # noqa: F401
+from .qcore import expectation, ground_state  # noqa: F401
 
 
 def _versions() -> dict:
@@ -228,9 +228,8 @@ def cmd_pulse(args) -> tuple[dict, list, list]:
         if len(pieces) != 3:
             raise ValueError("--params expects three comma-separated angles")
         params = optimize.PulseParams(*(float(x) for x in pieces))
-        u = optimize.pulse_unitary(chain, params)
         start = spinchain.basis_state(chain, [0] * n)
-        state = PureState(chain.space(), u.matrix @ start.amplitudes)
+        state = spinchain.evolve(optimize.pulse_generator(chain, params), 1.0, start)
         ratio = optimize.violation_ratio(state)
         report = criteria.collective_uncertainty_criterion(state)
         doc["params"] = list(params.as_array())
@@ -297,30 +296,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = _COMMANDS[args.command]
     try:
-        results, rows, fields = handler(args)
-    except (ValueError, MemoryError) as exc:
+        results, rows, fields = _COMMANDS[args.command](args)
+        config = {
+            "n": args.n,
+            "p_min": args.p_min,
+            "p_max": args.p_max,
+            "steps": args.steps,
+            "max_order": args.max_order,
+            "params": args.params,
+            "optimize": args.optimize,
+            "budget": args.budget,
+            "seed": args.seed,
+        }
+        doc = {
+            "command": args.command,
+            "config": config,
+            "results": results,
+            "versions": _versions(),
+        }
+        # an unwritable --out or --trace path is an OSError
+        _write_output(doc, rows, fields, args.format, args.out)
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
-    config = {
-        "n": args.n,
-        "p_min": args.p_min,
-        "p_max": args.p_max,
-        "steps": args.steps,
-        "max_order": args.max_order,
-        "params": args.params,
-        "optimize": args.optimize,
-        "budget": args.budget,
-        "seed": args.seed,
-    }
-    doc = {
-        "command": args.command,
-        "config": config,
-        "results": results,
-        "versions": _versions(),
-    }
-    _write_output(doc, rows, fields, args.format, args.out)
     return 0
 
 

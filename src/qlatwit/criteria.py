@@ -25,6 +25,7 @@ from .qcore import (  # noqa: F401
     _apply_site,
     _real_part,
     _site_block,
+    _site_sum,
     expectation,
     variance_from_moments,
 )
@@ -171,14 +172,6 @@ def _site_spin_matrices(space: HilbertSpace) -> np.ndarray:
         js = bosonic._schwinger_matrices(bosonic.SiteFockSpace(space.fock_cutoff))
         return np.stack([js[ax] for ax in AXES])
     raise ValueError(f"no collective spin defined for space kind {space.kind!r}")
-
-
-def _site_sum(local: np.ndarray, space: HilbertSpace, values: np.ndarray) -> np.ndarray:
-    """sum_k local^(k) applied to the state index of ``values``."""
-    total = _apply_site(local, space, 1, values)
-    for site in range(2, space.n_sites + 1):
-        total += _apply_site(local, space, site, values)
-    return total
 
 
 def _site_product(u: np.ndarray, space: HilbertSpace, values: np.ndarray) -> np.ndarray:

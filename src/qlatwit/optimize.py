@@ -14,7 +14,7 @@ import numpy as np
 
 from . import spinchain
 from .criteria import collective_uncertainty_criterion
-from .qcore import LinearOperator, PureState, matrix_exponential
+from .qcore import LinearOperator, matrix_exponential
 
 
 @dataclass(frozen=True)
@@ -36,15 +36,15 @@ def pulse_generator(chain: spinchain.ChainSpec, params: PulseParams) -> LinearOp
     """Hermitian generator of the pulse, with j = sigma/2 per site."""
     if chain.n_sites > 10:
         raise ValueError("pulse generator capped at 10 sites")
-    space = chain.space()
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
     # j_k j_{k+1} = (sigma_k sigma_{k+1}) / 4 is one two-site Pauli string
-    for k in range(1, chain.n_sites):
-        mat += params.theta_xx * (spinchain.pauli_string(chain, {k: "x", k + 1: "x"}).matrix / 4)
-        mat += params.theta_yy * (spinchain.pauli_string(chain, {k: "y", k + 1: "y"}).matrix / 4)
-    for k in range(1, chain.n_sites + 1):
-        mat += params.theta_z * (spinchain.pauli(chain, k, "z").matrix / 2)
-    return LinearOperator(space, mat, hermitian_hint=True)
+    couplings = ((params.theta_xx, "x"), (params.theta_yy, "y"))
+    terms = [
+        (theta / 4, {k: axis, k + 1: axis})
+        for k in range(1, chain.n_sites)
+        for theta, axis in couplings
+    ]
+    terms += [(params.theta_z / 2, {k: "z"}) for k in range(1, chain.n_sites + 1)]
+    return spinchain.pauli_sum(chain, terms)
 
 
 def pulse_unitary(chain: spinchain.ChainSpec, params: PulseParams) -> LinearOperator:
@@ -149,8 +149,7 @@ def optimize_pulse(
     trace: list[tuple[int, tuple[float, float, float], float]] = []
 
     def ratio_of(x: np.ndarray) -> float:
-        u = pulse_unitary(chain, PulseParams(*x))
-        state = PureState(chain.space(), u.matrix @ start.amplitudes)
+        state = spinchain.evolve(pulse_generator(chain, PulseParams(*x)), 1.0, start)
         return violation_ratio(state)
 
     def objective(x: np.ndarray) -> float:

@@ -255,18 +255,28 @@ def variance_from_moments(e1: float, e2: float) -> float:
 
 
 def _apply_site(local: np.ndarray, space: HilbertSpace, site: int, values: np.ndarray) -> np.ndarray:
-    """A one-site matrix acting on ``site`` of the state index of ``values``.
+    """A one- or two-site matrix acting from ``site`` on the state index of ``values``.
 
     ``values`` is an amplitude vector, or an array whose first axis is the
-    state index (the rows of a matrix).  ``local`` is one d x d matrix or a
-    stack (s, d, d), which gives a result of shape (s,) + values.shape.  The
-    state index is reshaped to (d^(site-1), d, rest) for one matmul, so no
-    dim x dim operator is formed.
+    state index (the rows of a matrix).  ``local`` is one D x D matrix or a
+    stack (s, D, D), which gives a result of shape (s,) + values.shape.  The
+    block size D is read from ``local``: a one-site d x d matrix acts on
+    ``site``, a two-site kron(a, b) on ``site`` and ``site + 1``.  The state
+    index is reshaped to (dims before ``site``, D, rest) for one matmul, so
+    no dim x dim operator is formed.
     """
-    d = space.dims[site - 1]
+    d = local.shape[-1]
     left = int(np.prod(space.dims[: site - 1]))
     out = local[..., None, :, :] @ values.reshape(left, d, -1)
     return out.reshape(local.shape[:-2] + values.shape)
+
+
+def _site_sum(local: np.ndarray, space: HilbertSpace, values: np.ndarray) -> np.ndarray:
+    """sum_k local^(k) applied to the state index of ``values``, for a one-site ``local``."""
+    total = _apply_site(local, space, 1, values)
+    for site in range(2, space.n_sites + 1):
+        total += _apply_site(local, space, site, values)
+    return total
 
 
 def _site_block(space: HilbertSpace, site: int, matrices: np.ndarray) -> np.ndarray:

@@ -99,13 +99,23 @@ def _pauli_action(chain: ChainSpec, factors: Mapping[int, str]) -> tuple[int, np
     return flip, _Y_PHASES[n_y % 4] * (1.0 - 2.0 * parity)
 
 
-def pauli_string(chain: ChainSpec, factors: Mapping[int, str]) -> LinearOperator:
-    """Product of single-site Paulis, identity on unlisted sites."""
-    flip, phase = _pauli_action(chain, factors)
+def pauli_sum(chain: ChainSpec, terms: Sequence[tuple[float, Mapping[int, str]]]) -> LinearOperator:
+    """sum_t w_t P_t for real weights w_t and Pauli strings P_t, as a dense matrix.
+
+    Each term scatters its weighted phase into row i, column i ^ flip of one
+    zero matrix: O(2^n) per term, no per-term matrix.
+    """
     rows = np.arange(chain.space().dim)
     mat = np.zeros((rows.size, rows.size), dtype=complex)
-    mat[rows, rows ^ flip] = phase
+    for weight, factors in terms:
+        flip, phase = _pauli_action(chain, factors)
+        mat[rows, rows ^ flip] += weight * phase
     return LinearOperator(chain.space(), mat, hermitian_hint=True)
+
+
+def pauli_string(chain: ChainSpec, factors: Mapping[int, str]) -> LinearOperator:
+    """Product of single-site Paulis, identity on unlisted sites."""
+    return pauli_sum(chain, [(1.0, factors)])
 
 
 def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[float, float]:
@@ -165,11 +175,7 @@ def tilde_sigma_x(chain: ChainSpec, k: int) -> LinearOperator:
 
 def collective_spin(chain: ChainSpec, axis: str) -> LinearOperator:
     """Collective angular momentum component, sum over sites of sigma/2."""
-    space = chain.space()
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for site in range(1, chain.n_sites + 1):
-        mat += pauli_string(chain, {site: axis}).matrix
-    return LinearOperator(space, mat / 2, hermitian_hint=True)
+    return pauli_sum(chain, [(0.5, {site: axis}) for site in range(1, chain.n_sites + 1)])
 
 
 def phase_gate_diagonal(chain: ChainSpec) -> np.ndarray:

@@ -72,6 +72,17 @@ def oracle_fock_collective(name, cutoff, n):
     )
 
 
+def oracle_heisenberg(cutoff, n, sign):
+    """sign * sum over bonds k and axes a of j_a(k) j_a(k+1), each term one kron product."""
+    site = oracle_schwinger_site(cutoff)
+    eye = np.eye(site["n"].shape[0], dtype=complex)
+    return sign * sum(
+        kron_all([eye] * (k - 1) + [site[a], site[a]] + [eye] * (n - k - 1))
+        for k in range(1, n)
+        for a in "xyz"
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

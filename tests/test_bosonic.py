@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ID2, SX, SY, SZ, kron_all
+from conftest import ID2, SX, SY, SZ, kron_all, oracle_fock_collective, oracle_heisenberg
 from qlatwit.bosonic import (
     EMPTY,
     SPIN_DOWN,
@@ -327,3 +327,33 @@ def test_empty_site_is_spin_zero(seed, n_max):
     v = site_ket(space, *EMPTY)
     for ax in "xyz":
         assert np.allclose(schwinger_j(space, ax).matrix @ v, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# dense builders against the kron-built oracles
+
+FOCK_SIZES = [(cutoff, n) for cutoff in (1, 2) for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("cutoff,n", FOCK_SIZES)
+def test_collective_and_number_operators_match_kron_oracle(cutoff, n):
+    lattice = FockLatticeSpec(n, SiteFockSpace(cutoff))
+    for ax in "xyz":
+        got = collective_J_fock(lattice, ax).matrix
+        assert np.allclose(got, oracle_fock_collective(ax, cutoff, n), atol=1e-12)
+    got = lattice_number_operator(lattice).matrix
+    assert np.allclose(got, oracle_fock_collective("n", cutoff, n), atol=1e-12)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("cutoff,n", FOCK_SIZES)
+def test_heisenberg_matches_kron_oracle(cutoff, n, sign):
+    got = heisenberg_hamiltonian(FockLatticeSpec(n, SiteFockSpace(cutoff)), sign).matrix
+    assert np.allclose(got, oracle_heisenberg(cutoff, n, sign), atol=1e-12)
+
+
+@pytest.mark.parametrize("cutoff,n", FOCK_SIZES)
+def test_total_spin_squared_matches_kron_oracle(cutoff, n):
+    got = total_spin_squared(FockLatticeSpec(n, SiteFockSpace(cutoff))).matrix
+    js = [oracle_fock_collective(ax, cutoff, n) for ax in "xyz"]
+    assert np.allclose(got, sum(j @ j for j in js), atol=1e-12)

@@ -262,3 +262,29 @@ def test_memory_error_becomes_one_line_error(capsys, monkeypatch):
     assert rc == 1
     assert captured.err == "error: Unable to allocate 4.00 GiB\n"
     assert captured.out == ""
+
+
+def test_unwritable_out_path_is_one_line_error(tmp_path, capsys):
+    rc = main(["heisenberg", "--n", "2", "--out", str(tmp_path / "missing" / "doc.json")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_unwritable_trace_path_is_one_line_error(tmp_path, capsys):
+    trace = tmp_path / "missing" / "trace.jsonl"
+    rc = main(["pulse", "--n", "2", "--optimize", "--budget", "2", "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,code", [(["heisenberg", "--n", "2"], 0), (["heisenberg", "--n", "1"], 1)])
+def test_entry_point_exit_codes(argv, code, monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["qlatwit"] + argv)
+    with pytest.raises(SystemExit) as err:
+        cli.entry_point()
+    capsys.readouterr()
+    assert err.value.code == code

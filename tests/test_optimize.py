@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import ID2, SX, SY, SZ, kron_all
 from qlatwit import bosonic
 from qlatwit.optimize import (
     PulseParams,
@@ -131,3 +132,25 @@ def test_optimizer_trace_and_budget_accounting():
 def test_optimizer_rejects_empty_budget():
     with pytest.raises(ValueError):
         optimize_pulse(ChainSpec(4), REFERENCE_PULSE, budget=0)
+
+
+def oracle_pulse_generator(n, params):
+    """The pulse generator from kron products of sigma / 2, one matrix per term."""
+    def site_term(k, mats):
+        # mats act on the sites from k on, identity elsewhere
+        return kron_all([ID2] * (k - 1) + mats + [ID2] * (n - k - len(mats) + 1))
+
+    g = sum(
+        params.theta_xx * site_term(k, [SX / 2, SX / 2])
+        + params.theta_yy * site_term(k, [SY / 2, SY / 2])
+        for k in range(1, n)
+    )
+    return g + sum(params.theta_z * site_term(k, [SZ / 2]) for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_generator_matches_kron_oracle(n, rng):
+    for _ in range(5):
+        params = PulseParams(*rng.uniform(-10, 10, size=3))
+        got = pulse_generator(ChainSpec(n), params).matrix
+        assert np.allclose(got, oracle_pulse_generator(n, params), atol=1e-12)

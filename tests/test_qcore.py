@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ID2, SX, SY, SZ, oracle_site_pauli
+from conftest import ID2, SX, SY, SZ, kron_all, oracle_site_pauli
 from qlatwit.qcore import (
     DensityMatrix,
     HilbertSpace,
     LinearOperator,
     PureState,
+    _apply_site,
     expectation,
     ground_state,
     matrix_exponential,
@@ -386,3 +387,15 @@ def test_variance_is_nonnegative(seed):
     psi = PureState(space, haar_vector(4, gen))
     op = LinearOperator(space, random_hermitian(4, gen), hermitian_hint=True)
     assert variance(op, psi) >= 0.0
+
+
+def test_apply_site_reads_block_size_from_the_matrix(rng):
+    space = HilbertSpace((2, 3, 3, 2), kind="generic")
+    a, b = random_hermitian(3, rng), random_hermitian(3, rng)
+    values = rng.normal(size=(space.dim, 5)) + 1j * rng.normal(size=(space.dim, 5))
+    eye3 = np.eye(3)
+    # one-site a on site 2, two-site kron(a, b) on sites 2 and 3
+    one = _apply_site(a, space, 2, values)
+    assert np.allclose(one, kron_all([ID2, a, eye3, ID2]) @ values, atol=1e-12)
+    two = _apply_site(np.kron(a, b), space, 2, values)
+    assert np.allclose(two, kron_all([ID2, a, b, ID2]) @ values, atol=1e-12)

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ID2, PAULIS, kron_all, oracle_site_pauli
+from conftest import ID2, PAULIS, kron_all, oracle_collective, oracle_site_pauli
 from qlatwit.qcore import LinearOperator, PureState, expectation
 from qlatwit.sampling import (
     haar_vector,
@@ -22,6 +22,7 @@ from qlatwit.spinchain import (
     evolve,
     pauli,
     pauli_string,
+    pauli_sum,
     pauli_sum_moments,
     phase_gate_unitary,
     plus_chain,
@@ -361,3 +362,20 @@ def test_evolve_requires_hermitian_generator():
     bad = LinearOperator(chain.space(), np.triu(np.ones((4, 4), dtype=complex)))
     with pytest.raises(ValueError, match="Hermitian"):
         evolve(bad, 1.0, plus_chain(chain))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(2, 8), n_terms=st.integers(1, 4))
+def test_pauli_sum_matches_kron_oracle(data, n, n_terms):
+    terms = [
+        (data.draw(st.floats(-5, 5)), data.draw(pauli_strings(n))) for _ in range(n_terms)
+    ]
+    got = pauli_sum(ChainSpec(n), terms).matrix
+    want = sum(w * oracle_pauli_string(f, n) for w, f in terms)
+    assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_collective_spin_matches_kron_oracle(n):
+    for ax in "xyz":
+        assert np.array_equal(collective_spin(ChainSpec(n), ax).matrix, oracle_collective(ax, n))

@@ -2,9 +2,10 @@
 
 The phase-flip channel on one site is rho -> p rho + (1-p) Z rho Z with
 p(t) = (1 + exp(-kappa t)) / 2; the depolarizing channel used here is
-rho -> p rho + (1-p)/3 (X rho X + Y rho Y + Z rho Z).  Single-site Pauli
-conjugations are applied through tensor reshapes, so whole-chain channel
-sweeps cost O(d^2) per site instead of dense matrix products.
+rho -> p rho + (1-p)/3 (X rho X + Y rho Y + Z rho Z).  A one-site channel
+acts on the four (bra bit, ket bit) blocks of that site, taken as views of
+the density matrix, and updates them in place: no Pauli conjugate of the
+whole matrix is formed.
 """
 
 from __future__ import annotations
@@ -53,30 +54,6 @@ class DecoherenceModel:
         return cls(kind=kind, p=(1.0 + math.exp(-kappa * t_d)) / 2.0, kappa=kappa, t_d=t_d)
 
 
-def _conjugate_site_pauli(mat: np.ndarray, n_sites: int, site: int, axis: str) -> np.ndarray:
-    """P_site rho P_site for a single-site Pauli, via index manipulation."""
-    t = mat.reshape((2,) * (2 * n_sites))
-    bra_ax, ket_ax = site - 1, n_sites + site - 1
-    sign = np.array([1.0, -1.0])
-
-    def _signed(tensor):
-        shape_bra = [1] * (2 * n_sites)
-        shape_bra[bra_ax] = 2
-        shape_ket = [1] * (2 * n_sites)
-        shape_ket[ket_ax] = 2
-        return tensor * sign.reshape(shape_bra) * sign.reshape(shape_ket)
-
-    if axis == "z":
-        out = _signed(t)
-    elif axis == "x":
-        out = np.flip(t, (bra_ax, ket_ax))
-    elif axis == "y":
-        out = _signed(np.flip(t, (bra_ax, ket_ax)))
-    else:
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    return np.ascontiguousarray(out).reshape(mat.shape)
-
-
 def _check_qubit_density(rho: DensityMatrix) -> int:
     if rho.space.kind != "qubit":
         raise ValueError("channels act on qubit-chain density matrices")
@@ -88,16 +65,43 @@ def _check_p(p: float) -> None:
         raise ValueError(f"channel weight p={p} outside [0, 1]")
 
 
+def _site_tensor(mat: np.ndarray, n_sites: int, site: int) -> np.ndarray:
+    """``mat`` as (left, bra bit, right, left, ket bit, right) for ``site``.
+
+    A view when ``mat`` is C-contiguous, so writes to it update ``mat``.
+    """
+    left = 2 ** (site - 1)
+    right = 2 ** (n_sites - site)
+    return mat.reshape(left, 2, right, left, 2, right)
+
+
 def _phase_flip_raw(mat: np.ndarray, n_sites: int, site: int, p: float) -> np.ndarray:
-    return p * mat + (1.0 - p) * _conjugate_site_pauli(mat, n_sites, site, "z")
+    # Z rho Z flips the sign of the blocks whose bra and ket bits differ
+    t = _site_tensor(mat, n_sites, site)
+    t[:, 0, :, :, 1] *= 2.0 * p - 1.0
+    t[:, 1, :, :, 0] *= 2.0 * p - 1.0
+    return t.reshape(mat.shape)
 
 
 def _depolarizing_raw(mat: np.ndarray, n_sites: int, site: int, p: float) -> np.ndarray:
-    mixed = sum(_conjugate_site_pauli(mat, n_sites, site, ax) for ax in ("x", "y", "z"))
-    return p * mat + (1.0 - p) / 3.0 * mixed
+    # X rho X + Y rho Y + Z rho Z has blocks rho00 + 2 rho11 on the diagonal
+    # and -rho01 off it, so the channel is lam * rho with (1-lam)/2 (rho00 +
+    # rho11) added to each diagonal block
+    lam = (4.0 * p - 1.0) / 3.0
+    t = _site_tensor(mat, n_sites, site)
+    b00, b11 = t[:, 0, :, :, 0], t[:, 1, :, :, 1]
+    mixed = b00 + b11
+    mixed *= (1.0 - lam) / 2.0
+    for block in (b00, b11):
+        block *= lam
+        block += mixed
+    t[:, 0, :, :, 1] *= lam
+    t[:, 1, :, :, 0] *= lam
+    return t.reshape(mat.shape)
 
 
-# channel kind -> (per-site kernel, formula reported with results)
+# channel kind -> (per-site kernel, formula reported with results); a kernel
+# updates a writable matrix in place and returns it
 _CHANNELS = {
     "phase_flip": (_phase_flip_raw, "p*rho + (1-p)*Z rho Z per site"),
     "depolarizing": (_depolarizing_raw, "p*rho + (1-p)/3*(X rho X + Y rho Y + Z rho Z) per site"),
@@ -115,7 +119,7 @@ def phase_flip(rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
     n = _check_qubit_density(rho)
     rho.space.check_site(site)
     _check_p(p)
-    return DensityMatrix(rho.space, _phase_flip_raw(rho.matrix, n, site, p))
+    return DensityMatrix(rho.space, _phase_flip_raw(rho.matrix.copy(), n, site, p))
 
 
 def depolarizing(rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
@@ -123,14 +127,14 @@ def depolarizing(rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
     n = _check_qubit_density(rho)
     rho.space.check_site(site)
     _check_p(p)
-    return DensityMatrix(rho.space, _depolarizing_raw(rho.matrix, n, site, p))
+    return DensityMatrix(rho.space, _depolarizing_raw(rho.matrix.copy(), n, site, p))
 
 
 def apply_all_sites(model: DecoherenceModel, rho: DensityMatrix) -> DensityMatrix:
     """The model's channel applied to every site (order irrelevant)."""
     n = _check_qubit_density(rho)
     raw, _ = _channel(model.kind)
-    mat = rho.matrix
+    mat = rho.matrix.copy()
     for site in range(1, n + 1):
         mat = raw(mat, n, site, model.p)
     return DensityMatrix(rho.space, mat)
@@ -158,7 +162,8 @@ def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") 
     for site in range(1, n_sites + 1):
         mat = raw(mat, n_sites, site, p)
     # the phase gate is diagonal with +-1 entries, so conjugation is a mask
-    mat = (gate_diag[:, None] * mat) * gate_diag[None, :]
+    mat *= gate_diag[:, None]
+    mat *= gate_diag[None, :]
     rho = DensityMatrix(chain.space(), mat)
     per_site = [spinchain.pauli_sum_moments(rho, [{k: "x"}])[0] for k in range(1, n_sites + 1)]
     value = float(sum(per_site))

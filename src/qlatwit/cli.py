@@ -9,6 +9,7 @@ run completed, nonzero means it could not run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -239,7 +240,15 @@ def cmd_pulse(args) -> tuple[dict, list, list]:
                      "theta_yy": params.theta_yy, "theta_z": params.theta_z, "ratio": ratio})
     if args.optimize:
         initial = params if params is not None else optimize.PulseParams(0.0, 0.0, 0.0)
-        result = optimize.optimize_pulse(chain, initial, budget=args.budget, seed=args.seed)
+        # open --trace before the search, so an unwritable path fails before
+        # the budget is spent
+        with open(args.trace, "w") if args.trace else contextlib.nullcontext() as fh:
+            result = optimize.optimize_pulse(chain, initial, budget=args.budget, seed=args.seed)
+            if fh is not None:
+                for iteration, point, ratio in result.trace:
+                    fh.write(json.dumps(
+                        {"iteration": iteration, "params": list(point), "ratio": ratio},
+                        sort_keys=True) + "\n")
         doc["optimized"] = {
             "params": list(result.params.as_array()),
             "ratio": result.ratio,
@@ -248,12 +257,6 @@ def cmd_pulse(args) -> tuple[dict, list, list]:
         rows.append({"stage": "optimized", "theta_xx": result.params.theta_xx,
                      "theta_yy": result.params.theta_yy, "theta_z": result.params.theta_z,
                      "ratio": result.ratio})
-        if args.trace:
-            with open(args.trace, "w") as fh:
-                for iteration, point, ratio in result.trace:
-                    fh.write(json.dumps(
-                        {"iteration": iteration, "params": list(point), "ratio": ratio},
-                        sort_keys=True) + "\n")
     fields = ["stage", "theta_xx", "theta_yy", "theta_z", "ratio"]
     return doc, rows, fields
 

@@ -73,11 +73,15 @@ def _as_readonly_complex(values, name: str) -> np.ndarray:
     return arr
 
 
+def _is_diagonal(matrix: np.ndarray) -> bool:
+    """True when every off-diagonal entry is exactly zero (no dim^2 temporaries)."""
+    return np.count_nonzero(matrix) == np.count_nonzero(np.diagonal(matrix))
+
+
 def _check_psd(matrix: np.ndarray) -> None:
     # Exactly diagonal matrices (mixed states, dephased diagonal states) skip
     # the dense factorization.
-    off = matrix - np.diag(np.diagonal(matrix))
-    if not off.any():
+    if _is_diagonal(matrix):
         lam_min = float(np.min(np.diagonal(matrix).real))
         if lam_min < PSD_EIG_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {lam_min}")
@@ -233,8 +237,7 @@ def variance(op: LinearOperator, state) -> float:
     elif isinstance(state, DensityMatrix):
         rho = state.matrix
         e1 = _real_part(complex(np.einsum("ij,ji->", rho, m)), "expectation value")
-        off = rho - np.diag(np.diagonal(rho))
-        if not off.any():
+        if _is_diagonal(rho):
             # Tr(rho M^2) for diagonal rho needs only the row norms of M.
             e2 = float(np.real(np.diagonal(rho)) @ np.sum(np.abs(m) ** 2, axis=1))
         else:

@@ -127,6 +127,48 @@ def test_channels_preserve_trace_and_positivity(p, seed):
         assert np.linalg.eigvalsh(out.matrix)[0] > -1e-10
 
 
+def oracle_channel(kind, rho, site, n, p):
+    """The channel on one site with explicit dense P rho P products."""
+    axes = "z" if kind == "phase_flip" else "xyz"
+    paulis = [oracle_site_pauli(ax, site, n) for ax in axes]
+    return p * rho + (1 - p) / len(axes) * sum(s @ rho @ s for s in paulis)
+
+
+def random_density(n, pure, gen):
+    space = HilbertSpace((2,) * n)
+    if pure:
+        v = haar_vector(2**n, gen)
+        return DensityMatrix(space, np.outer(v, v.conj()))
+    return random_separable_density(space, gen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), p=st.floats(0.0, 1.0), pure=st.booleans(), seed=st.integers(0, 2**31))
+def test_site_channels_match_dense_oracle_on_every_site(n, p, pure, seed):
+    rho = random_density(n, pure, np.random.default_rng(seed))
+    before = rho.matrix.copy()
+    for kind, channel in (("phase_flip", phase_flip), ("depolarizing", depolarizing)):
+        for site in range(1, n + 1):
+            got = channel(rho, site, p)
+            want = oracle_channel(kind, before, site, n, p)
+            assert np.abs(got.matrix - want).max() < 1e-13
+    assert np.array_equal(rho.matrix, before)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 6), p=st.floats(0.5, 1.0), pure=st.booleans(), seed=st.integers(0, 2**31))
+def test_apply_all_sites_matches_dense_site_by_site_composition(n, p, pure, seed):
+    rho = random_density(n, pure, np.random.default_rng(seed))
+    before = rho.matrix.copy()
+    for kind in ("phase_flip", "depolarizing"):
+        want = before
+        for site in range(1, n + 1):
+            want = oracle_channel(kind, want, site, n, p)
+        got = apply_all_sites(DecoherenceModel(kind, p), rho)
+        assert np.abs(got.matrix - want).max() < 1e-13
+    assert np.array_equal(rho.matrix, before)
+
+
 # ---------------------------------------------------------------------------
 # whole-chain application
 

@@ -281,6 +281,17 @@ def test_unwritable_trace_path_is_one_line_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_unwritable_trace_path_fails_before_the_search(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.optimize, "optimize_pulse", lambda *a, **k: calls.append(a))
+    trace = tmp_path / "missing" / "trace.jsonl"
+    rc = main(["pulse", "--n", "2", "--optimize", "--budget", "2", "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv,code", [(["heisenberg", "--n", "2"], 0), (["heisenberg", "--n", "1"], 1)])
 def test_entry_point_exit_codes(argv, code, monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["qlatwit"] + argv)

@@ -2,10 +2,14 @@
 
 The phase-flip channel on one site is rho -> p rho + (1-p) Z rho Z with
 p(t) = (1 + exp(-kappa t)) / 2; the depolarizing channel used here is
-rho -> p rho + (1-p)/3 (X rho X + Y rho Y + Z rho Z).  A one-site channel
-acts on the four (bra bit, ket bit) blocks of that site, taken as views of
-the density matrix, and updates them in place: no Pauli conjugate of the
-whole matrix is formed.
+rho -> p rho + (1-p)/3 (X rho X + Y rho Y + Z rho Z).  Each kind is defined
+once, by its kernel in ``_CHANNELS``: a one-site channel acts on the four
+(bra bit, ket bit) blocks of that site, taken as views of the density matrix,
+and updates them in place.  ``phase_flip``, ``depolarizing`` and
+``apply_all_sites`` run the kernels on a density matrix.  The echo
+experiment and the localized pair start from the pure cluster state instead
+and build no 2^n x 2^n matrix: both kinds are Pauli channels, so the
+per-site numbers they need are read by running the kernel on a 2 x 2 matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spinchain
-from .criteria import CriterionReport, _report
+from .criteria import AXES, _HALF_PAULIS, CriterionReport, _correlator_means, _report
 # expectation is unused here; clibench/tests checks that its tracer rebinds this name
 from .qcore import DensityMatrix, expectation, negativity  # noqa: F401
 
@@ -140,32 +144,44 @@ def apply_all_sites(model: DecoherenceModel, rho: DensityMatrix) -> DensityMatri
     return DensityMatrix(rho.space, mat)
 
 
+def _pauli_scales(raw, p: float) -> dict[str, float]:
+    """f_a = Tr(sigma_a Phi(sigma_a)) / 2 for each one-site Pauli, read off the kernel.
+
+    A Pauli channel maps sigma_a to f_a sigma_a and is its own adjoint.
+    """
+    return {
+        axis: float(np.vdot(sigma, raw(sigma.copy(), 1, 1, p)).real) / 2
+        for axis, sigma in zip(AXES, 2 * _HALF_PAULIS)
+    }
+
+
+def _diagonal_map(raw, p: float) -> np.ndarray:
+    """M[b, c] = <b|Phi(|c><c|)|b>, the weight z outcome b keeps of entry c."""
+    return np.column_stack([np.diagonal(raw(np.diag(unit), 1, 1, p)) for unit in np.eye(2)])
+
+
 def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") -> CriterionReport:
     """Phase-gate echo of a noisy cluster state, read out collectively.
 
     Pipeline: prepare all sites along +x, apply the neighbor phase gate, send
     every site through the channel with weight p, apply the gate again, and
     sum the single-site x expectations.  At p=1 the echo restores the start
-    state and the value reaches n; the witness bound stays n/2.
+    state and the value reaches n; the witness bound stays n/2.  It is
+    evaluated in the Heisenberg picture: the gate maps x_k to the correlator
+    K_k, the channel scales K_k by the product of f_a over its factors (see
+    ``_pauli_scales``), and <K_k> is read on the pure cluster state.
     """
     if n_sites % 2 != 0:
         raise ValueError("the witness experiment requires an even chain")
-    if n_sites > 10:
-        raise ValueError("experiment capped at 10 sites")
     _check_p(p)
     raw, form = _channel(channel)
     chain = spinchain.ChainSpec(n_sites)
-    start = spinchain.plus_chain(chain)
-    gate_diag = spinchain.phase_gate_diagonal(chain)
-    psi = gate_diag * start.amplitudes
-    mat = np.outer(psi, psi.conj())
-    for site in range(1, n_sites + 1):
-        mat = raw(mat, n_sites, site, p)
-    # the phase gate is diagonal with +-1 entries, so conjugation is a mask
-    mat *= gate_diag[:, None]
-    mat *= gate_diag[None, :]
-    rho = DensityMatrix(chain.space(), mat)
-    per_site = [spinchain.pauli_sum_moments(rho, [{k: "x"}])[0] for k in range(1, n_sites + 1)]
+    cluster = spinchain.cluster_state(spinchain.ClusterSpec(chain, (1,) * n_sites))
+    scale = _pauli_scales(raw, p)
+    per_site = [
+        math.prod(scale[axis] for axis in spinchain.tilde_factors(chain, k).values()) * mean
+        for k, mean in enumerate(_correlator_means(cluster, chain), start=1)
+    ]
     value = float(sum(per_site))
     return _report(
         "decoherence_witness",
@@ -210,12 +226,13 @@ def localized_pair_state(
     measurements and the branches differ only by local z rotations, so the
     branch choice does not affect the pair's entanglement.  (The plain
     partial trace would erase it: for an interior pair of a cluster state it
-    is exactly the maximally mixed two-qubit state.)
+    is exactly the maximally mixed two-qubit state.)  Only the entries
+    diagonal in the measured sites survive the projection, and a Pauli
+    channel maps those among themselves (see ``_diagonal_map``), so the pair
+    block is a weighted sum over the pure cluster amplitudes.
     """
     if n_sites < 4 or n_sites % 2 != 0:
         raise ValueError("pair reduction defined for even chains of at least 4 sites")
-    if n_sites > 8:
-        raise ValueError("pair reduction capped at 8 sites")
     if pair is None:
         pair = (2, 3)  # interior by default; end sites have shorter correlators
     k1, k2 = pair
@@ -234,15 +251,15 @@ def localized_pair_state(
     cluster = spinchain.cluster_state(
         spinchain.ClusterSpec(chain, (1,) * n_sites)
     ).amplitudes
-    mat = np.outer(cluster, cluster.conj())
-    for site in range(1, n_sites + 1):
-        mat = raw(mat, n_sites, site, p)
-    t = mat.reshape((2,) * (2 * n_sites))
-    index = [slice(None)] * (2 * n_sites)
-    for site, bit in zip(others, outcomes):
-        index[site - 1] = bit
-        index[n_sites + site - 1] = bit
-    block = np.ascontiguousarray(t[tuple(index)]).reshape(4, 4)
+    # rows: the measured sites' bits in site order; columns: the pair's bits
+    rows = np.moveaxis(cluster.reshape((2,) * n_sites), (k1 - 1, k2 - 1), (-2, -1)).reshape(-1, 4)
+    # branch b keeps weight M[b, c] of the rows whose measured bits are c
+    weight_rows = _diagonal_map(raw, p)
+    weights = np.ones(1)
+    for bit in outcomes:
+        weights = np.kron(weights, weight_rows[bit])
+    block = rows.T @ (weights[:, None] * rows.conj())
+    block = raw(raw(block, 2, 1, p), 2, 2, p)
     block = block / np.trace(block).real
     pair_space = spinchain.ChainSpec(2).space()
     return DensityMatrix(pair_space, block)

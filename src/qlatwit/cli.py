@@ -91,8 +91,8 @@ def cmd_cluster_witness(args) -> tuple[dict, list, list]:
 
 def cmd_decoherence_scan(args) -> tuple[dict, list, list]:
     n = args.n
-    if n is None or n % 2 != 0 or not 2 <= n <= 10:
-        raise ValueError("decoherence-scan needs --n even, between 2 and 10")
+    if n is None or n % 2 != 0 or not 2 <= n <= 12:
+        raise ValueError("decoherence-scan needs --n even, between 2 and 12")
     p_min, p_max, steps = args.p_min, args.p_max, args.steps
     if not 0.5 <= p_min <= p_max <= 1.0:
         raise ValueError("need 0.5 <= p-min <= p-max <= 1.0")

@@ -24,6 +24,8 @@ PSD_EIG_FLOOR = -1e-10
 IMAG_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
 DEFAULT_DIM_CAP = 4096
+# entries of a matrix compared per band by _is_hermitian
+_HERMITICITY_BAND = 2**16
 
 
 def dim_cap() -> int:
@@ -71,6 +73,21 @@ def _as_readonly_complex(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} contains NaN or Inf entries")
     arr.setflags(write=False)
     return arr
+
+
+def _is_hermitian(matrix: np.ndarray) -> bool:
+    """max |matrix - matrix^H| <= HERMITICITY_TOL, one band of rows at a time.
+
+    Each band of rows is compared with the conjugate of the matching band of
+    columns, so the temporaries hold about _HERMITICITY_BAND entries, not dim^2.
+    """
+    d = matrix.shape[0]
+    rows = max(1, _HERMITICITY_BAND // d)
+    for start in range(0, d, rows):
+        band = matrix[start : start + rows]
+        if np.abs(band - matrix[:, start : start + rows].conj().T).max() > HERMITICITY_TOL:
+            return False
+    return True
 
 
 def _is_diagonal(matrix: np.ndarray) -> bool:
@@ -129,7 +146,7 @@ class DensityMatrix:
         d = self.space.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match space dimension {d}")
-        if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
+        if not _is_hermitian(mat):
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
@@ -156,7 +173,7 @@ class LinearOperator:
         d = self.space.dim
         if mat.shape != (d, d):
             raise ValueError(f"operator shape {mat.shape} does not match space dimension {d}")
-        if self.hermitian_hint and np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
+        if self.hermitian_hint and not _is_hermitian(mat):
             raise ValueError("operator marked Hermitian fails the Hermiticity check")
         object.__setattr__(self, "matrix", mat)
 
@@ -167,10 +184,6 @@ class GroundState:
     state: PureState
     degenerate: bool
     gap: float
-
-
-def identity_operator(space: HilbertSpace) -> LinearOperator:
-    return LinearOperator(space, np.eye(space.dim, dtype=complex), hermitian_hint=True)
 
 
 def pure_to_density(state: PureState) -> DensityMatrix:

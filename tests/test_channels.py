@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULIS, oracle_site_pauli
+from conftest import PAULIS, kron_all, oracle_site_pauli
 from qlatwit.channels import (
     DecoherenceModel,
     apply_all_sites,
@@ -246,11 +246,80 @@ def test_experiment_rejects_odd_or_oversized_chains():
     with pytest.raises(ValueError):
         decoherence_experiment(5, 0.9)
     with pytest.raises(ValueError):
-        decoherence_experiment(12, 0.9)
+        decoherence_experiment(14, 0.9)
+    # 12 sites fit the dimension cap
+    assert decoherence_experiment(12, 0.8).value == pytest.approx(12 * (2 * 0.8 - 1), abs=1e-9)
 
 
 def test_witness_threshold_bisection():
     assert witness_threshold(6) == pytest.approx(0.75, abs=1e-3)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_witness_threshold_knife_edge(n):
+    # the first midpoint is exactly p = 3/4, where the value is exactly n/2:
+    # not above the bound, so the bisection moves up
+    assert witness_threshold(n) == 0.75048828125
+
+
+def test_echo_at_three_quarters_is_not_violated_on_ten_sites():
+    assert decoherence_experiment(10, 0.75).violated is False
+
+
+def oracle_phase_gate(n):
+    """The neighbor phase gate as a product of dense controlled-z gates."""
+    gate = np.eye(2**n, dtype=complex)
+    for k in range(1, n):
+        zk, zl = oracle_site_pauli("z", k, n), oracle_site_pauli("z", k + 1, n)
+        gate = gate @ (np.eye(2**n) + zk + zl - zk @ zl) / 2
+    return gate
+
+
+def oracle_noisy_cluster(kind, n, p):
+    """G rho_+ G with the channel on every site, as dense P rho P products."""
+    gate = oracle_phase_gate(n)
+    rho = gate @ kron_all([np.full((2, 2), 0.5)] * n) @ gate
+    for site in range(1, n + 1):
+        rho = oracle_channel(kind, rho, site, n, p)
+    return gate, rho
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 6, 8]),
+    p=st.floats(0.5, 1.0),
+    kind=st.sampled_from(["phase_flip", "depolarizing"]),
+)
+def test_echo_matches_dense_density_matrix_oracle(n, p, kind):
+    gate, rho = oracle_noisy_cluster(kind, n, p)
+    echoed = gate @ rho @ gate
+    want = [np.trace(oracle_site_pauli("x", k, n) @ echoed).real for k in range(1, n + 1)]
+    rep = decoherence_experiment(n, p, kind)
+    assert np.abs(np.array(rep.aux["per_site_x"]) - want).max() < 1e-12
+    assert rep.value == pytest.approx(sum(want), abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([4, 6, 8]),
+    p=st.floats(0.5, 1.0),
+    kind=st.sampled_from(["phase_flip", "depolarizing"]),
+    seed=st.integers(0, 2**31),
+)
+def test_localized_pair_matches_dense_density_matrix_oracle(n, p, kind, seed):
+    gen = np.random.default_rng(seed)
+    _, rho = oracle_noisy_cluster(kind, n, p)
+    t = rho.reshape((2,) * (2 * n))
+    for k in range(1, n):
+        others = [s for s in range(1, n + 1) if s not in (k, k + 1)]
+        outcomes = tuple(int(b) for b in gen.integers(0, 2, n - 2))
+        index = [slice(None)] * (2 * n)
+        for site, bit in zip(others, outcomes):
+            index[site - 1] = index[n + site - 1] = bit
+        want = t[tuple(index)].reshape(4, 4)
+        want = want / np.trace(want).real
+        got = localized_pair_state(n, p, (k, k + 1), outcomes, kind)
+        assert np.abs(got.matrix - want).max() < 1e-12
 
 
 def test_depolarizing_echo_matches_twirl_algebra():

@@ -121,6 +121,16 @@ def test_decoherence_scan_single_point_is_allowed(capsys):
     assert "slope_value_over_n" not in doc["results"]["summary"]
 
 
+def test_decoherence_scan_runs_up_to_the_dimension_cap(capsys):
+    doc = run_json(capsys, ["decoherence-scan", "--n", "12", "--steps", "2"])
+    assert doc["results"]["summary"]["crossing_p_bisection"] == 0.75048828125
+    rc = main(["decoherence-scan", "--n", "14", "--steps", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # singlet-suite / heisenberg
 

@@ -9,6 +9,7 @@ from qlatwit.qcore import (
     HilbertSpace,
     LinearOperator,
     PureState,
+    _HERMITICITY_BAND,
     _apply_site,
     expectation,
     ground_state,
@@ -92,6 +93,23 @@ def test_density_matrix_accepts_tiny_negative_roundoff():
 def test_operator_hermitian_hint_checked():
     with pytest.raises(ValueError, match="Hermitian"):
         LinearOperator(Q1, np.array([[0, 1], [0, 0]], dtype=complex), hermitian_hint=True)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda space, m: DensityMatrix(space, m),
+        lambda space, m: LinearOperator(space, m, hermitian_hint=True),
+    ],
+)
+def test_hermiticity_check_reaches_the_last_band(build):
+    # 512^2 entries are four bands; the only asymmetric pair lies in the last
+    d = 512
+    assert d * d == 4 * _HERMITICITY_BAND
+    m = np.eye(d, dtype=complex) / d
+    m[d - 1, d - 2] = 1e-6
+    with pytest.raises(ValueError, match="Hermitian"):
+        build(HilbertSpace((2,) * 9), m)
 
 
 def test_values_are_immutable():

@@ -229,8 +229,7 @@ def cmd_pulse(args) -> tuple[dict, list, list]:
         if len(pieces) != 3:
             raise ValueError("--params expects three comma-separated angles")
         params = optimize.PulseParams(*(float(x) for x in pieces))
-        start = spinchain.basis_state(chain, [0] * n)
-        state = spinchain.evolve(optimize.pulse_generator(chain, params), 1.0, start)
+        state = optimize.pulse_state(chain, params)
         ratio = optimize.violation_ratio(state)
         report = criteria.collective_uncertainty_criterion(state)
         doc["params"] = list(params.as_array())

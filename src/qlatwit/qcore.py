@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -343,6 +342,9 @@ def matrix_exponential(op: LinearOperator, scale: complex = 1.0) -> LinearOperat
         w, v = np.linalg.eigh(op.matrix)
         mat = (v * np.exp(scale * w)) @ v.conj().T
     else:
+        # imported here: scipy.linalg costs more to import than most commands run
+        import scipy.linalg
+
         mat = scipy.linalg.expm(scale * op.matrix)
     return LinearOperator(op.space, mat)
 

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,19 @@ def run_json(capsys, argv):
     out = capsys.readouterr().out
     assert rc == 0
     return json.loads(out)
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is imported only by the branch that exponentiates a
+    # non-Hermitian operator; loading it dominates a short command's start-up
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import qlatwit.cli, sys; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +221,11 @@ def test_pulse_with_reference_parameters(capsys):
     doc = run_json(capsys, ["pulse", "--n", "6", "--params=-3.2,-9.6,0.8"])
     assert doc["results"]["ratio"] == pytest.approx(0.5, abs=0.15)
     assert doc["results"]["report"]["violated"] is True
+
+
+def test_pulse_reference_ratio_at_eight_sites(capsys):
+    doc = run_json(capsys, ["pulse", "--n", "8", "--params=-3.2,-9.6,0.8"])
+    assert doc["results"]["ratio"] == pytest.approx(0.283682226549712, abs=1e-9)
 
 
 def test_pulse_optimize_with_trace(capsys, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ID2, SX, SY, SZ, kron_all
 from qlatwit import bosonic
@@ -7,6 +9,7 @@ from qlatwit.optimize import (
     PulseParams,
     optimize_pulse,
     pulse_generator,
+    pulse_state,
     pulse_unitary,
     violation_ratio,
 )
@@ -154,3 +157,27 @@ def test_generator_matches_kron_oracle(n, rng):
         params = PulseParams(*rng.uniform(-10, 10, size=3))
         got = pulse_generator(ChainSpec(n), params).matrix
         assert np.allclose(got, oracle_pulse_generator(n, params), atol=1e-12)
+
+
+angles = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), theta_xx=angles, theta_yy=angles, theta_z=angles)
+def test_pulse_state_matches_dense_unitary(n, theta_xx, theta_yy, theta_z):
+    chain = ChainSpec(n)
+    params = PulseParams(theta_xx, theta_yy, theta_z)
+    got = pulse_state(chain, params).amplitudes
+    assert np.abs(got - pulsed_state(chain, params).amplitudes).max() < 1e-12
+    popcount = np.array([bin(i).count("1") for i in range(2**n)])
+    assert np.all(got[popcount % 2 == 1] == 0)
+
+
+def test_pulse_state_reference_ratio():
+    ratio = violation_ratio(pulse_state(ChainSpec(6), REFERENCE_PULSE))
+    assert ratio == pytest.approx(REFERENCE_RATIO, abs=1e-9)
+
+
+def test_pulse_state_capped():
+    with pytest.raises(ValueError, match="cap"):
+        pulse_state(ChainSpec(11), REFERENCE_PULSE)

@@ -344,8 +344,14 @@ def spin_squeezing_criterion(
         for j in range(i + 1, 3):
             if abs(float(vecs[i] @ vecs[j])) > _ORTHOGONALITY_TOL:
                 raise ValueError("spin squeezing directions must be mutually orthogonal")
+    return _squeezing_report(state, *collective_moments(state), np.array(vecs))
+
+
+def _squeezing_report(
+    state, mean: np.ndarray, second: np.ndarray, vecs: np.ndarray
+) -> CriterionReport:
+    """The spin-squeezing report for the orthonormal rows n1, n2, n3 of ``vecs``."""
     n_total = total_particle_number(state)
-    mean, second = collective_moments(state)
     var1 = variance_from_moments(float(vecs[0] @ mean), float(vecs[0] @ second @ vecs[0]))
     mean2 = float(vecs[1] @ mean)
     mean3 = float(vecs[2] @ mean)
@@ -356,6 +362,7 @@ def spin_squeezing_criterion(
         "mean_n3": mean3,
         "denominator": denominator,
         "total_number": n_total,
+        "directions": vecs,
     }
     if denominator < _DENOMINATOR_TOL:
         aux["undefined"] = True
@@ -373,48 +380,35 @@ def spin_squeezing_criterion(
     return _report("spin_squeezing", value, 1.0, ">=", aux)
 
 
-def spin_squeezing_best(state, grid_points: int = 24) -> CriterionReport:
-    """Grid search over orthogonal direction triples for the lowest ratio.
+def spin_squeezing_best(state) -> CriterionReport:
+    """The spin-squeezing report for the orthogonal triple with the lowest ratio.
 
-    Scans Euler angles on a grid_points^3 grid using the first and
-    symmetrized second moments, then re-evaluates the best triple.
+    With m = <J> and C its covariance matrix, the ratio of a triple is
+    N n1^T C n1 / n1^T (|m|^2 I - m m^T) n1 whichever n2, n3 complete it
+    (Toth, Knapp, Guehne & Briegel, PRL 99, 250405 (2007)).  Writing
+    n1 = a u + w with u = m / |m| and w orthogonal to m, the best a is
+    -u^T C w / u^T C u (zero when u^T C u vanishes), and w is then the lowest
+    eigenvector of the Schur complement of C's u entry on the plane
+    orthogonal to m.  n2 is the part of m orthogonal to n1 and n3 = n1 x n2.
+    A state with zero mean spin is reported for (x, z, y), flagged undefined.
     """
-    jvec, second = collective_moments(state)
-    n_total = total_particle_number(state)
-
-    def ratio_for(rot: np.ndarray) -> float:
-        n1, n2, n3 = rot[:, 0], rot[:, 1], rot[:, 2]
-        var1 = float(n1 @ second @ n1) - float(n1 @ jvec) ** 2
-        denom = float(n2 @ jvec) ** 2 + float(n3 @ jvec) ** 2
-        if denom < _DENOMINATOR_TOL:
-            return float("inf")
-        return n_total * max(var1, 0.0) / denom
-
-    best = None
-    angles = np.linspace(0.0, 2 * np.pi, grid_points, endpoint=False)
-    betas = np.linspace(0.0, np.pi, grid_points)
-    for alpha in angles:
-        for beta in betas:
-            for gamma in angles:
-                rot = _euler_rotation(alpha, beta, gamma)
-                r = ratio_for(rot)
-                if best is None or r < best[0]:
-                    best = (r, rot)
-    if best is None or not np.isfinite(best[0]):
-        return spin_squeezing_criterion(state, AXIS_X, AXIS_Z, AXIS_Y)
-    rot = best[1]
-    dirs = [Direction.normalized(*rot[:, i]) for i in range(3)]
-    return spin_squeezing_criterion(state, *dirs)
-
-
-def _euler_rotation(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    cg, sg = np.cos(gamma), np.sin(gamma)
-    rz1 = np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
-    ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
-    rz2 = np.array([[cg, -sg, 0], [sg, cg, 0], [0, 0, 1]])
-    return rz1 @ ry @ rz2
+    mean, second = collective_moments(state)
+    norm2 = float(mean @ mean)
+    if norm2 < _DENOMINATOR_TOL:
+        xzy = np.array([AXIS_X.as_array(), AXIS_Z.as_array(), AXIS_Y.as_array()])
+        return _squeezing_report(state, mean, second, xzy)
+    cov = second - np.outer(mean, mean)
+    u = mean / math.sqrt(norm2)
+    plane = np.linalg.svd(u[None, :])[2][1:]  # rows: an orthonormal basis orthogonal to u
+    c_uu = float(u @ cov @ u)
+    cross = plane @ cov @ u
+    coupling = cross / c_uu if c_uu >= _DENOMINATOR_TOL else np.zeros(2)
+    v = np.linalg.eigh(plane @ cov @ plane.T - np.outer(cross, coupling))[1][:, 0]
+    n1 = plane.T @ v - (coupling @ v) * u
+    n1 /= np.linalg.norm(n1)
+    n2 = mean - (mean @ n1) * n1
+    n2 /= np.linalg.norm(n2)
+    return _squeezing_report(state, mean, second, np.array([n1, n2, np.cross(n1, n2)]))
 
 
 # ---------------------------------------------------------------------------

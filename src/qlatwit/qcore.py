@@ -29,7 +29,10 @@ _HERMITICITY_BAND = 2**16
 
 def dim_cap() -> int:
     """Maximum matrix dimension; override with the QLATWIT_DIM_CAP env var."""
-    return int(os.environ.get("QLATWIT_DIM_CAP", DEFAULT_DIM_CAP))
+    raw = os.environ.get("QLATWIT_DIM_CAP", str(DEFAULT_DIM_CAP))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"QLATWIT_DIM_CAP must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)

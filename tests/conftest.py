@@ -83,6 +83,33 @@ def oracle_heisenberg(cutoff, n, sign):
     )
 
 
+def _rotations(axis, angles):
+    """Rotation matrices about the y or z axis, one per angle, shape angles.shape + (3, 3)."""
+    c, s = np.cos(angles), np.sin(angles)
+    zero, one = np.zeros_like(angles), np.ones_like(angles)
+    if axis == "z":
+        rows = [[c, -s, zero], [s, c, zero], [zero, zero, one]]
+    else:
+        rows = [[c, zero, s], [zero, one, zero], [-s, zero, c]]
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+
+def oracle_squeezing_grid(mean, second, n_total, grid_points):
+    """Lowest N Var(J_n1) / (<J_n2>^2 + <J_n3>^2) over a grid_points^3 grid of
+    z-y-z Euler rotations whose columns are n1, n2, n3; inf when every
+    denominator is below 1e-12."""
+    angles = np.linspace(0.0, 2 * np.pi, grid_points, endpoint=False)
+    betas = np.linspace(0.0, np.pi, grid_points)
+    alpha, beta, gamma = np.meshgrid(angles, betas, angles, indexing="ij")
+    rot = _rotations("z", alpha) @ _rotations("y", beta) @ _rotations("z", gamma)
+    n1, n2, n3 = rot[..., 0], rot[..., 1], rot[..., 2]
+    var1 = np.einsum("...i,ij,...j->...", n1, second, n1) - (n1 @ mean) ** 2
+    denom = (n2 @ mean) ** 2 + (n3 @ mean) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(denom < 1e-12, np.inf, n_total * np.maximum(var1, 0.0) / denom)
+    return float(ratio.min())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

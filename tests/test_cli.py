@@ -296,6 +296,15 @@ def test_memory_error_becomes_one_line_error(capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_malformed_dimension_cap_is_one_line_error(capsys, monkeypatch):
+    monkeypatch.setenv("QLATWIT_DIM_CAP", "abc")
+    rc = main(["cluster-witness", "--n", "4"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: QLATWIT_DIM_CAP") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_unwritable_out_path_is_one_line_error(tmp_path, capsys):
     rc = main(["heisenberg", "--n", "2", "--out", str(tmp_path / "missing" / "doc.json")])
     captured = capsys.readouterr()

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_collective, oracle_fock_collective
+from conftest import (
+    SY,
+    SZ,
+    kron_all,
+    oracle_collective,
+    oracle_fock_collective,
+    oracle_squeezing_grid,
+)
 from qlatwit import bosonic, sampling
 from qlatwit.criteria import (
     AXIS_X,
@@ -25,7 +32,7 @@ from qlatwit.criteria import (
     variance_x_criterion,
     witness_criterion,
 )
-from qlatwit.qcore import PureState, expectation, negativity, pure_to_density
+from qlatwit.qcore import DensityMatrix, PureState, expectation, negativity, pure_to_density
 from qlatwit.spinchain import ChainSpec, ClusterSpec, cluster_state, product_state, tilde_sigma_x
 
 TILTED_XZ = Direction.normalized(1.0, 0.0, 1.0)
@@ -266,13 +273,29 @@ def test_spin_squeezing_rejects_non_orthogonal_directions():
 
 
 def test_spin_squeezing_grid_search_handles_undetectable_states():
-    rep = spin_squeezing_best(make_cluster(4), grid_points=8)
+    rep = spin_squeezing_best(make_cluster(4))
     assert not rep.violated
 
 
 def test_spin_squeezing_grid_search_on_polarized_state():
-    rep = spin_squeezing_best(product_state([("z", 1)] * 4), grid_points=12)
+    rep = spin_squeezing_best(product_state([("z", 1)] * 4))
     assert not rep.violated  # separable states never dip below the bound
+
+
+def test_spin_squeezing_best_detects_noisy_twisted_state():
+    # exp(-0.3i Jz^2)|+x>^6, rotated on every site, mixed with 19.3% white noise:
+    # squeezed just enough to cross the bound, which a 24^3 Euler grid missed
+    n = 6
+    jz = np.diagonal(oracle_collective("z", n)).real
+    psi = np.exp(-0.3j * jz**2) / np.sqrt(2**n)
+    site = (np.cos(0.025) * np.eye(2) - 1j * np.sin(0.025) * SY) @ (
+        np.cos(0.5) * np.eye(2) - 1j * np.sin(0.5) * SZ
+    )
+    psi = kron_all([site] * n) @ psi
+    rho = 0.807 * np.outer(psi, psi.conj()) + 0.193 * np.eye(2**n) / 2**n
+    rep = spin_squeezing_best(DensityMatrix(ChainSpec(n).space(), rho))
+    assert rep.violated
+    assert rep.value == pytest.approx(0.9937417, abs=1e-6)
 
 
 def test_direction_requires_unit_norm():
@@ -359,6 +382,21 @@ def test_collective_path_matches_dense_oracles(spec, mixed, seed):
         want = oracle_mean(np.linalg.matrix_power(j_n, order), state)
         got = angular_moment(state, Direction(*direction), order)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    best = spin_squeezing_best(state)
+    if not best.aux.get("undefined"):
+        dense_mean = np.array([oracle_mean(j, state) for j in js])
+        dense_second = np.array(
+            [[oracle_mean((a @ b + b @ a) / 2, state) for b in js] for a in js]
+        )
+        n_total = oracle_mean(number, state)
+        grid = oracle_squeezing_grid(dense_mean, dense_second, n_total, grid_points=12)
+        assert best.value <= grid + 1e-9
+        triple = best.aux["directions"]
+        assert np.abs(triple @ triple.T - np.eye(3)).max() < 1e-12
+        j1, j2, j3 = (sum(c * j for c, j in zip(n, js)) for n in triple)
+        var1 = oracle_mean(j1 @ j1, state) - oracle_mean(j1, state) ** 2
+        denominator = oracle_mean(j2, state) ** 2 + oracle_mean(j3, state) ** 2
+        assert n_total * var1 / denominator == pytest.approx(best.value, rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", range(4, 10))
@@ -497,6 +535,7 @@ def test_qubit_separable_states_never_violate(n_sites, count):
         assert not variance_x_criterion(rho).violated
         assert not collective_uncertainty_criterion(rho).violated
         assert not spin_squeezing_criterion(rho, AXIS_X, AXIS_Z, AXIS_Y).violated
+        assert not spin_squeezing_best(rho).violated
 
 
 @pytest.mark.parametrize(

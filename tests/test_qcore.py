@@ -11,6 +11,7 @@ from qlatwit.qcore import (
     PureState,
     _HERMITICITY_BAND,
     _apply_site,
+    dim_cap,
     expectation,
     ground_state,
     matrix_exponential,
@@ -277,6 +278,13 @@ def test_expm_respects_dimension_cap(monkeypatch):
     op = LinearOperator(Q2, np.kron(SZ, SZ), hermitian_hint=True)
     with pytest.raises(ValueError, match="cap"):
         matrix_exponential(op, 1.0)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+def test_dimension_cap_must_be_a_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv("QLATWIT_DIM_CAP", raw)
+    with pytest.raises(ValueError, match="QLATWIT_DIM_CAP"):
+        dim_cap()
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,16 @@ truncated basis and the spin algebra stays exact on every occupation shell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import spinchain
 from .qcore import (
+    DEGENERACY_GAP,
+    GroundState,
     HilbertSpace,
     LinearOperator,
     PureState,
@@ -195,19 +199,17 @@ def embed_qubit_chain(state: PureState) -> PureState:
     """Map a qubit chain into the unit-filled sector of an n_max=1 lattice.
 
     Qubit |0> becomes one atom in mode a (spin up), |1> one atom in mode b
-    (spin down).
+    (spin down): qubit index i lands on Fock index sum_k (1 + b_k) 3^(n-k),
+    with b_k the bit of site k.
     """
     if state.space.kind != "qubit":
         raise ValueError("embed_qubit_chain expects a qubit-chain state")
-    site = SiteFockSpace(1)
-    lattice = FockLatticeSpec(state.space.n_sites, site)
-    iso = np.zeros((site.dim, 2), dtype=complex)
-    iso[site.index(*SPIN_UP), 0] = 1.0
-    iso[site.index(*SPIN_DOWN), 1] = 1.0
-    full = np.ones((1, 1), dtype=complex)
-    for _ in range(state.space.n_sites):
-        full = np.kron(full, iso)
-    return PureState(lattice.space(), full @ state.amplitudes)
+    n = state.space.n_sites
+    lattice = FockLatticeSpec(n, SiteFockSpace(1))
+    fock_index = (1 + spinchain._bit_table(n)) @ 3 ** np.arange(n - 1, -1, -1)
+    amps = np.zeros(lattice.space().dim, dtype=complex)
+    amps[fock_index] = state.amplitudes
+    return PureState(lattice.space(), amps)
 
 
 def singlet_pair() -> PureState:
@@ -246,6 +248,68 @@ def heisenberg_hamiltonian(lattice: FockLatticeSpec, sign: int = +1) -> LinearOp
         mat += _apply_site(bond, space, k, eye)
     del eye  # one dim x dim matrix fewer during validation and the eigensolve
     return LinearOperator(space, mat, hermitian_hint=True)
+
+
+def _heisenberg_sector(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """The open chain sum_k S_k . S_{k+1} on the qubit-chain indices with popcount n // 2.
+
+    Returns those indices, ascending, and the real symmetric matrix on them.
+    With m_k the bit of site k, each bond adds +1/4 to the diagonal when its
+    two bits are equal and -1/4 when they differ, and an antiparallel bond
+    links i to i ^ (m_k | m_{k+1}) with weight 1/2.
+    """
+    masks = spinchain._site_masks(n_sites)
+    table = spinchain._bit_table(n_sites)
+    in_sector = table.sum(axis=1) == n_sites // 2
+    states = np.flatnonzero(in_sector)
+    antiparallel = table[in_sector, :-1] != table[in_sector, 1:]
+    rows = np.arange(states.size)
+    mat = np.diag((n_sites - 1) / 4 - antiparallel.sum(axis=1) / 2)
+    for k in range(n_sites - 1):
+        flip = antiparallel[:, k]
+        mat[rows[flip], np.searchsorted(states, states[flip] ^ (masks[k] | masks[k + 1]))] = 0.5
+    return states, mat
+
+
+def heisenberg_ground_state(n_sites: int) -> GroundState:
+    """Ground state of ``heisenberg_hamiltonian`` (sign +1, cutoff 1), solved in one S_z sector.
+
+    The bond conserves each site's occupation and the total S_z, so the solve
+    runs on the unit-filled chain, as qubits, at S_z = 0 (even n) or +1/2 (odd
+    n): qubit |0> is SPIN_UP, as in ``embed_qubit_chain``. The state returned
+    is that 2^n qubit-chain state. ``energy``, ``gap`` and ``degenerate`` are
+    those of the full cutoff-1 Fock space:
+
+    - the ground level is the unit-filled one. A vacancy splits the chain into
+      unit-filled segments whose energies add, and the ground energy E0 is
+      subadditive: rotating one segment's ground state so the two boundary
+      spins do not align makes the joining bond cost at most zero. So every
+      vacancy pattern lies at or above E0(n - 1) >= E0(n), and one vacancy at
+      an end reaches E0(n - 1).
+    - odd n: the ground level is the S_z <-> -S_z doublet, so the gap is 0.
+    - even n: every level has an S_z = 0 member, so the second level is the
+      lower of the sector's second eigenvalue and E0(n - 1), with E0(1) = 0.
+    """
+    if n_sites < 1:
+        raise ValueError("lattice needs at least one site")
+    sector_dim = math.comb(n_sites, n_sites // 2)
+    if sector_dim > dim_cap():
+        raise ValueError(f"S_z sector dimension {sector_dim} exceeds cap {dim_cap()}")
+    states, mat = _heisenberg_sector(n_sites)
+    w, v = np.linalg.eigh(mat)
+    if n_sites % 2:
+        gap = 0.0
+    else:
+        vacancy = np.linalg.eigvalsh(_heisenberg_sector(n_sites - 1)[1])[0]
+        gap = float(min(w[1], vacancy) - w[0])
+    amps = np.zeros(2**n_sites)
+    amps[states] = v[:, 0]
+    return GroundState(
+        energy=float(w[0]),
+        state=PureState(HilbertSpace((2,) * n_sites, kind="qubit"), amps),
+        degenerate=gap < DEGENERACY_GAP,
+        gap=gap,
+    )
 
 
 def total_spin_squared(lattice: FockLatticeSpec) -> LinearOperator:

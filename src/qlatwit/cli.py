@@ -20,7 +20,7 @@ import scipy
 
 from . import __version__, bosonic, channels, criteria, optimize, spinchain
 # expectation is unused here; clibench/tests checks that its tracer rebinds this name
-from .qcore import expectation, ground_state  # noqa: F401
+from .qcore import expectation  # noqa: F401
 
 
 def _versions() -> dict:
@@ -150,8 +150,7 @@ def cmd_heisenberg(args) -> tuple[dict, list, list]:
     n = args.n
     if n is None or n < 2:
         raise ValueError("heisenberg needs --n >= 2 lattice sites")
-    lattice = bosonic.FockLatticeSpec(n, bosonic.SiteFockSpace(1))
-    gs = ground_state(bosonic.heisenberg_hamiltonian(lattice))
+    gs = bosonic.heisenberg_ground_state(n)  # sector dimension checked against the cap
     report = criteria.collective_uncertainty_criterion(gs.state)
     j_total_sq = float(np.trace(criteria.collective_moments(gs.state)[1]))
     doc = {
@@ -162,8 +161,8 @@ def cmd_heisenberg(args) -> tuple[dict, list, list]:
         "total_spin_squared": j_total_sq,
     }
     if n == 2:
-        singlet = bosonic.singlet_chain(1)
-        fidelity = float(abs(np.vdot(singlet.amplitudes, gs.state.amplitudes)) ** 2)
+        singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)  # (|01> - |10>) / sqrt(2)
+        fidelity = float(abs(np.vdot(singlet, gs.state.amplitudes)) ** 2)
         doc["singlet_fidelity"] = fidelity
     rows = [{"quantity": "energy", "value": gs.energy},
             {"quantity": "variance_sum", "value": report.value},

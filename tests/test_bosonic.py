@@ -11,7 +11,9 @@ from qlatwit.bosonic import (
     FockLatticeSpec,
     SiteFockSpace,
     collective_J_fock,
+    _heisenberg_sector,
     embed_qubit_chain,
+    heisenberg_ground_state,
     heisenberg_hamiltonian,
     lattice_number_operator,
     maximal_angular_momentum_check,
@@ -22,9 +24,17 @@ from qlatwit.bosonic import (
     site_number_operator,
     total_spin_squared,
 )
-from qlatwit.qcore import PureState, expectation, ground_state, variance
+from qlatwit.criteria import collective_moments, collective_uncertainty_criterion
+from qlatwit.qcore import (
+    DEGENERACY_GAP,
+    HilbertSpace,
+    PureState,
+    expectation,
+    ground_state,
+    variance,
+)
 from qlatwit.sampling import haar_vector
-from qlatwit.spinchain import ChainSpec, basis_state
+from qlatwit.spinchain import ChainSpec, basis_state, pauli_sum
 
 SITE1 = SiteFockSpace(1)
 SITE2 = SiteFockSpace(2)
@@ -222,6 +232,18 @@ def test_embedding_intertwines_collective_spin(rng):
             assert abs(lhs - rhs) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_embedding_matches_kron_isometry(n, rng):
+    iso = np.zeros((SITE1.dim, 2), dtype=complex)
+    iso[SITE1.index(*SPIN_UP), 0] = 1.0
+    iso[SITE1.index(*SPIN_DOWN), 1] = 1.0
+    full = kron_all([iso] * n)
+    for _ in range(5):
+        psi = haar_vector(2**n, rng)
+        got = embed_qubit_chain(PureState(HilbertSpace((2,) * n), psi)).amplitudes
+        assert np.array_equal(got, full @ psi)
+
+
 def test_collective_fock_matches_qubit_oracle_on_unit_sector():
     # reduction to the spin-1/2 picture under the unit-occupancy embedding
     n = 2
@@ -284,6 +306,53 @@ def test_heisenberg_four_sites_ground_is_many_body_singlet():
     gs = ground_state(heisenberg_hamiltonian(lattice))
     assert not gs.degenerate
     assert expectation(total_spin_squared(lattice), gs.state) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_heisenberg_sector_solve_matches_dense_fock_ground_state(n):
+    got = heisenberg_ground_state(n)
+    want = ground_state(heisenberg_hamiltonian(FockLatticeSpec(n, SITE1)))
+    assert got.energy == pytest.approx(want.energy, abs=1e-12)
+    if n % 2 == 0:
+        assert got.gap == pytest.approx(want.gap, abs=1e-12)
+    else:
+        assert got.gap < DEGENERACY_GAP and want.gap < DEGENERACY_GAP
+    assert got.degenerate == want.degenerate
+    rep_got = collective_uncertainty_criterion(got.state)
+    rep_want = collective_uncertainty_criterion(want.state)
+    assert rep_got.value == pytest.approx(rep_want.value, abs=1e-9)
+    assert rep_got.bound == pytest.approx(rep_want.bound, abs=1e-9)
+    j2_got = np.trace(collective_moments(got.state)[1])
+    j2_want = np.trace(collective_moments(want.state)[1])
+    assert j2_got == pytest.approx(j2_want, abs=1e-9)
+
+
+def unit_filling_fock_index(i, n):
+    """Fock index of qubit index i: bit 0 is one atom in mode a, bit 1 one in mode b."""
+    bits = [(i >> (n - k)) & 1 for k in range(1, n + 1)]
+    return sum(SITE1.index(*(SPIN_DOWN if b else SPIN_UP)) * 3 ** (n - k)
+               for k, b in enumerate(bits, start=1))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_heisenberg_sector_matches_kron_oracle_block(n):
+    states, mat = _heisenberg_sector(n)
+    assert all(bin(int(i)).count("1") == n // 2 for i in states)
+    fock = [unit_filling_fock_index(int(i), n) for i in states]
+    assert np.allclose(mat, oracle_heisenberg(1, n, +1)[np.ix_(fock, fock)], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_heisenberg_sector_matches_pauli_chain_block(n):
+    states, mat = _heisenberg_sector(n)
+    assert all(bin(int(i)).count("1") == n // 2 for i in states)
+    chain = ChainSpec(n)
+    terms = [(0.25, {k: a, k + 1: a}) for k in range(1, n) for a in "xyz"]
+    dense = pauli_sum(chain, terms).matrix
+    assert np.allclose(mat, dense[np.ix_(states, states)], atol=1e-12)
+    # popcount n // 2 is one closed sector: no bond leaves it
+    others = np.setdiff1d(np.arange(2**n), states)
+    assert np.abs(dense[np.ix_(others, states)]).max() == 0.0
 
 
 def test_heisenberg_commutes_with_collective_spin():

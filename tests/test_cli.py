@@ -18,17 +18,29 @@ def run_json(capsys, argv):
     return json.loads(out)
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg is imported only by the branch that exponentiates a
-    # non-Hermitian operator; loading it dominates a short command's start-up
+def run_python(code):
+    """Stdout of ``code`` run in a fresh interpreter that imports qlatwit from src/."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import qlatwit.cli, sys; print('scipy.linalg' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is imported only by the branch that exponentiates a
+    # non-Hermitian operator; loading it dominates a short command's start-up
+    code = "import qlatwit.cli, sys; print('scipy.linalg' in sys.modules)"
+    assert run_python(code) == "False"
+
+
+def test_heisenberg_leaves_scipy_linalg_and_sparse_unloaded():
+    code = ("import contextlib, io, sys; from qlatwit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()): rc = main(['heisenberg', '--n', '6'])\n"
+            "print(rc, 'scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)")
+    assert run_python(code) == "0 False False"
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +189,22 @@ def test_heisenberg_four_sites_violates(capsys):
     doc = run_json(capsys, ["heisenberg", "--n", "4"])
     assert doc["results"]["report"]["violated"] is True
     assert doc["results"]["total_spin_squared"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_heisenberg_twelve_sites_violates(capsys):
+    doc = run_json(capsys, ["heisenberg", "--n", "12"])
+    assert doc["results"]["report"]["violated"] is True
+    assert doc["results"]["total_spin_squared"] < 1e-9
+
+
+def test_heisenberg_refuses_a_sector_past_the_cap(capsys):
+    # C(15, 7) = 6435 basis states exceed the default cap of 4096
+    rc = main(["heisenberg", "--n", "15"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "cap" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

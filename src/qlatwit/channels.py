@@ -123,7 +123,7 @@ def phase_flip(rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
     n = _check_qubit_density(rho)
     rho.space.check_site(site)
     _check_p(p)
-    return DensityMatrix(rho.space, _phase_flip_raw(rho.matrix.copy(), n, site, p))
+    return DensityMatrix._adopt(rho.space, _phase_flip_raw(rho.matrix.copy(), n, site, p))
 
 
 def depolarizing(rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
@@ -131,7 +131,7 @@ def depolarizing(rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
     n = _check_qubit_density(rho)
     rho.space.check_site(site)
     _check_p(p)
-    return DensityMatrix(rho.space, _depolarizing_raw(rho.matrix.copy(), n, site, p))
+    return DensityMatrix._adopt(rho.space, _depolarizing_raw(rho.matrix.copy(), n, site, p))
 
 
 def apply_all_sites(model: DecoherenceModel, rho: DensityMatrix) -> DensityMatrix:
@@ -141,7 +141,7 @@ def apply_all_sites(model: DecoherenceModel, rho: DensityMatrix) -> DensityMatri
     mat = rho.matrix.copy()
     for site in range(1, n + 1):
         mat = raw(mat, n, site, model.p)
-    return DensityMatrix(rho.space, mat)
+    return DensityMatrix._adopt(rho.space, mat)
 
 
 def _pauli_scales(raw, p: float) -> dict[str, float]:
@@ -262,7 +262,7 @@ def localized_pair_state(
     block = raw(raw(block, 2, 1, p), 2, 2, p)
     block = block / np.trace(block).real
     pair_space = spinchain.ChainSpec(2).space()
-    return DensityMatrix(pair_space, block)
+    return DensityMatrix._adopt(pair_space, block)
 
 
 def pairwise_threshold(

@@ -9,6 +9,7 @@ violation requires crossing the bound by more than VIOLATION_TOL.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -181,9 +182,21 @@ def _site_product(u: np.ndarray, space: HilbertSpace, values: np.ndarray) -> np.
     return values
 
 
-def _conjugate_sites(u: np.ndarray, space: HilbertSpace, hermitian: np.ndarray) -> np.ndarray:
-    """U M U^dagger for U = u x ... x u and a Hermitian M, as U (U M)^dagger."""
-    return _site_product(u, space, _site_product(u, space, hermitian).conj().T)
+def _rotated_diagonal(u: np.ndarray, space: HilbertSpace, matrix: np.ndarray) -> np.ndarray:
+    """diag(U M U^dagger) for U = u x u x ... x u, one site at a time.
+
+    Right after a site is rotated only its diagonal is kept,
+    new[x, i, r, s] = sum_ab u[i, a] conj(u[i, b]) t[x, a, r, b, s], where x
+    runs over the sites already done: the array shrinks by d per site, and
+    neither U M U^dagger nor any other dim x dim product is formed.
+    """
+    d = u.shape[0]
+    pair = u[:, :, None] * u.conj()[:, None, :]
+    t = matrix.reshape((1,) + matrix.shape)
+    for _ in range(space.n_sites):
+        x, r = t.shape[0], t.shape[1] // d
+        t = np.einsum("iab,xarbs->xirs", pair, t.reshape(x, d, r, d, r)).reshape(x * d, r, r)
+    return t.reshape(-1)
 
 
 def _real_array(values: np.ndarray, what: str) -> np.ndarray:
@@ -193,10 +206,12 @@ def _real_array(values: np.ndarray, what: str) -> np.ndarray:
 def collective_moments(state) -> tuple[np.ndarray, np.ndarray]:
     """<J_k> and the symmetrized <(J_k J_l + J_l J_k) / 2> for k, l in x, y, z.
 
-    Each J_k is applied site by site, so no dim x dim operator is built: a
-    pure state takes v_k = J_k psi and inner products; a density matrix takes
-    a_l = J_l rho and the site sum of traces of j_k against one-site blocks
-    of a_l.
+    No dim x dim operator is built.  A pure state takes v_k = J_k psi, applied
+    site by site, and inner products.  A density matrix is read through its
+    one- and two-site blocks: with J_k = sum_s j_k^(s), <J_k> and the
+    same-site terms sum_s Tr(j_k j_l rho_s) come from the sum of the one-site
+    blocks rho_s, and the cross terms from the sum over pairs s < t of the
+    two-site blocks rho_st, as Tr((j_k x j_l) rho_st) plus its transpose.
     """
     space = state.space
     local = _site_spin_matrices(space)
@@ -206,20 +221,28 @@ def collective_moments(state) -> tuple[np.ndarray, np.ndarray]:
         mean = v @ psi.conj()
         gram = v.conj() @ v.T
     elif isinstance(state, DensityMatrix):
-        a = _site_sum(local, space, state.matrix)  # a[l] = J_l rho
-        mean = np.trace(a, axis1=1, axis2=2)
-        # Tr(J_k a_l) summed site by site over one-site blocks: the products
-        # J_k J_l rho, nine dim x dim matrices, are never formed
-        gram = sum(
-            np.einsum("kji,lij->kl", local, _site_block(space, site, a))
-            for site in range(1, space.n_sites + 1)
-        )
+        d = local.shape[-1]
+        one = _one_site_sum(space, state.matrix)
+        two = sum(
+            (_site_block(space, pair, state.matrix)
+             for pair in itertools.combinations(range(1, space.n_sites + 1), 2)),
+            np.zeros((d * d, d * d), dtype=complex),
+        ).reshape(d, d, d, d)
+        mean = np.einsum("kij,ji->k", local, one)
+        cross = np.einsum("kab,lcd,bdac->kl", local, local, two)
+        gram = np.einsum("kim,lmj,ji->kl", local, local, one) + cross + cross.T
     else:
         raise ValueError(f"cannot take moments of {type(state).__name__}")
     return (
         _real_array(mean, "expectation value"),
         _real_array((gram + gram.T) / 2, "second moment"),
     )
+
+
+def _one_site_sum(space: HilbertSpace, matrix: np.ndarray) -> np.ndarray:
+    """sum_s rho_s, the one-site blocks summed over sites: Tr(local @ it) is
+    <sum_s local^(s)>."""
+    return sum(_site_block(space, (s,), matrix) for s in range(1, space.n_sites + 1))
 
 
 def total_particle_number(state) -> float:
@@ -233,7 +256,7 @@ def total_particle_number(state) -> float:
     if isinstance(state, PureState):
         value = np.vdot(state.amplitudes, _site_sum(number, space, state.amplitudes))
     elif isinstance(state, DensityMatrix):
-        value = np.trace(_site_sum(number, space, state.matrix))
+        value = np.einsum("ij,ji->", number, _one_site_sum(space, state.matrix))
     else:
         raise ValueError(f"cannot take an expectation on {type(state).__name__}")
     return _real_part(complex(value), "expectation value")
@@ -421,14 +444,15 @@ def _moment_distribution(state, direction: Direction) -> tuple[np.ndarray, np.nd
     J_n = sum_k (n . j)^(k) is diagonal in the product of the one-site
     eigenbases, so one d x d eigh suffices: the state is rotated site by
     site, and the collective eigenvalues are the one-site ones summed over
-    sites.
+    sites.  A density matrix keeps only the diagonal of each site once it is
+    rotated (``_rotated_diagonal``).
     """
     space = state.space
     w, v = np.linalg.eigh(np.tensordot(direction.as_array(), _site_spin_matrices(space), 1))
     if isinstance(state, PureState):
         weights = np.abs(_site_product(v.conj().T, space, state.amplitudes)) ** 2
     elif isinstance(state, DensityMatrix):
-        weights = np.real(np.diagonal(_conjugate_sites(v.conj().T, space, state.matrix)))
+        weights = np.real(_rotated_diagonal(v.conj().T, space, state.matrix))
     else:
         raise ValueError(f"cannot take moments of {type(state).__name__}")
     eig = w
@@ -460,7 +484,9 @@ def anticommutator_moments(state) -> np.ndarray:
 def totally_mixed_state(n_sites: int) -> DensityMatrix:
     """Uniform mixture of spin up/down at every site (identity / 2^n)."""
     space = spinchain.ChainSpec(n_sites).space()
-    return DensityMatrix(space, np.eye(space.dim, dtype=complex) / space.dim)
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    mat.flat[:: space.dim + 1] = 1.0 / space.dim
+    return DensityMatrix._adopt(space, mat)
 
 
 def moment_matching_separable_state(n_sites: int) -> DensityMatrix:
@@ -487,14 +513,15 @@ def moment_matching_separable_state(n_sites: int) -> DensityMatrix:
 
     block_x = 0.5 * (proj(np.kron(up_x, up_x)) + proj(np.kron(down_x, down_x)))
     block_z = 0.5 * (proj(np.kron(up, down)) + proj(np.kron(down, up)))
-    mat = np.kron(block_x, block_z)
-    for _ in range(n_sites - 4):
-        mat = np.kron(mat, np.eye(2, dtype=complex) / 2)
-    space = spinchain.ChainSpec(n_sites).space()
-    # exp(i pi/4 J_y) is exp(i pi/8 sigma_y) = cos(pi/8) + i sin(pi/8) sigma_y on every site
+    # exp(i pi/4 J_y) is exp(i pi/8 sigma_y) = cos(pi/8) + i sin(pi/8) sigma_y on every
+    # site; it rotates each pair block by u x u and leaves the mixed sites' I/2 alone
     c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
     u = np.array([[c, s], [-s, c]], dtype=complex)
-    return DensityMatrix(space, _conjugate_sites(u, space, mat))
+    uu = np.kron(u, u)
+    pairs = np.kron(uu @ block_x @ uu.conj().T, uu @ block_z @ uu.conj().T)
+    mixed = 2 ** (n_sites - 4)
+    space = spinchain.ChainSpec(n_sites).space()
+    return DensityMatrix._adopt(space, np.kron(pairs, np.eye(mixed) / mixed))
 
 
 @dataclass(frozen=True, eq=False)

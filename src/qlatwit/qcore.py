@@ -10,6 +10,7 @@ shared by every module built on top of this one.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,7 +24,7 @@ PSD_EIG_FLOOR = -1e-10
 IMAG_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
 DEFAULT_DIM_CAP = 4096
-# entries of a matrix compared per band by _is_hermitian
+# entries of a matrix compared per tile by _is_hermitian
 _HERMITICITY_BAND = 2**16
 
 
@@ -69,8 +70,13 @@ class HilbertSpace:
             raise ValueError(f"site {site} out of range 1..{self.n_sites}")
 
 
-def _as_readonly_complex(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128, order="C")
+def _as_readonly_complex(values, name: str, copy: bool = True) -> np.ndarray:
+    """``values`` as a read-only C-ordered complex128 array with finite entries.
+
+    With ``copy=False`` an array that already has that dtype and order is used
+    as it is (and made read-only), so its owner must not write to it again.
+    """
+    arr = (np.array if copy else np.asarray)(values, dtype=np.complex128, order="C")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or Inf entries")
     arr.setflags(write=False)
@@ -78,17 +84,19 @@ def _as_readonly_complex(values, name: str) -> np.ndarray:
 
 
 def _is_hermitian(matrix: np.ndarray) -> bool:
-    """max |matrix - matrix^H| <= HERMITICITY_TOL, one band of rows at a time.
+    """max |matrix - matrix^H| <= HERMITICITY_TOL, one square tile at a time.
 
-    Each band of rows is compared with the conjugate of the matching band of
-    columns, so the temporaries hold about _HERMITICITY_BAND entries, not dim^2.
+    Each tile M[i:i+b, j:j+b] on or above the diagonal is compared with the
+    conjugate transpose of its mirror M[j:j+b, i:i+b], so the temporaries hold
+    at most _HERMITICITY_BAND entries, not dim^2.
     """
     d = matrix.shape[0]
-    rows = max(1, _HERMITICITY_BAND // d)
-    for start in range(0, d, rows):
-        band = matrix[start : start + rows]
-        if np.abs(band - matrix[:, start : start + rows].conj().T).max() > HERMITICITY_TOL:
-            return False
+    b = max(1, math.isqrt(_HERMITICITY_BAND))
+    for i in range(0, d, b):
+        for j in range(i, d, b):
+            tile = matrix[i : i + b, j : j + b]
+            if np.abs(tile - matrix[j : j + b, i : i + b].conj().T).max() > HERMITICITY_TOL:
+                return False
     return True
 
 
@@ -138,13 +146,20 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, positive-semidefinite, trace-one matrix over a labeled basis."""
+    """Hermitian, positive-semidefinite, trace-one matrix over a labeled basis.
+
+    The public constructor copies ``matrix``, so the caller may keep writing
+    to its own array.  Package code that has just allocated the array hands
+    it over with ``DensityMatrix._adopt`` instead: the same checks, no copy.
+    """
 
     space: HilbertSpace
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _as_readonly_complex(self.matrix, "density matrix")
+        # _adopt marks an array it hands over; any other array is copied
+        copy = not self.__dict__.pop("_adopted", False)
+        mat = _as_readonly_complex(self.matrix, "density matrix", copy=copy)
         d = self.space.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match space dimension {d}")
@@ -155,6 +170,21 @@ class DensityMatrix:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
         _check_psd(mat)
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def _adopt(cls, space: HilbertSpace, matrix: np.ndarray) -> "DensityMatrix":
+        """A DensityMatrix that owns ``matrix`` from now on.
+
+        ``__post_init__`` runs every check of the public constructor with the
+        same tolerances; only the copy is skipped.  ``matrix`` is made
+        read-only, and the caller must hold no other writable view of it.
+        """
+        rho = cls.__new__(cls)
+        object.__setattr__(rho, "space", space)
+        object.__setattr__(rho, "matrix", matrix)
+        object.__setattr__(rho, "_adopted", True)
+        rho.__post_init__()
+        return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +220,7 @@ class GroundState:
 
 def pure_to_density(state: PureState) -> DensityMatrix:
     v = state.amplitudes
-    return DensityMatrix(state.space, np.outer(v, v.conj()))
+    return DensityMatrix._adopt(state.space, np.outer(v, v.conj()))
 
 
 def _joined_space(a: HilbertSpace, b: HilbertSpace) -> HilbertSpace:
@@ -297,18 +327,27 @@ def _site_sum(local: np.ndarray, space: HilbertSpace, values: np.ndarray) -> np.
     return total
 
 
-def _site_block(space: HilbertSpace, site: int, matrices: np.ndarray) -> np.ndarray:
-    """The d x d block of ``site`` in each of a stack of dim x dim matrices,
-    every other site traced out (``partial_trace`` without validation).
+def _site_block(space: HilbertSpace, sites: Sequence[int], matrices: np.ndarray) -> np.ndarray:
+    """The block of one site, or of two sites in increasing order, in each of a
+    stack of dim x dim matrices, every other site traced out (``partial_trace``
+    without validation).
 
-    Tr(local^(site) M) is then Tr(local @ block), read in O(dim d) without
-    forming the product.
+    Tr(local M) for a ``local`` acting on ``sites`` is then Tr(local @ block).
+    The matrices are reshaped to (traced, kept, traced, ...) on both indices
+    and the traced indices of the bra and ket are one einsum label, which
+    numpy reads as a diagonal view: a D x D block reads D dim entries of each
+    matrix and makes no dim x dim temporary.
     """
-    d = space.dims[site - 1]
-    left = int(np.prod(space.dims[: site - 1]))
-    right = space.dim // (left * d)
-    t = matrices.reshape(matrices.shape[:-2] + (left, d, right) * 2)
-    return np.einsum("...lirljr->...ij", t)
+    dims = space.dims
+    cuts = [0, *(c for s in sites for c in (s - 1, s)), len(dims)]
+    # segment lengths alternate traced, kept, traced, ...; a traced one may be 1
+    seg = [math.prod(dims[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    t = matrices.reshape(matrices.shape[:-2] + tuple(seg) * 2)
+    bra = list(range(len(seg)))
+    ket = [i if i % 2 == 0 else len(seg) + i for i in bra]
+    block = np.einsum(t, [Ellipsis, *bra, *ket], [Ellipsis, *bra[1::2], *ket[1::2]])
+    d = math.prod(seg[1::2])
+    return block.reshape(matrices.shape[:-2] + (d, d))
 
 
 def partial_trace(rho: DensityMatrix, keep_sites: Sequence[int]) -> DensityMatrix:
@@ -334,7 +373,7 @@ def partial_trace(rho: DensityMatrix, keep_sites: Sequence[int]) -> DensityMatri
     sub_dims = tuple(space.dims[s - 1] for s in keep_sorted)
     d = int(np.prod(sub_dims))
     sub_space = HilbertSpace(sub_dims, space.kind, space.fock_cutoff)
-    return DensityMatrix(sub_space, reduced.reshape(d, d))
+    return DensityMatrix._adopt(sub_space, reduced.reshape(d, d))
 
 
 def matrix_exponential(op: LinearOperator, scale: complex = 1.0) -> LinearOperator:

@@ -9,6 +9,7 @@ from conftest import (
     kron_all,
     oracle_collective,
     oracle_fock_collective,
+    oracle_site_pauli,
     oracle_squeezing_grid,
 )
 from qlatwit import bosonic, sampling
@@ -32,7 +33,14 @@ from qlatwit.criteria import (
     variance_x_criterion,
     witness_criterion,
 )
-from qlatwit.qcore import DensityMatrix, PureState, expectation, negativity, pure_to_density
+from qlatwit.qcore import (
+    DensityMatrix,
+    HilbertSpace,
+    PureState,
+    expectation,
+    negativity,
+    pure_to_density,
+)
 from qlatwit.spinchain import ChainSpec, ClusterSpec, cluster_state, product_state, tilde_sigma_x
 
 TILTED_XZ = Direction.normalized(1.0, 0.0, 1.0)
@@ -335,21 +343,33 @@ def test_moment_overflow_raises_instead_of_returning_nan():
 # site-by-site collective spins against dense kron-built oracles
 
 
+def qubit_space(n):
+    return HilbertSpace((2,) * n, kind="qubit")
+
+
+def fock_space(n, cutoff):
+    return bosonic.FockLatticeSpec(n, bosonic.SiteFockSpace(cutoff)).space()
+
+
+def dense_collective(space):
+    """The dense J_x, J_y, J_z and total number of a qubit chain or Fock lattice."""
+    n = space.n_sites
+    if space.kind == "qubit":
+        return [oracle_collective(ax, n) for ax in "xyz"], n * np.eye(space.dim)
+    cutoff = space.fock_cutoff
+    js = [oracle_fock_collective(ax, cutoff, n) for ax in "xyz"]
+    return js, oracle_fock_collective("n", cutoff, n)
+
+
 @st.composite
 def collective_spaces(draw):
     """A qubit chain of 2..7 sites, or a Fock lattice of 1..3 sites with cutoff 1..2,
     with the dense oracles of J_x, J_y, J_z and the total particle number."""
     if draw(st.booleans()):
-        n = draw(st.integers(2, 7))
-        space = ChainSpec(n).space()
-        js = [oracle_collective(ax, n) for ax in "xyz"]
-        number = n * np.eye(space.dim)
+        space = qubit_space(draw(st.integers(2, 7)))
     else:
-        n, cutoff = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-        space = bosonic.FockLatticeSpec(n, bosonic.SiteFockSpace(cutoff)).space()
-        js = [oracle_fock_collective(ax, cutoff, n) for ax in "xyz"]
-        number = oracle_fock_collective("n", cutoff, n)
-    return space, js, number
+        space = fock_space(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    return (space, *dense_collective(space))
 
 
 def oracle_mean(op, state):
@@ -397,6 +417,90 @@ def test_collective_path_matches_dense_oracles(spec, mixed, seed):
         var1 = oracle_mean(j1 @ j1, state) - oracle_mean(j1, state) ** 2
         denominator = oracle_mean(j2, state) ** 2 + oracle_mean(j3, state) ** 2
         assert n_total * var1 / denominator == pytest.approx(best.value, rel=1e-9, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# density-matrix moments (one- and two-site blocks, rotated diagonals) against
+# dense oracles, on generic mixed states that correlate every pair of sites
+
+
+def random_density(space, gen):
+    """G G^dagger / Tr for a complex Gaussian G: full rank, no product structure."""
+    g = gen.standard_normal((space.dim,) * 2) + 1j * gen.standard_normal((space.dim,) * 2)
+    rho = g @ g.conj().T
+    return DensityMatrix(space, rho / np.trace(rho).real)
+
+
+def oracle_moment_table(js, rho, axes, max_order):
+    """<J_n^m> from the eigh of each dense J_n and the weights diag(V^dagger rho V)."""
+    table = np.zeros((len(axes), max_order))
+    for i, direction in enumerate(axes):
+        w, v = np.linalg.eigh(sum(c * j for c, j in zip(direction.as_array(), js)))
+        weights = np.real(np.einsum("ai,ab,bi->i", v.conj(), rho, v))
+        table[i] = [weights @ w**m for m in range(1, max_order + 1)]
+    return table
+
+
+def assert_density_moments_match_oracles(rho, other, gen):
+    js, number = dense_collective(rho.space)
+    mean, second = collective_moments(rho)
+    for k in range(3):
+        assert mean[k] == pytest.approx(oracle_mean(js[k], rho), abs=1e-12)
+        for m in range(3):
+            want = oracle_mean((js[k] @ js[m] + js[m] @ js[k]) / 2, rho)
+            assert second[k, m] == pytest.approx(want, abs=1e-12)
+    assert total_particle_number(rho) == pytest.approx(oracle_mean(number, rho), abs=1e-12)
+    axes = [AXIS_X, AXIS_Y, AXIS_Z, Direction(*sampling.random_direction(gen))]
+    want_a = oracle_moment_table(js, rho.matrix, axes, 5)
+    want_b = oracle_moment_table(js, other.matrix, axes, 5)
+    for i, direction in enumerate(axes):
+        for order in range(1, 6):
+            got = angular_moment(rho, direction, order)
+            assert got == pytest.approx(want_a[i, order - 1], rel=1e-12, abs=1e-12)
+    comp = moment_indistinguishability(rho, other, axes, 5)
+    assert np.allclose(comp.moments_a, want_a, rtol=1e-12, atol=1e-12)
+    assert np.allclose(comp.moments_b, want_b, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(comp.differences, np.abs(comp.moments_a - comp.moments_b))
+
+
+@pytest.mark.parametrize(
+    "space",
+    [qubit_space(1), qubit_space(2), qubit_space(5), fock_space(1, 2), fock_space(2, 2), fock_space(5, 1)],
+    ids=["qubit1", "qubit2", "qubit5", "fock1", "fock2", "fock5"],
+)
+def test_density_moments_match_dense_oracles(space, rng):
+    assert_density_moments_match_oracles(random_density(space, rng), random_density(space, rng), rng)
+
+
+@pytest.mark.parametrize("pair", [(1, 3), (1, 5), (2, 4), (2, 5), (3, 5), (4, 5)])
+def test_density_moments_read_correlations_of_distant_pairs(pair, rng):
+    # a Bell pair on sites s < t, every other site fully mixed: the only
+    # correlation, J_a^2 gaining <sigma_a^s sigma_a^t> / 2, sits on that pair
+    n, (s, t) = 5, pair
+    paulis = [oracle_site_pauli(ax, s, n) @ oracle_site_pauli(ax, t, n) for ax in "xyz"]
+    bell = (np.eye(2**n) + paulis[0] - paulis[1] + paulis[2]) / 2**n
+    rho = DensityMatrix(qubit_space(n), bell)
+    mean, second = collective_moments(rho)
+    assert np.abs(mean).max() < 1e-12
+    assert np.allclose(second, np.diag([n / 4 + 0.5, n / 4 - 0.5, n / 4 + 0.5]), atol=1e-12)
+    mixture = DensityMatrix(qubit_space(n), (bell + random_density(qubit_space(n), rng).matrix) / 2)
+    assert_density_moments_match_oracles(mixture, rho, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    qubits=st.booleans(),
+    n=st.integers(1, 6),
+    cutoff=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_density_moments_match_dense_oracles_for_any_size(qubits, n, cutoff, seed):
+    if qubits:
+        space = qubit_space(n)
+    else:
+        space = fock_space(min(n, 3), cutoff)
+    gen = np.random.default_rng(seed)
+    assert_density_moments_match_oracles(random_density(space, gen), random_density(space, gen), gen)
 
 
 @pytest.mark.parametrize("n", range(4, 10))

@@ -11,6 +11,7 @@ from qlatwit.qcore import (
     PureState,
     _HERMITICITY_BAND,
     _apply_site,
+    _site_block,
     dim_cap,
     expectation,
     ground_state,
@@ -111,6 +112,53 @@ def test_hermiticity_check_reaches_the_last_band(build):
     m[d - 1, d - 2] = 1e-6
     with pytest.raises(ValueError, match="Hermitian"):
         build(HilbertSpace((2,) * 9), m)
+
+
+@pytest.mark.parametrize("dims", [(2,) * 10, (3,) * 6])
+@pytest.mark.parametrize("where", ["first", "last", "below", "above"])
+def test_hermiticity_check_reaches_every_tile(dims, where):
+    # 1024 = four 256-wide tile rows; 729 leaves a ragged last tile
+    d = int(np.prod(dims))
+    i, j = {"first": (1, 0), "last": (d - 1, d - 2), "below": (d - 3, 5), "above": (7, d - 4)}[where]
+    m = np.eye(d, dtype=complex) / d
+    m[i, j] = 1e-6
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(HilbertSpace(dims, "generic"), m)
+    m[j, i] = 1e-6
+    DensityMatrix(HilbertSpace(dims, "generic"), m)
+
+
+INVALID_DENSITIES = {
+    "non_hermitian": np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex),
+    "trace_two": np.eye(2, dtype=complex),
+    "negative_diagonal": np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex),
+    "negative_rotated": np.array([[0.5, 0.8], [0.8, 0.5]], dtype=complex),
+    "nan": np.array([[np.nan, 0.0], [0.0, 0.5]], dtype=complex),
+    "wrong_shape": np.eye(4, dtype=complex) / 4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_DENSITIES))
+def test_adopted_matrices_are_checked_like_public_ones(name):
+    with pytest.raises(ValueError) as public:
+        DensityMatrix(Q1, INVALID_DENSITIES[name])
+    with pytest.raises(ValueError) as adopted:
+        DensityMatrix._adopt(Q1, INVALID_DENSITIES[name].copy())
+    assert str(adopted.value) == str(public.value)
+
+
+def test_public_constructor_copies_and_adopt_hands_over():
+    m = np.diag([0.25, 0.75]).astype(complex)
+    rho = DensityMatrix(Q1, m)
+    m[0, 0] = 9.0
+    assert rho.matrix[0, 0] == 0.25
+    assert m.flags.writeable and not rho.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 1.0
+    owned = np.diag([0.25, 0.75]).astype(complex)
+    adopted = DensityMatrix._adopt(Q1, owned)
+    assert adopted.matrix is owned and not owned.flags.writeable
+    assert not hasattr(adopted, "_adopted")
 
 
 def test_values_are_immutable():
@@ -425,3 +473,18 @@ def test_apply_site_reads_block_size_from_the_matrix(rng):
     assert np.allclose(one, kron_all([ID2, a, eye3, ID2]) @ values, atol=1e-12)
     two = _apply_site(np.kron(a, b), space, 2, values)
     assert np.allclose(two, kron_all([ID2, a, b, ID2]) @ values, atol=1e-12)
+
+
+@pytest.mark.parametrize("sites", [(1,), (3,), (4,), (1, 2), (1, 4), (2, 4), (3, 4)])
+def test_site_block_traces_out_every_other_site(sites, rng):
+    # oracle: reorder the basis so the kept sites lead, then trace the rest
+    dims = (2, 3, 2, 3)
+    space = HilbertSpace(dims, kind="generic")
+    stack = rng.normal(size=(2, space.dim, space.dim)) + 1j * rng.normal(size=(2, space.dim, space.dim))
+    order = [s - 1 for s in sites] + [k for k in range(len(dims)) if k + 1 not in sites]
+    index = np.arange(space.dim).reshape(dims).transpose(order).ravel()
+    block_dim = int(np.prod([dims[s - 1] for s in sites]))
+    rest = space.dim // block_dim
+    reordered = stack[:, index][:, :, index].reshape(2, block_dim, rest, block_dim, rest)
+    want = np.trace(reordered, axis1=2, axis2=4)
+    assert np.allclose(_site_block(space, sites, stack), want, atol=1e-12)

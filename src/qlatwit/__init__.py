@@ -10,13 +10,9 @@ from .qcore import (
     LinearOperator,
     PureState,
     expectation,
-    ground_state,
-    matrix_exponential,
     negativity,
     partial_trace,
     pure_to_density,
-    tensor_product,
-    variance,
 )
 
 __all__ = [
@@ -27,11 +23,7 @@ __all__ = [
     "LinearOperator",
     "PureState",
     "expectation",
-    "ground_state",
-    "matrix_exponential",
     "negativity",
     "partial_trace",
     "pure_to_density",
-    "tensor_product",
-    "variance",
 ]

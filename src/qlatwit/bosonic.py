@@ -9,25 +9,13 @@ truncated basis and the spin algebra stays exact on every occupation shell.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import spinchain
-from .qcore import (
-    DEGENERACY_GAP,
-    GroundState,
-    HilbertSpace,
-    LinearOperator,
-    PureState,
-    _apply_site,
-    _site_sum,
-    dim_cap,
-)
-
-DEFAULT_SITE_CUTOFF = 2
+from .qcore import DEGENERACY_GAP, GroundState, HilbertSpace, PureState, dim_cap
 
 SPIN_UP = (1, 0)
 SPIN_DOWN = (0, 1)
@@ -80,10 +68,12 @@ class FockLatticeSpec:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("lattice needs at least one site")
-        if self.site_space.dim**self.n_sites > dim_cap():
-            raise ValueError(
-                f"lattice dimension {self.site_space.dim ** self.n_sites} exceeds cap {dim_cap()}"
-            )
+        cap, d, dim = dim_cap(), self.site_space.dim, 1
+        # the product stops at the first factor past the cap, so any n_sites is cheap
+        for _ in range(self.n_sites):
+            dim *= d
+            if dim > cap:
+                raise ValueError(f"lattice dimension {d}^{self.n_sites} exceeds cap {cap}")
 
     def space(self) -> HilbertSpace:
         return HilbertSpace(
@@ -107,19 +97,8 @@ def _ladder_matrices(n_max: int) -> dict[str, np.ndarray]:
     return {"a": a, "b": b}
 
 
-def mode_operator(space: SiteFockSpace, mode: str, kind: str) -> LinearOperator:
-    """Truncated ladder operator; creation beyond the cutoff maps to zero."""
-    if mode not in ("a", "b"):
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    if kind not in ("annihilate", "create"):
-        raise ValueError(f"kind must be 'annihilate' or 'create', got {kind!r}")
-    m = _ladder_matrices(space.n_max)[mode]
-    if kind == "create":
-        m = m.conj().T
-    return LinearOperator(space.space(), m)
-
-
 def _schwinger_matrices(space: SiteFockSpace) -> dict[str, np.ndarray]:
+    """The one-site spin components "x", "y", "z" and the number operator "n"."""
     lad = _ladder_matrices(space.n_max)
     a, b = lad["a"], lad["b"]
     ad, bd = a.conj().T, b.conj().T
@@ -128,56 +107,8 @@ def _schwinger_matrices(space: SiteFockSpace) -> dict[str, np.ndarray]:
         "x": (ad @ b + bd @ a) / 2,
         "y": 1j * (bd @ a - ad @ b) / 2,
         "z": (ad @ a - bd @ b) / 2,
+        "n": ad @ a + bd @ b,
     }
-
-
-def schwinger_j(space: SiteFockSpace, axis: str) -> LinearOperator:
-    """Single-site spin component built from the two bosonic modes."""
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    return LinearOperator(space.space(), _schwinger_matrices(space)[axis], hermitian_hint=True)
-
-
-def site_number_operator(space: SiteFockSpace) -> LinearOperator:
-    lad = _ladder_matrices(space.n_max)
-    a, b = lad["a"], lad["b"]
-    return LinearOperator(
-        space.space(), a.conj().T @ a + b.conj().T @ b, hermitian_hint=True
-    )
-
-
-def _site_sum_operator(lattice: FockLatticeSpec, local: np.ndarray) -> LinearOperator:
-    """sum_k local^(k) as a dense matrix: the site sum applied to the identity."""
-    space = lattice.space()
-    # the identity is an argument temporary, freed before validation
-    mat = _site_sum(local, space, np.eye(space.dim, dtype=complex))
-    return LinearOperator(space, mat, hermitian_hint=True)
-
-
-def collective_J_fock(lattice: FockLatticeSpec, axis: str) -> LinearOperator:
-    """Sum of the single-site Schwinger components over the lattice."""
-    return _site_sum_operator(lattice, schwinger_j(lattice.site_space, axis).matrix)
-
-
-def lattice_number_operator(lattice: FockLatticeSpec) -> LinearOperator:
-    return _site_sum_operator(lattice, site_number_operator(lattice.site_space).matrix)
-
-
-def maximal_angular_momentum_check(space: SiteFockSpace) -> float:
-    """Operator-norm residual of j^2 - (N/2)(1 + N/2) on the full site space.
-
-    Zero (to round-off) because every fixed-occupation shell of a two-mode
-    site carries the full spin-n/2 representation.
-    """
-    j = _schwinger_matrices(space)
-    lad = _ladder_matrices(space.n_max)
-    a, b = lad["a"], lad["b"]
-    nhat = a.conj().T @ a + b.conj().T @ b
-    eye = np.eye(space.dim, dtype=complex)
-    residual = (
-        j["x"] @ j["x"] + j["y"] @ j["y"] + j["z"] @ j["z"] - (nhat / 2) @ (eye + nhat / 2)
-    )
-    return float(np.linalg.norm(residual, 2))
 
 
 def occupation_basis_state(
@@ -232,24 +163,6 @@ def singlet_chain(n_pairs: int) -> PureState:
     return PureState(lattice.space(), v)
 
 
-def heisenberg_hamiltonian(lattice: FockLatticeSpec, sign: int = +1) -> LinearOperator:
-    """Nearest-neighbor isotropic spin coupling on the open chain.
-
-    ``sign=+1`` is antiferromagnetic.
-    """
-    if sign not in (-1, +1):
-        raise ValueError("coupling sign must be +1 or -1")
-    space = lattice.space()
-    js = _schwinger_matrices(lattice.site_space)
-    bond = sign * sum(np.kron(js[axis], js[axis]) for axis in ("x", "y", "z"))
-    eye = np.eye(space.dim, dtype=complex)
-    mat = np.zeros_like(eye)
-    for k in range(1, lattice.n_sites):
-        mat += _apply_site(bond, space, k, eye)
-    del eye  # one dim x dim matrix fewer during validation and the eigensolve
-    return LinearOperator(space, mat, hermitian_hint=True)
-
-
 def _heisenberg_sector(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     """The open chain sum_k S_k . S_{k+1} on the qubit-chain indices with popcount n // 2.
 
@@ -272,7 +185,8 @@ def _heisenberg_sector(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def heisenberg_ground_state(n_sites: int) -> GroundState:
-    """Ground state of ``heisenberg_hamiltonian`` (sign +1, cutoff 1), solved in one S_z sector.
+    """Ground state of the open antiferromagnetic chain sum_k j_k . j_{k+1} on a
+    cutoff-1 lattice, solved in one S_z sector.
 
     The bond conserves each site's occupation and the total S_z, so the solve
     runs on the unit-filled chain, as qubits, at S_z = 0 (even n) or +1/2 (odd
@@ -292,9 +206,12 @@ def heisenberg_ground_state(n_sites: int) -> GroundState:
     """
     if n_sites < 1:
         raise ValueError("lattice needs at least one site")
-    sector_dim = math.comb(n_sites, n_sites // 2)
-    if sector_dim > dim_cap():
-        raise ValueError(f"S_z sector dimension {sector_dim} exceeds cap {dim_cap()}")
+    cap, half, sector_dim = dim_cap(), n_sites // 2, 1
+    # C(n, j) grows with j up to n // 2, so the product stops soon after the cap
+    for j in range(1, half + 1):
+        sector_dim = sector_dim * (n_sites - j + 1) // j
+        if sector_dim > cap:
+            raise ValueError(f"S_z sector dimension C({n_sites}, {half}) exceeds cap {cap}")
     states, mat = _heisenberg_sector(n_sites)
     w, v = np.linalg.eigh(mat)
     if n_sites % 2:
@@ -310,14 +227,3 @@ def heisenberg_ground_state(n_sites: int) -> GroundState:
         degenerate=gap < DEGENERACY_GAP,
         gap=gap,
     )
-
-
-def total_spin_squared(lattice: FockLatticeSpec) -> LinearOperator:
-    """J_x^2 + J_y^2 + J_z^2; its zero eigenspace holds the many-body singlets."""
-    space = lattice.space()
-    js = _schwinger_matrices(lattice.site_space)
-    mat = sum(
-        _site_sum(js[axis], space, collective_J_fock(lattice, axis).matrix)
-        for axis in ("x", "y", "z")
-    )
-    return LinearOperator(space, mat, hermitian_hint=True)

@@ -31,31 +31,17 @@ _NEGATIVITY_TOL = 1e-9
 class DecoherenceModel:
     """A per-site channel at a fixed exposure.
 
-    ``p`` is the keep-state weight.  When built from a rate and a duration it
-    is (1 + exp(-kappa * t_d)) / 2, which confines it to [1/2, 1].
+    ``p`` is the keep-state weight, (1 + exp(-kappa t)) / 2 after dephasing at
+    rate kappa for a time t, which confines it to [1/2, 1].
     """
 
     kind: str
     p: float
-    kappa: float | None = None
-    t_d: float | None = None
 
     def __post_init__(self):
         _channel(self.kind)
         if not 0.5 <= self.p <= 1.0:
             raise ValueError(f"model weight p={self.p} outside [1/2, 1]")
-        if self.kappa is not None and self.t_d is not None:
-            derived = (1.0 + math.exp(-self.kappa * self.t_d)) / 2.0
-            if abs(derived - self.p) > 1e-12:
-                raise ValueError("p inconsistent with (kappa, t_d)")
-
-    @classmethod
-    def from_rate(cls, kind: str, kappa: float, t_d: float) -> "DecoherenceModel":
-        if kappa <= 0.0:
-            raise ValueError("decay rate must be positive")
-        if t_d < 0.0:
-            raise ValueError("exposure time must be nonnegative")
-        return cls(kind=kind, p=(1.0 + math.exp(-kappa * t_d)) / 2.0, kappa=kappa, t_d=t_d)
 
 
 def _check_qubit_density(rho: DensityMatrix) -> int:

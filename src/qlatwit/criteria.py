@@ -21,7 +21,6 @@ from . import bosonic, spinchain
 from .qcore import (  # noqa: F401
     DensityMatrix,
     HilbertSpace,
-    LinearOperator,
     PureState,
     _apply_site,
     _real_part,
@@ -146,21 +145,6 @@ def _require_qubit_chain(state, even: bool) -> spinchain.ChainSpec:
     return spinchain.ChainSpec(space.n_sites)
 
 
-def collective_j_operators(space: HilbertSpace) -> dict[str, LinearOperator]:
-    """The three collective angular momentum components as dense matrices.
-
-    A reference builder: the criteria and moments below apply J site by
-    site and never call it.
-    """
-    if space.kind == "qubit":
-        chain = spinchain.ChainSpec(space.n_sites)
-        return {ax: spinchain.collective_spin(chain, ax) for ax in AXES}
-    if space.kind == "fock":
-        lattice = bosonic.FockLatticeSpec(space.n_sites, bosonic.SiteFockSpace(space.fock_cutoff))
-        return {ax: bosonic.collective_J_fock(lattice, ax) for ax in AXES}
-    raise ValueError(f"no collective spin defined for space kind {space.kind!r}")
-
-
 def _site_spin_matrices(space: HilbertSpace) -> np.ndarray:
     """The one-site spin matrices j_x, j_y, j_z of this space, stacked (3, d, d).
 
@@ -252,7 +236,7 @@ def total_particle_number(state) -> float:
         return float(space.n_sites)
     if space.kind != "fock":
         raise ValueError(f"no particle number defined for space kind {space.kind!r}")
-    number = bosonic.site_number_operator(bosonic.SiteFockSpace(space.fock_cutoff)).matrix
+    number = bosonic._schwinger_matrices(bosonic.SiteFockSpace(space.fock_cutoff))["n"]
     if isinstance(state, PureState):
         value = np.vdot(state.amplitudes, _site_sum(number, space, state.amplitudes))
     elif isinstance(state, DensityMatrix):

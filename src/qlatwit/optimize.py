@@ -8,8 +8,7 @@ exp(-i [ theta_xx * sum_k jx_k jx_{k+1} + theta_yy * sum_k jy_k jy_{k+1}
 Every term of that generator is real (y x y is real) and flips an even number
 of bits, so the pulse maps the start state |0...0> within the 2^(n-1)
 even-popcount basis states. ``pulse_state`` builds the generator on those rows
-only, as a real symmetric matrix, and solves it with one real eigh;
-``pulse_generator`` and ``pulse_unitary`` are the dense 2^n reference.
+only, as a real symmetric matrix, and solves it with one real eigh.
 """
 
 from __future__ import annotations
@@ -20,9 +19,11 @@ import numpy as np
 
 from . import spinchain
 from .criteria import collective_uncertainty_criterion
-from .qcore import LinearOperator, PureState, matrix_exponential
+from .qcore import PureState
 
 _MAX_SITES = 10
+# simplex searches: one from the initial point, then seeded perturbations of it
+_N_RESTARTS = 3
 
 
 @dataclass(frozen=True)
@@ -45,36 +46,16 @@ def _check_sites(chain: spinchain.ChainSpec) -> None:
         raise ValueError(f"pulse generator capped at {_MAX_SITES} sites")
 
 
-def pulse_generator(chain: spinchain.ChainSpec, params: PulseParams) -> LinearOperator:
-    """Hermitian generator of the pulse, with j = sigma/2 per site."""
-    _check_sites(chain)
-    # j_k j_{k+1} = (sigma_k sigma_{k+1}) / 4 is one two-site Pauli string
-    couplings = ((params.theta_xx, "x"), (params.theta_yy, "y"))
-    terms = [
-        (theta / 4, {k: axis, k + 1: axis})
-        for k in range(1, chain.n_sites)
-        for theta, axis in couplings
-    ]
-    terms += [(params.theta_z / 2, {k: "z"}) for k in range(1, chain.n_sites + 1)]
-    return spinchain.pauli_sum(chain, terms)
-
-
-def pulse_unitary(chain: spinchain.ChainSpec, params: PulseParams) -> LinearOperator:
-    return matrix_exponential(pulse_generator(chain, params), -1j)
-
-
-def pulse_state(chain: spinchain.ChainSpec, params: PulseParams) -> PureState:
-    """exp(-i G) |0...0> for the pulse generator G, solved in the even-parity sector.
+def _sector_generator(n: int, params: PulseParams) -> tuple[np.ndarray, np.ndarray]:
+    """The even-popcount basis indices, ascending, and the real generator on them.
 
     Among the basis indices 2r and 2r + 1 exactly one has an even popcount, so
     the even index i is row i >> 1 of the sector. With m_k the bit of site k,
     a bond k, k+1 links i to i ^ (m_k | m_{k+1}), with weight
     (theta_xx - theta_yy)/4 when the two bits are equal and
     (theta_xx + theta_yy)/4 when they differ; the diagonal is
-    theta_z/2 (n - 2 popcount(i)). The start state is row 0.
+    theta_z/2 (n - 2 popcount(i)).
     """
-    _check_sites(chain)
-    n = chain.n_sites
     masks = spinchain._site_masks(n)
     rows = np.arange(2 ** (n - 1))
     even = 2 * rows + spinchain._bit_table(n - 1).sum(axis=1) % 2
@@ -85,6 +66,15 @@ def pulse_state(chain: spinchain.ChainSpec, params: PulseParams) -> PureState:
     for k in range(n - 1):
         weight = np.where(bits[:, k] == bits[:, k + 1], equal_weight, differ_weight)
         gen[rows, (even ^ (masks[k] | masks[k + 1])) >> 1] += weight
+    return even, gen
+
+
+def pulse_state(chain: spinchain.ChainSpec, params: PulseParams) -> PureState:
+    """exp(-i G) |0...0> for the pulse generator G, solved in the even-parity
+    sector of ``_sector_generator``, where the start state is row 0."""
+    _check_sites(chain)
+    n = chain.n_sites
+    even, gen = _sector_generator(n, params)
     w, v = np.linalg.eigh(gen)
     amps = np.zeros(2**n, dtype=complex)
     amps[even] = v @ (np.exp(-1j * w) * v[0])
@@ -174,7 +164,6 @@ def optimize_pulse(
     initial: PulseParams,
     budget: int,
     seed: int = 0,
-    n_restarts: int = 3,
 ) -> PulseSearchResult:
     """Simplex search with seeded restarts maximizing the violation ratio.
 
@@ -200,7 +189,7 @@ def optimize_pulse(
     best_x = np.array(x_init, dtype=float)
     best_val = objective(x_init)
     rng = np.random.default_rng(seed)
-    for restart in range(n_restarts):
+    for restart in range(_N_RESTARTS):
         if counter.remaining() <= 0:
             break
         if restart == 0:

@@ -223,25 +223,6 @@ def pure_to_density(state: PureState) -> DensityMatrix:
     return DensityMatrix._adopt(state.space, np.outer(v, v.conj()))
 
 
-def _joined_space(a: HilbertSpace, b: HilbertSpace) -> HilbertSpace:
-    if a.kind == b.kind and a.fock_cutoff == b.fock_cutoff:
-        return HilbertSpace(a.dims + b.dims, a.kind, a.fock_cutoff)
-    return HilbertSpace(a.dims + b.dims, "generic", None)
-
-
-def tensor_product(a, b):
-    """Kronecker product; a's sites come before b's in the composite labels."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(_joined_space(a.space, b.space), np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, LinearOperator) and isinstance(b, LinearOperator):
-        return LinearOperator(
-            _joined_space(a.space, b.space),
-            np.kron(a.matrix, b.matrix),
-            hermitian_hint=a.hermitian_hint and b.hermitian_hint,
-        )
-    raise ValueError("tensor_product needs two states or two operators, not a mixture")
-
-
 def _check_same_space(op: LinearOperator, state) -> None:
     if op.space.dims != state.space.dims:
         raise ValueError(
@@ -267,29 +248,6 @@ def expectation(op: LinearOperator, state) -> float:
     else:
         raise ValueError(f"cannot take an expectation on {type(state).__name__}")
     return _real_part(val, "expectation value")
-
-
-def variance(op: LinearOperator, state) -> float:
-    """<op^2> - <op>^2, clamped to zero when within -1e-10 of it."""
-    if not op.hermitian_hint:
-        raise ValueError("variance requires an operator with hermitian_hint set")
-    _check_same_space(op, state)
-    m = op.matrix
-    if isinstance(state, PureState):
-        v = m @ state.amplitudes
-        e1 = _real_part(complex(np.vdot(state.amplitudes, v)), "expectation value")
-        e2 = float(np.vdot(v, v).real)
-    elif isinstance(state, DensityMatrix):
-        rho = state.matrix
-        e1 = _real_part(complex(np.einsum("ij,ji->", rho, m)), "expectation value")
-        if _is_diagonal(rho):
-            # Tr(rho M^2) for diagonal rho needs only the row norms of M.
-            e2 = float(np.real(np.diagonal(rho)) @ np.sum(np.abs(m) ** 2, axis=1))
-        else:
-            e2 = _real_part(complex(np.einsum("ij,ji->", m @ rho, m)), "second moment")
-    else:
-        raise ValueError(f"cannot take a variance on {type(state).__name__}")
-    return variance_from_moments(e1, e2)
 
 
 def variance_from_moments(e1: float, e2: float) -> float:
@@ -376,21 +334,6 @@ def partial_trace(rho: DensityMatrix, keep_sites: Sequence[int]) -> DensityMatri
     return DensityMatrix._adopt(sub_space, reduced.reshape(d, d))
 
 
-def matrix_exponential(op: LinearOperator, scale: complex = 1.0) -> LinearOperator:
-    """exp(scale * op); eigendecomposition for Hermitian generators."""
-    if op.space.dim > dim_cap():
-        raise ValueError(f"dimension {op.space.dim} exceeds cap {dim_cap()}")
-    if op.hermitian_hint:
-        w, v = np.linalg.eigh(op.matrix)
-        mat = (v * np.exp(scale * w)) @ v.conj().T
-    else:
-        # imported here: scipy.linalg costs more to import than most commands run
-        import scipy.linalg
-
-        mat = scipy.linalg.expm(scale * op.matrix)
-    return LinearOperator(op.space, mat)
-
-
 def negativity(rho: DensityMatrix, partition_sites: Sequence[int]) -> float:
     """Sum of |negative eigenvalues| of the partial transpose.
 
@@ -414,21 +357,3 @@ def negativity(rho: DensityMatrix, partition_sites: Sequence[int]) -> float:
     t = t.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(space.dim, space.dim)
     eigs = np.linalg.eigvalsh(t)
     return float(-eigs[eigs < 0.0].sum())
-
-
-def ground_state(h: LinearOperator) -> GroundState:
-    """Lowest eigenpair of a Hermitian operator, with a degeneracy flag."""
-    if not h.hermitian_hint:
-        raise ValueError("ground_state requires an operator with hermitian_hint set")
-    if h.space.dim > dim_cap():
-        raise ValueError(f"dimension {h.space.dim} exceeds cap {dim_cap()}")
-    w, v = np.linalg.eigh(h.matrix)
-    vec = v[:, 0]
-    vec = vec / np.linalg.norm(vec)
-    gap = float(w[1] - w[0]) if len(w) > 1 else float("inf")
-    return GroundState(
-        energy=float(w[0]),
-        state=PureState(h.space, vec),
-        degenerate=gap < DEGENERACY_GAP,
-        gap=gap,
-    )

@@ -44,8 +44,3 @@ def random_direction(rng: np.random.Generator) -> np.ndarray:
     """Uniform random unit 3-vector."""
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (m + m.conj().T) / 2

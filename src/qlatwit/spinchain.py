@@ -1,5 +1,5 @@
-"""Qubit-chain builders: Pauli strings, three-site correlators, the
-neighbor phase gate, cluster states, and Hamiltonian evolution.
+"""Qubit-chain builders: Pauli-string moments, three-site correlators, the
+neighbor phase gate, and cluster and product states.
 
 The chain is open: the three-site correlator at the ends drops the
 out-of-range z factor, and the phase-gate exponent couples sites 1..N-1.
@@ -14,15 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .qcore import (
-    DensityMatrix,
-    HilbertSpace,
-    LinearOperator,
-    PureState,
-    _real_part,
-    dim_cap,
-    matrix_exponential,
-)
+from .qcore import DensityMatrix, HilbertSpace, PureState, _real_part, dim_cap
 
 _AXES = ("x", "y", "z")
 # phase of a string with m factors of y, indexed by m mod 4: y = i x z acts on
@@ -44,13 +36,10 @@ class ChainSpec:
     """An open chain of ``n_sites`` qubits."""
 
     n_sites: int
-    boundary: str = "open"
 
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError("a chain needs at least 2 sites")
-        if self.boundary != "open":
-            raise ValueError("only open boundaries are supported")
 
     def space(self) -> HilbertSpace:
         return HilbertSpace((2,) * self.n_sites, kind="qubit")
@@ -99,25 +88,6 @@ def _pauli_action(chain: ChainSpec, factors: Mapping[int, str]) -> tuple[int, np
     return flip, _Y_PHASES[n_y % 4] * (1.0 - 2.0 * parity)
 
 
-def pauli_sum(chain: ChainSpec, terms: Sequence[tuple[float, Mapping[int, str]]]) -> LinearOperator:
-    """sum_t w_t P_t for real weights w_t and Pauli strings P_t, as a dense matrix.
-
-    Each term scatters its weighted phase into row i, column i ^ flip of one
-    zero matrix: O(2^n) per term, no per-term matrix.
-    """
-    rows = np.arange(chain.space().dim)
-    mat = np.zeros((rows.size, rows.size), dtype=complex)
-    for weight, factors in terms:
-        flip, phase = _pauli_action(chain, factors)
-        mat[rows, rows ^ flip] += weight * phase
-    return LinearOperator(chain.space(), mat, hermitian_hint=True)
-
-
-def pauli_string(chain: ChainSpec, factors: Mapping[int, str]) -> LinearOperator:
-    """Product of single-site Paulis, identity on unlisted sites."""
-    return pauli_sum(chain, [(1.0, factors)])
-
-
 def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[float, float]:
     """<S> and <S^2> for the sum S of the given Pauli strings on a qubit chain.
 
@@ -152,11 +122,6 @@ def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[floa
     raise ValueError(f"cannot take moments of {type(state).__name__}")
 
 
-def pauli(chain: ChainSpec, site: int, axis: str) -> LinearOperator:
-    """Single-site Pauli embedded in the chain."""
-    return pauli_string(chain, {site: axis})
-
-
 def tilde_factors(chain: ChainSpec, k: int) -> dict[int, str]:
     """Factors of the three-site correlator at site k; z factors past the ends drop."""
     chain.space().check_site(k)
@@ -166,16 +131,6 @@ def tilde_factors(chain: ChainSpec, k: int) -> dict[int, str]:
     if k < chain.n_sites:
         factors[k + 1] = "z"
     return factors
-
-
-def tilde_sigma_x(chain: ChainSpec, k: int) -> LinearOperator:
-    """Three-site correlator: z on site k-1, x on site k, z on site k+1."""
-    return pauli_string(chain, tilde_factors(chain, k))
-
-
-def collective_spin(chain: ChainSpec, axis: str) -> LinearOperator:
-    """Collective angular momentum component, sum over sites of sigma/2."""
-    return pauli_sum(chain, [(0.5, {site: axis}) for site in range(1, chain.n_sites + 1)])
 
 
 def phase_gate_diagonal(chain: ChainSpec) -> np.ndarray:
@@ -188,26 +143,6 @@ def phase_gate_diagonal(chain: ChainSpec) -> np.ndarray:
     bits = _bit_table(chain.n_sites)
     pairs = (bits[:, :-1] & bits[:, 1:]).sum(axis=1)
     return 1.0 - 2.0 * (pairs % 2)
-
-
-def phase_gate_unitary(chain: ChainSpec) -> LinearOperator:
-    if chain.space().dim > dim_cap():
-        raise ValueError(f"dimension {chain.space().dim} exceeds cap {dim_cap()}")
-    return LinearOperator(
-        chain.space(), np.diag(phase_gate_diagonal(chain)).astype(complex), hermitian_hint=True
-    )
-
-
-def conjugate_by_phase_gate(chain: ChainSpec, k: int) -> LinearOperator:
-    """U sigma_x^(k) U for the neighbor phase gate U (an involution).
-
-    Equals the three-site correlator tilde_sigma_x(chain, k); that equality
-    is exercised by the test suite rather than assumed here.
-    """
-    d = phase_gate_diagonal(chain)
-    sx = pauli(chain, k, "x").matrix
-    mat = d[:, None] * sx * d[None, :]
-    return LinearOperator(chain.space(), mat, hermitian_hint=True)
 
 
 def basis_state(chain: ChainSpec, bits: Sequence[int]) -> PureState:
@@ -259,13 +194,3 @@ def cluster_state(spec: ClusterSpec) -> PureState:
     parity = _bit_table(chain.n_sites)[:, negative].sum(axis=1) % 2
     amps = phase_gate_diagonal(chain) * (1.0 - 2.0 * parity) / np.sqrt(space.dim)
     return PureState(space, amps)
-
-
-def evolve(h: LinearOperator, t: float, state: PureState) -> PureState:
-    """exp(-i h t) applied to the state, for Hermitian h."""
-    if not h.hermitian_hint:
-        raise ValueError("evolve requires a Hermitian generator")
-    if h.space.dims != state.space.dims:
-        raise ValueError("generator and state dimensions differ")
-    u = matrix_exponential(h, -1j * t)
-    return PureState(state.space, u.matrix @ state.amplitudes)

@@ -1,8 +1,12 @@
 """Shared independent oracles: dense operator builders written from scratch
-here, so expected values never come from the code under test."""
+here, so expected values never come from the code under test.  The package
+itself builds no dense operator; the reference helpers at the end wrap these
+oracles for the acceptance gate and the differentials."""
 
 import numpy as np
 import pytest
+
+from qlatwit.qcore import DEGENERACY_GAP, GroundState, LinearOperator, PureState, variance_from_moments
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -21,6 +25,11 @@ def kron_all(mats):
 def oracle_site_pauli(axis, site, n):
     """Single-site Pauli on an n-qubit chain, site 1 most significant."""
     return kron_all([PAULIS[axis] if k == site else ID2 for k in range(1, n + 1)])
+
+
+def oracle_pauli_string(factors, n):
+    """Product of the Paulis in ``factors`` (site -> axis), identity elsewhere."""
+    return kron_all([PAULIS[factors[s]] if s in factors else ID2 for s in range(1, n + 1)])
 
 
 def oracle_tilde(k, n):
@@ -83,6 +92,20 @@ def oracle_heisenberg(cutoff, n, sign):
     )
 
 
+def oracle_pulse_generator(n, params):
+    """The pulse generator from kron products of sigma / 2, one matrix per term."""
+    def site_term(k, mats):
+        # mats act on the sites from k on, identity elsewhere
+        return kron_all([ID2] * (k - 1) + mats + [ID2] * (n - k - len(mats) + 1))
+
+    g = sum(
+        params.theta_xx * site_term(k, [SX / 2, SX / 2])
+        + params.theta_yy * site_term(k, [SY / 2, SY / 2])
+        for k in range(1, n)
+    )
+    return g + sum(params.theta_z * site_term(k, [SZ / 2]) for k in range(1, n + 1))
+
+
 def _rotations(axis, angles):
     """Rotation matrices about the y or z axis, one per angle, shape angles.shape + (3, 3)."""
     c, s = np.cos(angles), np.sin(angles)
@@ -108,6 +131,69 @@ def oracle_squeezing_grid(mean, second, n_total, grid_points):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(denom < 1e-12, np.inf, n_total * np.maximum(var1, 0.0) / denom)
     return float(ratio.min())
+
+
+# ---------------------------------------------------------------------------
+# reference helpers on the oracles above, with the package's argument types;
+# operators are qcore.LinearOperator so that qcore.expectation applies
+
+
+def _observable(space, matrix):
+    return LinearOperator(space, matrix, hermitian_hint=True)
+
+
+def tilde_sigma_x(chain, k):
+    return _observable(chain.space(), oracle_tilde(k, chain.n_sites))
+
+
+def schwinger_j(site_space, axis):
+    return _observable(site_space.space(), oracle_schwinger_site(site_space.n_max)[axis])
+
+
+def site_number_operator(site_space):
+    return _observable(site_space.space(), oracle_schwinger_site(site_space.n_max)["n"])
+
+
+def collective_j_operators(space):
+    """J_x, J_y, J_z of a qubit chain or a Fock lattice, keyed by axis."""
+    n = space.n_sites
+    if space.kind == "qubit":
+        return {ax: _observable(space, oracle_collective(ax, n)) for ax in "xyz"}
+    return {ax: _observable(space, oracle_fock_collective(ax, space.fock_cutoff, n)) for ax in "xyz"}
+
+
+def heisenberg_hamiltonian(lattice):
+    """The antiferromagnetic open chain on ``lattice``."""
+    matrix = oracle_heisenberg(lattice.site_space.n_max, lattice.n_sites, +1)
+    return _observable(lattice.space(), matrix)
+
+
+def maximal_angular_momentum_check(site_space):
+    """Operator-norm residual of j^2 - (N/2)(1 + N/2) on one site; zero when every
+    occupation shell carries the full spin-N/2 representation."""
+    site = oracle_schwinger_site(site_space.n_max)
+    half_n = site["n"] / 2
+    residual = sum(site[a] @ site[a] for a in "xyz") - half_n @ (np.eye(len(half_n)) + half_n)
+    return float(np.linalg.norm(residual, 2))
+
+
+def ground_state(h):
+    """Lowest eigenpair of ``h`` from one dense eigh, with its gap."""
+    w, v = np.linalg.eigh(h.matrix)
+    gap = float(w[1] - w[0])
+    return GroundState(float(w[0]), PureState(h.space, v[:, 0]), gap < DEGENERACY_GAP, gap)
+
+
+def pulse_unitary(chain, params):
+    """exp(-i G) of the kron-built pulse generator G, from one eigh."""
+    w, v = np.linalg.eigh(oracle_pulse_generator(chain.n_sites, params))
+    return LinearOperator(chain.space(), (v * np.exp(-1j * w)) @ v.conj().T)
+
+
+def variance(op, state):
+    """<op^2> - <op>^2 on a pure state."""
+    v = op.matrix @ state.amplitudes
+    return variance_from_moments(np.vdot(state.amplitudes, v).real, np.vdot(v, v).real)
 
 
 @pytest.fixture

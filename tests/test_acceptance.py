@@ -8,6 +8,17 @@ import math
 
 import numpy as np
 
+from conftest import (
+    collective_j_operators,
+    ground_state,
+    heisenberg_hamiltonian,
+    maximal_angular_momentum_check,
+    pulse_unitary,
+    schwinger_j,
+    site_number_operator,
+    tilde_sigma_x,
+    variance,
+)
 from qlatwit import bosonic, sampling, spinchain
 from qlatwit.channels import decoherence_experiment, lifetime_comparison, pairwise_threshold, witness_threshold
 from qlatwit.criteria import (
@@ -24,9 +35,9 @@ from qlatwit.criteria import (
     variance_x_criterion,
     witness_criterion,
 )
-from qlatwit.optimize import PulseParams, pulse_unitary, violation_ratio
-from qlatwit.qcore import PureState, expectation, ground_state, pure_to_density
-from qlatwit.spinchain import ChainSpec, ClusterSpec, cluster_state, product_state, tilde_sigma_x
+from qlatwit.optimize import PulseParams, violation_ratio
+from qlatwit.qcore import PureState, expectation, pure_to_density
+from qlatwit.spinchain import ChainSpec, ClusterSpec, cluster_state, product_state
 
 
 def make_cluster(n):
@@ -109,7 +120,7 @@ def test_criterion_06_collective_uncertainty():
         rep = collective_uncertainty_criterion(state)
         assert rep.value < 1e-9 and rep.violated
     lattice = bosonic.FockLatticeSpec(4, bosonic.SiteFockSpace(1))
-    gs = ground_state(bosonic.heisenberg_hamiltonian(lattice))
+    gs = ground_state(heisenberg_hamiltonian(lattice))
     rep = collective_uncertainty_criterion(gs.state)
     assert rep.value < 1e-9 and rep.violated
 
@@ -138,14 +149,13 @@ def test_criterion_06_collective_uncertainty():
 def test_criterion_07_two_mode_spin_identities():
     residuals = []
     for cutoff in (1, 2, 3, 4):
-        r = bosonic.maximal_angular_momentum_check(bosonic.SiteFockSpace(cutoff))
+        r = maximal_angular_momentum_check(bosonic.SiteFockSpace(cutoff))
         assert r < 1e-10
         residuals.append(r)
     rng = np.random.default_rng(31)
     space = bosonic.SiteFockSpace(2)
-    ops = [bosonic.schwinger_j(space, ax) for ax in "xyz"]
-    nhat = bosonic.site_number_operator(space)
-    from qlatwit.qcore import variance
+    ops = [schwinger_j(space, ax) for ax in "xyz"]
+    nhat = site_number_operator(space)
 
     for _ in range(1000):
         psi = PureState(space.space(), sampling.haar_vector(space.dim, rng))
@@ -171,8 +181,6 @@ def test_criterion_08_collective_moments():
     cluster4 = make_cluster(4)
     rho_s = moment_matching_separable_state(4)
     ops = list("xyz")
-    from qlatwit.criteria import collective_j_operators
-
     firsts = [
         abs(expectation(collective_j_operators(rho_s.space)[ax], rho_s)
             - expectation(collective_j_operators(cluster4.space)[ax], cluster4))

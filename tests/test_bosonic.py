@@ -3,38 +3,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ID2, SX, SY, SZ, kron_all, oracle_fock_collective, oracle_heisenberg
+from conftest import (
+    ID2,
+    SX,
+    SY,
+    SZ,
+    collective_j_operators,
+    ground_state,
+    heisenberg_hamiltonian,
+    kron_all,
+    maximal_angular_momentum_check,
+    oracle_collective,
+    oracle_fock_collective,
+    oracle_heisenberg,
+    oracle_pauli_string,
+    schwinger_j,
+    site_number_operator,
+    variance,
+)
 from qlatwit.bosonic import (
     EMPTY,
     SPIN_DOWN,
     SPIN_UP,
     FockLatticeSpec,
     SiteFockSpace,
-    collective_J_fock,
     _heisenberg_sector,
+    _ladder_matrices,
+    _schwinger_matrices,
     embed_qubit_chain,
     heisenberg_ground_state,
-    heisenberg_hamiltonian,
-    lattice_number_operator,
-    maximal_angular_momentum_check,
-    mode_operator,
     occupation_basis_state,
-    schwinger_j,
     singlet_chain,
-    site_number_operator,
-    total_spin_squared,
 )
-from qlatwit.criteria import collective_moments, collective_uncertainty_criterion
-from qlatwit.qcore import (
-    DEGENERACY_GAP,
-    HilbertSpace,
-    PureState,
-    expectation,
-    ground_state,
-    variance,
-)
-from qlatwit.sampling import haar_vector
-from qlatwit.spinchain import ChainSpec, basis_state, pauli_sum
+from qlatwit.criteria import _site_spin_matrices, collective_moments, collective_uncertainty_criterion
+from qlatwit.qcore import DEGENERACY_GAP, HilbertSpace, PureState, _site_sum, expectation
+from qlatwit.sampling import haar_vector, random_separable_density
+from qlatwit.spinchain import ChainSpec, basis_state
 
 SITE1 = SiteFockSpace(1)
 SITE2 = SiteFockSpace(2)
@@ -72,25 +76,30 @@ def test_index_rejects_overfull_site():
 # ladder operators
 
 
+def ladder(space):
+    """The annihilation and creation matrices of mode a on one site."""
+    a = _ladder_matrices(space.n_max)["a"]
+    return a, a.conj().T
+
+
 def test_annihilation_lowers_mode_a():
-    a = mode_operator(SITE2, "a", "annihilate").matrix
+    a, _ = ladder(SITE2)
     assert np.allclose(a @ site_ket(SITE2, 1, 0), site_ket(SITE2, 0, 0))
 
 
 def test_creation_raises_mode_a():
-    ad = mode_operator(SITE2, "a", "create").matrix
+    _, ad = ladder(SITE2)
     assert np.allclose(ad @ site_ket(SITE2, 0, 0), site_ket(SITE2, 1, 0))
 
 
 def test_creation_at_cutoff_maps_to_zero():
-    ad = mode_operator(SITE1, "a", "create").matrix
+    _, ad = ladder(SITE1)
     assert np.allclose(ad @ site_ket(SITE1, 0, 1), 0.0)
 
 
 def test_canonical_commutator_below_cutoff():
     space = SiteFockSpace(3)
-    a = mode_operator(space, "a", "annihilate").matrix
-    ad = mode_operator(space, "a", "create").matrix
+    a, ad = ladder(space)
     comm = a @ ad - ad @ a
     for na, nb in space.basis():
         if na + nb < space.n_max:
@@ -186,14 +195,15 @@ def test_site_variance_uncertainty_relation(rng):
 def test_collective_jz_counts_up_spins():
     lattice = FockLatticeSpec(2, SITE1)
     state = occupation_basis_state(lattice, [SPIN_UP, SPIN_UP])
-    assert expectation(collective_J_fock(lattice, "z"), state) == pytest.approx(1.0, abs=1e-12)
+    jz = collective_j_operators(lattice.space())["z"]
+    assert expectation(jz, state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_collective_spin_vanishes_on_pair_singlet():
     lattice = FockLatticeSpec(2, SITE1)
     state = singlet_chain(1)
-    for ax in "xyz":
-        assert abs(expectation(collective_J_fock(lattice, ax), state)) < 1e-12
+    for op in collective_j_operators(lattice.space()).values():
+        assert abs(expectation(op, state)) < 1e-12
 
 
 def test_embedding_of_basis_states():
@@ -216,12 +226,9 @@ def test_embedding_intertwines_collective_spin(rng):
     # <embed(phi)| J_fock |embed(psi)> = <phi| J_qubit |psi> for every axis
     n = 3
     chain = ChainSpec(n)
-    lattice = FockLatticeSpec(n, SITE1)
-    from qlatwit.spinchain import collective_spin
-
     for ax in "xyz":
-        j_fock = collective_J_fock(lattice, ax).matrix
-        j_qubit = collective_spin(chain, ax).matrix
+        j_fock = oracle_fock_collective(ax, 1, n)
+        j_qubit = oracle_collective(ax, n)
         for _ in range(10):
             phi = haar_vector(2**n, rng)
             psi = haar_vector(2**n, rng)
@@ -247,7 +254,6 @@ def test_embedding_matches_kron_isometry(n, rng):
 def test_collective_fock_matches_qubit_oracle_on_unit_sector():
     # reduction to the spin-1/2 picture under the unit-occupancy embedding
     n = 2
-    lattice = FockLatticeSpec(n, SITE1)
     chain = ChainSpec(n)
     oracle = {
         "x": (kron_all([SX, ID2]) + kron_all([ID2, SX])) / 2,
@@ -255,7 +261,7 @@ def test_collective_fock_matches_qubit_oracle_on_unit_sector():
         "z": (kron_all([SZ, ID2]) + kron_all([ID2, SZ])) / 2,
     }
     for ax in "xyz":
-        j_fock = collective_J_fock(lattice, ax).matrix
+        j_fock = oracle_fock_collective(ax, 1, n)
         for i in range(4):
             bits = [(i >> 1) & 1, i & 1]
             psi = basis_state(chain, bits)
@@ -280,10 +286,10 @@ def test_collective_fock_matches_qubit_oracle_on_unit_sector():
 def test_singlet_chain_variances_vanish():
     for n_pairs in (1, 2):
         state = singlet_chain(n_pairs)
-        lattice = FockLatticeSpec(2 * n_pairs, SITE1)
-        var_sum = sum(variance(collective_J_fock(lattice, ax), state) for ax in "xyz")
+        var_sum = sum(variance(op, state) for op in collective_j_operators(state.space).values())
         assert var_sum < 1e-12
-        assert expectation(lattice_number_operator(lattice), state) == pytest.approx(
+        number = oracle_fock_collective("n", 1, 2 * n_pairs)
+        assert np.vdot(state.amplitudes, number @ state.amplitudes).real == pytest.approx(
             2 * n_pairs, abs=1e-12
         )
 
@@ -294,18 +300,17 @@ def test_heisenberg_two_sites_ground_is_singlet():
     oracle_energy = np.linalg.eigvalsh(oracle)[0]
     assert oracle_energy == pytest.approx(-0.75, abs=1e-12)
 
-    lattice = FockLatticeSpec(2, SITE1)
-    gs = ground_state(heisenberg_hamiltonian(lattice))
+    gs = heisenberg_ground_state(2)
     assert gs.energy == pytest.approx(oracle_energy, abs=1e-10)
-    fidelity = abs(np.vdot(singlet_chain(1).amplitudes, gs.state.amplitudes)) ** 2
+    embedded = embed_qubit_chain(gs.state).amplitudes
+    fidelity = abs(np.vdot(singlet_chain(1).amplitudes, embedded)) ** 2
     assert fidelity > 1 - 1e-10
 
 
 def test_heisenberg_four_sites_ground_is_many_body_singlet():
-    lattice = FockLatticeSpec(4, SITE1)
-    gs = ground_state(heisenberg_hamiltonian(lattice))
+    gs = heisenberg_ground_state(4)
     assert not gs.degenerate
-    assert expectation(total_spin_squared(lattice), gs.state) < 1e-9
+    assert np.trace(collective_moments(gs.state)[1]) < 1e-9
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -327,10 +332,10 @@ def test_heisenberg_sector_solve_matches_dense_fock_ground_state(n):
     assert j2_got == pytest.approx(j2_want, abs=1e-9)
 
 
-def unit_filling_fock_index(i, n):
+def unit_filling_fock_index(i, n, site=SITE1):
     """Fock index of qubit index i: bit 0 is one atom in mode a, bit 1 one in mode b."""
     bits = [(i >> (n - k)) & 1 for k in range(1, n + 1)]
-    return sum(SITE1.index(*(SPIN_DOWN if b else SPIN_UP)) * 3 ** (n - k)
+    return sum(site.index(*(SPIN_DOWN if b else SPIN_UP)) * site.dim ** (n - k)
                for k, b in enumerate(bits, start=1))
 
 
@@ -346,9 +351,7 @@ def test_heisenberg_sector_matches_kron_oracle_block(n):
 def test_heisenberg_sector_matches_pauli_chain_block(n):
     states, mat = _heisenberg_sector(n)
     assert all(bin(int(i)).count("1") == n // 2 for i in states)
-    chain = ChainSpec(n)
-    terms = [(0.25, {k: a, k + 1: a}) for k in range(1, n) for a in "xyz"]
-    dense = pauli_sum(chain, terms).matrix
+    dense = sum(0.25 * oracle_pauli_string({k: a, k + 1: a}, n) for k in range(1, n) for a in "xyz")
     assert np.allclose(mat, dense[np.ix_(states, states)], atol=1e-12)
     # popcount n // 2 is one closed sector: no bond leaves it
     others = np.setdiff1d(np.arange(2**n), states)
@@ -356,32 +359,17 @@ def test_heisenberg_sector_matches_pauli_chain_block(n):
 
 
 def test_heisenberg_commutes_with_collective_spin():
-    lattice = FockLatticeSpec(3, SITE1)
-    h = heisenberg_hamiltonian(lattice).matrix
+    h = oracle_heisenberg(1, 3, +1)
     for ax in "xyz":
-        j = collective_J_fock(lattice, ax).matrix
+        j = oracle_fock_collective(ax, 1, 3)
         assert np.abs(h @ j - j @ h).max() < 1e-12
-
-
-def test_ferromagnetic_sign_flips_spectrum():
-    lattice = FockLatticeSpec(2, SITE1)
-    af = heisenberg_hamiltonian(lattice, sign=+1).matrix
-    fm = heisenberg_hamiltonian(lattice, sign=-1).matrix
-    assert np.allclose(af, -fm)
 
 
 def test_total_spin_squared_eigenvalues():
     lattice = FockLatticeSpec(2, SITE1)
-    j2 = total_spin_squared(lattice)
-    assert expectation(j2, singlet_chain(1)) == pytest.approx(0.0, abs=1e-12)
     up_up = occupation_basis_state(lattice, [SPIN_UP, SPIN_UP])
-    assert expectation(j2, up_up) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_total_spin_squared_ground_energy_is_zero():
-    lattice = FockLatticeSpec(4, SITE1)
-    gs = ground_state(total_spin_squared(lattice))
-    assert gs.energy == pytest.approx(0.0, abs=1e-10)
+    for state, want in ((singlet_chain(1), 0.0), (up_up, 2.0)):
+        assert np.trace(collective_moments(state)[1]) == pytest.approx(want, abs=1e-12)
 
 
 def test_lattice_dimension_cap_enforced():
@@ -399,30 +387,45 @@ def test_empty_site_is_spin_zero(seed, n_max):
 
 
 # ---------------------------------------------------------------------------
-# dense builders against the kron-built oracles
+# the package's site-by-site operators and sector block against the kron oracles
 
 FOCK_SIZES = [(cutoff, n) for cutoff in (1, 2) for n in (2, 3, 4)]
 
 
 @pytest.mark.parametrize("cutoff,n", FOCK_SIZES)
 def test_collective_and_number_operators_match_kron_oracle(cutoff, n):
-    lattice = FockLatticeSpec(n, SiteFockSpace(cutoff))
-    for ax in "xyz":
-        got = collective_J_fock(lattice, ax).matrix
-        assert np.allclose(got, oracle_fock_collective(ax, cutoff, n), atol=1e-12)
-    got = lattice_number_operator(lattice).matrix
-    assert np.allclose(got, oracle_fock_collective("n", cutoff, n), atol=1e-12)
+    # the site sums applied to every basis vector give their dense matrices
+    space = FockLatticeSpec(n, SiteFockSpace(cutoff)).space()
+    eye = np.eye(space.dim, dtype=complex)
+    js = _site_sum(_site_spin_matrices(space), space, eye)
+    for k, ax in enumerate("xyz"):
+        assert np.allclose(js[k], oracle_fock_collective(ax, cutoff, n), atol=1e-12)
+    number = _site_sum(_schwinger_matrices(SiteFockSpace(cutoff))["n"], space, eye)
+    assert np.allclose(number, oracle_fock_collective("n", cutoff, n), atol=1e-12)
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
 @pytest.mark.parametrize("cutoff,n", FOCK_SIZES)
 def test_heisenberg_matches_kron_oracle(cutoff, n, sign):
-    got = heisenberg_hamiltonian(FockLatticeSpec(n, SiteFockSpace(cutoff)), sign).matrix
-    assert np.allclose(got, oracle_heisenberg(cutoff, n, sign), atol=1e-12)
+    # heisenberg_ground_state solves this unit-filling block at every cutoff,
+    # and no bond leaves it
+    site = SiteFockSpace(cutoff)
+    states, mat = _heisenberg_sector(n)
+    fock = [unit_filling_fock_index(int(i), n, site) for i in states]
+    dense = oracle_heisenberg(cutoff, n, sign)
+    assert np.allclose(sign * mat, dense[np.ix_(fock, fock)], atol=1e-12)
+    others = np.setdiff1d(np.arange(len(dense)), fock)
+    assert np.abs(dense[np.ix_(others, fock)]).max() < 1e-12
 
 
 @pytest.mark.parametrize("cutoff,n", FOCK_SIZES)
-def test_total_spin_squared_matches_kron_oracle(cutoff, n):
-    got = total_spin_squared(FockLatticeSpec(n, SiteFockSpace(cutoff))).matrix
+def test_total_spin_squared_matches_kron_oracle(cutoff, n, rng):
+    space = FockLatticeSpec(n, SiteFockSpace(cutoff)).space()
     js = [oracle_fock_collective(ax, cutoff, n) for ax in "xyz"]
-    assert np.allclose(got, sum(j @ j for j in js), atol=1e-12)
+    j2 = sum(j @ j for j in js)
+    psi = haar_vector(space.dim, rng)
+    pure = np.trace(collective_moments(PureState(space, psi))[1])
+    assert pure == pytest.approx(np.vdot(psi, j2 @ psi).real, abs=1e-12)
+    rho = random_separable_density(space, rng)
+    mixed = np.trace(collective_moments(rho)[1])
+    assert mixed == pytest.approx(np.trace(rho.matrix @ j2).real, abs=1e-12)

@@ -207,13 +207,6 @@ def test_model_validates_weight_range():
         DecoherenceModel("amplitude", 0.9)
 
 
-def test_model_from_rate():
-    model = DecoherenceModel.from_rate("phase_flip", kappa=2.0, t_d=0.5)
-    assert model.p == pytest.approx((1 + math.exp(-1.0)) / 2, abs=1e-12)
-    with pytest.raises(ValueError):
-        DecoherenceModel.from_rate("phase_flip", kappa=-1.0, t_d=0.5)
-
-
 # ---------------------------------------------------------------------------
 # the echo experiment
 

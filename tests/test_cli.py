@@ -207,6 +207,20 @@ def test_heisenberg_refuses_a_sector_past_the_cap(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["singlet-suite", "--n", "1000"], ["singlet-suite", "--n", "100000000"],
+     ["heisenberg", "--n", "1000000"]],
+)
+def test_oversized_lattices_are_refused_in_one_short_line(argv, capsys):
+    # the exact dimension would be a number of up to ~10^8 digits; it is never formed
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err) < 200
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # moments-compare
 

@@ -11,6 +11,7 @@ from conftest import (
     oracle_fock_collective,
     oracle_site_pauli,
     oracle_squeezing_grid,
+    tilde_sigma_x,
 )
 from qlatwit import bosonic, sampling
 from qlatwit.criteria import (
@@ -41,7 +42,7 @@ from qlatwit.qcore import (
     negativity,
     pure_to_density,
 )
-from qlatwit.spinchain import ChainSpec, ClusterSpec, cluster_state, product_state, tilde_sigma_x
+from qlatwit.spinchain import ChainSpec, ClusterSpec, cluster_state, product_state
 
 TILTED_XZ = Direction.normalized(1.0, 0.0, 1.0)
 
@@ -239,10 +240,7 @@ def test_collective_uncertainty_product_saturates():
 
 
 def test_collective_uncertainty_heisenberg_ground_state():
-    from qlatwit.qcore import ground_state
-
-    lattice = bosonic.FockLatticeSpec(4, bosonic.SiteFockSpace(1))
-    gs = ground_state(bosonic.heisenberg_hamiltonian(lattice))
+    gs = bosonic.heisenberg_ground_state(4)
     rep = collective_uncertainty_criterion(gs.state)
     assert rep.value == pytest.approx(0.0, abs=1e-9)
     assert rep.violated

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ID2, SX, SY, SZ, kron_all
+from conftest import oracle_pulse_generator, pulse_unitary
 from qlatwit import bosonic
 from qlatwit.optimize import (
     PulseParams,
+    _sector_generator,
     optimize_pulse,
-    pulse_generator,
     pulse_state,
-    pulse_unitary,
     violation_ratio,
 )
 from qlatwit.qcore import PureState
@@ -18,7 +17,7 @@ from qlatwit.spinchain import ChainSpec, basis_state, product_state
 
 REFERENCE_PULSE = PulseParams(-3.2, -9.6, 0.8)
 # frozen regression value of the reference pulse on a 6-site chain under the
-# open-sum conventions of pulse_generator
+# open-sum conventions of the generator in the qlatwit.optimize docstring
 REFERENCE_RATIO = 0.49265671385397736
 
 
@@ -55,14 +54,6 @@ def test_pulse_unitarity_on_random_parameters(rng):
         params = PulseParams(*rng.uniform(-10, 10, size=3))
         u = pulse_unitary(chain, params).matrix
         assert np.abs(u @ u.conj().T - eye).max() < 1e-10
-
-
-def test_generator_is_hermitian_and_capped():
-    chain = ChainSpec(4)
-    g = pulse_generator(chain, REFERENCE_PULSE)
-    assert np.abs(g.matrix - g.matrix.conj().T).max() < 1e-12
-    with pytest.raises(ValueError, match="cap"):
-        pulse_generator(ChainSpec(11), REFERENCE_PULSE)
 
 
 def test_reference_pulse_violation_ratio():
@@ -137,26 +128,16 @@ def test_optimizer_rejects_empty_budget():
         optimize_pulse(ChainSpec(4), REFERENCE_PULSE, budget=0)
 
 
-def oracle_pulse_generator(n, params):
-    """The pulse generator from kron products of sigma / 2, one matrix per term."""
-    def site_term(k, mats):
-        # mats act on the sites from k on, identity elsewhere
-        return kron_all([ID2] * (k - 1) + mats + [ID2] * (n - k - len(mats) + 1))
-
-    g = sum(
-        params.theta_xx * site_term(k, [SX / 2, SX / 2])
-        + params.theta_yy * site_term(k, [SY / 2, SY / 2])
-        for k in range(1, n)
-    )
-    return g + sum(params.theta_z * site_term(k, [SZ / 2]) for k in range(1, n + 1))
-
-
 @pytest.mark.parametrize("n", range(2, 7))
 def test_generator_matches_kron_oracle(n, rng):
+    # the even-parity block that pulse_state solves, and no term leaves it
     for _ in range(5):
         params = PulseParams(*rng.uniform(-10, 10, size=3))
-        got = pulse_generator(ChainSpec(n), params).matrix
-        assert np.allclose(got, oracle_pulse_generator(n, params), atol=1e-12)
+        even, gen = _sector_generator(n, params)
+        odd = np.setdiff1d(np.arange(2**n), even)
+        dense = oracle_pulse_generator(n, params)
+        assert np.allclose(gen, dense[np.ix_(even, even)], atol=1e-12)
+        assert np.abs(dense[np.ix_(odd, even)]).max() == 0.0
 
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ID2, SX, SY, SZ, kron_all, oracle_site_pauli
+from conftest import ID2, SX, SY, SZ, ground_state, kron_all, variance
 from qlatwit.qcore import (
     DensityMatrix,
     HilbertSpace,
@@ -14,15 +14,11 @@ from qlatwit.qcore import (
     _site_block,
     dim_cap,
     expectation,
-    ground_state,
-    matrix_exponential,
     negativity,
     partial_trace,
     pure_to_density,
-    tensor_product,
-    variance,
 )
-from qlatwit.sampling import haar_vector, random_hermitian, random_product_state
+from qlatwit.sampling import haar_vector, random_product_state
 
 Q1 = HilbertSpace((2,))
 Q2 = HilbertSpace((2, 2))
@@ -167,40 +163,7 @@ def test_values_are_immutable():
 
 
 # ---------------------------------------------------------------------------
-# tensor products
-
-
-def test_tensor_basis_states():
-    out = tensor_product(KET0, KET1)
-    assert np.allclose(out.amplitudes, [0, 1, 0, 0])
-
-
-def test_tensor_operator_single_site_flip():
-    sx_i = tensor_product(op1(SX), op1(ID2))
-    zero_zero = tensor_product(KET0, KET0)
-    assert np.allclose(sx_i.matrix @ zero_zero.amplitudes, [0, 0, 1, 0])  # |10>
-
-
-def test_tensor_singlet_assembly():
-    v = (
-        tensor_product(KET0, KET1).amplitudes - tensor_product(KET1, KET0).amplitudes
-    ) / np.sqrt(2)
-    assert np.allclose(v, [0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0])
-
-
-def test_tensor_mixed_kinds_rejected():
-    with pytest.raises(ValueError, match="mixture"):
-        tensor_product(KET0, op1(SX))
-
-
-def test_tensor_site_order_is_left_to_right():
-    left = tensor_product(KET0, KET1)
-    right = tensor_product(KET1, KET0)
-    assert not np.allclose(left.amplitudes, right.amplitudes)
-
-
-# ---------------------------------------------------------------------------
-# expectation and variance
+# expectation, and the variance reference in conftest
 
 
 def test_expectation_eigenstate():
@@ -212,7 +175,7 @@ def test_expectation_orthogonal_component():
 
 
 def test_expectation_singlet_anticorrelation():
-    zz = tensor_product(op1(SZ), op1(SZ))
+    zz = LinearOperator(Q2, np.kron(SZ, SZ), hermitian_hint=True)
     assert expectation(zz, SINGLET) == pytest.approx(-1.0, abs=1e-14)
 
 
@@ -237,16 +200,7 @@ def test_variance_of_sigma_x_on_z_up():
 
 def test_variance_collective_z_on_product():
     jz = LinearOperator(Q2, (np.kron(SZ, ID2) + np.kron(ID2, SZ)) / 2, hermitian_hint=True)
-    assert variance(jz, tensor_product(KET0, KET0)) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_variance_on_diagonal_density_matrix():
-    rho = DensityMatrix(Q2, np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex))
-    op = tensor_product(op1(SX), op1(SZ))
-    dense = expectation(
-        LinearOperator(Q2, op.matrix @ op.matrix, hermitian_hint=True), rho
-    ) - expectation(op, rho) ** 2
-    assert variance(op, rho) == pytest.approx(dense, abs=1e-12)
+    assert variance(jz, ket(1, 0, 0, 0)) == pytest.approx(0.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +208,7 @@ def test_variance_on_diagonal_density_matrix():
 
 
 def test_partial_trace_product_state():
-    rho = pure_to_density(tensor_product(KET0, KET0))
+    rho = pure_to_density(ket(1, 0, 0, 0))
     red = partial_trace(rho, [1])
     assert np.allclose(red.matrix, [[1, 0], [0, 0]])
 
@@ -291,41 +245,7 @@ def test_partial_trace_rejects_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# matrix exponential
-
-
-def test_expm_zero_scale_is_identity():
-    h = op1(SZ)
-    out = matrix_exponential(h, 0.0)
-    assert np.allclose(out.matrix, np.eye(2), atol=1e-12)
-
-
-def test_expm_pauli_rotation_identity():
-    out = matrix_exponential(op1(SX), -1j * np.pi / 2)
-    assert np.allclose(out.matrix, -1j * SX, atol=1e-10)
-
-
-@pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
-def test_expm_unitarity(t):
-    u = matrix_exponential(op1(SZ), -1j * t).matrix
-    assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-10
-
-
-def test_expm_matches_scipy_for_non_hermitian(rng):
-    import scipy.linalg
-
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    op = LinearOperator(Q2, m)
-    ours = matrix_exponential(op, 0.3 + 0.2j).matrix
-    ref = scipy.linalg.expm((0.3 + 0.2j) * m)
-    assert np.abs(ours - ref).max() < 1e-10
-
-
-def test_expm_respects_dimension_cap(monkeypatch):
-    monkeypatch.setenv("QLATWIT_DIM_CAP", "2")
-    op = LinearOperator(Q2, np.kron(SZ, SZ), hermitian_hint=True)
-    with pytest.raises(ValueError, match="cap"):
-        matrix_exponential(op, 1.0)
+# dimension cap
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-1"])
@@ -340,7 +260,7 @@ def test_dimension_cap_must_be_a_positive_integer(monkeypatch, raw):
 
 
 def test_negativity_product_state_zero():
-    rho = pure_to_density(tensor_product(KET0, KET1))
+    rho = pure_to_density(ket(0, 1, 0, 0))
     assert negativity(rho, [1]) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -382,7 +302,7 @@ def test_negativity_zero_for_random_products(rng):
 
 
 # ---------------------------------------------------------------------------
-# ground states
+# the ground-state reference in conftest
 
 
 def test_ground_state_sigma_z():
@@ -401,29 +321,6 @@ def test_ground_state_total_spin_two_qubits():
     assert fid == pytest.approx(1.0, abs=1e-10)
 
 
-def test_ground_state_heisenberg_matches_dense_oracle():
-    n = 4
-    h = sum(
-        (
-            oracle_site_pauli("x", k, n) @ oracle_site_pauli("x", k + 1, n)
-            + oracle_site_pauli("y", k, n) @ oracle_site_pauli("y", k + 1, n)
-            + oracle_site_pauli("z", k, n) @ oracle_site_pauli("z", k + 1, n)
-        )
-        / 4
-        for k in range(1, n)
-    )
-    oracle_energy = np.linalg.eigvalsh(h)[0]
-    gs = ground_state(LinearOperator(HilbertSpace((2,) * n), h, hermitian_hint=True))
-    assert gs.energy == pytest.approx(oracle_energy, abs=1e-10)
-    assert not gs.degenerate
-
-
-def test_ground_state_requires_hermitian():
-    raising = LinearOperator(Q1, np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(ValueError, match="hermitian"):
-        ground_state(raising)
-
-
 def test_ground_state_flags_degeneracy():
     flat = LinearOperator(Q1, np.zeros((2, 2), dtype=complex), hermitian_hint=True)
     assert ground_state(flat).degenerate
@@ -438,19 +335,11 @@ def test_pure_and_density_expectations_agree(rng):
         dim = int(rng.integers(2, 9))
         space = HilbertSpace((dim,), kind="generic")
         psi = PureState(space, haar_vector(dim, rng))
-        op = LinearOperator(space, random_hermitian(dim, rng), hermitian_hint=True)
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        op = LinearOperator(space, m + m.conj().T, hermitian_hint=True)
         a = expectation(op, psi)
         b = expectation(op, pure_to_density(psi))
         assert abs(a - b) < 1e-12 * max(1.0, abs(a))
-
-
-@settings(max_examples=30, deadline=None)
-@given(t=st.floats(min_value=-20, max_value=20, allow_nan=False), seed=st.integers(0, 2**31))
-def test_expm_of_hermitian_is_unitary(t, seed):
-    gen = np.random.default_rng(seed)
-    h = LinearOperator(Q2, random_hermitian(4, gen), hermitian_hint=True)
-    u = matrix_exponential(h, -1j * t).matrix
-    assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-10
 
 
 @settings(max_examples=30, deadline=None)
@@ -459,13 +348,14 @@ def test_variance_is_nonnegative(seed):
     gen = np.random.default_rng(seed)
     space = HilbertSpace((2, 2))
     psi = PureState(space, haar_vector(4, gen))
-    op = LinearOperator(space, random_hermitian(4, gen), hermitian_hint=True)
+    m = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
+    op = LinearOperator(space, m + m.conj().T, hermitian_hint=True)
     assert variance(op, psi) >= 0.0
 
 
 def test_apply_site_reads_block_size_from_the_matrix(rng):
     space = HilbertSpace((2, 3, 3, 2), kind="generic")
-    a, b = random_hermitian(3, rng), random_hermitian(3, rng)
+    a, b = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
     values = rng.normal(size=(space.dim, 5)) + 1j * rng.normal(size=(space.dim, 5))
     eye3 = np.eye(3)
     # one-site a on site 2, two-site kron(a, b) on sites 2 and 3

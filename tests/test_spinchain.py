@@ -4,30 +4,27 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ID2, PAULIS, kron_all, oracle_collective, oracle_site_pauli
-from qlatwit.qcore import LinearOperator, PureState, expectation
-from qlatwit.sampling import (
-    haar_vector,
-    random_direction,
-    random_hermitian,
-    random_separable_density,
+from conftest import (
+    collective_j_operators,
+    oracle_collective,
+    oracle_pauli_string,
+    oracle_site_pauli,
+    oracle_tilde,
+    tilde_sigma_x,
 )
+from qlatwit.criteria import _site_spin_matrices
+from qlatwit.qcore import LinearOperator, PureState, _site_sum, expectation
+from qlatwit.sampling import haar_vector, random_direction, random_separable_density
 from qlatwit.spinchain import (
     ChainSpec,
     ClusterSpec,
     basis_state,
     cluster_state,
-    collective_spin,
-    conjugate_by_phase_gate,
-    evolve,
-    pauli,
-    pauli_string,
-    pauli_sum,
     pauli_sum_moments,
-    phase_gate_unitary,
+    phase_gate_diagonal,
     plus_chain,
     product_state,
-    tilde_sigma_x,
+    tilde_factors,
 )
 
 
@@ -37,56 +34,35 @@ def witness_value(state, n):
 
 
 # ---------------------------------------------------------------------------
-# Pauli builders
+# Pauli strings
 
 
 def test_pauli_z_on_basis_state():
-    chain = ChainSpec(2)
-    psi = basis_state(chain, [0, 1])
-    out = pauli(chain, 1, "z").matrix @ psi.amplitudes
+    psi = basis_state(ChainSpec(2), [0, 1])
+    out = oracle_site_pauli("z", 1, 2) @ psi.amplitudes
     assert np.allclose(out, psi.amplitudes)
 
 
 def test_pauli_x_flips_site_two():
     chain = ChainSpec(2)
-    out = pauli(chain, 2, "x").matrix @ basis_state(chain, [0, 0]).amplitudes
+    out = oracle_site_pauli("x", 2, 2) @ basis_state(chain, [0, 0]).amplitudes
     assert np.allclose(out, basis_state(chain, [0, 1]).amplitudes)
 
 
 def test_pauli_commutator_algebra():
-    chain = ChainSpec(3)
-    x, y, z = (pauli(chain, 2, ax).matrix for ax in "xyz")
+    x, y, z = (oracle_site_pauli(ax, 2, 3) for ax in "xyz")
     assert np.abs(x @ y - y @ x - 2j * z).max() < 1e-12
 
 
 def test_pauli_site_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        pauli(ChainSpec(2), 3, "x")
-
-
-def test_pauli_matches_oracle():
-    chain = ChainSpec(4)
-    for k in range(1, 5):
-        for ax in "xyz":
-            assert np.allclose(pauli(chain, k, ax).matrix, oracle_site_pauli(ax, k, 4))
+        pauli_sum_moments(basis_state(ChainSpec(2), [0, 0]), [{3: "x"}])
 
 
 @st.composite
 def pauli_strings(draw, n):
     sites = draw(st.sets(st.integers(1, n), max_size=n))
     return {site: draw(st.sampled_from("xyz")) for site in sorted(sites)}
-
-
-def oracle_pauli_string(factors, n):
-    return kron_all([PAULIS[factors[s]] if s in factors else ID2 for s in range(1, n + 1)])
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(2, 8))
-def test_pauli_string_matches_kron_oracle(data, n):
-    factors = data.draw(pauli_strings(n))
-    got = pauli_string(ChainSpec(n), factors).matrix
-    assert np.array_equal(got, oracle_pauli_string(factors, n))
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,7 +85,7 @@ def test_pauli_sum_moments_match_dense_oracle(data, n, n_terms, seed):
 
 def test_pauli_rejects_unknown_axis():
     with pytest.raises(ValueError, match="axis"):
-        pauli(ChainSpec(2), 1, "w")
+        pauli_sum_moments(basis_state(ChainSpec(2), [0, 0]), [{1: "w"}])
 
 
 # ---------------------------------------------------------------------------
@@ -117,34 +93,25 @@ def test_pauli_rejects_unknown_axis():
 
 
 def test_tilde_left_boundary_drops_z():
-    got = tilde_sigma_x(ChainSpec(4), 1).matrix
-    want = oracle_site_pauli("x", 1, 4) @ oracle_site_pauli("z", 2, 4)
-    assert np.allclose(got, want)
+    assert tilde_factors(ChainSpec(4), 1) == {1: "x", 2: "z"}
 
 
 def test_tilde_interior_definition():
-    got = tilde_sigma_x(ChainSpec(4), 2).matrix
-    want = (
-        oracle_site_pauli("z", 1, 4)
-        @ oracle_site_pauli("x", 2, 4)
-        @ oracle_site_pauli("z", 3, 4)
-    )
-    assert np.allclose(got, want)
+    assert tilde_factors(ChainSpec(4), 2) == {1: "z", 2: "x", 3: "z"}
 
 
 def test_tilde_squares_to_identity():
-    op = tilde_sigma_x(ChainSpec(5), 3).matrix
+    op = oracle_tilde(3, 5)
     assert np.abs(op @ op - np.eye(32)).max() < 1e-12
 
 
 def test_tilde_out_of_range():
     with pytest.raises(ValueError):
-        tilde_sigma_x(ChainSpec(4), 5)
+        tilde_factors(ChainSpec(4), 5)
 
 
 def test_tilde_operators_mutually_commute():
-    chain = ChainSpec(5)
-    ops = [tilde_sigma_x(chain, k).matrix for k in range(1, 6)]
+    ops = [oracle_tilde(k, 5) for k in range(1, 6)]
     for a in ops:
         for b in ops:
             assert np.abs(a @ b - b @ a).max() < 1e-10
@@ -157,14 +124,15 @@ def test_tilde_operators_mutually_commute():
 def test_collective_z_on_all_up():
     chain = ChainSpec(4)
     psi = basis_state(chain, [0, 0, 0, 0])
-    assert expectation(collective_spin(chain, "z"), psi) == pytest.approx(2.0, abs=1e-12)
+    jz = collective_j_operators(chain.space())["z"]
+    assert expectation(jz, psi) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_collective_spin_vanishes_on_cluster(rng):
     n = 5
     chain = ChainSpec(n)
     state = cluster_state(ClusterSpec(chain, (1,) * n))
-    ops = {ax: collective_spin(chain, ax) for ax in "xyz"}
+    ops = collective_j_operators(chain.space())
     for ax in "xyz":
         assert abs(expectation(ops[ax], state)) < 1e-10
     for _ in range(20):
@@ -174,12 +142,22 @@ def test_collective_spin_vanishes_on_cluster(rng):
         assert abs(expectation(op, state)) < 1e-10
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_collective_spin_matches_kron_oracle(n):
+    # the site sums applied to every basis vector give their dense matrices
+    space = ChainSpec(n).space()
+    js = _site_sum(_site_spin_matrices(space), space, np.eye(space.dim, dtype=complex))
+    for k, ax in enumerate("xyz"):
+        assert np.array_equal(js[k], oracle_collective(ax, n))
+
+
 def test_collective_z_on_singlet_pair():
     chain = ChainSpec(2)
     from qlatwit.qcore import PureState
 
     singlet = PureState(chain.space(), np.array([0, 1, -1, 0]) / np.sqrt(2))
-    assert expectation(collective_spin(chain, "z"), singlet) == pytest.approx(0.0, abs=1e-12)
+    jz = collective_j_operators(chain.space())["z"]
+    assert expectation(jz, singlet) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +166,10 @@ def test_collective_z_on_singlet_pair():
 
 def test_phase_gate_action_on_z_basis():
     chain = ChainSpec(2)
-    u = phase_gate_unitary(chain).matrix
+    d = phase_gate_diagonal(chain)
     for bits, phase in [((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), -1)]:
         psi = basis_state(chain, list(bits)).amplitudes
-        assert np.allclose(u @ psi, phase * psi)
+        assert np.allclose(d * psi, phase * psi)
 
 
 def test_phase_gate_matches_exponential_oracle():
@@ -204,45 +182,47 @@ def test_phase_gate_matches_exponential_oracle():
             zk1 = oracle_site_pauli("z", k + 1, n)
             gen += (eye - zk) @ (eye - zk1)
         want = scipy.linalg.expm(1j * np.pi / 4 * gen)
-        got = phase_gate_unitary(ChainSpec(n)).matrix
+        got = np.diag(phase_gate_diagonal(ChainSpec(n)))
         assert np.abs(got - want).max() < 1e-10
 
 
 def test_phase_gate_is_unitary_and_diagonal():
-    u = phase_gate_unitary(ChainSpec(4)).matrix
-    assert np.abs(u @ u.conj().T - np.eye(16)).max() < 1e-10
-    assert np.abs(u - np.diag(np.diagonal(u))).max() == 0.0
+    # a real diagonal gate is unitary, Hermitian and an involution when every entry is +-1
+    d = phase_gate_diagonal(ChainSpec(4))
+    assert d.shape == (16,)
+    assert np.array_equal(np.abs(d), np.ones(16))
 
 
 def test_phase_gate_squared_restores_z_products():
     # diagonal phases are +-1, so the square is exactly the identity
     chain = ChainSpec(3)
-    u = phase_gate_unitary(chain).matrix
+    d = phase_gate_diagonal(chain)
     for idx in range(8):
         bits = [(idx >> (2 - b)) & 1 for b in range(3)]
         psi = basis_state(chain, bits).amplitudes
-        out = u @ (u @ psi)
-        overlap = np.vdot(psi, out)
+        overlap = np.vdot(psi, d * (d * psi))
         assert abs(abs(overlap) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_conjugation_identity_all_sites(n):
-    chain = ChainSpec(n)
+    # U sigma_x^(k) U = K_k, the three-site correlator, for the diagonal gate U
+    d = phase_gate_diagonal(ChainSpec(n))
     for k in range(1, n + 1):
-        got = conjugate_by_phase_gate(chain, k).matrix
-        want = tilde_sigma_x(chain, k).matrix
-        assert np.abs(got - want).max() < 1e-10
+        got = d[:, None] * oracle_site_pauli("x", k, n) * d[None, :]
+        assert np.abs(got - oracle_tilde(k, n)).max() < 1e-10
 
 
 def test_conjugation_boundary_case_two_sites():
-    got = conjugate_by_phase_gate(ChainSpec(2), 1).matrix
+    d = phase_gate_diagonal(ChainSpec(2))
+    got = d[:, None] * oracle_site_pauli("x", 1, 2) * d[None, :]
     want = oracle_site_pauli("x", 1, 2) @ oracle_site_pauli("z", 2, 2)
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_conjugation_result_is_hermitian_involution():
-    op = conjugate_by_phase_gate(ChainSpec(3), 2).matrix
+    d = phase_gate_diagonal(ChainSpec(3))
+    op = d[:, None] * oracle_site_pauli("x", 2, 3) * d[None, :]
     assert np.abs(op - op.conj().T).max() < 1e-12
     assert np.abs(op @ op - np.eye(8)).max() < 1e-12
 
@@ -255,7 +235,7 @@ def test_cluster_eigen_residuals_two_sites():
     chain = ChainSpec(2)
     state = cluster_state(ClusterSpec(chain, (1, 1)))
     for k in (1, 2):
-        resid = tilde_sigma_x(chain, k).matrix @ state.amplitudes - state.amplitudes
+        resid = oracle_tilde(k, 2) @ state.amplitudes - state.amplitudes
         assert np.linalg.norm(resid) < 1e-10
 
 
@@ -278,7 +258,7 @@ def test_cluster_alternating_sector_squared_sum():
 def test_cluster_equals_phase_gated_plus_chain(n):
     chain = ChainSpec(n)
     via_projector = cluster_state(ClusterSpec(chain, (1,) * n))
-    via_gate = phase_gate_unitary(chain).matrix @ plus_chain(chain).amplitudes
+    via_gate = phase_gate_diagonal(chain) * plus_chain(chain).amplitudes
     fidelity = abs(np.vdot(via_gate, via_projector.amplitudes)) ** 2
     assert fidelity > 1 - 1e-10
 
@@ -292,7 +272,7 @@ def test_cluster_eigen_residuals_any_sector(lambdas):
     chain = ChainSpec(n)
     state = cluster_state(ClusterSpec(chain, lambdas))
     for k in range(1, n + 1):
-        out = tilde_sigma_x(chain, k).matrix @ state.amplitudes
+        out = oracle_tilde(k, n) @ state.amplitudes
         assert np.linalg.norm(out - lambdas[k - 1] * state.amplitudes) < 1e-10
 
 
@@ -325,57 +305,3 @@ def test_all_x_up_product_gives_zero_witness():
 def test_product_state_rejects_bad_spec():
     with pytest.raises(ValueError):
         product_state([("x", 1), ("w", 1)])
-
-
-# ---------------------------------------------------------------------------
-# evolution
-
-
-def test_evolve_zero_time_is_identity():
-    chain = ChainSpec(2)
-    psi = plus_chain(chain)
-    out = evolve(collective_spin(chain, "z"), 0.0, psi)
-    assert np.allclose(out.amplitudes, psi.amplitudes, atol=1e-12)
-
-
-def test_evolve_pi_rotation_flips_x_eigenstates():
-    # a pi rotation about z (spin = sigma/2) sends +x to -x up to phase
-    chain = ChainSpec(2)
-    h = collective_spin(chain, "z")
-    psi = product_state([("x", 1), ("x", 1)])
-    target = product_state([("x", -1), ("x", -1)])
-    out = evolve(h, np.pi, psi)
-    fidelity = abs(np.vdot(target.amplitudes, out.amplitudes)) ** 2
-    assert fidelity == pytest.approx(1.0, abs=1e-10)
-
-
-def test_evolve_norm_drift_stays_small(rng):
-    chain = ChainSpec(3)
-    h = LinearOperator(chain.space(), random_hermitian(8, rng), hermitian_hint=True)
-    psi = plus_chain(chain)
-    out = evolve(h, 100.0, psi)
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
-
-
-def test_evolve_requires_hermitian_generator():
-    chain = ChainSpec(2)
-    bad = LinearOperator(chain.space(), np.triu(np.ones((4, 4), dtype=complex)))
-    with pytest.raises(ValueError, match="Hermitian"):
-        evolve(bad, 1.0, plus_chain(chain))
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), n=st.integers(2, 8), n_terms=st.integers(1, 4))
-def test_pauli_sum_matches_kron_oracle(data, n, n_terms):
-    terms = [
-        (data.draw(st.floats(-5, 5)), data.draw(pauli_strings(n))) for _ in range(n_terms)
-    ]
-    got = pauli_sum(ChainSpec(n), terms).matrix
-    want = sum(w * oracle_pauli_string(f, n) for w, f in terms)
-    assert np.allclose(got, want, atol=1e-12)
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_collective_spin_matches_kron_oracle(n):
-    for ax in "xyz":
-        assert np.array_equal(collective_spin(ChainSpec(n), ax).matrix, oracle_collective(ax, n))

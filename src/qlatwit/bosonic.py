@@ -137,7 +137,8 @@ def embed_qubit_chain(state: PureState) -> PureState:
         raise ValueError("embed_qubit_chain expects a qubit-chain state")
     n = state.space.n_sites
     lattice = FockLatticeSpec(n, SiteFockSpace(1))
-    fock_index = (1 + spinchain._bit_table(n)) @ 3 ** np.arange(n - 1, -1, -1)
+    idx = np.arange(state.space.dim)
+    fock_index = sum((1 + ((idx >> s) & 1)) * 3**s for s in range(n))
     amps = np.zeros(lattice.space().dim, dtype=complex)
     amps[fock_index] = state.amplitudes
     return PureState(lattice.space(), amps)
@@ -166,22 +167,12 @@ def singlet_chain(n_pairs: int) -> PureState:
 def _heisenberg_sector(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     """The open chain sum_k S_k . S_{k+1} on the qubit-chain indices with popcount n // 2.
 
-    Returns those indices, ascending, and the real symmetric matrix on them.
-    With m_k the bit of site k, each bond adds +1/4 to the diagonal when its
-    two bits are equal and -1/4 when they differ, and an antiparallel bond
-    links i to i ^ (m_k | m_{k+1}) with weight 1/2.
+    Returns those indices, ascending, and the real symmetric matrix on them
+    from ``spinchain._chain_generator`` at unit couplings: the bond's
+    equal-bits hop has weight zero, so no term leaves the sector.
     """
-    masks = spinchain._site_masks(n_sites)
-    table = spinchain._bit_table(n_sites)
-    in_sector = table.sum(axis=1) == n_sites // 2
-    states = np.flatnonzero(in_sector)
-    antiparallel = table[in_sector, :-1] != table[in_sector, 1:]
-    rows = np.arange(states.size)
-    mat = np.diag((n_sites - 1) / 4 - antiparallel.sum(axis=1) / 2)
-    for k in range(n_sites - 1):
-        flip = antiparallel[:, k]
-        mat[rows[flip], np.searchsorted(states, states[flip] ^ (masks[k] | masks[k + 1]))] = 0.5
-    return states, mat
+    states = np.flatnonzero(spinchain._popcount(np.arange(2**n_sites), n_sites) == n_sites // 2)
+    return states, spinchain._chain_generator(n_sites, states, 1, 1, 1, 0)
 
 
 def heisenberg_ground_state(n_sites: int) -> GroundState:

@@ -8,7 +8,7 @@ exp(-i [ theta_xx * sum_k jx_k jx_{k+1} + theta_yy * sum_k jy_k jy_{k+1}
 Every term of that generator is real (y x y is real) and flips an even number
 of bits, so the pulse maps the start state |0...0> within the 2^(n-1)
 even-popcount basis states. ``pulse_state`` builds the generator on those rows
-only, as a real symmetric matrix, and solves it with one real eigh.
+only, with ``spinchain._chain_generator``, and solves it with one real eigh.
 """
 
 from __future__ import annotations
@@ -41,40 +41,14 @@ class PulseParams:
         return np.array([self.theta_xx, self.theta_yy, self.theta_z])
 
 
-def _check_sites(chain: spinchain.ChainSpec) -> None:
-    if chain.n_sites > _MAX_SITES:
-        raise ValueError(f"pulse generator capped at {_MAX_SITES} sites")
-
-
-def _sector_generator(n: int, params: PulseParams) -> tuple[np.ndarray, np.ndarray]:
-    """The even-popcount basis indices, ascending, and the real generator on them.
-
-    Among the basis indices 2r and 2r + 1 exactly one has an even popcount, so
-    the even index i is row i >> 1 of the sector. With m_k the bit of site k,
-    a bond k, k+1 links i to i ^ (m_k | m_{k+1}), with weight
-    (theta_xx - theta_yy)/4 when the two bits are equal and
-    (theta_xx + theta_yy)/4 when they differ; the diagonal is
-    theta_z/2 (n - 2 popcount(i)).
-    """
-    masks = spinchain._site_masks(n)
-    rows = np.arange(2 ** (n - 1))
-    even = 2 * rows + spinchain._bit_table(n - 1).sum(axis=1) % 2
-    bits = (even[:, None] & masks) != 0
-    gen = np.diag(params.theta_z / 2 * (n - 2.0 * bits.sum(axis=1)))
-    equal_weight = (params.theta_xx - params.theta_yy) / 4
-    differ_weight = (params.theta_xx + params.theta_yy) / 4
-    for k in range(n - 1):
-        weight = np.where(bits[:, k] == bits[:, k + 1], equal_weight, differ_weight)
-        gen[rows, (even ^ (masks[k] | masks[k + 1])) >> 1] += weight
-    return even, gen
-
-
 def pulse_state(chain: spinchain.ChainSpec, params: PulseParams) -> PureState:
-    """exp(-i G) |0...0> for the pulse generator G, solved in the even-parity
-    sector of ``_sector_generator``, where the start state is row 0."""
-    _check_sites(chain)
+    """exp(-i G) |0...0> for the pulse generator G, solved on the even-popcount
+    basis indices, where the start state is row 0."""
     n = chain.n_sites
-    even, gen = _sector_generator(n, params)
+    if n > _MAX_SITES:
+        raise ValueError(f"pulse generator capped at {_MAX_SITES} sites")
+    even = np.flatnonzero(spinchain._parity(np.arange(2**n)) == 0)
+    gen = spinchain._chain_generator(n, even, params.theta_xx, params.theta_yy, 0, params.theta_z)
     w, v = np.linalg.eigh(gen)
     amps = np.zeros(2**n, dtype=complex)
     amps[even] = v @ (np.exp(-1j * w) * v[0])

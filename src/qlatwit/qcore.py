@@ -63,7 +63,7 @@ class HilbertSpace:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def check_site(self, site: int) -> None:
         if not 1 <= site <= self.n_sites:
@@ -261,18 +261,17 @@ def variance_from_moments(e1: float, e2: float) -> float:
 
 
 def _apply_site(local: np.ndarray, space: HilbertSpace, site: int, values: np.ndarray) -> np.ndarray:
-    """A one- or two-site matrix acting from ``site`` on the state index of ``values``.
+    """A one-site matrix acting on ``site`` of the state index of ``values``.
 
     ``values`` is an amplitude vector, or an array whose first axis is the
-    state index (the rows of a matrix).  ``local`` is one D x D matrix or a
-    stack (s, D, D), which gives a result of shape (s,) + values.shape.  The
-    block size D is read from ``local``: a one-site d x d matrix acts on
-    ``site``, a two-site kron(a, b) on ``site`` and ``site + 1``.  The state
-    index is reshaped to (dims before ``site``, D, rest) for one matmul, so
-    no dim x dim operator is formed.
+    state index (the rows of a matrix).  ``local`` is one d x d matrix, with
+    d the dimension of ``site``, or a stack (s, d, d), which gives a result
+    of shape (s,) + values.shape.  The state index is reshaped to (dims
+    before ``site``, d, rest) for one matmul, so no dim x dim operator is
+    formed.
     """
-    d = local.shape[-1]
-    left = int(np.prod(space.dims[: site - 1]))
+    d = space.dims[site - 1]
+    left = math.prod(space.dims[: site - 1])
     out = local[..., None, :, :] @ values.reshape(left, d, -1)
     return out.reshape(local.shape[:-2] + values.shape)
 
@@ -286,9 +285,9 @@ def _site_sum(local: np.ndarray, space: HilbertSpace, values: np.ndarray) -> np.
 
 
 def _site_block(space: HilbertSpace, sites: Sequence[int], matrices: np.ndarray) -> np.ndarray:
-    """The block of one site, or of two sites in increasing order, in each of a
-    stack of dim x dim matrices, every other site traced out (``partial_trace``
-    without validation).
+    """The block of any increasing list of sites in each of a stack of
+    dim x dim matrices, every other site traced out (``partial_trace`` without
+    validation).
 
     Tr(local M) for a ``local`` acting on ``sites`` is then Tr(local @ block).
     The matrices are reshaped to (traced, kept, traced, ...) on both indices
@@ -319,19 +318,9 @@ def partial_trace(rho: DensityMatrix, keep_sites: Sequence[int]) -> DensityMatri
     for s in keep:
         space.check_site(s)
     keep_sorted = sorted(keep)
-    n = space.n_sites
-    t = rho.matrix.reshape(space.dims + space.dims)
-    bra = list(range(n))
-    ket = list(range(n, 2 * n))
-    for s in range(1, n + 1):
-        if s not in keep_sorted:
-            ket[s - 1] = bra[s - 1]
-    out = [bra[s - 1] for s in keep_sorted] + [ket[s - 1] for s in keep_sorted]
-    reduced = np.einsum(t, bra + ket, out)
     sub_dims = tuple(space.dims[s - 1] for s in keep_sorted)
-    d = int(np.prod(sub_dims))
     sub_space = HilbertSpace(sub_dims, space.kind, space.fock_cutoff)
-    return DensityMatrix._adopt(sub_space, reduced.reshape(d, d))
+    return DensityMatrix._adopt(sub_space, _site_block(space, keep_sorted, rho.matrix))
 
 
 def negativity(rho: DensityMatrix, partition_sites: Sequence[int]) -> float:
@@ -352,7 +341,7 @@ def negativity(rho: DensityMatrix, partition_sites: Sequence[int]) -> float:
     t = rho.matrix.reshape(space.dims + space.dims)
     perm = [s - 1 for s in side_a] + [s - 1 for s in side_b]
     t = t.transpose(perm + [n + p for p in perm])
-    da = int(np.prod([space.dims[s - 1] for s in side_a]))
+    da = math.prod(space.dims[s - 1] for s in side_a)
     db = space.dim // da
     t = t.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(space.dim, space.dim)
     eigs = np.linalg.eigvalsh(t)

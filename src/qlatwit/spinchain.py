@@ -1,5 +1,6 @@
 """Qubit-chain builders: Pauli-string moments, three-site correlators, the
-neighbor phase gate, and cluster and product states.
+neighbor phase gate, cluster and product states, and the chain generator of
+the Heisenberg solve and the pulse.
 
 The chain is open: the three-site correlator at the ends drops the
 out-of-range z factor, and the phase-gate exponent couples sites 1..N-1.
@@ -64,9 +65,44 @@ def _site_masks(n_sites: int) -> np.ndarray:
     return 1 << np.arange(n_sites - 1, -1, -1)
 
 
-def _bit_table(n_sites: int) -> np.ndarray:
-    """Boolean (2^n, n) table whose entry [i, s - 1] is the bit of site s in index i."""
-    return (np.arange(2**n_sites)[:, None] & _site_masks(n_sites)) != 0
+def _parity(values: np.ndarray) -> np.ndarray:
+    """1 where a nonnegative int64 entry has an odd number of set bits, else 0."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        values = values ^ (values >> shift)
+    return values & 1
+
+
+def _popcount(values: np.ndarray, n_bits: int) -> np.ndarray:
+    """Number of set bits among the lowest ``n_bits`` of each entry."""
+    return sum(((values >> shift) & 1 for shift in range(n_bits)), np.zeros_like(values))
+
+
+def _chain_generator(n_sites: int, states: np.ndarray, jxx, jyy, jzz, hz) -> np.ndarray:
+    """sum_k (jxx x_k x_{k+1} + jyy y_k y_{k+1} + jzz z_k z_{k+1}) / 4 + hz/2 sum_k z_k
+    on the open chain, as a real symmetric matrix on ``states``.
+
+    ``states`` are ascending basis indices that the generator maps among
+    themselves.  With m_k the bit of site k, a bond k, k+1 links i to
+    i ^ (m_k | m_{k+1}) with weight (jxx - jyy)/4 when its two bits are equal
+    and (jxx + jyy)/4 when they differ.  A zero weight is skipped, so an S_z
+    sector (jxx == jyy) is never left.
+    """
+    masks = _site_masks(n_sites)
+    # bit s of antiparallel is set when bits s and s + 1 of the index differ
+    antiparallel = states ^ (states >> 1)
+    diag = hz / 2 * (n_sites - 2.0 * _popcount(states, n_sites))
+    # a zero jzz adds nothing, not even a signed zero, which eigh would notice
+    if jzz:
+        diag += jzz / 4 * (n_sites - 1 - 2.0 * _popcount(antiparallel, n_sites - 1))
+    mat = np.diag(diag)
+    rows = np.arange(states.size)
+    for k in range(n_sites - 1):
+        differ = (antiparallel & masks[k + 1]) != 0
+        for weight, hop in (((jxx - jyy) / 4, ~differ), ((jxx + jyy) / 4, differ)):
+            if weight:
+                targets = states[hop] ^ (masks[k] | masks[k + 1])
+                mat[rows[hop], np.searchsorted(states, targets)] = weight
+    return mat
 
 
 def _pauli_action(chain: ChainSpec, factors: Mapping[int, str]) -> tuple[int, np.ndarray]:
@@ -83,9 +119,9 @@ def _pauli_action(chain: ChainSpec, factors: Mapping[int, str]) -> tuple[int, np
     flipped = [site - 1 for site, axis in factors.items() if axis in ("x", "y")]
     signed = [site - 1 for site, axis in factors.items() if axis in ("y", "z")]
     n_y = sum(axis == "y" for axis in factors.values())
-    flip = int(_site_masks(chain.n_sites)[flipped].sum())
-    parity = _bit_table(chain.n_sites)[:, signed].sum(axis=1) % 2
-    return flip, _Y_PHASES[n_y % 4] * (1.0 - 2.0 * parity)
+    masks = _site_masks(chain.n_sites)
+    parity = _parity(np.arange(space.dim) & masks[signed].sum())
+    return int(masks[flipped].sum()), _Y_PHASES[n_y % 4] * (1.0 - 2.0 * parity)
 
 
 def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[float, float]:
@@ -140,9 +176,8 @@ def phase_gate_diagonal(chain: ChainSpec) -> np.ndarray:
     string a phase pi times its count of adjacent 1-pairs, so every diagonal
     entry is +1 or -1 and the gate is both Hermitian and an involution.
     """
-    bits = _bit_table(chain.n_sites)
-    pairs = (bits[:, :-1] & bits[:, 1:]).sum(axis=1)
-    return 1.0 - 2.0 * (pairs % 2)
+    idx = np.arange(2**chain.n_sites)
+    return 1.0 - 2.0 * _parity(idx & (idx >> 1))
 
 
 def basis_state(chain: ChainSpec, bits: Sequence[int]) -> PureState:
@@ -190,7 +225,7 @@ def cluster_state(spec: ClusterSpec) -> PureState:
     space = chain.space()
     if space.dim > dim_cap():
         raise ValueError(f"dimension {space.dim} exceeds cap {dim_cap()}")
-    negative = np.array(spec.lambdas) < 0
-    parity = _bit_table(chain.n_sites)[:, negative].sum(axis=1) % 2
+    negative = _site_masks(chain.n_sites)[np.array(spec.lambdas) < 0].sum()
+    parity = _parity(np.arange(space.dim) & negative)
     amps = phase_gate_diagonal(chain) * (1.0 - 2.0 * parity) / np.sqrt(space.dim)
     return PureState(space, amps)

@@ -5,15 +5,9 @@ from hypothesis import strategies as st
 
 from conftest import oracle_pulse_generator, pulse_unitary
 from qlatwit import bosonic
-from qlatwit.optimize import (
-    PulseParams,
-    _sector_generator,
-    optimize_pulse,
-    pulse_state,
-    violation_ratio,
-)
+from qlatwit.optimize import PulseParams, optimize_pulse, pulse_state, violation_ratio
 from qlatwit.qcore import PureState
-from qlatwit.spinchain import ChainSpec, basis_state, product_state
+from qlatwit.spinchain import ChainSpec, _chain_generator, basis_state, product_state
 
 REFERENCE_PULSE = PulseParams(-3.2, -9.6, 0.8)
 # frozen regression value of the reference pulse on a 6-site chain under the
@@ -131,10 +125,11 @@ def test_optimizer_rejects_empty_budget():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_generator_matches_kron_oracle(n, rng):
     # the even-parity block that pulse_state solves, and no term leaves it
+    even = np.array([i for i in range(2**n) if bin(i).count("1") % 2 == 0])
+    odd = np.setdiff1d(np.arange(2**n), even)
     for _ in range(5):
         params = PulseParams(*rng.uniform(-10, 10, size=3))
-        even, gen = _sector_generator(n, params)
-        odd = np.setdiff1d(np.arange(2**n), even)
+        gen = _chain_generator(n, even, params.theta_xx, params.theta_yy, 0, params.theta_z)
         dense = oracle_pulse_generator(n, params)
         assert np.allclose(gen, dense[np.ix_(even, even)], atol=1e-12)
         assert np.abs(dense[np.ix_(odd, even)]).max() == 0.0
@@ -152,6 +147,16 @@ def test_pulse_state_matches_dense_unitary(n, theta_xx, theta_yy, theta_z):
     assert np.abs(got - pulsed_state(chain, params).amplitudes).max() < 1e-12
     popcount = np.array([bin(i).count("1") for i in range(2**n)])
     assert np.all(got[popcount % 2 == 1] == 0)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pulse_state_with_zero_weight_hops(n, sign):
+    # theta_yy = +-theta_xx zeroes the equal-bits or the differing-bits hops
+    chain = ChainSpec(n)
+    params = PulseParams(1.7, sign * 1.7, 0.3)
+    got = pulse_state(chain, params).amplitudes
+    assert np.abs(got - pulsed_state(chain, params).amplitudes).max() < 1e-12
 
 
 def test_pulse_state_reference_ratio():

@@ -18,6 +18,9 @@ from qlatwit.sampling import haar_vector, random_direction, random_separable_den
 from qlatwit.spinchain import (
     ChainSpec,
     ClusterSpec,
+    _chain_generator,
+    _parity,
+    _popcount,
     basis_state,
     cluster_state,
     pauli_sum_moments,
@@ -276,11 +279,54 @@ def test_cluster_eigen_residuals_any_sector(lambdas):
         assert np.linalg.norm(out - lambdas[k - 1] * state.amplitudes) < 1e-10
 
 
+@pytest.mark.parametrize("n", [63, 64])
+def test_cluster_state_refuses_sizes_past_the_int64_range(n):
+    with pytest.raises(ValueError, match="exceeds cap"):
+        cluster_state(ClusterSpec(ChainSpec(n), (1,) * n))
+
+
 def test_cluster_spec_validates_lambdas():
     with pytest.raises(ValueError):
         ClusterSpec(ChainSpec(2), (1, 2))
     with pytest.raises(ValueError):
         ClusterSpec(ChainSpec(3), (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# bit folds and the chain generator
+
+
+def test_bit_folds_match_bin_count():
+    values = np.concatenate([np.arange(4096), 2**62 + np.arange(-8, 8), 2**63 - 1 - np.arange(8)])
+    counts = np.array([bin(int(v)).count("1") for v in values])
+    assert np.array_equal(_popcount(values, 63), counts)
+    assert np.array_equal(_parity(values), counts % 2)
+
+
+def oracle_chain(n, jxx, jyy, jzz, hz):
+    bonds = sum(
+        j / 4 * oracle_pauli_string({k: a, k + 1: a}, n)
+        for k in range(1, n)
+        for j, a in ((jxx, "x"), (jyy, "y"), (jzz, "z"))
+    )
+    return bonds + sum(hz / 2 * oracle_site_pauli("z", k, n) for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_chain_generator_matches_kron_oracle(n, rng):
+    idx = np.arange(2**n)
+    popcount = np.array([bin(i).count("1") for i in idx])
+    even = idx[popcount % 2 == 0]
+    half = idx[popcount == n // 2]
+    for _ in range(5):
+        jxx, jyy, jzz, hz = rng.uniform(-3, 3, size=4)
+        # any couplings keep the parity; an S_z sector is closed only at jxx == jyy
+        for rows, couplings in ((idx, (jxx, jyy)), (even, (jxx, jyy)), (half, (jxx, jxx))):
+            dense = oracle_chain(n, *couplings, jzz, hz)
+            got = _chain_generator(n, rows, *couplings, jzz, hz)
+            assert np.allclose(got, dense[np.ix_(rows, rows)], atol=1e-12)
+            others = np.setdiff1d(idx, rows)
+            assert others.size == 0 or np.abs(dense[np.ix_(others, rows)]).max() == 0.0
 
 
 # ---------------------------------------------------------------------------

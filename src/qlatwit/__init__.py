@@ -8,6 +8,7 @@ from .qcore import (
     GroundState,
     HilbertSpace,
     LinearOperator,
+    ProductState,
     PureState,
     expectation,
     negativity,
@@ -21,6 +22,7 @@ __all__ = [
     "GroundState",
     "HilbertSpace",
     "LinearOperator",
+    "ProductState",
     "PureState",
     "expectation",
     "negativity",

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import spinchain
-from .qcore import DEGENERACY_GAP, GroundState, HilbertSpace, PureState, dim_cap
+from .qcore import DEGENERACY_GAP, GroundState, HilbertSpace, ProductState, PureState, dim_cap
 
 SPIN_UP = (1, 0)
 SPIN_DOWN = (0, 1)
@@ -152,16 +152,12 @@ def singlet_pair() -> PureState:
     return PureState(lattice.space(), (up_down - down_up) / np.sqrt(2))
 
 
-def singlet_chain(n_pairs: int) -> PureState:
-    """Tensor product of adjacent-pair singlets over 2*n_pairs sites."""
+def singlet_chain(n_pairs: int) -> ProductState:
+    """Tensor product of adjacent-pair singlets over 2*n_pairs sites, held as
+    n_pairs two-site ``singlet_pair`` blocks."""
     if n_pairs < 1:
         raise ValueError("need at least one pair")
-    lattice = FockLatticeSpec(2 * n_pairs, SiteFockSpace(1))
-    pair = singlet_pair().amplitudes
-    v = np.ones(1, dtype=complex)
-    for _ in range(n_pairs):
-        v = np.kron(v, pair)
-    return PureState(lattice.space(), v)
+    return ProductState((singlet_pair(),) * n_pairs)
 
 
 def _heisenberg_sector(n_sites: int) -> tuple[np.ndarray, np.ndarray]:

@@ -128,9 +128,9 @@ def cmd_decoherence_scan(args) -> tuple[dict, list, list]:
 
 def cmd_singlet_suite(args) -> tuple[dict, list, list]:
     n_pairs = args.n
-    if n_pairs is None or n_pairs < 1:
-        raise ValueError("singlet-suite needs --n (number of singlet pairs) >= 1")
-    state = bosonic.singlet_chain(n_pairs)  # lattice size checked against the cap
+    if n_pairs is None or not 1 <= n_pairs <= 10:
+        raise ValueError("singlet-suite needs --n between 1 and 10: the cap is 10 singlet pairs")
+    state = bosonic.singlet_chain(n_pairs)
     report = criteria.collective_uncertainty_criterion(state)
     mean, second = criteria.collective_moments(state)
     j_total_sq = float(np.trace(second))
@@ -174,8 +174,8 @@ def cmd_heisenberg(args) -> tuple[dict, list, list]:
 def cmd_moments_compare(args) -> tuple[dict, list, list]:
     n = args.n
     max_order = args.max_order
-    if n is None or not 2 <= n <= 9:
-        raise ValueError("moments-compare needs --n between 2 and 9")
+    if n is None or not 2 <= n <= 12:
+        raise ValueError("moments-compare needs --n between 2 and 12")
     if max_order < 1:
         raise ValueError("--max-order must be at least 1")
     chain = spinchain.ChainSpec(n)

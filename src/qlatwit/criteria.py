@@ -21,6 +21,7 @@ from . import bosonic, spinchain
 from .qcore import (  # noqa: F401
     DensityMatrix,
     HilbertSpace,
+    ProductState,
     PureState,
     _apply_site,
     _real_part,
@@ -34,6 +35,7 @@ VIOLATION_TOL = 1e-9
 INDISTINGUISHABLE_TOL = 1e-9
 _ORTHOGONALITY_TOL = 1e-10
 _DENOMINATOR_TOL = 1e-12
+_HALF_INTEGER_TOL = 1e-9
 
 AXES = ("x", "y", "z")
 _HALF_PAULIS = np.array(
@@ -196,7 +198,14 @@ def collective_moments(state) -> tuple[np.ndarray, np.ndarray]:
     same-site terms sum_s Tr(j_k j_l rho_s) come from the sum of the one-site
     blocks rho_s, and the cross terms from the sum over pairs s < t of the
     two-site blocks rho_st, as Tr((j_k x j_l) rho_st) plus its transpose.
+    A ProductState is read block by block: the means add, and
+    <J_k J_l> = sum_b <J_k J_l>_b + sum_{b != c} <J_k>_b <J_l>_c.
     """
+    if isinstance(state, ProductState):
+        parts = [collective_moments(block) for block in state.blocks]
+        mean = sum(m for m, _ in parts)
+        # sum_{b != c} m_b m_c^T is (sum_b m_b)(sum_c m_c)^T less the b == c terms
+        return mean, sum(s - np.outer(m, m) for m, s in parts) + np.outer(mean, mean)
     space = state.space
     local = _site_spin_matrices(space)
     if isinstance(state, PureState):
@@ -230,12 +239,15 @@ def _one_site_sum(space: HilbertSpace, matrix: np.ndarray) -> np.ndarray:
 
 
 def total_particle_number(state) -> float:
-    """<N_total>: the site count for qubit chains (one spin per site)."""
+    """<N_total>: the site count for qubit chains (one spin per site); the
+    blocks' values add for a ProductState."""
     space = state.space
     if space.kind == "qubit":
         return float(space.n_sites)
     if space.kind != "fock":
         raise ValueError(f"no particle number defined for space kind {space.kind!r}")
+    if isinstance(state, ProductState):
+        return sum(total_particle_number(block) for block in state.blocks)
     number = bosonic._schwinger_matrices(bosonic.SiteFockSpace(space.fock_cutoff))["n"]
     if isinstance(state, PureState):
         value = np.vdot(state.amplitudes, _site_sum(number, space, state.amplitudes))
@@ -429,8 +441,22 @@ def _moment_distribution(state, direction: Direction) -> tuple[np.ndarray, np.nd
     eigenbases, so one d x d eigh suffices: the state is rotated site by
     site, and the collective eigenvalues are the one-site ones summed over
     sites.  A density matrix keeps only the diagonal of each site once it is
-    rotated (``_rotated_diagonal``).
+    rotated (``_rotated_diagonal``).  For a ProductState J_n adds over the
+    blocks, so its distribution is the convolution of the blocks'; there
+    2 J_n is an integer, and equal eigenvalues are merged so the support
+    stays O(n).
     """
+    if isinstance(state, ProductState):
+        lowest, weights = 0, np.ones(1)
+        for block in state.blocks:
+            eig, w = _moment_distribution(block, direction)
+            twice = np.rint(2 * eig)
+            if np.abs(eig - twice / 2).max() > _HALF_INTEGER_TOL:
+                raise ValueError("a block's J_n eigenvalue lies off the half-integer grid")
+            low = int(twice.min())
+            weights = np.convolve(weights, np.bincount((twice - low).astype(int), weights=w))
+            lowest += low
+        return (lowest + np.arange(weights.size)) / 2, weights
     space = state.space
     w, v = np.linalg.eigh(np.tensordot(direction.as_array(), _site_spin_matrices(space), 1))
     if isinstance(state, PureState):
@@ -465,15 +491,19 @@ def anticommutator_moments(state) -> np.ndarray:
     return 2 * collective_moments(state)[1]
 
 
-def totally_mixed_state(n_sites: int) -> DensityMatrix:
-    """Uniform mixture of spin up/down at every site (identity / 2^n)."""
-    space = spinchain.ChainSpec(n_sites).space()
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    mat.flat[:: space.dim + 1] = 1.0 / space.dim
-    return DensityMatrix._adopt(space, mat)
+def _mixed_sites(n_sites: int) -> tuple[DensityMatrix, ...]:
+    site = DensityMatrix._adopt(HilbertSpace((2,)), np.eye(2, dtype=complex) / 2)
+    return (site,) * n_sites
 
 
-def moment_matching_separable_state(n_sites: int) -> DensityMatrix:
+def totally_mixed_state(n_sites: int) -> ProductState:
+    """Uniform mixture of spin up/down at every site (identity / 2^n), held as
+    n one-site blocks I/2."""
+    spinchain.ChainSpec(n_sites)  # refuses fewer than 2 sites
+    return ProductState(_mixed_sites(n_sites))
+
+
+def moment_matching_separable_state(n_sites: int) -> ProductState:
     """Separable state with the same first and second collective moments as
     the matching cluster state.
 
@@ -483,7 +513,8 @@ def moment_matching_separable_state(n_sites: int) -> DensityMatrix:
     pair correlations into the cross moment <J_z J_x + J_x J_z> = 1 that a
     cluster state carries from its chain ends, while leaving every
     single-direction second moment at the fully mixed value.  Needs at least
-    4 sites for the two pair blocks.
+    4 sites for the two pair blocks.  Held as the two rotated 4x4 pair
+    blocks and n - 4 one-site blocks I/2.
     """
     if n_sites < 4:
         raise ValueError("moment matching construction needs at least 4 sites")
@@ -502,10 +533,9 @@ def moment_matching_separable_state(n_sites: int) -> DensityMatrix:
     c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
     u = np.array([[c, s], [-s, c]], dtype=complex)
     uu = np.kron(u, u)
-    pairs = np.kron(uu @ block_x @ uu.conj().T, uu @ block_z @ uu.conj().T)
-    mixed = 2 ** (n_sites - 4)
-    space = spinchain.ChainSpec(n_sites).space()
-    return DensityMatrix._adopt(space, np.kron(pairs, np.eye(mixed) / mixed))
+    pair_space = HilbertSpace((2, 2))
+    pairs = tuple(DensityMatrix._adopt(pair_space, uu @ b @ uu.conj().T) for b in (block_x, block_z))
+    return ProductState(pairs + _mixed_sites(n_sites - 4))
 
 
 @dataclass(frozen=True, eq=False)

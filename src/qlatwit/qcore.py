@@ -1,18 +1,20 @@
-"""Dense complex linear algebra over tensor-product Hilbert spaces.
+"""States and operators over tensor-product Hilbert spaces.
 
 States and operators are immutable value objects validated at construction:
 pure states carry unit norm, density matrices are Hermitian trace-one
 positive-semidefinite (up to small numerical floors), operators know whether
-they are meant to be Hermitian.  Sites are numbered from 1 and site 1 is the
-most significant index of the composite basis (big-endian), a convention
-shared by every module built on top of this one.
+they are meant to be Hermitian.  These three hold dense arrays over the whole
+space.  A ProductState holds a product of small dense states on consecutive
+sites instead, and never an array over its whole space.  Sites are numbered
+from 1 and site 1 is the most significant index of the composite basis
+(big-endian), a convention shared by every module built on top of this one.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +26,8 @@ PSD_EIG_FLOOR = -1e-10
 IMAG_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
 DEFAULT_DIM_CAP = 4096
+# sites one block of a ProductState may span
+MAX_BLOCK_SITES = 4
 # entries of a matrix compared per tile by _is_hermitian
 _HERMITICITY_BAND = 2**16
 
@@ -100,19 +104,7 @@ def _is_hermitian(matrix: np.ndarray) -> bool:
     return True
 
 
-def _is_diagonal(matrix: np.ndarray) -> bool:
-    """True when every off-diagonal entry is exactly zero (no dim^2 temporaries)."""
-    return np.count_nonzero(matrix) == np.count_nonzero(np.diagonal(matrix))
-
-
 def _check_psd(matrix: np.ndarray) -> None:
-    # Exactly diagonal matrices (mixed states, dephased diagonal states) skip
-    # the dense factorization.
-    if _is_diagonal(matrix):
-        lam_min = float(np.min(np.diagonal(matrix).real))
-        if lam_min < PSD_EIG_FLOOR:
-            raise ValueError(f"density matrix has negative eigenvalue {lam_min}")
-        return
     # Cholesky of (matrix - floor*I) succeeds exactly when every eigenvalue
     # clears the floor; it is several times cheaper than an eigensolve.
     shifted = matrix.copy()
@@ -185,6 +177,38 @@ class DensityMatrix:
         object.__setattr__(rho, "_adopted", True)
         rho.__post_init__()
         return rho
+
+
+@dataclass(frozen=True, eq=False)
+class ProductState:
+    """Tensor product of validated PureState/DensityMatrix blocks on
+    consecutive sites, the first block on the first sites.
+
+    Each block spans at most MAX_BLOCK_SITES sites and all share one site
+    kind and cutoff.  ``space`` is their concatenated HilbertSpace, and no
+    array of size ``space.dim`` is ever allocated: the readers in
+    ``criteria`` and ``spinchain`` combine the dense readers' values on the
+    blocks.
+    """
+
+    blocks: tuple
+    space: HilbertSpace = field(init=False)
+
+    def __post_init__(self):
+        blocks = tuple(self.blocks)
+        if not blocks:
+            raise ValueError("a product state needs at least one block")
+        for block in blocks:
+            if not isinstance(block, (PureState, DensityMatrix)):
+                raise ValueError(f"a block cannot be a {type(block).__name__}")
+            if block.space.n_sites > MAX_BLOCK_SITES:
+                raise ValueError(f"a block spans more than {MAX_BLOCK_SITES} sites")
+        first = blocks[0].space
+        if any((b.space.kind, b.space.fock_cutoff) != (first.kind, first.fock_cutoff) for b in blocks):
+            raise ValueError("the blocks of a product state must share one site kind and cutoff")
+        dims = tuple(d for b in blocks for d in b.space.dims)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "space", HilbertSpace(dims, first.kind, first.fock_cutoff))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,8 @@ Dirichlet-uniform mixture weights.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .qcore import DensityMatrix, HilbertSpace, PureState
@@ -18,10 +20,9 @@ def haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_product_state(space: HilbertSpace, rng: np.random.Generator) -> PureState:
-    """Tensor product of independent Haar-random single-site states."""
-    v = np.ones(1, dtype=complex)
-    for d in space.dims:
-        v = np.kron(v, haar_vector(d, rng))
+    """Tensor product of independent Haar-random single-site states, site 1 drawn first."""
+    # np.ix_ puts each site's vector on its own axis, so their broadcast product is the kron
+    v = math.prod(np.ix_(*[haar_vector(d, rng) for d in space.dims])).ravel()
     return PureState(space, v / np.linalg.norm(v))
 
 

@@ -10,12 +10,13 @@ vector, so expectations of Pauli sums need no 2^n x 2^n matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .qcore import DensityMatrix, HilbertSpace, PureState, _real_part, dim_cap
+from .qcore import DensityMatrix, HilbertSpace, ProductState, PureState, _real_part, dim_cap
 
 _AXES = ("x", "y", "z")
 # phase of a string with m factors of y, indexed by m mod 4: y = i x z acts on
@@ -105,22 +106,18 @@ def _chain_generator(n_sites: int, states: np.ndarray, jxx, jyy, jzz, hz) -> np.
     return mat
 
 
-def _pauli_action(chain: ChainSpec, factors: Mapping[int, str]) -> tuple[int, np.ndarray]:
-    """A Pauli string as a bit flip and a phase: (P v)[i] = phase[i] * v[i ^ flip].
+def _pauli_action(n_sites: int, factors: Mapping[int, str]) -> tuple[int, np.ndarray]:
+    """A Pauli string on sites 1..n_sites as a bit flip and a phase:
+    (P v)[i] = phase[i] * v[i ^ flip].
 
     x flips its site's bit, z multiplies by (-1)^bit, and y does both and
     contributes a factor -i.
     """
-    space = chain.space()
-    for site, axis in factors.items():
-        space.check_site(site)
-        if axis not in _AXES:
-            raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     flipped = [site - 1 for site, axis in factors.items() if axis in ("x", "y")]
     signed = [site - 1 for site, axis in factors.items() if axis in ("y", "z")]
     n_y = sum(axis == "y" for axis in factors.values())
-    masks = _site_masks(chain.n_sites)
-    parity = _parity(np.arange(space.dim) & masks[signed].sum())
+    masks = _site_masks(n_sites)
+    parity = _parity(np.arange(2**n_sites) & masks[signed].sum())
     return int(masks[flipped].sum()), _Y_PHASES[n_y % 4] * (1.0 - 2.0 * parity)
 
 
@@ -128,34 +125,62 @@ def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[floa
     """<S> and <S^2> for the sum S of the given Pauli strings on a qubit chain.
 
     No operator matrix is built: a pure state costs O(len(strings) 2^n), a
-    density matrix O(len(strings)^2 2^n).
+    density matrix O(len(strings)^2 2^n).  A ProductState is read block by
+    block: each string splits into strings on the blocks it touches, each on
+    its block's own indices, and its trace is the product of their traces
+    (a block it leaves alone has trace 1).
     """
-    if state.space.kind != "qubit":
+    space = state.space
+    if space.kind != "qubit":
         raise ValueError("Pauli strings act on qubit-chain states")
-    chain = ChainSpec(state.space.n_sites)
-    actions = [_pauli_action(chain, factors) for factors in strings]
-    idx = np.arange(state.space.dim)
+    for factors in strings:
+        for site, axis in factors.items():
+            space.check_site(site)
+            if axis not in _AXES:
+                raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     if isinstance(state, PureState):
         psi = state.amplitudes
+        idx = np.arange(space.dim)
         v = np.zeros_like(psi)
-        for flip, phase in actions:
+        for factors in strings:
+            flip, phase = _pauli_action(space.n_sites, factors)
             v += phase * psi[idx ^ flip]
         mean = _real_part(complex(np.vdot(psi, v)), "expectation value")
         return mean, float(np.vdot(v, v).real)
     if isinstance(state, DensityMatrix):
-        rho = state.matrix
+        blocks = (state,)
+    elif isinstance(state, ProductState):
+        blocks = state.blocks
+    else:
+        raise ValueError(f"cannot take moments of {type(state).__name__}")
+    # a pure block is read through its density matrix, at most 16 x 16
+    mats = [b.matrix if isinstance(b, DensityMatrix)
+            else np.outer(b.amplitudes, b.amplitudes.conj()) for b in blocks]
+    idx = [np.arange(m.shape[0]) for m in mats]
+    owner = [(b, site) for b, block in enumerate(blocks) for site in range(1, block.space.n_sites + 1)]
 
-        def trace(flip, phase):
-            # Tr(rho Q) = sum_j rho[j ^ flip, j] phase[j]
-            return complex(rho[idx ^ flip, idx] @ phase)
+    def actions(factors):
+        # {block: (flip, phase)} of the blocks the string touches
+        local: dict[int, dict[int, str]] = {}
+        for site, axis in factors.items():
+            b, s = owner[site - 1]
+            local.setdefault(b, {})[s] = axis
+        return {b: _pauli_action(blocks[b].space.n_sites, f) for b, f in local.items()}
 
-        mean = _real_part(sum((trace(*a) for a in actions), 0j), "expectation value")
-        # (P_a P_b v)[i] = phase_a[i] phase_b[i ^ flip_a] v[i ^ flip_a ^ flip_b]
-        second = sum(
-            (trace(fa ^ fb, pa * pb[idx ^ fa]) for fa, pa in actions for fb, pb in actions), 0j
-        )
-        return mean, _real_part(second, "second moment")
-    raise ValueError(f"cannot take moments of {type(state).__name__}")
+    def trace(acts) -> complex:
+        # the product over blocks of Tr(rho_b Q_b) = sum_j rho_b[j ^ flip, j] phase[j]
+        traces = (complex(mats[b][idx[b] ^ f, idx[b]] @ p) for b, (f, p) in acts.items())
+        return math.prod(traces, start=1 + 0j)
+
+    def product(a, c):
+        # (P_a P_c v)[i] = phase_a[i] phase_c[i ^ flip_a] v[i ^ flip_a ^ flip_c], block by block
+        both = {b: [x.get(b, (0, np.ones(idx[b].size))) for x in (a, c)] for b in a.keys() | c.keys()}
+        return {b: (fa ^ fc, pa * pc[idx[b] ^ fa]) for b, ((fa, pa), (fc, pc)) in both.items()}
+
+    per_string = [actions(factors) for factors in strings]
+    mean = _real_part(sum((trace(a) for a in per_string), 0j), "expectation value")
+    second = sum((trace(product(a, c)) for a in per_string for c in per_string), 0j)
+    return mean, _real_part(second, "second moment")
 
 
 def tilde_factors(chain: ChainSpec, k: int) -> dict[int, str]:

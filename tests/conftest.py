@@ -6,7 +6,14 @@ oracles for the acceptance gate and the differentials."""
 import numpy as np
 import pytest
 
-from qlatwit.qcore import DEGENERACY_GAP, GroundState, LinearOperator, PureState, variance_from_moments
+from qlatwit.qcore import (
+    DEGENERACY_GAP,
+    DensityMatrix,
+    GroundState,
+    LinearOperator,
+    PureState,
+    variance_from_moments,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -44,6 +51,17 @@ def oracle_tilde(k, n):
 
 def oracle_collective(axis, n):
     return sum(oracle_site_pauli(axis, k, n) for k in range(1, n + 1)) / 2
+
+
+def oracle_product_dense(state):
+    """A qcore.ProductState as one dense state, by kron products of its blocks:
+    a PureState when every block is pure, a DensityMatrix otherwise."""
+    blocks = state.blocks
+    if all(isinstance(b, PureState) for b in blocks):
+        return PureState(state.space, kron_all([b.amplitudes[:, None] for b in blocks])[:, 0])
+    mats = [np.outer(b.amplitudes, b.amplitudes.conj()) if isinstance(b, PureState) else b.matrix
+            for b in blocks]
+    return DensityMatrix(state.space, kron_all(mats))
 
 
 def oracle_fock_basis(cutoff):

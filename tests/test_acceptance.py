@@ -13,6 +13,7 @@ from conftest import (
     ground_state,
     heisenberg_hamiltonian,
     maximal_angular_momentum_check,
+    oracle_product_dense,
     pulse_unitary,
     schwinger_j,
     site_number_operator,
@@ -182,7 +183,7 @@ def test_criterion_08_collective_moments():
     rho_s = moment_matching_separable_state(4)
     ops = list("xyz")
     firsts = [
-        abs(expectation(collective_j_operators(rho_s.space)[ax], rho_s)
+        abs(expectation(collective_j_operators(rho_s.space)[ax], oracle_product_dense(rho_s))
             - expectation(collective_j_operators(cluster4.space)[ax], cluster4))
         for ax in ops
     ]

@@ -17,6 +17,7 @@ from conftest import (
     oracle_fock_collective,
     oracle_heisenberg,
     oracle_pauli_string,
+    oracle_product_dense,
     schwinger_j,
     site_number_operator,
     variance,
@@ -201,7 +202,7 @@ def test_collective_jz_counts_up_spins():
 
 def test_collective_spin_vanishes_on_pair_singlet():
     lattice = FockLatticeSpec(2, SITE1)
-    state = singlet_chain(1)
+    state = oracle_product_dense(singlet_chain(1))
     for op in collective_j_operators(lattice.space()).values():
         assert abs(expectation(op, state)) < 1e-12
 
@@ -219,7 +220,7 @@ def test_embedding_preserves_norm_and_singlet():
     qubit_singlet = PureState(chain.space(), np.array([0, 1, -1, 0]) / np.sqrt(2))
     embedded = embed_qubit_chain(qubit_singlet)
     assert np.linalg.norm(embedded.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(embedded.amplitudes, singlet_chain(1).amplitudes)
+    assert np.allclose(embedded.amplitudes, oracle_product_dense(singlet_chain(1)).amplitudes)
 
 
 def test_embedding_intertwines_collective_spin(rng):
@@ -285,7 +286,7 @@ def test_collective_fock_matches_qubit_oracle_on_unit_sector():
 
 def test_singlet_chain_variances_vanish():
     for n_pairs in (1, 2):
-        state = singlet_chain(n_pairs)
+        state = oracle_product_dense(singlet_chain(n_pairs))
         var_sum = sum(variance(op, state) for op in collective_j_operators(state.space).values())
         assert var_sum < 1e-12
         number = oracle_fock_collective("n", 1, 2 * n_pairs)
@@ -303,7 +304,7 @@ def test_heisenberg_two_sites_ground_is_singlet():
     gs = heisenberg_ground_state(2)
     assert gs.energy == pytest.approx(oracle_energy, abs=1e-10)
     embedded = embed_qubit_chain(gs.state).amplitudes
-    fidelity = abs(np.vdot(singlet_chain(1).amplitudes, embedded)) ** 2
+    fidelity = abs(np.vdot(oracle_product_dense(singlet_chain(1)).amplitudes, embedded)) ** 2
     assert fidelity > 1 - 1e-10
 
 

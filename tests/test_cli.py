@@ -174,9 +174,17 @@ def test_singlet_suite(capsys):
 
 
 def test_singlet_suite_respects_cap(capsys):
-    rc = main(["singlet-suite", "--n", "6"])
+    rc = main(["singlet-suite", "--n", "11"])
     assert rc == 1
     assert "cap" in capsys.readouterr().err
+
+
+def test_singlet_suite_runs_ten_pairs(capsys):
+    doc = run_json(capsys, ["singlet-suite", "--n", "10"])
+    rep = doc["results"]["report"]
+    assert rep["value"] == pytest.approx(0.0, abs=1e-9)
+    assert rep["bound"] == pytest.approx(10.0, abs=1e-9)
+    assert rep["violated"] is True
 
 
 def test_heisenberg_two_sites(capsys):
@@ -242,8 +250,14 @@ def test_moments_compare_small_chain(capsys):
 
 
 def test_moments_compare_rejects_oversize(capsys):
-    rc = main(["moments-compare", "--n", "10"])
+    rc = main(["moments-compare", "--n", "13"])
     assert rc == 1
+
+
+def test_moments_compare_twelve_sites(capsys):
+    doc = run_json(capsys, ["moments-compare", "--n", "12"])
+    assert doc["results"]["cluster_vs_mixed"]["indistinguishable"] is True
+    assert doc["results"]["moment_matching_state"]["max_table_difference"] < 1e-9
 
 
 def test_moments_compare_overflowing_order_is_one_line_error(capsys):

@@ -9,6 +9,7 @@ from conftest import (
     kron_all,
     oracle_collective,
     oracle_fock_collective,
+    oracle_product_dense,
     oracle_site_pauli,
     oracle_squeezing_grid,
     tilde_sigma_x,
@@ -532,7 +533,7 @@ def test_mixed_state_anticommutator_is_diagonal():
 
 def test_totally_mixed_basics():
     rho = totally_mixed_state(3)
-    assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(oracle_product_dense(rho).matrix).real == pytest.approx(1.0, abs=1e-12)
     for d in (AXIS_X, AXIS_Y, AXIS_Z, TILTED_XZ):
         assert angular_moment(rho, d, 1) == pytest.approx(0.0, abs=1e-12)
     assert angular_moment(rho, AXIS_Z, 2) == pytest.approx(3 / 4, abs=1e-12)
@@ -559,7 +560,7 @@ def test_moment_matching_state_is_ppt_across_every_cut():
     rho = moment_matching_separable_state(4)
     cuts = [[1], [2], [3], [4], [1, 2], [1, 3], [1, 4]]
     for cut in cuts:
-        assert negativity(rho, cut) < 1e-9
+        assert negativity(oracle_product_dense(rho), cut) < 1e-9
 
 
 def test_moment_matching_needs_four_sites():

@@ -301,6 +301,18 @@ def test_negativity_zero_for_random_products(rng):
         assert negativity(pure_to_density(state), [1]) < 1e-10
 
 
+@pytest.mark.parametrize("dims", [(2,) * 6, (3, 2, 3)])
+def test_random_product_state_is_the_kron_loop_bit_for_bit(dims):
+    # the reference: the kron loop over the same haar_vector draws, site 1 first
+    rng = np.random.default_rng(5)
+    v = np.ones(1, dtype=complex)
+    for d in dims:
+        v = np.kron(v, haar_vector(d, rng))
+    want = v / np.linalg.norm(v)
+    got = random_product_state(HilbertSpace(dims, kind="generic"), np.random.default_rng(5))
+    assert np.array_equal(got.amplitudes, want)
+
+
 # ---------------------------------------------------------------------------
 # the ground-state reference in conftest
 

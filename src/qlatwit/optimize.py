@@ -7,12 +7,21 @@ exp(-i [ theta_xx * sum_k jx_k jx_{k+1} + theta_yy * sum_k jy_k jy_{k+1}
 
 Every term of that generator is real (y x y is real) and flips an even number
 of bits, so the pulse maps the start state |0...0> within the 2^(n-1)
-even-popcount basis states. ``pulse_state`` builds the generator on those rows
-only, with ``spinchain._chain_generator``, and solves it with one real eigh.
+even-popcount basis states. Every bond has the same couplings and the field is
+uniform, so the generator also commutes with the site reversal k <-> n+1-k,
+which leaves |0...0> fixed: the state never leaves the mirror-even part of the
+parity sector. Its orthonormal basis has one vector per reversal orbit
+{i, reverse(i)}, |i> for a palindrome and (|i> + |reverse(i)>)/sqrt(2)
+otherwise, so it has (2^(n-1) + P)/2 rows with P the even-popcount
+palindromes (72 at n = 8). ``_PulseSector`` folds the three terms of the
+generator from ``spinchain._chain_generator`` into that basis once per chain,
+G = theta_xx G_xx + theta_yy G_yy + theta_z G_z; each pulse is then one
+weighted sum, one real eigh and an unfold into the 2^n amplitudes.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,18 +50,41 @@ class PulseParams:
         return np.array([self.theta_xx, self.theta_yy, self.theta_z])
 
 
+class _PulseSector:
+    """The mirror-even, even-parity sector of the pulse on one chain: its
+    orbit basis and the three term matrices of the generator folded into it."""
+
+    def __init__(self, chain: spinchain.ChainSpec):
+        n = chain.n_sites
+        if n > _MAX_SITES:
+            raise ValueError(f"pulse generator capped at {_MAX_SITES} sites")
+        self.chain = chain
+        self._even = np.flatnonzero(spinchain._parity(np.arange(2**n)) == 0)
+        mirror = sum((((self._even >> s) & 1) << (n - 1 - s) for s in range(n)),
+                     np.zeros_like(self._even))
+        # |0...0> is a palindrome and the smallest representative: orbit 0
+        reps, self._orbit = np.unique(np.minimum(self._even, mirror), return_inverse=True)
+        self._weight = np.where(self._even == mirror, 1.0, np.sqrt(0.5))
+        fold = np.zeros((self._even.size, reps.size))
+        fold[np.arange(self._even.size), self._orbit] = self._weight
+        self.terms = tuple(
+            fold.T @ spinchain._chain_generator(n, self._even, *couplings) @ fold
+            for couplings in ((1.0, 0, 0, 0), (0, 1.0, 0, 0), (0, 0, 0, 1.0))
+        )
+
+    def state(self, params: PulseParams) -> PureState:
+        """exp(-i G) |0...0>, solved in the sector and unfolded."""
+        g_xx, g_yy, g_z = self.terms
+        w, v = np.linalg.eigh(params.theta_xx * g_xx + params.theta_yy * g_yy + params.theta_z * g_z)
+        amps = np.zeros(2**self.chain.n_sites, dtype=complex)
+        amps[self._even] = self._weight * (v @ (np.exp(-1j * w) * v[0]))[self._orbit]
+        return PureState(self.chain.space(), amps)
+
+
 def pulse_state(chain: spinchain.ChainSpec, params: PulseParams) -> PureState:
-    """exp(-i G) |0...0> for the pulse generator G, solved on the even-popcount
-    basis indices, where the start state is row 0."""
-    n = chain.n_sites
-    if n > _MAX_SITES:
-        raise ValueError(f"pulse generator capped at {_MAX_SITES} sites")
-    even = np.flatnonzero(spinchain._parity(np.arange(2**n)) == 0)
-    gen = spinchain._chain_generator(n, even, params.theta_xx, params.theta_yy, 0, params.theta_z)
-    w, v = np.linalg.eigh(gen)
-    amps = np.zeros(2**n, dtype=complex)
-    amps[even] = v @ (np.exp(-1j * w) * v[0])
-    return PureState(chain.space(), amps)
+    """exp(-i G) |0...0> for the pulse generator G, solved in its mirror-even
+    sector."""
+    return _PulseSector(chain).state(params)
 
 
 def violation_ratio(state) -> float:
@@ -143,15 +175,20 @@ def optimize_pulse(
 
     Deterministic for a fixed seed; never returns a point worse than the
     starting one, and the reported ratio is re-evaluated from the returned
-    parameters (no cached objective values).
+    parameters (no cached objective values). A restart starts from the
+    initial point plus three ``random.Random(seed).gauss(0, 0.5)`` draws; a
+    negative seed is refused before the first evaluation.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    sector = _PulseSector(chain)
     counter = _Budget(budget)
     trace: list[tuple[int, tuple[float, float, float], float]] = []
 
     def ratio_of(x: np.ndarray) -> float:
-        return violation_ratio(pulse_state(chain, PulseParams(*x)))
+        return violation_ratio(sector.state(PulseParams(*x)))
 
     def objective(x: np.ndarray) -> float:
         counter.used += 1
@@ -162,14 +199,14 @@ def optimize_pulse(
     x_init = initial.as_array()
     best_x = np.array(x_init, dtype=float)
     best_val = objective(x_init)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for restart in range(_N_RESTARTS):
         if counter.remaining() <= 0:
             break
         if restart == 0:
             x0 = x_init
         else:
-            x0 = x_init + rng.normal(scale=0.5, size=3)
+            x0 = x_init + np.array([rng.gauss(0.0, 0.5) for _ in range(3)])
         x, val = _nelder_mead(objective, x0, counter)
         if val < best_val:
             best_x, best_val = x, val

@@ -243,6 +243,8 @@ class GroundState:
 
 
 def pure_to_density(state: PureState) -> DensityMatrix:
+    if not isinstance(state, PureState):
+        raise ValueError(f"cannot convert {type(state).__name__} to a density matrix")
     v = state.amplitudes
     return DensityMatrix._adopt(state.space, np.outer(v, v.conj()))
 
@@ -333,6 +335,8 @@ def _site_block(space: HilbertSpace, sites: Sequence[int], matrices: np.ndarray)
 
 def partial_trace(rho: DensityMatrix, keep_sites: Sequence[int]) -> DensityMatrix:
     """Reduce to ``keep_sites`` (1-based), preserving their original order."""
+    if not isinstance(rho, DensityMatrix):
+        raise ValueError(f"cannot take a partial trace of {type(rho).__name__}")
     space = rho.space
     keep = list(keep_sites)
     if len(keep) == 0:
@@ -354,6 +358,8 @@ def negativity(rho: DensityMatrix, partition_sites: Sequence[int]) -> float:
     the other side.  A value above ~1e-9 certifies entanglement across the cut
     (and for two qubits the converse holds as well).
     """
+    if not isinstance(rho, DensityMatrix):
+        raise ValueError(f"cannot take the negativity of {type(rho).__name__}")
     space = rho.space
     side_a = sorted(set(partition_sites))
     for s in side_a:

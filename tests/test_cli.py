@@ -43,6 +43,15 @@ def test_heisenberg_leaves_scipy_linalg_and_sparse_unloaded():
     assert run_python(code) == "0 False False"
 
 
+def test_pulse_optimize_leaves_numpy_random_unloaded():
+    # the seeded restarts draw from the standard library's random module
+    code = ("import contextlib, io, sys; from qlatwit.cli import main\n"
+            "argv = ['pulse', '--n', '8', '--params=-3.2,-9.6,0.8', '--optimize', '--budget', '40']\n"
+            "with contextlib.redirect_stdout(io.StringIO()): rc = main(argv)\n"
+            "print(rc, 'numpy.random' in sys.modules)")
+    assert run_python(code) == "0 False"
+
+
 # ---------------------------------------------------------------------------
 # cluster-witness
 
@@ -308,6 +317,16 @@ def test_pulse_optimize_deterministic_given_seed(capsys):
     assert main(argv) == 0
     text_b = capsys.readouterr().out
     assert text_a == text_b
+
+
+def test_pulse_optimize_rejects_negative_seed(capsys):
+    # at --budget 3 no restart runs, so the refusal cannot come from drawing one
+    rc = main(["pulse", "--n", "4", "--params=-3.2,-9.6,0.8", "--optimize", "--budget", "3",
+               "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_pulse_requires_parameters_or_optimize(capsys):

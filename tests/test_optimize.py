@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_pulse_generator, pulse_unitary
-from qlatwit import bosonic
-from qlatwit.optimize import PulseParams, optimize_pulse, pulse_state, violation_ratio
+from qlatwit import bosonic, optimize
+from qlatwit.optimize import PulseParams, _PulseSector, optimize_pulse, pulse_state, violation_ratio
 from qlatwit.qcore import PureState
 from qlatwit.spinchain import ChainSpec, _chain_generator, basis_state, product_state
 
@@ -122,6 +122,25 @@ def test_optimizer_rejects_empty_budget():
         optimize_pulse(ChainSpec(4), REFERENCE_PULSE, budget=0)
 
 
+def test_optimizer_rejects_negative_seed_before_evaluating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(optimize, "violation_ratio", lambda state: calls.append(state))
+    with pytest.raises(ValueError, match="seed"):
+        optimize_pulse(ChainSpec(4), REFERENCE_PULSE, budget=3, seed=-1)
+    assert calls == []
+
+
+def test_optimizer_restarts_follow_the_seed():
+    # at n = 6 the first simplex run stops after 116 evaluations; the seeded
+    # restarts spend the rest of the budget
+    chain = ChainSpec(6)
+    one = optimize_pulse(chain, REFERENCE_PULSE, budget=200, seed=1)
+    two = optimize_pulse(chain, REFERENCE_PULSE, budget=200, seed=2)
+    assert one.trace[:116] == two.trace[:116]
+    assert one.trace[116] != two.trace[116]
+    assert optimize_pulse(chain, REFERENCE_PULSE, budget=200, seed=1).trace == one.trace
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_generator_matches_kron_oracle(n, rng):
     # the even-parity block that pulse_state solves, and no term leaves it
@@ -162,6 +181,33 @@ def test_pulse_state_with_zero_weight_hops(n, sign):
 def test_pulse_state_reference_ratio():
     ratio = violation_ratio(pulse_state(ChainSpec(6), REFERENCE_PULSE))
     assert ratio == pytest.approx(REFERENCE_RATIO, abs=1e-9)
+
+
+def _reversed_sites(amps, n):
+    return amps.reshape((2,) * n).transpose(range(n - 1, -1, -1)).reshape(-1)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pulse_state_matches_kron_oracle_and_site_reversal(n, rng):
+    # the oracle state is reversal-invariant, the premise of the mirror-even sector
+    chain = ChainSpec(n)
+    for _ in range(3):
+        params = PulseParams(*rng.uniform(-10, 10, size=3))
+        want = pulsed_state(chain, params).amplitudes
+        got = pulse_state(chain, params).amplitudes
+        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(want - _reversed_sites(want, n)).max() < 1e-12
+        assert np.array_equal(got, _reversed_sites(got, n))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pulse_sector_dimension(n):
+    # one row per reversal orbit of the even-popcount states
+    words = [format(i, f"0{n}b") for i in range(2**n) if bin(i).count("1") % 2 == 0]
+    palindromes = sum(w == w[::-1] for w in words)
+    dim = (2 ** (n - 1) + palindromes) // 2
+    assert dim == {8: 72, 9: 136, 10: 272}.get(n, dim)
+    assert [t.shape for t in _PulseSector(ChainSpec(n)).terms] == [(dim, dim)] * 3
 
 
 def test_pulse_state_capped():

@@ -143,7 +143,8 @@ def test_optimizer_restarts_follow_the_seed():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_generator_matches_kron_oracle(n, rng):
-    # the even-parity block that pulse_state solves, and no term leaves it
+    # the even-parity block that _PulseSector folds its three term matrices
+    # from, and no term leaves it
     even = np.array([i for i in range(2**n) if bin(i).count("1") % 2 == 0])
     odd = np.setdiff1d(np.arange(2**n), even)
     for _ in range(5):
@@ -157,15 +158,23 @@ def test_generator_matches_kron_oracle(n, rng):
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 
 
+def _reversed_sites(amps, n):
+    return amps.reshape((2,) * n).transpose(range(n - 1, -1, -1)).reshape(-1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 8), theta_xx=angles, theta_yy=angles, theta_z=angles)
 def test_pulse_state_matches_dense_unitary(n, theta_xx, theta_yy, theta_z):
     chain = ChainSpec(n)
     params = PulseParams(theta_xx, theta_yy, theta_z)
     got = pulse_state(chain, params).amplitudes
-    assert np.abs(got - pulsed_state(chain, params).amplitudes).max() < 1e-12
+    want = pulsed_state(chain, params).amplitudes
+    assert np.abs(got - want).max() < 1e-12
     popcount = np.array([bin(i).count("1") for i in range(2**n)])
     assert np.all(got[popcount % 2 == 1] == 0)
+    # the oracle state is reversal-invariant, the premise of the mirror-even sector
+    assert np.abs(want - _reversed_sites(want, n)).max() < 1e-12
+    assert np.array_equal(got, _reversed_sites(got, n))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -181,23 +190,6 @@ def test_pulse_state_with_zero_weight_hops(n, sign):
 def test_pulse_state_reference_ratio():
     ratio = violation_ratio(pulse_state(ChainSpec(6), REFERENCE_PULSE))
     assert ratio == pytest.approx(REFERENCE_RATIO, abs=1e-9)
-
-
-def _reversed_sites(amps, n):
-    return amps.reshape((2,) * n).transpose(range(n - 1, -1, -1)).reshape(-1)
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_pulse_state_matches_kron_oracle_and_site_reversal(n, rng):
-    # the oracle state is reversal-invariant, the premise of the mirror-even sector
-    chain = ChainSpec(n)
-    for _ in range(3):
-        params = PulseParams(*rng.uniform(-10, 10, size=3))
-        want = pulsed_state(chain, params).amplitudes
-        got = pulse_state(chain, params).amplitudes
-        assert np.abs(got - want).max() < 1e-12
-        assert np.abs(want - _reversed_sites(want, n)).max() < 1e-12
-        assert np.array_equal(got, _reversed_sites(got, n))
 
 
 @pytest.mark.parametrize("n", range(2, 11))

@@ -2,14 +2,15 @@
 
 The phase-flip channel on one site is rho -> p rho + (1-p) Z rho Z with
 p(t) = (1 + exp(-kappa t)) / 2; the depolarizing channel used here is
-rho -> p rho + (1-p)/3 (X rho X + Y rho Y + Z rho Z).  Each kind is defined
-once, by its kernel in ``_CHANNELS``: a one-site channel acts on the four
-(bra bit, ket bit) blocks of that site, taken as views of the density matrix,
-and updates them in place.  ``phase_flip``, ``depolarizing`` and
-``apply_all_sites`` run the kernels on a density matrix.  The echo
-experiment and the localized pair start from the pure cluster state instead
-and build no 2^n x 2^n matrix: both kinds are Pauli channels, so the
-per-site numbers they need are read by running the kernel on a 2 x 2 matrix.
+rho -> p rho + (1-p)/3 (X rho X + Y rho Y + Z rho Z).  Both are Pauli
+channels, which map each sigma_a to f_a sigma_a, and each kind is defined
+once, by its scales (f_xy, f_z) at weight p in ``_CHANNELS``: 2p - 1 and 1
+for the phase flip, (4p - 1)/3 for both in the depolarizing channel.  One
+kernel applies them to the four (bra bit, ket bit) blocks of a site, taken
+as views of the density matrix, in place; ``phase_flip``, ``depolarizing``
+and ``apply_all_sites`` run it.  The echo experiment and the localized pair
+start from the pure cluster state instead, read the same scales, and build
+no 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spinchain
-from .criteria import AXES, _HALF_PAULIS, CriterionReport, _correlator_means, _report
+from .criteria import CriterionReport, _correlator_means, _report
 # expectation is unused here; clibench/tests checks that its tracer rebinds this name
 from .qcore import DensityMatrix, expectation, negativity  # noqa: F401
 
@@ -55,46 +56,33 @@ def _check_p(p: float) -> None:
         raise ValueError(f"channel weight p={p} outside [0, 1]")
 
 
-def _site_tensor(mat: np.ndarray, n_sites: int, site: int) -> np.ndarray:
-    """``mat`` as (left, bra bit, right, left, ket bit, right) for ``site``.
+def _apply(mat: np.ndarray, n_sites: int, site: int, scales: tuple[float, float]) -> np.ndarray:
+    """The Pauli channel with scales (f_xy, f_z) on ``site`` of ``mat``, in place.
 
-    A view when ``mat`` is C-contiguous, so writes to it update ``mat``.
+    ``mat`` is viewed as (left, bra bit, right, left, ket bit, right), so writes
+    reach a C-contiguous ``mat``.  The off-diagonal blocks are scaled by f_xy;
+    the diagonal blocks move (1 - f_z)/2 of their difference toward each other.
     """
-    left = 2 ** (site - 1)
-    right = 2 ** (n_sites - site)
-    return mat.reshape(left, 2, right, left, 2, right)
-
-
-def _phase_flip_raw(mat: np.ndarray, n_sites: int, site: int, p: float) -> np.ndarray:
-    # Z rho Z flips the sign of the blocks whose bra and ket bits differ
-    t = _site_tensor(mat, n_sites, site)
-    t[:, 0, :, :, 1] *= 2.0 * p - 1.0
-    t[:, 1, :, :, 0] *= 2.0 * p - 1.0
+    f_xy, f_z = scales
+    left, right = 2 ** (site - 1), 2 ** (n_sites - site)
+    t = mat.reshape(left, 2, right, left, 2, right)
+    t[:, 0, :, :, 1] *= f_xy
+    t[:, 1, :, :, 0] *= f_xy
+    if f_z != 1.0:
+        shift = t[:, 0, :, :, 0] - t[:, 1, :, :, 1]
+        shift *= (1.0 - f_z) / 2.0
+        t[:, 0, :, :, 0] -= shift
+        t[:, 1, :, :, 1] += shift
     return t.reshape(mat.shape)
 
 
-def _depolarizing_raw(mat: np.ndarray, n_sites: int, site: int, p: float) -> np.ndarray:
-    # X rho X + Y rho Y + Z rho Z has blocks rho00 + 2 rho11 on the diagonal
-    # and -rho01 off it, so the channel is lam * rho with (1-lam)/2 (rho00 +
-    # rho11) added to each diagonal block
-    lam = (4.0 * p - 1.0) / 3.0
-    t = _site_tensor(mat, n_sites, site)
-    b00, b11 = t[:, 0, :, :, 0], t[:, 1, :, :, 1]
-    mixed = b00 + b11
-    mixed *= (1.0 - lam) / 2.0
-    for block in (b00, b11):
-        block *= lam
-        block += mixed
-    t[:, 0, :, :, 1] *= lam
-    t[:, 1, :, :, 0] *= lam
-    return t.reshape(mat.shape)
-
-
-# channel kind -> (per-site kernel, formula reported with results); a kernel
-# updates a writable matrix in place and returns it
+# channel kind -> (Pauli scales (f_xy, f_z) at weight p, formula reported with results)
 _CHANNELS = {
-    "phase_flip": (_phase_flip_raw, "p*rho + (1-p)*Z rho Z per site"),
-    "depolarizing": (_depolarizing_raw, "p*rho + (1-p)/3*(X rho X + Y rho Y + Z rho Z) per site"),
+    "phase_flip": (lambda p: (2.0 * p - 1.0, 1.0), "p*rho + (1-p)*Z rho Z per site"),
+    "depolarizing": (
+        lambda p: ((4.0 * p - 1.0) / 3.0,) * 2,
+        "p*rho + (1-p)/3*(X rho X + Y rho Y + Z rho Z) per site",
+    ),
 }
 
 
@@ -104,46 +92,32 @@ def _channel(kind: str):
     return _CHANNELS[kind]
 
 
-def phase_flip(rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
-    """p rho + (1-p) Z rho Z on one site."""
+def _one_site(kind: str, rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
     n = _check_qubit_density(rho)
     rho.space.check_site(site)
     _check_p(p)
-    return DensityMatrix._adopt(rho.space, _phase_flip_raw(rho.matrix.copy(), n, site, p))
+    scales = _CHANNELS[kind][0](p)
+    return DensityMatrix._adopt(rho.space, _apply(rho.matrix.copy(), n, site, scales))
+
+
+def phase_flip(rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
+    """p rho + (1-p) Z rho Z on one site."""
+    return _one_site("phase_flip", rho, site, p)
 
 
 def depolarizing(rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
     """p rho + (1-p)/3 (X rho X + Y rho Y + Z rho Z) on one site."""
-    n = _check_qubit_density(rho)
-    rho.space.check_site(site)
-    _check_p(p)
-    return DensityMatrix._adopt(rho.space, _depolarizing_raw(rho.matrix.copy(), n, site, p))
+    return _one_site("depolarizing", rho, site, p)
 
 
 def apply_all_sites(model: DecoherenceModel, rho: DensityMatrix) -> DensityMatrix:
     """The model's channel applied to every site (order irrelevant)."""
     n = _check_qubit_density(rho)
-    raw, _ = _channel(model.kind)
+    scales = _channel(model.kind)[0](model.p)
     mat = rho.matrix.copy()
     for site in range(1, n + 1):
-        mat = raw(mat, n, site, model.p)
+        mat = _apply(mat, n, site, scales)
     return DensityMatrix._adopt(rho.space, mat)
-
-
-def _pauli_scales(raw, p: float) -> dict[str, float]:
-    """f_a = Tr(sigma_a Phi(sigma_a)) / 2 for each one-site Pauli, read off the kernel.
-
-    A Pauli channel maps sigma_a to f_a sigma_a and is its own adjoint.
-    """
-    return {
-        axis: float(np.vdot(sigma, raw(sigma.copy(), 1, 1, p)).real) / 2
-        for axis, sigma in zip(AXES, 2 * _HALF_PAULIS)
-    }
-
-
-def _diagonal_map(raw, p: float) -> np.ndarray:
-    """M[b, c] = <b|Phi(|c><c|)|b>, the weight z outcome b keeps of entry c."""
-    return np.column_stack([np.diagonal(raw(np.diag(unit), 1, 1, p)) for unit in np.eye(2)])
 
 
 def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") -> CriterionReport:
@@ -154,16 +128,17 @@ def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") 
     sum the single-site x expectations.  At p=1 the echo restores the start
     state and the value reaches n; the witness bound stays n/2.  It is
     evaluated in the Heisenberg picture: the gate maps x_k to the correlator
-    K_k, the channel scales K_k by the product of f_a over its factors (see
-    ``_pauli_scales``), and <K_k> is read on the pure cluster state.
+    K_k, the channel scales K_k by the product of the f_a of its factors, and
+    <K_k> is read on the pure cluster state.
     """
     if n_sites % 2 != 0:
         raise ValueError("the witness experiment requires an even chain")
     _check_p(p)
-    raw, form = _channel(channel)
+    scales, form = _channel(channel)
+    f_xy, f_z = scales(p)
+    scale = {"x": f_xy, "y": f_xy, "z": f_z}
     chain = spinchain.ChainSpec(n_sites)
     cluster = spinchain.cluster_state(spinchain.ClusterSpec(chain, (1,) * n_sites))
-    scale = _pauli_scales(raw, p)
     per_site = [
         math.prod(scale[axis] for axis in spinchain.tilde_factors(chain, k).values()) * mean
         for k, mean in enumerate(_correlator_means(cluster, chain), start=1)
@@ -183,18 +158,32 @@ def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") 
     )
 
 
-def witness_threshold(n_sites: int, precision: float = 1e-3, channel: str = "phase_flip") -> float:
-    """Bisect the channel weight where the echo witness crosses its bound."""
+def _bisect(detects, precision: float) -> float:
+    """The weight in [1/2, 1] where ``detects`` turns true, to ``precision``.
+
+    Stops early once the bracket is as narrow as floats allow, where the
+    midpoint no longer lies strictly inside it.
+    """
+    if not precision > 0:
+        raise ValueError(f"bisection precision must be positive, got {precision}")
     lo, hi = 0.5, 1.0
-    if decoherence_experiment(n_sites, hi, channel).value <= n_sites / 2:
-        raise ValueError("witness does not cross its bound even without noise")
     while hi - lo > precision:
         mid = (lo + hi) / 2
-        if decoherence_experiment(n_sites, mid, channel).value > n_sites / 2:
+        if not lo < mid < hi:
+            break
+        if detects(mid):
             hi = mid
         else:
             lo = mid
     return (lo + hi) / 2
+
+
+def witness_threshold(n_sites: int, precision: float = 1e-3, channel: str = "phase_flip") -> float:
+    """Bisect the channel weight where the echo witness crosses its bound."""
+    if decoherence_experiment(n_sites, 1.0, channel).value <= n_sites / 2:
+        raise ValueError("witness does not cross its bound even without noise")
+    bound = n_sites / 2
+    return _bisect(lambda p: decoherence_experiment(n_sites, p, channel).value > bound, precision)
 
 
 def localized_pair_state(
@@ -214,8 +203,9 @@ def localized_pair_state(
     partial trace would erase it: for an interior pair of a cluster state it
     is exactly the maximally mixed two-qubit state.)  Only the entries
     diagonal in the measured sites survive the projection, and a Pauli
-    channel maps those among themselves (see ``_diagonal_map``), so the pair
-    block is a weighted sum over the pure cluster amplitudes.
+    channel maps those among themselves: outcome b keeps the weight
+    M[b, c] = <b|Phi(|c><c|)|b> = (1 + f_z (-1)^(b xor c))/2 of entry c.  So
+    the pair block is a weighted sum over the pure cluster amplitudes.
     """
     if n_sites < 4 or n_sites % 2 != 0:
         raise ValueError("pair reduction defined for even chains of at least 4 sites")
@@ -233,19 +223,19 @@ def localized_pair_state(
         outcomes = (0,) * len(others)
     if len(outcomes) != len(others) or any(b not in (0, 1) for b in outcomes):
         raise ValueError("need one 0/1 outcome per measured site")
-    raw, _ = _channel(channel)
+    scales = _channel(channel)[0](p)
     cluster = spinchain.cluster_state(
         spinchain.ClusterSpec(chain, (1,) * n_sites)
     ).amplitudes
     # rows: the measured sites' bits in site order; columns: the pair's bits
     rows = np.moveaxis(cluster.reshape((2,) * n_sites), (k1 - 1, k2 - 1), (-2, -1)).reshape(-1, 4)
     # branch b keeps weight M[b, c] of the rows whose measured bits are c
-    weight_rows = _diagonal_map(raw, p)
+    weight_rows = (1.0 + scales[1] * np.array([[1.0, -1.0], [-1.0, 1.0]])) / 2.0
     weights = np.ones(1)
     for bit in outcomes:
         weights = np.kron(weights, weight_rows[bit])
     block = rows.T @ (weights[:, None] * rows.conj())
-    block = raw(raw(block, 2, 1, p), 2, 2, p)
+    block = _apply(_apply(block, 2, 1, scales), 2, 2, scales)
     block = block / np.trace(block).real
     pair_space = spinchain.ChainSpec(2).space()
     return DensityMatrix._adopt(pair_space, block)
@@ -261,16 +251,13 @@ def pairwise_threshold(
 
     Returns None when the pair is already separable at p=1 (no crossing).
     """
-    if negativity(localized_pair_state(n_sites, 1.0, pair, channel=channel), [1]) <= _NEGATIVITY_TOL:
+    def entangled(p: float) -> bool:
+        rho = localized_pair_state(n_sites, p, pair, channel=channel)
+        return negativity(rho, [1]) > _NEGATIVITY_TOL
+
+    if not entangled(1.0):
         return None
-    lo, hi = 0.5, 1.0
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        if negativity(localized_pair_state(n_sites, mid, pair, channel=channel), [1]) > _NEGATIVITY_TOL:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2
+    return _bisect(entangled, precision)
 
 
 @dataclass(frozen=True)

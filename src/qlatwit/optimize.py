@@ -199,6 +199,7 @@ def optimize_pulse(
     x_init = initial.as_array()
     best_x = np.array(x_init, dtype=float)
     best_val = objective(x_init)
+    initial_ratio = -best_val
     rng = random.Random(seed)
     for restart in range(_N_RESTARTS):
         if counter.remaining() <= 0:
@@ -211,7 +212,6 @@ def optimize_pulse(
         if val < best_val:
             best_x, best_val = x, val
     final_ratio = ratio_of(best_x)
-    initial_ratio = ratio_of(x_init)
     if final_ratio < initial_ratio:
         best_x, final_ratio = x_init, initial_ratio
     return PulseSearchResult(

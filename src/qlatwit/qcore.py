@@ -28,8 +28,6 @@ DEGENERACY_GAP = 1e-8
 DEFAULT_DIM_CAP = 4096
 # sites one block of a ProductState may span
 MAX_BLOCK_SITES = 4
-# entries of a matrix compared per tile by _is_hermitian
-_HERMITICITY_BAND = 2**16
 
 
 def dim_cap() -> int:
@@ -60,6 +58,13 @@ class HilbertSpace:
             raise ValueError(f"local dimensions must be positive, got {self.dims}")
         if self.kind == "qubit" and any(d != 2 for d in self.dims):
             raise ValueError("qubit spaces must have local dimension 2 everywhere")
+        if self.kind == "fock":
+            c = self.fock_cutoff
+            if not isinstance(c, (int, np.integer)) or c < 1:
+                raise ValueError(f"fock spaces need an integer fock_cutoff >= 1, got {c!r}")
+            site_dim = (c + 1) * (c + 2) // 2
+            if any(d != site_dim for d in self.dims):
+                raise ValueError(f"fock sites with cutoff {c} have dimension {site_dim}, got {self.dims}")
 
     @property
     def n_sites(self) -> int:
@@ -88,20 +93,7 @@ def _as_readonly_complex(values, name: str, copy: bool = True) -> np.ndarray:
 
 
 def _is_hermitian(matrix: np.ndarray) -> bool:
-    """max |matrix - matrix^H| <= HERMITICITY_TOL, one square tile at a time.
-
-    Each tile M[i:i+b, j:j+b] on or above the diagonal is compared with the
-    conjugate transpose of its mirror M[j:j+b, i:i+b], so the temporaries hold
-    at most _HERMITICITY_BAND entries, not dim^2.
-    """
-    d = matrix.shape[0]
-    b = max(1, math.isqrt(_HERMITICITY_BAND))
-    for i in range(0, d, b):
-        for j in range(i, d, b):
-            tile = matrix[i : i + b, j : j + b]
-            if np.abs(tile - matrix[j : j + b, i : i + b].conj().T).max() > HERMITICITY_TOL:
-                return False
-    return True
+    return np.abs(matrix - matrix.conj().T).max() <= HERMITICITY_TOL
 
 
 def _check_psd(matrix: np.ndarray) -> None:

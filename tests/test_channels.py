@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import PAULIS, kron_all, oracle_site_pauli
 from qlatwit.channels import (
+    _CHANNELS,
     DecoherenceModel,
     apply_all_sites,
     decoherence_experiment,
@@ -134,6 +136,21 @@ def oracle_channel(kind, rho, site, n, p):
     return p * rho + (1 - p) / len(axes) * sum(s @ rho @ s for s in paulis)
 
 
+@pytest.mark.parametrize("kind", ["phase_flip", "depolarizing"])
+def test_channel_scales_match_dense_oracle(kind):
+    # f_a = Tr(s_a Phi(s_a))/2 and M[b, c] = <b|Phi(|c><c|)|b>, the closed
+    # forms the echo and the localized pair read from the table
+    for p in np.linspace(0.0, 1.0, 21):
+        f_xy, f_z = _CHANNELS[kind][0](p)
+        for axis, want in zip("xyz", (f_xy, f_xy, f_z)):
+            sigma = oracle_site_pauli(axis, 1, 1)
+            phi_sigma = oracle_channel(kind, sigma, 1, 1, p)
+            assert abs(np.trace(sigma @ phi_sigma).real / 2 - want) < 1e-15
+        for b, c in itertools.product((0, 1), repeat=2):
+            closed = (1 + f_z * (-1) ** (b ^ c)) / 2
+            assert abs(oracle_channel(kind, np.diag(np.eye(2)[c]), 1, 1, p)[b, b] - closed) < 1e-15
+
+
 def random_density(n, pure, gen):
     space = HilbertSpace((2,) * n)
     if pure:
@@ -257,6 +274,31 @@ def test_witness_threshold_knife_edge(n):
 
 def test_echo_at_three_quarters_is_not_violated_on_ten_sites():
     assert decoherence_experiment(10, 0.75).violated is False
+
+
+@pytest.mark.parametrize(
+    "threshold", [witness_threshold, lambda n, precision: pairwise_threshold(n, precision=precision)]
+)
+def test_thresholds_refuse_a_precision_that_is_not_positive(threshold):
+    for precision in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="precision must be positive"):
+            threshold(4, precision=precision)
+
+
+@pytest.mark.parametrize(
+    "threshold, near",
+    [
+        (witness_threshold, 0.75),
+        (lambda n, precision: pairwise_threshold(n, precision=precision), 1 / math.sqrt(2)),
+    ],
+)
+def test_thresholds_stop_at_float_spacing(threshold, near):
+    # below the float spacing near the crossing the midpoint stops moving;
+    # the bisection must stop there instead of spinning
+    start = time.perf_counter()
+    p = threshold(4, precision=1e-17)
+    assert time.perf_counter() - start < 1.0
+    assert p == pytest.approx(near, abs=1e-9)
 
 
 def oracle_phase_gate(n):

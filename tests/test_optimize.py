@@ -117,6 +117,19 @@ def test_optimizer_trace_and_budget_accounting():
     assert iterations == sorted(iterations)
 
 
+@pytest.mark.parametrize("budget", [1, 40])
+def test_optimizer_solves_each_evaluation_once_plus_the_final_point(monkeypatch, budget):
+    # the initial ratio is the first evaluation's; only the returned point is solved again
+    calls = []
+    solve = _PulseSector.state
+    monkeypatch.setattr(
+        _PulseSector, "state", lambda self, params: calls.append(params) or solve(self, params)
+    )
+    result = optimize_pulse(ChainSpec(6), REFERENCE_PULSE, budget=budget, seed=1)
+    assert len(calls) == result.evaluations + 1
+    assert result.ratio >= result.trace[0][2]
+
+
 def test_optimizer_rejects_empty_budget():
     with pytest.raises(ValueError):
         optimize_pulse(ChainSpec(4), REFERENCE_PULSE, budget=0)

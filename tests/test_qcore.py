@@ -9,7 +9,6 @@ from qlatwit.qcore import (
     HilbertSpace,
     LinearOperator,
     PureState,
-    _HERMITICITY_BAND,
     _apply_site,
     _site_block,
     dim_cap,
@@ -101,9 +100,8 @@ def test_operator_hermitian_hint_checked():
     ],
 )
 def test_hermiticity_check_reaches_the_last_band(build):
-    # 512^2 entries are four bands; the only asymmetric pair lies in the last
+    # the only asymmetric pair lies in the last two rows
     d = 512
-    assert d * d == 4 * _HERMITICITY_BAND
     m = np.eye(d, dtype=complex) / d
     m[d - 1, d - 2] = 1e-6
     with pytest.raises(ValueError, match="Hermitian"):
@@ -113,7 +111,7 @@ def test_hermiticity_check_reaches_the_last_band(build):
 @pytest.mark.parametrize("dims", [(2,) * 10, (3,) * 6])
 @pytest.mark.parametrize("where", ["first", "last", "below", "above"])
 def test_hermiticity_check_reaches_every_tile(dims, where):
-    # 1024 = four 256-wide tile rows; 729 leaves a ragged last tile
+    # one asymmetric pair near each corner or off the diagonal; 729 is not a power of two
     d = int(np.prod(dims))
     i, j = {"first": (1, 0), "last": (d - 1, d - 2), "below": (d - 3, 5), "above": (7, d - 4)}[where]
     m = np.eye(d, dtype=complex) / d
@@ -122,6 +120,26 @@ def test_hermiticity_check_reaches_every_tile(dims, where):
         DensityMatrix(HilbertSpace(dims, "generic"), m)
     m[j, i] = 1e-6
     DensityMatrix(HilbertSpace(dims, "generic"), m)
+
+
+@pytest.mark.parametrize(
+    "dims, cutoff, match",
+    [
+        ((3,), None, "integer fock_cutoff"),
+        ((3,), 0, "integer fock_cutoff"),
+        ((3,), 1.0, "integer fock_cutoff"),
+        ((4, 4), 1, "dimension 3"),
+        ((6, 3), 2, "dimension 6"),
+    ],
+)
+def test_fock_space_needs_a_cutoff_matching_its_dims(dims, cutoff, match):
+    with pytest.raises(ValueError, match=match):
+        HilbertSpace(dims, "fock", cutoff)
+
+
+def test_fock_space_accepts_matching_cutoff():
+    assert HilbertSpace((6, 6), "fock", 2).dim == 36
+    assert HilbertSpace((3,), "fock", np.int64(1)).fock_cutoff == 1
 
 
 INVALID_DENSITIES = {

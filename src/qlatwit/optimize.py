@@ -59,16 +59,26 @@ class _PulseSector:
         if n > _MAX_SITES:
             raise ValueError(f"pulse generator capped at {_MAX_SITES} sites")
         self.chain = chain
-        self._even = np.flatnonzero(spinchain._parity(np.arange(2**n)) == 0)
-        mirror = sum((((self._even >> s) & 1) << (n - 1 - s) for s in range(n)),
-                     np.zeros_like(self._even))
-        # |0...0> is a palindrome and the smallest representative: orbit 0
-        reps, self._orbit = np.unique(np.minimum(self._even, mirror), return_inverse=True)
-        self._weight = np.where(self._even == mirror, 1.0, np.sqrt(0.5))
-        fold = np.zeros((self._even.size, reps.size))
-        fold[np.arange(self._even.size), self._orbit] = self._weight
+        self._even = even = np.flatnonzero(spinchain._parity(np.arange(2**n)) == 0)
+        mirror = sum((((even >> s) & 1) << (n - 1 - s) for s in range(n)), np.zeros_like(even))
+        # each orbit is represented by its smaller index, so |0...0> is orbit 0;
+        # rows are the representatives' positions in even, partner their mirrors'
+        rows = np.flatnonzero(even <= mirror)
+        partner = np.searchsorted(even, mirror[rows])
+        self._orbit = np.searchsorted(even[rows], np.minimum(even, mirror))
+        self._weight = np.where(even == mirror, 1.0, np.sqrt(0.5))
+        w = self._weight[rows]
+        scale = w / w[:, None]
+        palindrome = rows == partner
+
+        def fold(g):
+            # G is reversal-symmetric, so the orbit sums reduce to two gathers:
+            # (G[a, b] + [b not a palindrome] G[a, mirror(b)]) w_b / w_a
+            top = g[rows]
+            return (top[:, rows] + np.where(palindrome, 0.0, top[:, partner])) * scale
+
         self.terms = tuple(
-            fold.T @ spinchain._chain_generator(n, self._even, *couplings) @ fold
+            fold(spinchain._chain_generator(n, even, *couplings))
             for couplings in ((1.0, 0, 0, 0), (0, 1.0, 0, 0), (0, 0, 0, 1.0))
         )
 
@@ -105,6 +115,8 @@ class PulseSearchResult:
     ratio: float
     evaluations: int
     trace: tuple[tuple[int, tuple[float, float, float], float], ...]
+    # the pulsed state of the initial point, solved as the first evaluation
+    initial_state: PureState
 
 
 def _nelder_mead(f, x0: np.ndarray, budget, step: float = 0.4, tol: float = 1e-10):
@@ -187,18 +199,19 @@ def optimize_pulse(
     counter = _Budget(budget)
     trace: list[tuple[int, tuple[float, float, float], float]] = []
 
-    def ratio_of(x: np.ndarray) -> float:
-        return violation_ratio(sector.state(PulseParams(*x)))
-
-    def objective(x: np.ndarray) -> float:
+    def evaluate(x: np.ndarray, state: PureState) -> float:
         counter.used += 1
-        r = ratio_of(x)
+        r = violation_ratio(state)
         trace.append((counter.used, (float(x[0]), float(x[1]), float(x[2])), r))
         return -r
 
+    def objective(x: np.ndarray) -> float:
+        return evaluate(x, sector.state(PulseParams(*x)))
+
     x_init = initial.as_array()
+    initial_state = sector.state(initial)
     best_x = np.array(x_init, dtype=float)
-    best_val = objective(x_init)
+    best_val = evaluate(x_init, initial_state)
     initial_ratio = -best_val
     rng = random.Random(seed)
     for restart in range(_N_RESTARTS):
@@ -211,7 +224,7 @@ def optimize_pulse(
         x, val = _nelder_mead(objective, x0, counter)
         if val < best_val:
             best_x, best_val = x, val
-    final_ratio = ratio_of(best_x)
+    final_ratio = violation_ratio(sector.state(PulseParams(*best_x)))
     if final_ratio < initial_ratio:
         best_x, final_ratio = x_init, initial_ratio
     return PulseSearchResult(
@@ -219,4 +232,5 @@ def optimize_pulse(
         ratio=final_ratio,
         evaluations=counter.used,
         trace=tuple(trace),
+        initial_state=initial_state,
     )

@@ -14,6 +14,7 @@ from qlatwit.qcore import (
     PureState,
     variance_from_moments,
 )
+from qlatwit.spinchain import _chain_generator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -122,6 +123,20 @@ def oracle_pulse_generator(n, params):
         for k in range(1, n)
     )
     return g + sum(params.theta_z * site_term(k, [SZ / 2]) for k in range(1, n + 1))
+
+
+def oracle_pulse_fold(n):
+    """The mirror-even sector by a dense fold: orbit of each even-parity
+    index, its weight, and fold.T @ G @ fold for the three pulse terms."""
+    even = np.array([i for i in range(2**n) if bin(i).count("1") % 2 == 0])
+    mirror = np.array([int(format(i, f"0{n}b")[::-1], 2) for i in even])
+    reps, orbit = np.unique(np.minimum(even, mirror), return_inverse=True)
+    weight = np.where(even == mirror, 1.0, np.sqrt(0.5))
+    fold = np.zeros((even.size, reps.size))
+    fold[np.arange(even.size), orbit] = weight
+    terms = [fold.T @ _chain_generator(n, even, *couplings) @ fold
+             for couplings in ((1.0, 0, 0, 0), (0, 1.0, 0, 0), (0, 0, 0, 1.0))]
+    return orbit.ravel(), weight, terms
 
 
 def _rotations(axis, angles):

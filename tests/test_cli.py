@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qlatwit import cli
@@ -30,17 +31,18 @@ def run_python(code):
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg is imported only by the branch that exponentiates a
-    # non-Hermitian operator; loading it dominates a short command's start-up
-    code = "import qlatwit.cli, sys; print('scipy.linalg' in sys.modules)"
-    assert run_python(code) == "False"
+    # no command uses scipy, and only --format csv writes CSV; every module
+    # loaded at start-up is paid for by each short command
+    code = ("import qlatwit.cli, sys\n"
+            "print(*(m in sys.modules for m in ('scipy', 'scipy.linalg', 'csv')))")
+    assert run_python(code) == "False False False"
 
 
 def test_heisenberg_leaves_scipy_linalg_and_sparse_unloaded():
     code = ("import contextlib, io, sys; from qlatwit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()): rc = main(['heisenberg', '--n', '6'])\n"
-            "print(rc, 'scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)")
-    assert run_python(code) == "0 False False"
+            "print(rc, *(m in sys.modules for m in ('scipy', 'scipy.linalg', 'scipy.sparse')))")
+    assert run_python(code) == "0 False False False"
 
 
 def test_pulse_optimize_adds_no_numpy_random():
@@ -98,7 +100,7 @@ def test_json_includes_command_config_versions(capsys):
     doc = run_json(capsys, ["cluster-witness", "--n", "4"])
     assert doc["command"] == "cluster-witness"
     assert doc["config"]["n"] == 4
-    assert "qlatwit" in doc["versions"]
+    assert sorted(doc["versions"]) == ["numpy", "python", "qlatwit"]
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +135,15 @@ def test_decoherence_scan_csv_format(capsys, tmp_path):
     assert rows[0]["p"] == "0.5"
     assert "," not in rows[-1]["value"]  # one numeric token per cell
     assert float(rows[-1]["value"]) == pytest.approx(4.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("steps", range(2, 12))
+def test_line_fit_matches_polyfit(steps):
+    rng = np.random.default_rng(steps)
+    x = np.sort(rng.uniform(0.5, 1.0, size=steps))
+    y = 2 * x - 1 + rng.normal(0.0, 0.1, size=steps)
+    want = np.polyfit(x, y, 1)
+    assert np.allclose(cli._fit_line(x, y), want, rtol=0, atol=1e-12)
 
 
 def test_decoherence_scan_rejects_empty_grid(capsys):

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_pulse_generator, pulse_unitary
-from qlatwit import bosonic, optimize
+from conftest import oracle_pulse_fold, oracle_pulse_generator, pulse_unitary
+from qlatwit import bosonic, cli, optimize
 from qlatwit.optimize import PulseParams, _PulseSector, optimize_pulse, pulse_state, violation_ratio
 from qlatwit.qcore import PureState
 from qlatwit.spinchain import ChainSpec, _chain_generator, basis_state, product_state
@@ -130,6 +132,24 @@ def test_optimizer_solves_each_evaluation_once_plus_the_final_point(monkeypatch,
     assert result.ratio >= result.trace[0][2]
 
 
+def test_pulse_command_builds_one_sector_and_solves_the_given_pulse_once(monkeypatch, capsys):
+    # the given pulse is the search's first evaluation, so the command reuses
+    # the search's sector and state instead of solving it on its own
+    builds, solves = [], []
+    build, solve = _PulseSector.__init__, _PulseSector.state
+    monkeypatch.setattr(
+        _PulseSector, "__init__", lambda self, chain: builds.append(chain) or build(self, chain)
+    )
+    monkeypatch.setattr(
+        _PulseSector, "state", lambda self, params: solves.append(params) or solve(self, params)
+    )
+    argv = ["pulse", "--n", "8", "--params=-3.2,-9.6,0.8", "--optimize", "--budget", "40"]
+    assert cli.main(argv) == 0
+    optimized = json.loads(capsys.readouterr().out)["results"]["optimized"]
+    assert len(builds) == 1
+    assert len(solves) == optimized["evaluations"] + 1
+
+
 def test_optimizer_rejects_empty_budget():
     with pytest.raises(ValueError):
         optimize_pulse(ChainSpec(4), REFERENCE_PULSE, budget=0)
@@ -213,6 +233,17 @@ def test_pulse_sector_dimension(n):
     dim = (2 ** (n - 1) + palindromes) // 2
     assert dim == {8: 72, 9: 136, 10: 272}.get(n, dim)
     assert [t.shape for t in _PulseSector(ChainSpec(n)).terms] == [(dim, dim)] * 3
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pulse_sector_gathers_match_the_dense_fold(n):
+    orbit, weight, terms = oracle_pulse_fold(n)
+    sector = _PulseSector(ChainSpec(n))
+    assert np.array_equal(sector._orbit, orbit)
+    assert np.array_equal(sector._weight, weight)
+    for got, want in zip(sector.terms, terms):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
 
 
 def test_pulse_state_capped():

@@ -434,17 +434,28 @@ def spin_squeezing_best(state) -> CriterionReport:
 # collective moments
 
 
+def _site_eigenbasis(space: HilbertSpace, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvector columns of the one-site n . j; on a qubit in closed form, with
+    n = (sin t cos p, sin t sin p, cos t): (-e^{-ip} sin t/2, cos t/2), (cos t/2, e^{ip} sin t/2)."""
+    if space.kind != "qubit":
+        return np.linalg.eigh(np.tensordot(direction.as_array(), _site_spin_matrices(space), 1))
+    half = math.atan2(math.hypot(direction.x, direction.y), direction.z) / 2
+    c, s = math.cos(half), math.sin(half)
+    phase = np.exp(1j * math.atan2(direction.y, direction.x))
+    return np.array([-0.5, 0.5]), np.array([[-phase.conjugate() * s, c], [c, phase * s]])
+
+
 def _moment_distribution(state, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of J_n and the state's weights on its eigenbasis.
 
     J_n = sum_k (n . j)^(k) is diagonal in the product of the one-site
-    eigenbases, so one d x d eigh suffices: the state is rotated site by
-    site, and the collective eigenvalues are the one-site ones summed over
-    sites.  A density matrix keeps only the diagonal of each site once it is
-    rotated (``_rotated_diagonal``).  For a ProductState J_n adds over the
-    blocks, so its distribution is the convolution of the blocks'; there
-    2 J_n is an integer, and equal eigenvalues are merged so the support
-    stays O(n).
+    eigenbases (a Fock site's from one d x d eigh, a qubit's in closed form):
+    the state is rotated site by site, and the collective eigenvalues are the
+    one-site ones summed over sites.  A density matrix keeps only the diagonal
+    of each site once it is rotated (``_rotated_diagonal``).  For a
+    ProductState J_n adds over the blocks, so its distribution is the
+    convolution of the blocks'; there 2 J_n is an integer, and equal
+    eigenvalues are merged so the support stays O(n).
     """
     if isinstance(state, ProductState):
         lowest, weights = 0, np.ones(1)
@@ -458,7 +469,7 @@ def _moment_distribution(state, direction: Direction) -> tuple[np.ndarray, np.nd
             lowest += low
         return (lowest + np.arange(weights.size)) / 2, weights
     space = state.space
-    w, v = np.linalg.eigh(np.tensordot(direction.as_array(), _site_spin_matrices(space), 1))
+    w, v = _site_eigenbasis(space, direction)
     if isinstance(state, PureState):
         weights = np.abs(_site_product(v.conj().T, space, state.amplitudes)) ** 2
     elif isinstance(state, DensityMatrix):

@@ -16,11 +16,13 @@ otherwise, so it has (2^(n-1) + P)/2 rows with P the even-popcount
 palindromes (72 at n = 8). ``_PulseSector`` folds the three terms of the
 generator from ``spinchain._chain_generator`` into that basis once per chain,
 G = theta_xx G_xx + theta_yy G_yy + theta_z G_z; each pulse is then one
-weighted sum, one real eigh and an unfold into the 2^n amplitudes.
+weighted sum, a Chebyshev series for exp(-i G) |0...0> (``_propagate``; a
+real eigh at large angles) and an unfold into the 2^n amplitudes.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -33,6 +35,9 @@ from .qcore import PureState
 _MAX_SITES = 10
 # simplex searches: one from the initial point, then seeded perturbations of it
 _N_RESTARTS = 3
+# eigh of a d-row sector costs ~1.5 d series terms: with one BLAS thread they met at
+# 1.0-2.1 d for n = 7..10 (d = 36..272); up to n = 6 that is under the 31-term minimum
+_SERIES_TERMS_PER_ROW = 1.5
 
 
 @dataclass(frozen=True)
@@ -85,10 +90,41 @@ class _PulseSector:
     def state(self, params: PulseParams) -> PureState:
         """exp(-i G) |0...0>, solved in the sector and unfolded."""
         g_xx, g_yy, g_z = self.terms
-        w, v = np.linalg.eigh(params.theta_xx * g_xx + params.theta_yy * g_yy + params.theta_z * g_z)
+        sector = _propagate(params.theta_xx * g_xx + params.theta_yy * g_yy + params.theta_z * g_z)
         amps = np.zeros(2**self.chain.n_sites, dtype=complex)
-        amps[self._even] = self._weight * (v @ (np.exp(-1j * w) * v[0]))[self._orbit]
+        amps[self._even] = self._weight * sector[self._orbit]
         return PureState(self.chain.space(), amps)
+
+
+def _propagate(g: np.ndarray) -> np.ndarray:
+    """exp(-i g) e_0 for a real symmetric g with Gershgorin bounds [c - r, c + r]:
+    e^{-ic} (J_0(r) + 2 sum_k (-i)^k J_k(r) T_k((g - c) / r)) e_0 over e r / 2 + 30 terms
+    (the rest add up to < 1e-18 for r >= 1), J_k(r) from Miller's backward recurrence
+    normalised by J_0 + 2 (J_2 + J_4 + ...) = 1. Raising r to 1 keeps 2k/r finite. Past
+    ``_SERIES_TERMS_PER_ROW`` terms per row, or for a non-finite g, one real eigh is used.
+    """
+    diag = np.diag(g)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite g gets non-finite bounds
+        radius = np.abs(g).sum(axis=1) - np.abs(diag)
+        lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    c, r = (hi + lo) / 2, max((hi - lo) / 2, 1.0)
+    terms = math.e * r / 2 + 30
+    if not terms <= _SERIES_TERMS_PER_ROW * len(g):
+        w, v = np.linalg.eigh(g)
+        return v @ (np.exp(-1j * w) * v[0])
+    terms = int(terms)
+    j = [0.0] * terms + [1.0, 0.0]
+    for k in range(terms, 0, -1):
+        j[k - 1] = 2 * k / r * j[k] - j[k + 1]
+    coef = np.array(j[:terms]) * np.resize([2.0, -2.0, -2.0, 2.0], terms) / (j[0] + 2 * sum(j[2::2]))
+    coef[0] /= 2
+    twice_x = (g - c * np.eye(len(g))) * (2 / r)
+    t = np.zeros((terms, len(g)))
+    t[0, 0], t[1] = 1.0, twice_x[:, 0] / 2
+    for k in range(2, terms):
+        np.matmul(twice_x, t[k - 1], out=t[k])
+        t[k] -= t[k - 2]
+    return np.exp(-1j * c) * (coef[0::2] @ t[0::2] + 1j * (coef[1::2] @ t[1::2]))
 
 
 def pulse_state(chain: spinchain.ChainSpec, params: PulseParams) -> PureState:
@@ -127,6 +163,7 @@ def _nelder_mead(f, x0: np.ndarray, budget, step: float = 0.4, tol: float = 1e-1
         x = np.array(x0, dtype=float)
         x[i] += step
         simplex.append(x)
+    del simplex[budget.remaining():]  # each f call spends one evaluation
     values = [f(x) for x in simplex]
 
     while budget.remaining() > 0:

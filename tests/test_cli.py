@@ -58,6 +58,25 @@ def test_pulse_optimize_adds_no_numpy_random():
     assert after == before
 
 
+@pytest.mark.parametrize("argv", [
+    ["pulse", "--n", "8", "--params=-3.2,-9.6,0.8", "--optimize", "--budget", "40"],
+    ["moments-compare", "--n", "9"],
+])
+def test_pulse_search_and_moments_compare_call_no_lapack_eigensolver(argv):
+    # the pulse takes a Chebyshev series and a qubit site its closed-form
+    # eigenbasis; a first LAPACK eigensolver call costs 1.7-2.2 MB of memory
+    code = ("import contextlib, io, numpy.linalg as la\n"
+            "calls = []\n"
+            "def counted(name, solve):\n"
+            "    return lambda *a, **k: calls.append(name) or solve(*a, **k)\n"
+            "for name in ('eigh', 'eigvalsh', 'svd'):\n"
+            "    setattr(la, name, counted(name, getattr(la, name)))\n"
+            "from qlatwit.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): rc = main({argv!r})\n"
+            "print(rc, calls)")
+    assert run_python(code) == "0 []"
+
+
 # ---------------------------------------------------------------------------
 # cluster-witness
 
@@ -342,6 +361,27 @@ def test_pulse_optimize_rejects_negative_seed(capsys):
     assert rc == 1
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("budget", range(1, 6))
+def test_pulse_optimize_stays_within_budget(capsys, budget):
+    # the simplex's starting vertices count against the budget too
+    argv = ["pulse", "--n", "4", "--params=-3.2,-9.6,0.8", "--optimize", "--budget", str(budget)]
+    assert run_json(capsys, argv)["results"]["optimized"]["evaluations"] <= budget
+
+
+@pytest.mark.parametrize("params", ["1e6,-1e6,3", "1e300,0,0"])
+def test_pulse_with_huge_angles_finishes(capsys, params):
+    ratio = run_json(capsys, ["pulse", "--n", "8", f"--params={params}"])["results"]["ratio"]
+    assert -1.0 <= ratio <= 1.0
+
+
+def test_pulse_with_overflowing_angles_fails_with_one_line(capsys):
+    with np.errstate(over="ignore"):
+        rc = main(["pulse", "--n", "8", "--params=1e308,1e308,1e308"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_pulse_requires_parameters_or_optimize(capsys):

@@ -16,10 +16,12 @@ from conftest import (
 )
 from qlatwit import bosonic, sampling
 from qlatwit.criteria import (
+    _HALF_PAULIS,
     AXIS_X,
     AXIS_Y,
     AXIS_Z,
     Direction,
+    _site_eigenbasis,
     angular_moment,
     anticommutator_moments,
     collective_moments,
@@ -303,6 +305,17 @@ def test_spin_squeezing_best_detects_noisy_twisted_state():
     rep = spin_squeezing_best(DensityMatrix(ChainSpec(n).space(), rho))
     assert rep.violated
     assert rep.value == pytest.approx(0.9937417, abs=1e-6)
+
+
+def test_qubit_eigenbasis_diagonalizes_half_pauli_sum(rng):
+    points = rng.normal(size=(20, 3))
+    directions = [Direction.normalized(*p) for p in points] + [AXIS_Z, Direction(0.0, 0.0, -1.0)]
+    for direction in directions:
+        w, v = _site_eigenbasis(HilbertSpace((2,)), direction)
+        assert np.array_equal(w, [-0.5, 0.5])
+        half_n_sigma = np.tensordot(direction.as_array(), _HALF_PAULIS, 1)
+        assert np.abs(half_n_sigma @ v - v * np.array([-0.5, 0.5])).max() < 1e-14
+        assert np.abs(v.conj().T @ v - np.eye(2)).max() < 1e-14
 
 
 def test_direction_requires_unit_norm():

@@ -114,7 +114,7 @@ def test_optimizer_trace_and_budget_accounting():
     chain = ChainSpec(4)
     result = optimize_pulse(chain, REFERENCE_PULSE, budget=50, seed=0)
     assert len(result.trace) == result.evaluations
-    assert result.evaluations <= 50 + 8  # simplex setup may finish its sweep
+    assert result.evaluations <= 50
     iterations = [entry[0] for entry in result.trace]
     assert iterations == sorted(iterations)
 
@@ -249,3 +249,46 @@ def test_pulse_sector_gathers_match_the_dense_fold(n):
 def test_pulse_state_capped():
     with pytest.raises(ValueError, match="cap"):
         pulse_state(ChainSpec(11), REFERENCE_PULSE)
+
+
+def _sector_generator(n, theta):
+    g_xx, g_yy, g_z = _PulseSector(ChainSpec(n)).terms
+    return theta[0] * g_xx + theta[1] * g_yy + theta[2] * g_z
+
+
+def _eigh_propagate(g, eigh=np.linalg.eigh):
+    w, v = eigh(g)
+    return v @ (np.exp(-1j * w) * v[0])
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_propagate_series_matches_eigh(n, monkeypatch):
+    # an unbounded crossover sends every input through the series, also the
+    # small sectors that take eigh by default; zero and subnormal angles
+    # leave a half-width far below 1
+    monkeypatch.setattr(optimize, "_SERIES_TERMS_PER_ROW", np.inf)
+    rng = np.random.default_rng(n)
+    thetas = [rng.uniform(-12, 12, size=3) for _ in range(4)] + [
+        (0.0, 0.0, 0.0),
+        (0.0, 0.0, 1.1125369292536007e-308),
+        (5e-324, -5e-324, 2.2e-308),
+    ]
+    for theta in thetas:
+        g = _sector_generator(n, theta)
+        got = optimize._propagate(g)
+        assert np.abs(got - _eigh_propagate(g)).max() < 1e-12, theta
+
+
+def test_propagate_takes_eigh_past_the_crossover(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    reference = _sector_generator(8, REFERENCE_PULSE.as_array())
+    got = optimize._propagate(reference)
+    assert calls == []
+    assert np.abs(got - _eigh_propagate(reference, eigh)).max() < 1e-12
+    # ten times the reference angles need ~350 terms, past 1.5 per row of 72
+    strong = 10 * reference
+    got = optimize._propagate(strong)
+    assert calls == [(72, 72)]
+    assert np.abs(got - _eigh_propagate(strong, eigh)).max() < 1e-12

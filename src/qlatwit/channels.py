@@ -97,7 +97,7 @@ def _one_site(kind: str, rho: DensityMatrix, site: int, p: float) -> DensityMatr
     rho.space.check_site(site)
     _check_p(p)
     scales = _CHANNELS[kind][0](p)
-    return DensityMatrix._adopt(rho.space, _apply(rho.matrix.copy(), n, site, scales))
+    return DensityMatrix(rho.space, _apply(rho.matrix.copy(), n, site, scales))
 
 
 def phase_flip(rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
@@ -117,7 +117,7 @@ def apply_all_sites(model: DecoherenceModel, rho: DensityMatrix) -> DensityMatri
     mat = rho.matrix.copy()
     for site in range(1, n + 1):
         mat = _apply(mat, n, site, scales)
-    return DensityMatrix._adopt(rho.space, mat)
+    return DensityMatrix(rho.space, mat)
 
 
 def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") -> CriterionReport:
@@ -238,7 +238,7 @@ def localized_pair_state(
     block = _apply(_apply(block, 2, 1, scales), 2, 2, scales)
     block = block / np.trace(block).real
     pair_space = spinchain.ChainSpec(2).space()
-    return DensityMatrix._adopt(pair_space, block)
+    return DensityMatrix(pair_space, block)
 
 
 def pairwise_threshold(

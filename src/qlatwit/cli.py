@@ -221,7 +221,7 @@ def cmd_moments_compare(args) -> tuple[dict, list, list]:
 
 
 def cmd_pulse(args) -> tuple[dict, list, list]:
-    n = args.n if args.n is not None else 6
+    n = args.n
     if not 2 <= n <= 10:
         raise ValueError("pulse needs --n between 2 and 10")
     if args.params is None and not args.optimize:
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=None,
+        p.add_argument("--n", type=int, default=6 if name == "pulse" else None,
                        help="sites (pairs for singlet-suite)")
         p.add_argument("--p-min", dest="p_min", type=float, default=0.5)
         p.add_argument("--p-max", dest="p_max", type=float, default=1.0)

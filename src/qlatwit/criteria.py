@@ -503,7 +503,7 @@ def anticommutator_moments(state) -> np.ndarray:
 
 
 def _mixed_sites(n_sites: int) -> tuple[DensityMatrix, ...]:
-    site = DensityMatrix._adopt(HilbertSpace((2,)), np.eye(2, dtype=complex) / 2)
+    site = DensityMatrix(HilbertSpace((2,)), np.eye(2, dtype=complex) / 2)
     return (site,) * n_sites
 
 
@@ -545,7 +545,7 @@ def moment_matching_separable_state(n_sites: int) -> ProductState:
     u = np.array([[c, s], [-s, c]], dtype=complex)
     uu = np.kron(u, u)
     pair_space = HilbertSpace((2, 2))
-    pairs = tuple(DensityMatrix._adopt(pair_space, uu @ b @ uu.conj().T) for b in (block_x, block_z))
+    pairs = tuple(DensityMatrix(pair_space, uu @ b @ uu.conj().T) for b in (block_x, block_z))
     return ProductState(pairs + _mixed_sites(n_sites - 4))
 
 

@@ -155,23 +155,32 @@ class PulseSearchResult:
     initial_state: PureState
 
 
-def _nelder_mead(f, x0: np.ndarray, budget, step: float = 0.4, tol: float = 1e-10):
-    """Minimize f from x0 within the evaluation budget; returns (x, fx)."""
+class _Spent(Exception):
+    """Raised by the search objective once the evaluation budget is spent."""
+
+
+# initial simplex edge, and the spread of vertex values that ends a simplex run
+_STEP = 0.4
+_TOL = 1e-10
+
+
+def _nelder_mead(f, x0: np.ndarray):
+    """Minimize f from x0 until the simplex values agree within ``_TOL``;
+    returns (x, fx). An exception from f, such as ``_Spent``, ends the run."""
     dim = len(x0)
     simplex = [np.array(x0, dtype=float)]
     for i in range(dim):
         x = np.array(x0, dtype=float)
-        x[i] += step
+        x[i] += _STEP
         simplex.append(x)
-    del simplex[budget.remaining():]  # each f call spends one evaluation
     values = [f(x) for x in simplex]
 
-    while budget.remaining() > 0:
+    while True:
         order = np.argsort(values)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        if abs(values[-1] - values[0]) < tol:
-            break
+        if abs(values[-1] - values[0]) < _TOL:
+            return simplex[0], values[0]
         centroid = np.mean(simplex[:-1], axis=0)
         reflected = centroid + (centroid - simplex[-1])
         fr = f(reflected)
@@ -179,9 +188,6 @@ def _nelder_mead(f, x0: np.ndarray, budget, step: float = 0.4, tol: float = 1e-1
             simplex[-1], values[-1] = reflected, fr
             continue
         if fr < values[0]:
-            if budget.remaining() <= 0:
-                simplex[-1], values[-1] = reflected, fr
-                break
             expanded = centroid + 2.0 * (centroid - simplex[-1])
             fe = f(expanded)
             if fe < fr:
@@ -189,29 +195,14 @@ def _nelder_mead(f, x0: np.ndarray, budget, step: float = 0.4, tol: float = 1e-1
             else:
                 simplex[-1], values[-1] = reflected, fr
             continue
-        if budget.remaining() <= 0:
-            break
         contracted = centroid + 0.5 * (simplex[-1] - centroid)
         fc = f(contracted)
         if fc < values[-1]:
             simplex[-1], values[-1] = contracted, fc
             continue
         for i in range(1, dim + 1):
-            if budget.remaining() <= 0:
-                break
             simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
             values[i] = f(simplex[i])
-    best = int(np.argmin(values))
-    return simplex[best], values[best]
-
-
-class _Budget:
-    def __init__(self, total: int):
-        self.total = total
-        self.used = 0
-
-    def remaining(self) -> int:
-        return self.total - self.used
 
 
 def optimize_pulse(
@@ -222,52 +213,43 @@ def optimize_pulse(
 ) -> PulseSearchResult:
     """Simplex search with seeded restarts maximizing the violation ratio.
 
-    Deterministic for a fixed seed; never returns a point worse than the
-    starting one, and the reported ratio is re-evaluated from the returned
-    parameters (no cached objective values). A restart starts from the
-    initial point plus three ``random.Random(seed).gauss(0, 0.5)`` draws; a
-    negative seed is refused before the first evaluation.
+    Deterministic for a fixed seed. The trace records every evaluation, the
+    initial point first, and the result is its first best entry, so it is
+    never worse than the initial point. A restart starts from the initial
+    point plus three ``random.Random(seed).gauss(0, 0.5)`` draws; a negative
+    seed is refused before the first evaluation.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     sector = _PulseSector(chain)
-    counter = _Budget(budget)
     trace: list[tuple[int, tuple[float, float, float], float]] = []
-
-    def evaluate(x: np.ndarray, state: PureState) -> float:
-        counter.used += 1
-        r = violation_ratio(state)
-        trace.append((counter.used, (float(x[0]), float(x[1]), float(x[2])), r))
-        return -r
+    initial_state: list[PureState] = []  # the state of the first evaluation
 
     def objective(x: np.ndarray) -> float:
-        return evaluate(x, sector.state(PulseParams(*x)))
+        if len(trace) == budget:
+            raise _Spent
+        state = sector.state(PulseParams(*x))
+        if not trace:
+            initial_state.append(state)
+        r = violation_ratio(state)
+        trace.append((len(trace) + 1, (float(x[0]), float(x[1]), float(x[2])), r))
+        return -r
 
     x_init = initial.as_array()
-    initial_state = sector.state(initial)
-    best_x = np.array(x_init, dtype=float)
-    best_val = evaluate(x_init, initial_state)
-    initial_ratio = -best_val
     rng = random.Random(seed)
-    for restart in range(_N_RESTARTS):
-        if counter.remaining() <= 0:
-            break
-        if restart == 0:
-            x0 = x_init
-        else:
-            x0 = x_init + np.array([rng.gauss(0.0, 0.5) for _ in range(3)])
-        x, val = _nelder_mead(objective, x0, counter)
-        if val < best_val:
-            best_x, best_val = x, val
-    final_ratio = violation_ratio(sector.state(PulseParams(*best_x)))
-    if final_ratio < initial_ratio:
-        best_x, final_ratio = x_init, initial_ratio
+    try:
+        _nelder_mead(objective, x_init)
+        for _ in range(_N_RESTARTS - 1):
+            _nelder_mead(objective, x_init + np.array([rng.gauss(0.0, 0.5) for _ in range(3)]))
+    except _Spent:
+        pass
+    _, best, ratio = max(trace, key=lambda entry: entry[2])  # the first of equal maxima
     return PulseSearchResult(
-        params=PulseParams(float(best_x[0]), float(best_x[1]), float(best_x[2])),
-        ratio=final_ratio,
-        evaluations=counter.used,
+        params=PulseParams(*best),
+        ratio=ratio,
+        evaluations=len(trace),
         trace=tuple(trace),
-        initial_state=initial_state,
+        initial_state=initial_state[0],
     )

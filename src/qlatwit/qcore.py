@@ -79,13 +79,9 @@ class HilbertSpace:
             raise ValueError(f"site {site} out of range 1..{self.n_sites}")
 
 
-def _as_readonly_complex(values, name: str, copy: bool = True) -> np.ndarray:
-    """``values`` as a read-only C-ordered complex128 array with finite entries.
-
-    With ``copy=False`` an array that already has that dtype and order is used
-    as it is (and made read-only), so its owner must not write to it again.
-    """
-    arr = (np.array if copy else np.asarray)(values, dtype=np.complex128, order="C")
+def _as_readonly_complex(values, name: str) -> np.ndarray:
+    """A read-only C-ordered complex128 copy of ``values`` with finite entries."""
+    arr = np.array(values, dtype=np.complex128, order="C")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or Inf entries")
     arr.setflags(write=False)
@@ -132,18 +128,15 @@ class PureState:
 class DensityMatrix:
     """Hermitian, positive-semidefinite, trace-one matrix over a labeled basis.
 
-    The public constructor copies ``matrix``, so the caller may keep writing
-    to its own array.  Package code that has just allocated the array hands
-    it over with ``DensityMatrix._adopt`` instead: the same checks, no copy.
+    The constructor copies ``matrix``, so the caller may keep writing to its
+    own array.
     """
 
     space: HilbertSpace
     matrix: np.ndarray
 
     def __post_init__(self):
-        # _adopt marks an array it hands over; any other array is copied
-        copy = not self.__dict__.pop("_adopted", False)
-        mat = _as_readonly_complex(self.matrix, "density matrix", copy=copy)
+        mat = _as_readonly_complex(self.matrix, "density matrix")
         d = self.space.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match space dimension {d}")
@@ -154,21 +147,6 @@ class DensityMatrix:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
         _check_psd(mat)
         object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def _adopt(cls, space: HilbertSpace, matrix: np.ndarray) -> "DensityMatrix":
-        """A DensityMatrix that owns ``matrix`` from now on.
-
-        ``__post_init__`` runs every check of the public constructor with the
-        same tolerances; only the copy is skipped.  ``matrix`` is made
-        read-only, and the caller must hold no other writable view of it.
-        """
-        rho = cls.__new__(cls)
-        object.__setattr__(rho, "space", space)
-        object.__setattr__(rho, "matrix", matrix)
-        object.__setattr__(rho, "_adopted", True)
-        rho.__post_init__()
-        return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +216,7 @@ def pure_to_density(state: PureState) -> DensityMatrix:
     if not isinstance(state, PureState):
         raise ValueError(f"cannot convert {type(state).__name__} to a density matrix")
     v = state.amplitudes
-    return DensityMatrix._adopt(state.space, np.outer(v, v.conj()))
+    return DensityMatrix(state.space, np.outer(v, v.conj()))
 
 
 def _check_same_space(op: LinearOperator, state) -> None:
@@ -340,7 +318,7 @@ def partial_trace(rho: DensityMatrix, keep_sites: Sequence[int]) -> DensityMatri
     keep_sorted = sorted(keep)
     sub_dims = tuple(space.dims[s - 1] for s in keep_sorted)
     sub_space = HilbertSpace(sub_dims, space.kind, space.fock_cutoff)
-    return DensityMatrix._adopt(sub_space, _site_block(space, keep_sorted, rho.matrix))
+    return DensityMatrix(sub_space, _site_block(space, keep_sorted, rho.matrix))
 
 
 def negativity(rho: DensityMatrix, partition_sites: Sequence[int]) -> float:

@@ -38,7 +38,7 @@ def random_separable_density(
     )
     mat = columns @ columns.conj().T
     mat = (mat + mat.conj().T) / 2
-    return DensityMatrix._adopt(space, mat / np.trace(mat).real)
+    return DensityMatrix(space, mat / np.trace(mat).real)
 
 
 def random_direction(rng: np.random.Generator) -> np.ndarray:

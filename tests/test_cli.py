@@ -322,6 +322,11 @@ def test_pulse_with_reference_parameters(capsys):
     assert doc["results"]["report"]["violated"] is True
 
 
+def test_pulse_records_its_default_chain_length(capsys):
+    doc = run_json(capsys, ["pulse", "--params=1,1,0.3"])
+    assert doc["config"]["n"] == doc["results"]["n_sites"] == 6
+
+
 def test_pulse_reference_ratio_at_eight_sites(capsys):
     doc = run_json(capsys, ["pulse", "--n", "8", "--params=-3.2,-9.6,0.8"])
     assert doc["results"]["ratio"] == pytest.approx(0.283682226549712, abs=1e-9)

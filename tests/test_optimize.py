@@ -120,16 +120,55 @@ def test_optimizer_trace_and_budget_accounting():
 
 
 @pytest.mark.parametrize("budget", [1, 40])
-def test_optimizer_solves_each_evaluation_once_plus_the_final_point(monkeypatch, budget):
-    # the initial ratio is the first evaluation's; only the returned point is solved again
+def test_optimizer_solves_each_evaluation_once(monkeypatch, budget):
+    # the result and the initial state are read from the trace, not solved again
     calls = []
     solve = _PulseSector.state
     monkeypatch.setattr(
         _PulseSector, "state", lambda self, params: calls.append(params) or solve(self, params)
     )
     result = optimize_pulse(ChainSpec(6), REFERENCE_PULSE, budget=budget, seed=1)
-    assert len(calls) == result.evaluations + 1
+    assert len(calls) == result.evaluations
     assert result.ratio >= result.trace[0][2]
+
+
+@pytest.mark.parametrize("budget", [2, 3, 4, 5, 6, 40])
+def test_optimizer_result_is_the_first_best_trace_entry(budget):
+    # the start point is evaluated once, so the second evaluation is a new vertex
+    result = optimize_pulse(ChainSpec(6), REFERENCE_PULSE, budget=budget, seed=1)
+    assert result.trace[0][1] == tuple(REFERENCE_PULSE.as_array())
+    assert result.trace[0][1] != result.trace[1][1]
+    assert result.evaluations == len(result.trace) == budget
+    top = max(entry[2] for entry in result.trace)
+    first_best = next(entry for entry in result.trace if entry[2] == top)
+    assert (tuple(result.params.as_array()), result.ratio) == first_best[1:]
+
+
+def test_nelder_mead_converges_on_a_quadratic_and_stops_when_spent():
+    centre = np.array([1.0, -2.0, 0.5])
+    values = []
+
+    def quadratic(x):
+        values.append(float((x - centre) ** 2 @ [1.0, 2.0, 3.0]))
+        return values[-1]
+
+    x, fx = optimize._nelder_mead(quadratic, np.zeros(3))
+    assert fx == min(values) < optimize._TOL
+    assert np.abs(x - centre).max() < 1e-4
+    assert len(values) > 10
+
+    values.clear()
+    refused = []
+
+    def spends_ten(x):
+        if len(values) == 10:
+            refused.append(x)
+            raise optimize._Spent
+        return quadratic(x)
+
+    with pytest.raises(optimize._Spent):
+        optimize._nelder_mead(spends_ten, np.zeros(3))
+    assert len(values) == 10 and len(refused) == 1
 
 
 def test_pulse_command_builds_one_sector_and_solves_the_given_pulse_once(monkeypatch, capsys):
@@ -147,7 +186,7 @@ def test_pulse_command_builds_one_sector_and_solves_the_given_pulse_once(monkeyp
     assert cli.main(argv) == 0
     optimized = json.loads(capsys.readouterr().out)["results"]["optimized"]
     assert len(builds) == 1
-    assert len(solves) == optimized["evaluations"] + 1
+    assert len(solves) == optimized["evaluations"]
 
 
 def test_optimizer_rejects_empty_budget():
@@ -164,13 +203,13 @@ def test_optimizer_rejects_negative_seed_before_evaluating(monkeypatch):
 
 
 def test_optimizer_restarts_follow_the_seed():
-    # at n = 6 the first simplex run stops after 116 evaluations; the seeded
+    # at n = 6 the first simplex run stops after 115 evaluations; the seeded
     # restarts spend the rest of the budget
     chain = ChainSpec(6)
     one = optimize_pulse(chain, REFERENCE_PULSE, budget=200, seed=1)
     two = optimize_pulse(chain, REFERENCE_PULSE, budget=200, seed=2)
-    assert one.trace[:116] == two.trace[:116]
-    assert one.trace[116] != two.trace[116]
+    assert one.trace[:115] == two.trace[:115]
+    assert one.trace[115] != two.trace[115]
     assert optimize_pulse(chain, REFERENCE_PULSE, budget=200, seed=1).trace == one.trace
 
 

@@ -9,21 +9,19 @@ truncated basis and the spin algebra stays exact on every occupation shell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import spinchain
-from .qcore import DEGENERACY_GAP, GroundState, HilbertSpace, ProductState, PureState, dim_cap
+from .qcore import DEGENERACY_GAP, GroundState, HilbertSpace, ProductState, PureState, Record, dim_cap
 
 SPIN_UP = (1, 0)
 SPIN_DOWN = (0, 1)
 EMPTY = (0, 0)
 
 
-@dataclass(frozen=True)
-class SiteFockSpace:
+class SiteFockSpace(Record):
     """Single-site two-mode Fock space with at most ``n_max`` particles.
 
     Basis states |n_a, n_b> are ordered by total occupation, then by
@@ -58,8 +56,7 @@ class SiteFockSpace:
         return HilbertSpace((self.dim,), kind="fock", fock_cutoff=self.n_max)
 
 
-@dataclass(frozen=True)
-class FockLatticeSpec:
+class FockLatticeSpec(Record):
     """Chain of ``n_sites`` identical two-mode Fock sites."""
 
     n_sites: int

@@ -16,20 +16,18 @@ no 2^n x 2^n matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import spinchain
 from .criteria import CriterionReport, _correlator_means, _report
 # expectation is unused here; clibench/tests checks that its tracer rebinds this name
-from .qcore import DensityMatrix, expectation, negativity  # noqa: F401
+from .qcore import DensityMatrix, Record, expectation, negativity  # noqa: F401
 
 _NEGATIVITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DecoherenceModel:
+class DecoherenceModel(Record):
     """A per-site channel at a fixed exposure.
 
     ``p`` is the keep-state weight, (1 + exp(-kappa t)) / 2 after dephasing at
@@ -260,8 +258,7 @@ def pairwise_threshold(
     return _bisect(entangled, precision)
 
 
-@dataclass(frozen=True)
-class LifetimeComparison:
+class LifetimeComparison(Record):
     t_witness: float
     t_pairwise: float
     ratio: float

@@ -248,10 +248,12 @@ def cmd_pulse(args) -> tuple[dict, list, list]:
                         {"iteration": iteration, "params": list(point), "ratio": ratio},
                         sort_keys=True) + "\n")
     if params is not None:
-        # the search solved the given pulse as its first evaluation
-        state = result.initial_state if result is not None else optimize.pulse_state(chain, params)
-        ratio = optimize.violation_ratio(state)
-        report = criteria.collective_uncertainty_criterion(state)
+        if result is not None:
+            # the search evaluated the given pulse first
+            report, ratio = result.initial_report, result.trace[0][2]
+        else:
+            report = criteria.collective_uncertainty_criterion(optimize.pulse_state(chain, params))
+            ratio = optimize._ratio(report)
         doc["params"] = list(params.as_array())
         doc["ratio"] = ratio
         doc["report"] = report.to_json_dict()
@@ -285,24 +287,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qlatwit",
         description="Collective-measurement entanglement criteria on small lattices",
     )
+    # the options every command shares, built once and copied into each command
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--p-min", dest="p_min", type=float, default=0.5)
+    shared.add_argument("--p-max", dest="p_max", type=float, default=1.0)
+    shared.add_argument("--steps", type=int, default=11)
+    shared.add_argument("--max-order", dest="max_order", type=int, default=4)
+    shared.add_argument("--params", type=str, default=None,
+                        help="pulse angles as three comma-separated floats")
+    shared.add_argument("--optimize", action="store_true")
+    shared.add_argument("--budget", type=int, default=200)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--trace", type=str, default=None,
+                        help="path for the optimizer trace (JSON lines)")
+    shared.add_argument("--format", choices=["json", "csv"], default="json")
+    shared.add_argument("--out", type=str, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, parents=[shared])
+        # set_defaults would change a shared action's default for every command
         p.add_argument("--n", type=int, default=6 if name == "pulse" else None,
                        help="sites (pairs for singlet-suite)")
-        p.add_argument("--p-min", dest="p_min", type=float, default=0.5)
-        p.add_argument("--p-max", dest="p_max", type=float, default=1.0)
-        p.add_argument("--steps", type=int, default=11)
-        p.add_argument("--max-order", dest="max_order", type=int, default=4)
-        p.add_argument("--params", type=str, default=None,
-                       help="pulse angles as three comma-separated floats")
-        p.add_argument("--optimize", action="store_true")
-        p.add_argument("--budget", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trace", type=str, default=None,
-                       help="path for the optimizer trace (JSON lines)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--out", type=str, default=None)
     return parser
 
 

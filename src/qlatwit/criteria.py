@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +22,7 @@ from .qcore import (  # noqa: F401
     HilbertSpace,
     ProductState,
     PureState,
+    Record,
     _apply_site,
     _real_part,
     _site_block,
@@ -43,8 +43,7 @@ _HALF_PAULIS = np.array(
 ) / 2
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(Record):
     """Unit 3-vector of collective-spin direction cosines."""
 
     x: float
@@ -72,8 +71,7 @@ AXIS_Y = Direction(0.0, 1.0, 0.0)
 AXIS_Z = Direction(0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Record):
     """Outcome of one separability criterion on one state.
 
     ``direction`` records which side is separable-compatible: "<=" means all
@@ -87,7 +85,7 @@ class CriterionReport:
     direction: str
     violated: bool
     margin: float
-    aux: dict = field(default_factory=dict)
+    aux: dict
 
     def to_json_dict(self) -> dict:
         return {
@@ -549,8 +547,7 @@ def moment_matching_separable_state(n_sites: int) -> ProductState:
     return ProductState(pairs + _mixed_sites(n_sites - 4))
 
 
-@dataclass(frozen=True, eq=False)
-class MomentComparison:
+class MomentComparison(Record, eq=False):
     """Moment-by-moment comparison of two states along a list of directions."""
 
     axes: tuple[Direction, ...]

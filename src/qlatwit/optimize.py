@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import spinchain
-from .criteria import collective_uncertainty_criterion
-from .qcore import PureState
+from .criteria import CriterionReport, collective_uncertainty_criterion
+from .qcore import PureState, Record
 
 _MAX_SITES = 10
 # simplex searches: one from the initial point, then seeded perturbations of it
@@ -40,8 +39,7 @@ _N_RESTARTS = 3
 _SERIES_TERMS_PER_ROW = 1.5
 
 
-@dataclass(frozen=True)
-class PulseParams:
+class PulseParams(Record):
     theta_xx: float
     theta_yy: float
     theta_z: float
@@ -139,20 +137,23 @@ def violation_ratio(state) -> float:
     1 - sum Var(J) / (<N>/2): zero at saturation, one at maximal violation,
     negative when the variance sum exceeds the bound.
     """
-    report = collective_uncertainty_criterion(state)
+    return _ratio(collective_uncertainty_criterion(state))
+
+
+def _ratio(report: CriterionReport) -> float:
+    """``violation_ratio`` of the state a collective-uncertainty report was made on."""
     if report.bound <= 0.0:
         raise ValueError("violation ratio undefined for zero mean particle number")
     return 1.0 - report.value / report.bound
 
 
-@dataclass(frozen=True)
-class PulseSearchResult:
+class PulseSearchResult(Record):
     params: PulseParams
     ratio: float
     evaluations: int
     trace: tuple[tuple[int, tuple[float, float, float], float], ...]
-    # the pulsed state of the initial point, solved as the first evaluation
-    initial_state: PureState
+    # the collective-uncertainty report of the initial point, its first evaluation
+    initial_report: CriterionReport
 
 
 class _Spent(Exception):
@@ -225,15 +226,15 @@ def optimize_pulse(
         raise ValueError("seed must be nonnegative")
     sector = _PulseSector(chain)
     trace: list[tuple[int, tuple[float, float, float], float]] = []
-    initial_state: list[PureState] = []  # the state of the first evaluation
+    reports: list[CriterionReport] = []  # the report of the first evaluation
 
     def objective(x: np.ndarray) -> float:
         if len(trace) == budget:
             raise _Spent
-        state = sector.state(PulseParams(*x))
+        report = collective_uncertainty_criterion(sector.state(PulseParams(*x)))
         if not trace:
-            initial_state.append(state)
-        r = violation_ratio(state)
+            reports.append(report)
+        r = _ratio(report)
         trace.append((len(trace) + 1, (float(x[0]), float(x[1]), float(x[2])), r))
         return -r
 
@@ -251,5 +252,5 @@ def optimize_pulse(
         ratio=ratio,
         evaluations=len(trace),
         trace=tuple(trace),
-        initial_state=initial_state[0],
+        initial_report=reports[0],
     )

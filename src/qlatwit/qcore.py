@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +37,75 @@ def dim_cap() -> int:
     return int(raw)
 
 
-@dataclass(frozen=True)
-class HilbertSpace:
+class Record:
+    """Immutable value object whose fields are its class annotations, in order.
+
+    ``__init__`` binds positional and keyword arguments to the fields, takes
+    a missing one from its class-level default, and then calls
+    ``self.__post_init__()``, which may validate and replace fields (or set
+    further attributes) with ``object.__setattr__``.  Assignment and deletion
+    raise AttributeError.  A subclass compares and hashes by its fields; one
+    declared ``class C(Record, eq=False)`` keeps identity equality.  The
+    class is read once, when it is created, and no code is generated for it.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the namespace's own annotations: ``cls.__annotations__`` may be a base's on 3.10
+        own = [a for a in cls.__dict__.get("__annotations__", {}) if a not in cls._fields]
+        cls._fields += tuple(own)
+        cls._defaults = {**cls._defaults, **{a: cls.__dict__[a] for a in own if a in cls.__dict__}}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        if len(values) < len(fields):
+            missing = [f for f in fields if f not in values and f not in self._defaults]
+            if missing:
+                raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+        # a defaulted field stays unset here and reads the class attribute
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class HilbertSpace(Record):
     """Ordered site list with local dimensions.
 
     ``kind`` tags what the local factors are: "qubit" for two-level sites,
@@ -105,8 +171,7 @@ def _check_psd(matrix: np.ndarray) -> None:
             raise ValueError(f"density matrix has negative eigenvalue {lam_min}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(Record, eq=False):
     """Normalized amplitude vector over a labeled tensor-product basis."""
 
     space: HilbertSpace
@@ -124,8 +189,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(Record, eq=False):
     """Hermitian, positive-semidefinite, trace-one matrix over a labeled basis.
 
     The constructor copies ``matrix``, so the caller may keep writing to its
@@ -149,8 +213,7 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
 
 
-@dataclass(frozen=True, eq=False)
-class ProductState:
+class ProductState(Record, eq=False):
     """Tensor product of validated PureState/DensityMatrix blocks on
     consecutive sites, the first block on the first sites.
 
@@ -162,7 +225,6 @@ class ProductState:
     """
 
     blocks: tuple
-    space: HilbertSpace = field(init=False)
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
@@ -181,8 +243,7 @@ class ProductState:
         object.__setattr__(self, "space", HilbertSpace(dims, first.kind, first.fock_cutoff))
 
 
-@dataclass(frozen=True, eq=False)
-class LinearOperator:
+class LinearOperator(Record, eq=False):
     """Square complex matrix acting on a state space.
 
     ``hermitian_hint`` declares the operator is an observable/generator;
@@ -204,8 +265,7 @@ class LinearOperator:
         object.__setattr__(self, "matrix", mat)
 
 
-@dataclass(frozen=True, eq=False)
-class GroundState:
+class GroundState(Record, eq=False):
     energy: float
     state: PureState
     degenerate: bool

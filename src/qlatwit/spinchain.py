@@ -11,12 +11,11 @@ vector, so expectations of Pauli sums need no 2^n x 2^n matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .qcore import DensityMatrix, HilbertSpace, ProductState, PureState, _real_part, dim_cap
+from .qcore import DensityMatrix, HilbertSpace, ProductState, PureState, Record, _real_part, dim_cap
 
 _AXES = ("x", "y", "z")
 # phase of a string with m factors of y, indexed by m mod 4: y = i x z acts on
@@ -33,8 +32,7 @@ _QUBIT_EIGENSTATES = {
 }
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(Record):
     """An open chain of ``n_sites`` qubits."""
 
     n_sites: int
@@ -47,8 +45,7 @@ class ChainSpec:
         return HilbertSpace((2,) * self.n_sites, kind="qubit")
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(Record):
     """Sign pattern (+1/-1 per site) selecting one cluster-state sector."""
 
     chain: ChainSpec
@@ -205,20 +202,6 @@ def phase_gate_diagonal(chain: ChainSpec) -> np.ndarray:
     return 1.0 - 2.0 * _parity(idx & (idx >> 1))
 
 
-def basis_state(chain: ChainSpec, bits: Sequence[int]) -> PureState:
-    """Computational-basis state; bits[0] is site 1."""
-    if len(bits) != chain.n_sites:
-        raise ValueError("need one bit per site")
-    idx = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-        idx = (idx << 1) | b
-    v = np.zeros(chain.space().dim, dtype=complex)
-    v[idx] = 1.0
-    return PureState(chain.space(), v)
-
-
 def product_state(site_specs: Sequence[tuple[str, int]]) -> PureState:
     """Tensor product of single-qubit eigenstates, one (axis, sign) per site."""
     if len(site_specs) < 2:
@@ -230,11 +213,6 @@ def product_state(site_specs: Sequence[tuple[str, int]]) -> PureState:
         v = np.kron(v, _QUBIT_EIGENSTATES[(axis, sign)])
     chain = ChainSpec(len(site_specs))
     return PureState(chain.space(), v)
-
-
-def plus_chain(chain: ChainSpec) -> PureState:
-    """All sites in the +1 eigenstate of sigma_x."""
-    return product_state([("x", +1)] * chain.n_sites)
 
 
 def cluster_state(spec: ClusterSpec) -> PureState:

@@ -14,7 +14,7 @@ from qlatwit.qcore import (
     PureState,
     variance_from_moments,
 )
-from qlatwit.spinchain import _chain_generator
+from qlatwit.spinchain import _chain_generator, product_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -227,6 +227,25 @@ def variance(op, state):
     """<op^2> - <op>^2 on a pure state."""
     v = op.matrix @ state.amplitudes
     return variance_from_moments(np.vdot(state.amplitudes, v).real, np.vdot(v, v).real)
+
+
+def basis_state(chain, bits):
+    """Computational-basis state; bits[0] is site 1."""
+    if len(bits) != chain.n_sites:
+        raise ValueError("need one bit per site")
+    idx = 0
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError("bits must be 0 or 1")
+        idx = (idx << 1) | b
+    v = np.zeros(chain.space().dim, dtype=complex)
+    v[idx] = 1.0
+    return PureState(chain.space(), v)
+
+
+def plus_chain(chain):
+    """All sites in the +1 eigenstate of sigma_x."""
+    return product_state([("x", +1)] * chain.n_sites)
 
 
 @pytest.fixture

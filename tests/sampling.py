@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .qcore import DensityMatrix, HilbertSpace, PureState
+from qlatwit.qcore import DensityMatrix, HilbertSpace, PureState
 
 
 def haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

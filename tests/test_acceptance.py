@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from conftest import (
+    basis_state,
     collective_j_operators,
     ground_state,
     heisenberg_hamiltonian,
@@ -20,7 +21,7 @@ from conftest import (
     tilde_sigma_x,
     variance,
 )
-from qlatwit import bosonic, sampling, spinchain
+from qlatwit import bosonic
 from qlatwit.channels import decoherence_experiment, lifetime_comparison, pairwise_threshold, witness_threshold
 from qlatwit.criteria import (
     AXIS_X,
@@ -39,6 +40,7 @@ from qlatwit.criteria import (
 from qlatwit.optimize import PulseParams, violation_ratio
 from qlatwit.qcore import PureState, expectation, pure_to_density
 from qlatwit.spinchain import ChainSpec, ClusterSpec, cluster_state, product_state
+import sampling
 
 
 def make_cluster(n):
@@ -203,7 +205,7 @@ def test_criterion_08_collective_moments():
 def test_criterion_09_pulse_violation():
     chain = ChainSpec(6)
     u = pulse_unitary(chain, PulseParams(-3.2, -9.6, 0.8))
-    start = spinchain.basis_state(chain, [0] * 6)
+    start = basis_state(chain, [0] * 6)
     state = PureState(chain.space(), u.matrix @ start.amplitudes)
     ratio = violation_ratio(state)
     assert abs(ratio - 0.50) <= 0.15

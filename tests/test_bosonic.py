@@ -8,6 +8,7 @@ from conftest import (
     SX,
     SY,
     SZ,
+    basis_state,
     collective_j_operators,
     ground_state,
     heisenberg_hamiltonian,
@@ -38,8 +39,8 @@ from qlatwit.bosonic import (
 )
 from qlatwit.criteria import _site_spin_matrices, collective_moments, collective_uncertainty_criterion
 from qlatwit.qcore import DEGENERACY_GAP, HilbertSpace, PureState, _site_sum, expectation
-from qlatwit.sampling import haar_vector, random_separable_density
-from qlatwit.spinchain import ChainSpec, basis_state
+from qlatwit.spinchain import ChainSpec
+from sampling import haar_vector, random_separable_density
 
 SITE1 = SiteFockSpace(1)
 SITE2 = SiteFockSpace(2)

@@ -22,8 +22,8 @@ from qlatwit.channels import (
 )
 from qlatwit.criteria import witness_criterion
 from qlatwit.qcore import DensityMatrix, HilbertSpace, negativity, pure_to_density
-from qlatwit.sampling import haar_vector, random_separable_density
 from qlatwit.spinchain import ChainSpec, ClusterSpec, cluster_state, product_state
+from sampling import haar_vector, random_separable_density
 
 
 def cluster_density(n):

@@ -38,6 +38,24 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert run_python(code) == "False False False"
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    # the value classes are qcore.Record subclasses, which generate no code at import
+    assert run_python("import qlatwit.cli, sys; print('dataclasses' in sys.modules)") == "False"
+
+
+def test_shared_options_keep_per_command_defaults():
+    parser = cli.build_parser()
+    for name in cli._COMMANDS:
+        args = parser.parse_args([name])
+        assert args.n == (6 if name == "pulse" else None), name
+        assert (args.p_min, args.p_max, args.steps, args.max_order, args.budget, args.seed) == (
+            0.5, 1.0, 11, 4, 200, 0)
+        assert (args.params, args.optimize, args.trace, args.format, args.out) == (
+            None, False, None, "json", None)
+    assert parser.parse_args(["singlet-suite", "--n", "3", "--seed", "7"]).seed == 7
+    assert parser.parse_args(["heisenberg"]).seed == 0
+
+
 def test_heisenberg_leaves_scipy_linalg_and_sparse_unloaded():
     code = ("import contextlib, io, sys; from qlatwit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()): rc = main(['heisenberg', '--n', '6'])\n"

@@ -14,7 +14,7 @@ from conftest import (
     oracle_squeezing_grid,
     tilde_sigma_x,
 )
-from qlatwit import bosonic, sampling
+from qlatwit import bosonic
 from qlatwit.criteria import (
     _HALF_PAULIS,
     AXIS_X,
@@ -46,6 +46,7 @@ from qlatwit.qcore import (
     pure_to_density,
 )
 from qlatwit.spinchain import ChainSpec, ClusterSpec, cluster_state, product_state
+import sampling
 
 TILTED_XZ = Direction.normalized(1.0, 0.0, 1.0)
 

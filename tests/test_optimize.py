@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_pulse_fold, oracle_pulse_generator, pulse_unitary
-from qlatwit import bosonic, cli, optimize
+from conftest import basis_state, oracle_pulse_fold, oracle_pulse_generator, pulse_unitary
+from qlatwit import bosonic, cli, criteria, optimize
 from qlatwit.optimize import PulseParams, _PulseSector, optimize_pulse, pulse_state, violation_ratio
 from qlatwit.qcore import PureState
-from qlatwit.spinchain import ChainSpec, _chain_generator, basis_state, product_state
+from qlatwit.spinchain import ChainSpec, _chain_generator, product_state
 
 REFERENCE_PULSE = PulseParams(-3.2, -9.6, 0.8)
 # frozen regression value of the reference pulse on a 6-site chain under the
@@ -74,7 +74,7 @@ def test_violation_ratio_rejects_vacuum():
 def test_violation_ratio_never_exceeds_one(rng):
     # the ratio tops out at 1, reached only when the variance sum vanishes
     chain = ChainSpec(4)
-    from qlatwit.sampling import haar_vector
+    from sampling import haar_vector
 
     for _ in range(50):
         state = PureState(chain.space(), haar_vector(16, rng))
@@ -187,6 +187,32 @@ def test_pulse_command_builds_one_sector_and_solves_the_given_pulse_once(monkeyp
     optimized = json.loads(capsys.readouterr().out)["results"]["optimized"]
     assert len(builds) == 1
     assert len(solves) == optimized["evaluations"]
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["pulse", "--n", "8", "--params=-3.2,-9.6,0.8", "--optimize", "--budget", "40"], 40),
+    (["pulse", "--n", "8", "--params=-3.2,-9.6,0.8"], 1),
+    (["pulse", "--n", "8", "--params=-3.2,-9.6,0.8", "--optimize", "--seed", "-1"], 0),
+])
+def test_pulse_command_evaluates_the_criterion_once_per_pulse(monkeypatch, capsys, argv, calls):
+    # the given pulse's report and ratio come from the search's first evaluation
+    criterion = criteria.collective_uncertainty_criterion
+    want = criterion(pulse_state(ChainSpec(8), REFERENCE_PULSE))
+    counted = []
+
+    def counting(state):
+        counted.append(state)
+        return criterion(state)
+
+    monkeypatch.setattr(criteria, "collective_uncertainty_criterion", counting)
+    monkeypatch.setattr(optimize, "collective_uncertainty_criterion", counting)
+    cli.main(argv)
+    out = capsys.readouterr().out
+    assert len(counted) == calls
+    if calls:
+        doc = json.loads(out)["results"]
+        assert doc["report"] == want.to_json_dict()
+        assert doc["ratio"] == 1.0 - want.value / want.bound
 
 
 def test_optimizer_rejects_empty_budget():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import collective_j_operators, oracle_product_dense
-from qlatwit import bosonic, sampling, spinchain
+from qlatwit import bosonic, spinchain
 from qlatwit.criteria import (
     AXIS_X,
     AXIS_Y,
@@ -32,6 +32,7 @@ from qlatwit.qcore import (
     partial_trace,
     pure_to_density,
 )
+import sampling
 
 TILTED = Direction.normalized(0.3, -0.5, 0.8)
 AXES4 = (AXIS_X, AXIS_Y, AXIS_Z, TILTED)

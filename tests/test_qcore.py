@@ -17,7 +17,7 @@ from qlatwit.qcore import (
     partial_trace,
     pure_to_density,
 )
-from qlatwit.sampling import haar_vector, random_product_state
+from sampling import haar_vector, random_product_state
 
 Q1 = HilbertSpace((2,))
 Q2 = HilbertSpace((2, 2))
@@ -238,7 +238,7 @@ def test_partial_trace_nested_consistency(rng):
 
 
 def test_partial_trace_preserves_trace(rng):
-    from qlatwit.sampling import random_separable_density
+    from sampling import random_separable_density
 
     rho = random_separable_density(HilbertSpace((2, 2, 2)), rng)
     red = partial_trace(rho, [2, 3])

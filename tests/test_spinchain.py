@@ -5,30 +5,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    basis_state,
     collective_j_operators,
     oracle_collective,
     oracle_pauli_string,
     oracle_site_pauli,
     oracle_tilde,
+    plus_chain,
     tilde_sigma_x,
 )
 from qlatwit.criteria import _site_spin_matrices
 from qlatwit.qcore import LinearOperator, PureState, _site_sum, expectation
-from qlatwit.sampling import haar_vector, random_direction, random_separable_density
 from qlatwit.spinchain import (
     ChainSpec,
     ClusterSpec,
     _chain_generator,
     _parity,
     _popcount,
-    basis_state,
     cluster_state,
     pauli_sum_moments,
     phase_gate_diagonal,
-    plus_chain,
     product_state,
     tilde_factors,
 )
+from sampling import haar_vector, random_direction, random_separable_density
 
 
 def witness_value(state, n):

@@ -62,6 +62,11 @@ def _fit_line(x: np.ndarray, y: np.ndarray):
     return slope, y_bar - slope * x_bar
 
 
+# the largest --n of the qubit-chain commands, and of moments-compare's --max-order
+_MAX_QUBITS = 12
+_MAX_ORDER = 1023
+
+
 def _saturating_product(n: int):
     # alternating +x / +z eigenstates, the pattern that meets the witness bound
     return spinchain.product_state([("x", +1) if k % 2 == 1 else ("z", +1) for k in range(1, n + 1)])
@@ -77,8 +82,8 @@ def _qubit_reports(state) -> list[dict]:
 
 def cmd_cluster_witness(args) -> tuple[dict, list, list]:
     n = args.n
-    if n is None or n % 2 != 0 or not 2 <= n <= 12:
-        raise ValueError("cluster-witness needs --n even, between 2 and 12")
+    if n is None or n % 2 != 0 or not 2 <= n <= _MAX_QUBITS:
+        raise ValueError(f"cluster-witness needs --n even, between 2 and {_MAX_QUBITS}")
     chain = spinchain.ChainSpec(n)
     states = {
         "cluster": spinchain.cluster_state(spinchain.ClusterSpec(chain, (1,) * n)),
@@ -98,8 +103,8 @@ def cmd_cluster_witness(args) -> tuple[dict, list, list]:
 
 def cmd_decoherence_scan(args) -> tuple[dict, list, list]:
     n = args.n
-    if n is None or n % 2 != 0 or not 2 <= n <= 12:
-        raise ValueError("decoherence-scan needs --n even, between 2 and 12")
+    if n is None or n % 2 != 0 or not 2 <= n <= _MAX_QUBITS:
+        raise ValueError(f"decoherence-scan needs --n even, between 2 and {_MAX_QUBITS}")
     p_min, p_max, steps = args.p_min, args.p_max, args.steps
     if not 0.5 <= p_min <= p_max <= 1.0:
         raise ValueError("need 0.5 <= p-min <= p-max <= 1.0")
@@ -181,10 +186,12 @@ def cmd_heisenberg(args) -> tuple[dict, list, list]:
 def cmd_moments_compare(args) -> tuple[dict, list, list]:
     n = args.n
     max_order = args.max_order
-    if n is None or not 2 <= n <= 12:
-        raise ValueError("moments-compare needs --n between 2 and 12")
-    if max_order < 1:
-        raise ValueError("--max-order must be at least 1")
+    if n is None or not 2 <= n <= _MAX_QUBITS:
+        raise ValueError(f"moments-compare needs --n between 2 and {_MAX_QUBITS}")
+    # checked before the tables are built: (n/2)^1024 overflows for n >= 4, and J_n
+    # has at most 4 distinct eigenvalues on 2 or 3 sites, so no working order is lost
+    if not 1 <= max_order <= _MAX_ORDER:
+        raise ValueError(f"--max-order must be between 1 and {_MAX_ORDER}")
     chain = spinchain.ChainSpec(n)
     cluster = spinchain.cluster_state(spinchain.ClusterSpec(chain, (1,) * n))
     mixed = criteria.totally_mixed_state(n)
@@ -222,8 +229,8 @@ def cmd_moments_compare(args) -> tuple[dict, list, list]:
 
 def cmd_pulse(args) -> tuple[dict, list, list]:
     n = args.n
-    if not 2 <= n <= 10:
-        raise ValueError("pulse needs --n between 2 and 10")
+    if not 2 <= n <= optimize._MAX_SITES:
+        raise ValueError(f"pulse needs --n between 2 and {optimize._MAX_SITES}")
     if args.params is None and not args.optimize:
         raise ValueError("pulse needs --params A,B,C and/or --optimize")
     chain = spinchain.ChainSpec(n)
@@ -287,27 +294,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qlatwit",
         description="Collective-measurement entanglement criteria on small lattices",
     )
-    # the options every command shares, built once and copied into each command
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--p-min", dest="p_min", type=float, default=0.5)
-    shared.add_argument("--p-max", dest="p_max", type=float, default=1.0)
-    shared.add_argument("--steps", type=int, default=11)
-    shared.add_argument("--max-order", dest="max_order", type=int, default=4)
-    shared.add_argument("--params", type=str, default=None,
-                        help="pulse angles as three comma-separated floats")
-    shared.add_argument("--optimize", action="store_true")
-    shared.add_argument("--budget", type=int, default=200)
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--trace", type=str, default=None,
-                        help="path for the optimizer trace (JSON lines)")
-    shared.add_argument("--format", choices=["json", "csv"], default="json")
-    shared.add_argument("--out", type=str, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, parents=[shared])
-        # set_defaults would change a shared action's default for every command
+    commands = {name: sub.add_parser(name) for name in _COMMANDS}
+    for name, p in commands.items():
         p.add_argument("--n", type=int, default=6 if name == "pulse" else None,
                        help="sites (pairs for singlet-suite)")
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--out", type=str, default=None)
+    scan = commands["decoherence-scan"]
+    scan.add_argument("--p-min", type=float, default=0.5)
+    scan.add_argument("--p-max", type=float, default=1.0)
+    scan.add_argument("--steps", type=int, default=11)
+    commands["moments-compare"].add_argument("--max-order", type=int, default=4)
+    pulse = commands["pulse"]
+    pulse.add_argument("--params", type=str, default=None,
+                       help="pulse angles as three comma-separated floats")
+    pulse.add_argument("--optimize", action="store_true")
+    pulse.add_argument("--budget", type=int, default=200)
+    pulse.add_argument("--seed", type=int, default=0)
+    pulse.add_argument("--trace", type=str, default=None,
+                       help="path for the optimizer trace (JSON lines)")
     return parser
 
 
@@ -315,17 +321,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         results, rows, fields = _COMMANDS[args.command](args)
-        config = {
-            "n": args.n,
-            "p_min": args.p_min,
-            "p_max": args.p_max,
-            "steps": args.steps,
-            "max_order": args.max_order,
-            "params": args.params,
-            "optimize": args.optimize,
-            "budget": args.budget,
-            "seed": args.seed,
-        }
+        # the options the command read, less those that only route its output
+        config = {key: value for key, value in vars(args).items()
+                  if key not in ("command", "trace", "format", "out")}
         doc = {
             "command": args.command,
             "config": config,

@@ -19,13 +19,18 @@ def run_json(capsys, argv):
     return json.loads(out)
 
 
-def run_python(code):
-    """Stdout of ``code`` run in a fresh interpreter that imports qlatwit from src/."""
-    env = dict(os.environ)
+def python_process(code, **env_vars):
+    """``code`` run in a fresh interpreter that imports qlatwit from src/."""
+    env = dict(os.environ, **env_vars)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
+
+
+def run_python(code):
+    """Stdout of ``code`` run by ``python_process``, which must exit 0."""
+    proc = python_process(code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -43,17 +48,42 @@ def test_cli_import_leaves_dataclasses_unloaded():
     assert run_python("import qlatwit.cli, sys; print('dataclasses' in sys.modules)") == "False"
 
 
-def test_shared_options_keep_per_command_defaults():
-    parser = cli.build_parser()
-    for name in cli._COMMANDS:
-        args = parser.parse_args([name])
-        assert args.n == (6 if name == "pulse" else None), name
-        assert (args.p_min, args.p_max, args.steps, args.max_order, args.budget, args.seed) == (
-            0.5, 1.0, 11, 4, 200, 0)
-        assert (args.params, args.optimize, args.trace, args.format, args.out) == (
-            None, False, None, "json", None)
-    assert parser.parse_args(["singlet-suite", "--n", "3", "--seed", "7"]).seed == 7
-    assert parser.parse_args(["heisenberg"]).seed == 0
+# each command's options with their defaults, and a small run of it
+OUTPUT_OPTIONS = {"format": "json", "out": None}
+COMMAND_OPTIONS = {
+    "cluster-witness": ({"n": None}, ["--n", "2"]),
+    "decoherence-scan": ({"n": None, "p_min": 0.5, "p_max": 1.0, "steps": 11},
+                         ["--n", "2", "--steps", "2"]),
+    "singlet-suite": ({"n": None}, ["--n", "1"]),
+    "heisenberg": ({"n": None}, ["--n", "2"]),
+    "moments-compare": ({"n": None, "max_order": 4}, ["--n", "2"]),
+    "pulse": ({"n": 6, "params": None, "optimize": False, "budget": 200, "seed": 0,
+               "trace": None}, ["--n", "2", "--params=1,1,0.3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_each_command_takes_and_records_only_its_own_options(name, capsys):
+    defaults, argv = COMMAND_OPTIONS[name]
+    args = cli.build_parser().parse_args([name])
+    assert vars(args) == {"command": name, **defaults, **OUTPUT_OPTIONS}
+    # --trace, like --format and --out, routes output and is not recorded
+    config = run_json(capsys, [name, *argv])["config"]
+    assert set(config) == set(defaults) - {"trace"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["heisenberg", "--n", "4", "--seed", "3"],
+    ["pulse", "--n", "4", "--params=1,1,0.3", "--steps", "3"],
+    ["cluster-witness", "--n", "4", "--max-order", "2"],
+])
+def test_another_commands_option_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert "unrecognized arguments" in captured.err
+    assert captured.out == ""
 
 
 def test_heisenberg_leaves_scipy_linalg_and_sparse_unloaded():
@@ -322,12 +352,27 @@ def test_moments_compare_twelve_sites(capsys):
 
 
 def test_moments_compare_overflowing_order_is_one_line_error(capsys):
-    # <J^1100> overflows double precision; the document must not carry NaN
-    rc = main(["moments-compare", "--n", "4", "--max-order", "1100"])
+    # (n/2)^397 = 6^397 overflows double precision; the document must not carry NaN
+    rc = main(["moments-compare", "--n", "12", "--max-order", "400"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_moments_compare_refuses_a_huge_order_before_allocating():
+    # the order tuple alone would take ~8 GB; under a 2 GiB address-space limit
+    # the refusal must come before any allocation is attempted
+    code = ("import contextlib, io, resource, sys; from qlatwit.cli import main\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "soft = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    rc = main(['moments-compare', '--n', '4', '--max-order', '1000000000'])\n"
+            "print(rc, repr(out.getvalue()))")
+    proc = python_process(code, OPENBLAS_NUM_THREADS="1")
+    assert proc.stdout.strip() == "1 ''", proc.stderr
+    assert proc.stderr.count("\n") == 1 and "--max-order" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

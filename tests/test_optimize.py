@@ -221,8 +221,9 @@ def test_optimizer_rejects_empty_budget():
 
 
 def test_optimizer_rejects_negative_seed_before_evaluating(monkeypatch):
+    # every evaluation of the search objective starts by building the pulse state
     calls = []
-    monkeypatch.setattr(optimize, "violation_ratio", lambda state: calls.append(state))
+    monkeypatch.setattr(_PulseSector, "state", lambda self, params: calls.append(params))
     with pytest.raises(ValueError, match="seed"):
         optimize_pulse(ChainSpec(4), REFERENCE_PULSE, budget=3, seed=-1)
     assert calls == []

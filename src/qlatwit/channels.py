@@ -9,8 +9,9 @@ for the phase flip, (4p - 1)/3 for both in the depolarizing channel.  One
 kernel applies them to the four (bra bit, ket bit) blocks of a site, taken
 as views of the density matrix, in place; ``phase_flip``, ``depolarizing``
 and ``apply_all_sites`` run it.  The echo experiment and the localized pair
-start from the pure cluster state instead, read the same scales, and build
-no 2^n x 2^n matrix.
+read the cluster state through its stabilizers K_k = z_{k-1} x_k z_{k+1}
+instead, in O(n) and with no state vector (Hein, Eisert & Briegel, PRA 69,
+062311 (2004)).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 from . import spinchain
-from .criteria import CriterionReport, _correlator_means, _report
+from .criteria import CriterionReport, _report
 # expectation is unused here; clibench/tests checks that its tracer rebinds this name
 from .qcore import DensityMatrix, Record, expectation, negativity  # noqa: F401
 
@@ -125,22 +126,18 @@ def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") 
     every site through the channel with weight p, apply the gate again, and
     sum the single-site x expectations.  At p=1 the echo restores the start
     state and the value reaches n; the witness bound stays n/2.  It is
-    evaluated in the Heisenberg picture: the gate maps x_k to the correlator
-    K_k, the channel scales K_k by the product of the f_a of its factors, and
-    <K_k> is read on the pure cluster state.
+    evaluated in the Heisenberg picture: the gate maps x_k to K_k, whose mean
+    on the cluster is 1, and the channel scales K_k by the f_a of its
+    factors: f_xy f_z at the two ends, f_xy f_z f_z inside.
     """
     if n_sites % 2 != 0:
         raise ValueError("the witness experiment requires an even chain")
     _check_p(p)
     scales, form = _channel(channel)
     f_xy, f_z = scales(p)
-    scale = {"x": f_xy, "y": f_xy, "z": f_z}
-    chain = spinchain.ChainSpec(n_sites)
-    cluster = spinchain.cluster_state(spinchain.ClusterSpec(chain, (1,) * n_sites))
-    per_site = [
-        math.prod(scale[axis] for axis in spinchain.tilde_factors(chain, k).values()) * mean
-        for k, mean in enumerate(_correlator_means(cluster, chain), start=1)
-    ]
+    spinchain.ChainSpec(n_sites)  # refuses fewer than 2 sites
+    end, inner = f_xy * f_z, f_xy * f_z * f_z
+    per_site = [end] + [inner] * (n_sites - 2) + [end]
     value = float(sum(per_site))
     return _report(
         "decoherence_witness",
@@ -199,11 +196,12 @@ def localized_pair_state(
     measurements and the branches differ only by local z rotations, so the
     branch choice does not affect the pair's entanglement.  (The plain
     partial trace would erase it: for an interior pair of a cluster state it
-    is exactly the maximally mixed two-qubit state.)  Only the entries
-    diagonal in the measured sites survive the projection, and a Pauli
-    channel maps those among themselves: outcome b keeps the weight
-    M[b, c] = <b|Phi(|c><c|)|b> = (1 + f_z (-1)^(b xor c))/2 of entry c.  So
-    the pair block is a weighted sum over the pure cluster amplitudes.
+    is exactly the maximally mixed two-qubit state.)  A z measurement removes
+    a graph-state vertex and leaves a z on its neighbours when it reads 1, so
+    the pair holds the two-site graph state (1, 1, 1, -1)/2 with a z on each
+    pair site whose measured neighbour reads 1; further outcomes add a global
+    sign.  An x or y error on a neighbour, probability (1 - f_z)/2, flips its
+    outcome, which z-dephases the pair site beside it by f_z.
     """
     if n_sites < 4 or n_sites % 2 != 0:
         raise ValueError("pair reduction defined for even chains of at least 4 sites")
@@ -212,31 +210,23 @@ def localized_pair_state(
     k1, k2 = pair
     if k2 != k1 + 1:
         raise ValueError("pair must be two neighboring sites")
-    chain = spinchain.ChainSpec(n_sites)
-    chain.space().check_site(k1)
-    chain.space().check_site(k2)
+    space = spinchain.ChainSpec(n_sites).space()
+    space.check_site(k1)
+    space.check_site(k2)
     _check_p(p)
-    others = [s for s in range(1, n_sites + 1) if s not in (k1, k2)]
     if outcomes is None:
-        outcomes = (0,) * len(others)
-    if len(outcomes) != len(others) or any(b not in (0, 1) for b in outcomes):
+        outcomes = (0,) * (n_sites - 2)
+    if len(outcomes) != n_sites - 2 or any(b not in (0, 1) for b in outcomes):
         raise ValueError("need one 0/1 outcome per measured site")
     scales = _channel(channel)[0](p)
-    cluster = spinchain.cluster_state(
-        spinchain.ClusterSpec(chain, (1,) * n_sites)
-    ).amplitudes
-    # rows: the measured sites' bits in site order; columns: the pair's bits
-    rows = np.moveaxis(cluster.reshape((2,) * n_sites), (k1 - 1, k2 - 1), (-2, -1)).reshape(-1, 4)
-    # branch b keeps weight M[b, c] of the rows whose measured bits are c
-    weight_rows = (1.0 + scales[1] * np.array([[1.0, -1.0], [-1.0, 1.0]])) / 2.0
-    weights = np.ones(1)
-    for bit in outcomes:
-        weights = np.kron(weights, weight_rows[bit])
-    block = rows.T @ (weights[:, None] * rows.conj())
-    block = _apply(_apply(block, 2, 1, scales), 2, 2, scales)
-    block = block / np.trace(block).real
-    pair_space = spinchain.ChainSpec(2).space()
-    return DensityMatrix(pair_space, block)
+    graph = np.array([1.0, 1.0, 1.0, -1.0]) / 2.0
+    block = _apply(_apply(np.outer(graph, graph), 2, 1, scales), 2, 2, scales)
+    # z (scale -1) and the flip (scale f_z) from each measured neighbour; the
+    # k1 - 1 outcomes before the pair end with the left neighbour's
+    for site, has_neighbour, index in ((1, k1 > 1, k1 - 2), (2, k2 < n_sites, k1 - 1)):
+        if has_neighbour:
+            block = _apply(block, 2, site, ((-1.0) ** outcomes[index] * scales[1], 1.0))
+    return DensityMatrix(spinchain.ChainSpec(2).space(), block)
 
 
 def pairwise_threshold(

@@ -62,9 +62,8 @@ def _fit_line(x: np.ndarray, y: np.ndarray):
     return slope, y_bar - slope * x_bar
 
 
-# the largest --n of the qubit-chain commands, and of moments-compare's --max-order
+# the largest --n of the qubit-chain commands
 _MAX_QUBITS = 12
-_MAX_ORDER = 1023
 
 
 def _saturating_product(n: int):
@@ -188,10 +187,8 @@ def cmd_moments_compare(args) -> tuple[dict, list, list]:
     max_order = args.max_order
     if n is None or not 2 <= n <= _MAX_QUBITS:
         raise ValueError(f"moments-compare needs --n between 2 and {_MAX_QUBITS}")
-    # checked before the tables are built: (n/2)^1024 overflows for n >= 4, and J_n
-    # has at most 4 distinct eigenvalues on 2 or 3 sites, so no working order is lost
-    if not 1 <= max_order <= _MAX_ORDER:
-        raise ValueError(f"--max-order must be between 1 and {_MAX_ORDER}")
+    if not 1 <= max_order <= criteria.MAX_ORDER:
+        raise ValueError(f"--max-order must be between 1 and {criteria.MAX_ORDER}")
     chain = spinchain.ChainSpec(n)
     cluster = spinchain.cluster_state(spinchain.ClusterSpec(chain, (1,) * n))
     mixed = criteria.totally_mixed_state(n)

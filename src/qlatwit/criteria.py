@@ -33,6 +33,10 @@ from .qcore import (  # noqa: F401
 
 VIOLATION_TOL = 1e-9
 INDISTINGUISHABLE_TOL = 1e-9
+# the largest moment order compared, checked before the tables are built:
+# (n/2)^1024 overflows for n >= 4, and J_n has at most 4 distinct eigenvalues
+# on 2 or 3 sites, so no working order is lost
+MAX_ORDER = 1023
 _ORTHOGONALITY_TOL = 1e-10
 _DENOMINATOR_TOL = 1e-12
 _HALF_INTEGER_TOL = 1e-9
@@ -565,8 +569,8 @@ def moment_indistinguishability(
     """Compare <J_n^m> for both states over the given axes up to max_order."""
     if state_a.space.dims != state_b.space.dims:
         raise ValueError("states live on different site structures")
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise ValueError(f"max_order must be between 1 and {MAX_ORDER}")
     axes = tuple(axes)
     orders = tuple(range(1, max_order + 1))
     ma = np.zeros((len(axes), max_order))

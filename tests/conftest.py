@@ -1,11 +1,18 @@
 """Shared independent oracles: dense operator builders written from scratch
 here, so expected values never come from the code under test.  The package
 itself builds no dense operator; the reference helpers at the end wrap these
-oracles for the acceptance gate and the differentials."""
+oracles for the acceptance gate and the differentials.  The two cluster readers
+after them are the package's former state-vector forms of the decoherence echo
+and the localized pair, kept to check the stabilizer forms at sizes the 4^n
+density-matrix oracles cannot reach."""
+
+import math
 
 import numpy as np
 import pytest
 
+from qlatwit.channels import _CHANNELS, _apply
+from qlatwit.criteria import _correlator_means
 from qlatwit.qcore import (
     DEGENERACY_GAP,
     DensityMatrix,
@@ -14,7 +21,14 @@ from qlatwit.qcore import (
     PureState,
     variance_from_moments,
 )
-from qlatwit.spinchain import _chain_generator, product_state
+from qlatwit.spinchain import (
+    ChainSpec,
+    ClusterSpec,
+    _chain_generator,
+    cluster_state,
+    product_state,
+    tilde_factors,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -246,6 +260,39 @@ def basis_state(chain, bits):
 def plus_chain(chain):
     """All sites in the +1 eigenstate of sigma_x."""
     return product_state([("x", +1)] * chain.n_sites)
+
+
+def cluster_echo(n, p, kind):
+    """The echo's per-site <x_k> read on the 2^n cluster state: the channel's
+    scale of each correlator K_k times <K_k> on the state."""
+    f_xy, f_z = _CHANNELS[kind][0](p)
+    scale = {"x": f_xy, "y": f_xy, "z": f_z}
+    chain = ChainSpec(n)
+    cluster = cluster_state(ClusterSpec(chain, (1,) * n))
+    return [
+        math.prod(scale[axis] for axis in tilde_factors(chain, k).values()) * mean
+        for k, mean in enumerate(_correlator_means(cluster, chain), start=1)
+    ]
+
+
+def cluster_pair_block(n, p, pair, outcomes, kind):
+    """The localized pair's 4x4 block gathered from the 2^n cluster amplitudes.
+
+    Rows hold the measured sites' bits in site order and columns the pair's.
+    Branch b keeps entry c of the measured sites with the weight
+    M[b, c] = <b|Phi(|c><c|)|b> = (1 + f_z (-1)^(b xor c))/2, and the
+    channel then acts on both pair sites."""
+    scales = _CHANNELS[kind][0](p)
+    k1, k2 = pair
+    amps = cluster_state(ClusterSpec(ChainSpec(n), (1,) * n)).amplitudes
+    rows = np.moveaxis(amps.reshape((2,) * n), (k1 - 1, k2 - 1), (-2, -1)).reshape(-1, 4)
+    weight_rows = (1.0 + scales[1] * np.array([[1.0, -1.0], [-1.0, 1.0]])) / 2.0
+    weights = np.ones(1)
+    for bit in outcomes:
+        weights = np.kron(weights, weight_rows[bit])
+    block = rows.T @ (weights[:, None] * rows.conj())
+    block = _apply(_apply(block, 2, 1, scales), 2, 2, scales)
+    return block / np.trace(block).real
 
 
 @pytest.fixture

@@ -4,10 +4,11 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULIS, kron_all, oracle_site_pauli
+from conftest import PAULIS, cluster_echo, cluster_pair_block, kron_all, oracle_site_pauli
+from qlatwit import spinchain
 from qlatwit.channels import (
     _CHANNELS,
     DecoherenceModel,
@@ -252,13 +253,19 @@ def test_experiment_matches_linear_law(n):
         assert rep.value == pytest.approx(n * (2 * p - 1), abs=1e-9)
 
 
-def test_experiment_rejects_odd_or_oversized_chains():
+def test_experiment_rejects_odd_chains_and_runs_long_ones():
     with pytest.raises(ValueError):
         decoherence_experiment(5, 0.9)
-    with pytest.raises(ValueError):
-        decoherence_experiment(14, 0.9)
-    # 12 sites fit the dimension cap
-    assert decoherence_experiment(12, 0.8).value == pytest.approx(12 * (2 * 0.8 - 1), abs=1e-9)
+    # the echo reads the stabilizers, so no chain length is too long for memory;
+    # its value is a left-to-right sum of n positive floats, within n 2^-53
+    # relative of the exact sum (before Python 3.12 sum() is not compensated:
+    # 1.6e-12 on Python 3.11)
+    n, p = 10**5, 0.8
+    rel = n * 2.0**-53
+    assert decoherence_experiment(n, p).value == pytest.approx(n * (2 * p - 1), rel=rel, abs=0)
+    f = (4 * p - 1) / 3
+    want = 2 * f**2 + (n - 2) * f**3
+    assert decoherence_experiment(n, p, "depolarizing").value == pytest.approx(want, rel=rel, abs=0)
 
 
 def test_witness_threshold_bisection():
@@ -319,29 +326,59 @@ def oracle_noisy_cluster(kind, n, p):
     return gate, rho
 
 
+SIZES_AND_KINDS = list(itertools.product(range(2, 13, 2), ["phase_flip", "depolarizing"]))
+
+
+def with_examples(cases, **fixed):
+    """Explicit hypothesis examples: one per (n, kind) case, with ``fixed``."""
+    def decorate(test):
+        for n, kind in cases:
+            test = example(n=n, kind=kind, **fixed)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    n=st.sampled_from([2, 4, 6, 8]),
+    n=st.sampled_from(range(2, 13, 2)),
     p=st.floats(0.5, 1.0),
     kind=st.sampled_from(["phase_flip", "depolarizing"]),
 )
+@with_examples(SIZES_AND_KINDS, p=0.8)
 def test_echo_matches_dense_density_matrix_oracle(n, p, kind):
-    gate, rho = oracle_noisy_cluster(kind, n, p)
-    echoed = gate @ rho @ gate
-    want = [np.trace(oracle_site_pauli("x", k, n) @ echoed).real for k in range(1, n + 1)]
+    # the dense 4^n oracle up to 8 sites; the 2^n cluster state's correlator
+    # means at every size
     rep = decoherence_experiment(n, p, kind)
+    want = cluster_echo(n, p, kind)
+    if n <= 8:
+        gate, rho = oracle_noisy_cluster(kind, n, p)
+        echoed = gate @ rho @ gate
+        dense = [np.trace(oracle_site_pauli("x", k, n) @ echoed).real for k in range(1, n + 1)]
+        assert np.abs(np.array(want) - dense).max() < 1e-12
     assert np.abs(np.array(rep.aux["per_site_x"]) - want).max() < 1e-12
     assert rep.value == pytest.approx(sum(want), abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
 @given(
-    n=st.sampled_from([4, 6, 8]),
+    n=st.sampled_from(range(4, 13, 2)),
     p=st.floats(0.5, 1.0),
     kind=st.sampled_from(["phase_flip", "depolarizing"]),
     seed=st.integers(0, 2**31),
 )
+@with_examples(SIZES_AND_KINDS[2:], p=0.71, seed=0)
 def test_localized_pair_matches_dense_density_matrix_oracle(n, p, kind, seed):
+    # up to 8 sites: one random branch per pair against the dense 4^n oracle,
+    # and every branch against the 2^n cluster state; past 8 sites the
+    # default branch against the cluster state
+    branches = list(itertools.product((0, 1), repeat=n - 2)) if n <= 8 else [(0,) * (n - 2)]
+    for k in range(1, n):
+        for outcomes in branches:
+            want = cluster_pair_block(n, p, (k, k + 1), outcomes, kind)
+            got = localized_pair_state(n, p, (k, k + 1), outcomes, kind)
+            assert np.abs(got.matrix - want).max() < 1e-12
+    if n > 8:
+        return
     gen = np.random.default_rng(seed)
     _, rho = oracle_noisy_cluster(kind, n, p)
     t = rho.reshape((2,) * (2 * n))
@@ -357,6 +394,19 @@ def test_localized_pair_matches_dense_density_matrix_oracle(n, p, kind, seed):
         assert np.abs(got.matrix - want).max() < 1e-12
 
 
+def test_localized_pair_and_its_threshold_need_no_cluster_state(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("the 2^n cluster state was built")
+
+    monkeypatch.setattr(spinchain, "cluster_state", refuse)
+    n = 10**5
+    # the block depends only on which neighbours the pair has
+    for pair, small in [((1, 2), (1, 2)), ((2, 3), (2, 3)), ((n - 1, n), (3, 4))]:
+        got = localized_pair_state(n, 0.8, pair)
+        assert np.abs(got.matrix - localized_pair_state(4, 0.8, small).matrix).max() == 0.0
+    assert pairwise_threshold(n) == pairwise_threshold(4)
+
+
 def test_depolarizing_echo_matches_twirl_algebra():
     # under per-site depolarizing every non-identity Pauli factor picks up
     # (4p-1)/3, so the echo value is 2c^2 + (n-2)c^3 on an open chain
@@ -368,11 +418,27 @@ def test_depolarizing_echo_matches_twirl_algebra():
         assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_depolarizing_thresholds_are_reported_not_pinned():
-    # the depolarizing analogs of both thresholds exist inside (1/2, 1);
-    # the computation is contractual, not any specific value
-    w_dep = witness_threshold(6, channel="depolarizing")
-    p_dep = pairwise_threshold(4, channel="depolarizing")
+def depolarizing_witness_root(n):
+    """The p where 2f^2 + (n - 2)f^3 = n/2, with f = (4p - 1)/3, by bisection."""
+    lo, hi = 0.5, 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        f = (4 * mid - 1) / 3
+        if 2 * f**2 + (n - 2) * f**3 > n / 2:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 10**5])
+def test_depolarizing_thresholds_are_pinned(n):
+    # the witness threshold is the root of the echo's closed form (0.816 at
+    # n = 4, 0.836 at n = 12), to the bisection's default precision 1e-3;
+    # the pairwise analog is reported, not pinned
+    w_dep = witness_threshold(n, channel="depolarizing")
+    assert abs(w_dep - depolarizing_witness_root(n)) <= 1e-3 / 2
+    p_dep = pairwise_threshold(n, channel="depolarizing")
     assert p_dep is not None
     assert 0.5 < w_dep < 1.0
     assert 0.5 < p_dep < 1.0

@@ -9,12 +9,13 @@ truncated basis and the spin algebra stays exact on every occupation shell.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from . import spinchain
-from .qcore import DEGENERACY_GAP, GroundState, HilbertSpace, ProductState, PureState, Record, dim_cap
+from .qcore import DEGENERACY_GAP, DIM_CAP, GroundState, HilbertSpace, ProductState, PureState, Record
 
 SPIN_UP = (1, 0)
 SPIN_DOWN = (0, 1)
@@ -65,12 +66,10 @@ class FockLatticeSpec(Record):
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("lattice needs at least one site")
-        cap, d, dim = dim_cap(), self.site_space.dim, 1
-        # the product stops at the first factor past the cap, so any n_sites is cheap
-        for _ in range(self.n_sites):
-            dim *= d
-            if dim > cap:
-                raise ValueError(f"lattice dimension {d}^{self.n_sites} exceeds cap {cap}")
+        d = self.site_space.dim
+        # any() stops at the first power past the cap, so any n_sites is cheap
+        if any(d**k > DIM_CAP for k in range(1, self.n_sites + 1)):
+            raise ValueError(f"lattice dimension {d}^{self.n_sites} exceeds cap {DIM_CAP}")
 
     def space(self) -> HilbertSpace:
         return HilbertSpace(
@@ -190,12 +189,9 @@ def heisenberg_ground_state(n_sites: int) -> GroundState:
     """
     if n_sites < 1:
         raise ValueError("lattice needs at least one site")
-    cap, half, sector_dim = dim_cap(), n_sites // 2, 1
-    # C(n, j) grows with j up to n // 2, so the product stops soon after the cap
-    for j in range(1, half + 1):
-        sector_dim = sector_dim * (n_sites - j + 1) // j
-        if sector_dim > cap:
-            raise ValueError(f"S_z sector dimension C({n_sites}, {half}) exceeds cap {cap}")
+    # C(n, j) grows with j up to n // 2, so any() stops soon after the cap
+    if any(math.comb(n_sites, j) > DIM_CAP for j in range(n_sites // 2 + 1)):
+        raise ValueError(f"S_z sector dimension C({n_sites}, {n_sites // 2}) exceeds cap {DIM_CAP}")
     states, mat = _heisenberg_sector(n_sites)
     w, v = np.linalg.eigh(mat)
     if n_sites % 2:

@@ -138,7 +138,7 @@ def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") 
     spinchain.ChainSpec(n_sites)  # refuses fewer than 2 sites
     end, inner = f_xy * f_z, f_xy * f_z * f_z
     per_site = [end] + [inner] * (n_sites - 2) + [end]
-    value = float(sum(per_site))
+    value = math.fsum(per_site)
     return _report(
         "decoherence_witness",
         value,
@@ -239,13 +239,17 @@ def pairwise_threshold(
 
     Returns None when the pair is already separable at p=1 (no crossing).
     """
-    def entangled(p: float) -> bool:
-        rho = localized_pair_state(n_sites, p, pair, channel=channel)
+    def entangled(n: int, p: float, pair: tuple[int, int] | None) -> bool:
+        rho = localized_pair_state(n, p, pair, channel=channel)
         return negativity(rho, [1]) > _NEGATIVITY_TOL
 
-    if not entangled(1.0):
+    # one n-site call validates the request; the block reads only which pair
+    # sites have a measured neighbour, so a 4-site chain gives it at each step
+    if not entangled(n_sites, 1.0, pair):
         return None
-    return _bisect(entangled, precision)
+    k1, k2 = pair or (2, 3)
+    k = 1 if k1 == 1 else 3 if k2 == n_sites else 2
+    return _bisect(lambda p: entangled(4, p, (k, k + 1)), precision)
 
 
 class LifetimeComparison(Record):

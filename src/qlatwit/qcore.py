@@ -13,7 +13,6 @@ from 1 and site 1 is the most significant index of the composite basis
 from __future__ import annotations
 
 import math
-import os
 from typing import Sequence
 
 import numpy as np
@@ -24,17 +23,10 @@ TRACE_TOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
 IMAG_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
-DEFAULT_DIM_CAP = 4096
+# largest dense state or sector dimension a builder allocates
+DIM_CAP = 4096
 # sites one block of a ProductState may span
 MAX_BLOCK_SITES = 4
-
-
-def dim_cap() -> int:
-    """Maximum matrix dimension; override with the QLATWIT_DIM_CAP env var."""
-    raw = os.environ.get("QLATWIT_DIM_CAP", str(DEFAULT_DIM_CAP))
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"QLATWIT_DIM_CAP must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 class Record:

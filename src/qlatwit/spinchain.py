@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .qcore import DensityMatrix, HilbertSpace, ProductState, PureState, Record, _real_part, dim_cap
+from .qcore import DIM_CAP, DensityMatrix, HilbertSpace, ProductState, PureState, Record, _real_part
 
 _AXES = ("x", "y", "z")
 # phase of a string with m factors of y, indexed by m mod 4: y = i x z acts on
@@ -206,13 +206,15 @@ def product_state(site_specs: Sequence[tuple[str, int]]) -> PureState:
     """Tensor product of single-qubit eigenstates, one (axis, sign) per site."""
     if len(site_specs) < 2:
         raise ValueError("need at least 2 sites")
+    space = ChainSpec(len(site_specs)).space()
+    if space.dim > DIM_CAP:
+        raise ValueError(f"dimension {space.dim} exceeds cap {DIM_CAP}")
     v = np.ones(1, dtype=complex)
     for axis, sign in site_specs:
         if (axis, sign) not in _QUBIT_EIGENSTATES:
             raise ValueError(f"bad site spec ({axis!r}, {sign!r})")
         v = np.kron(v, _QUBIT_EIGENSTATES[(axis, sign)])
-    chain = ChainSpec(len(site_specs))
-    return PureState(chain.space(), v)
+    return PureState(space, v)
 
 
 def cluster_state(spec: ClusterSpec) -> PureState:
@@ -226,8 +228,8 @@ def cluster_state(spec: ClusterSpec) -> PureState:
     """
     chain = spec.chain
     space = chain.space()
-    if space.dim > dim_cap():
-        raise ValueError(f"dimension {space.dim} exceeds cap {dim_cap()}")
+    if space.dim > DIM_CAP:
+        raise ValueError(f"dimension {space.dim} exceeds cap {DIM_CAP}")
     negative = _site_masks(chain.n_sites)[np.array(spec.lambdas) < 0].sum()
     parity = _parity(np.arange(space.dim) & negative)
     amps = phase_gate_diagonal(chain) * (1.0 - 2.0 * parity) / np.sqrt(space.dim)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PAULIS, cluster_echo, cluster_pair_block, kron_all, oracle_site_pauli
-from qlatwit import spinchain
+from qlatwit import channels, spinchain
 from qlatwit.channels import (
     _CHANNELS,
     DecoherenceModel,
@@ -257,11 +257,10 @@ def test_experiment_rejects_odd_chains_and_runs_long_ones():
     with pytest.raises(ValueError):
         decoherence_experiment(5, 0.9)
     # the echo reads the stabilizers, so no chain length is too long for memory;
-    # its value is a left-to-right sum of n positive floats, within n 2^-53
-    # relative of the exact sum (before Python 3.12 sum() is not compensated:
-    # 1.6e-12 on Python 3.11)
+    # its value is the correctly rounded sum of n floats, each within 2^-53
+    # relative of its exact term, so a few 2^-53 cover the float inputs
     n, p = 10**5, 0.8
-    rel = n * 2.0**-53
+    rel = 4 * 2.0**-53
     assert decoherence_experiment(n, p).value == pytest.approx(n * (2 * p - 1), rel=rel, abs=0)
     f = (4 * p - 1) / 3
     want = 2 * f**2 + (n - 2) * f**3
@@ -405,6 +404,20 @@ def test_localized_pair_and_its_threshold_need_no_cluster_state(monkeypatch):
         got = localized_pair_state(n, 0.8, pair)
         assert np.abs(got.matrix - localized_pair_state(4, 0.8, small).matrix).max() == 0.0
     assert pairwise_threshold(n) == pairwise_threshold(4)
+
+
+def test_pairwise_threshold_validates_the_long_chain_once(monkeypatch):
+    # the bisection steps read a 4-site chain with the pair's neighbours
+    real, sizes = channels.localized_pair_state, []
+
+    def counted(n_sites, *args, **kwargs):
+        sizes.append(n_sites)
+        return real(n_sites, *args, **kwargs)
+
+    monkeypatch.setattr(channels, "localized_pair_state", counted)
+    n = 10**5
+    assert pairwise_threshold(n) == pairwise_threshold(4)
+    assert [m for m in sizes if m > 4] == [n]
 
 
 def test_depolarizing_echo_matches_twirl_algebra():

@@ -11,7 +11,6 @@ from qlatwit.qcore import (
     PureState,
     _apply_site,
     _site_block,
-    dim_cap,
     expectation,
     negativity,
     partial_trace,
@@ -253,17 +252,6 @@ def test_partial_trace_rejects_empty_keep():
 def test_partial_trace_rejects_out_of_range():
     with pytest.raises(ValueError):
         partial_trace(pure_to_density(SINGLET), [3])
-
-
-# ---------------------------------------------------------------------------
-# dimension cap
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-1"])
-def test_dimension_cap_must_be_a_positive_integer(monkeypatch, raw):
-    monkeypatch.setenv("QLATWIT_DIM_CAP", raw)
-    with pytest.raises(ValueError, match="QLATWIT_DIM_CAP"):
-        dim_cap()
 
 
 # ---------------------------------------------------------------------------

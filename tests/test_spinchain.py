@@ -285,6 +285,12 @@ def test_cluster_state_refuses_sizes_past_the_int64_range(n):
         cluster_state(ClusterSpec(ChainSpec(n), (1,) * n))
 
 
+def test_product_state_refuses_sizes_past_the_cap_before_building():
+    # 13 sites would be 8192 amplitudes; the check comes before the kron loop
+    with pytest.raises(ValueError, match="exceeds cap"):
+        product_state([("z", 1)] * 13)
+
+
 def test_cluster_spec_validates_lambdas():
     with pytest.raises(ValueError):
         ClusterSpec(ChainSpec(2), (1, 2))

@@ -24,6 +24,7 @@ from .qcore import (  # noqa: F401
     PureState,
     Record,
     _apply_site,
+    _local_mean,
     _real_part,
     _site_block,
     _site_sum,
@@ -42,9 +43,7 @@ _DENOMINATOR_TOL = 1e-12
 _HALF_INTEGER_TOL = 1e-9
 
 AXES = ("x", "y", "z")
-_HALF_PAULIS = np.array(
-    [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
-) / 2
+_HALF_PAULIS = spinchain.PAULIS / 2
 
 
 class Direction(Record):
@@ -241,22 +240,15 @@ def _one_site_sum(space: HilbertSpace, matrix: np.ndarray) -> np.ndarray:
 
 
 def total_particle_number(state) -> float:
-    """<N_total>: the site count for qubit chains (one spin per site); the
-    blocks' values add for a ProductState."""
+    """<N_total>: the site count for qubit chains (one spin per site), else
+    the sum of the one-site number means."""
     space = state.space
     if space.kind == "qubit":
         return float(space.n_sites)
     if space.kind != "fock":
         raise ValueError(f"no particle number defined for space kind {space.kind!r}")
-    if isinstance(state, ProductState):
-        return sum(total_particle_number(block) for block in state.blocks)
     number = bosonic._schwinger_matrices(bosonic.SiteFockSpace(space.fock_cutoff))["n"]
-    if isinstance(state, PureState):
-        value = np.vdot(state.amplitudes, _site_sum(number, space, state.amplitudes))
-    elif isinstance(state, DensityMatrix):
-        value = np.einsum("ij,ji->", number, _one_site_sum(space, state.matrix))
-    else:
-        raise ValueError(f"cannot take an expectation on {type(state).__name__}")
+    value = sum(_local_mean(state, {s: number}) for s in range(1, space.n_sites + 1))
     return _real_part(complex(value), "expectation value")
 
 

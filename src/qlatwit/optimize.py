@@ -88,7 +88,11 @@ class _PulseSector:
     def state(self, params: PulseParams) -> PureState:
         """exp(-i G) |0...0>, solved in the sector and unfolded."""
         g_xx, g_yy, g_z = self.terms
-        sector = _propagate(params.theta_xx * g_xx + params.theta_yy * g_yy + params.theta_z * g_z)
+        with np.errstate(over="ignore"):
+            g = params.theta_xx * g_xx + params.theta_yy * g_yy + params.theta_z * g_z
+        if not np.isfinite(g).all():
+            raise ValueError("the pulse angles overflow the generator")
+        sector = _propagate(g)
         amps = np.zeros(2**self.chain.n_sites, dtype=complex)
         amps[self._even] = self._weight * sector[self._orbit]
         return PureState(self.chain.space(), amps)
@@ -99,10 +103,11 @@ def _propagate(g: np.ndarray) -> np.ndarray:
     e^{-ic} (J_0(r) + 2 sum_k (-i)^k J_k(r) T_k((g - c) / r)) e_0 over e r / 2 + 30 terms
     (the rest add up to < 1e-18 for r >= 1), J_k(r) from Miller's backward recurrence
     normalised by J_0 + 2 (J_2 + J_4 + ...) = 1. Raising r to 1 keeps 2k/r finite. Past
-    ``_SERIES_TERMS_PER_ROW`` terms per row, or for a non-finite g, one real eigh is used.
+    ``_SERIES_TERMS_PER_ROW`` terms per row, or for bounds past the float range, one real
+    eigh is used.
     """
     diag = np.diag(g)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite g gets non-finite bounds
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge g gets non-finite bounds
         radius = np.abs(g).sum(axis=1) - np.abs(diag)
         lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
     c, r = (hi + lo) / 2, max((hi - lo) / 2, 1.0)

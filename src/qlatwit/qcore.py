@@ -13,7 +13,7 @@ from 1 and site 1 is the most significant index of the composite basis
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -110,6 +110,7 @@ class HilbertSpace(Record):
     fock_cutoff: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(self.dims))
         if len(self.dims) == 0:
             raise ValueError("a Hilbert space needs at least one site")
         if any(d < 1 for d in self.dims):
@@ -211,9 +212,9 @@ class ProductState(Record, eq=False):
 
     Each block spans at most MAX_BLOCK_SITES sites and all share one site
     kind and cutoff.  ``space`` is their concatenated HilbertSpace, and no
-    array of size ``space.dim`` is ever allocated: the readers in
-    ``criteria`` and ``spinchain`` combine the dense readers' values on the
-    blocks.
+    array of size ``space.dim`` is ever allocated: ``_local_mean`` and the
+    collective readers in ``criteria`` combine the dense readers' values on
+    the blocks.
     """
 
     blocks: tuple
@@ -315,12 +316,13 @@ def _apply_site(local: np.ndarray, space: HilbertSpace, site: int, values: np.nd
     state index (the rows of a matrix).  ``local`` is one d x d matrix, with
     d the dimension of ``site``, or a stack (s, d, d), which gives a result
     of shape (s,) + values.shape.  The state index is reshaped to (dims
-    before ``site``, d, rest) for one matmul, so no dim x dim operator is
-    formed.
+    before ``site``, d, rest) and the site's axis moved first, so one matmul
+    acts on every (before, rest) column and no dim x dim operator is formed.
     """
     d = space.dims[site - 1]
     left = math.prod(space.dims[: site - 1])
-    out = local[..., None, :, :] @ values.reshape(left, d, -1)
+    cols = values.reshape(left, d, -1).swapaxes(0, 1).reshape(d, -1)
+    out = (local @ cols).reshape(local.shape[:-1] + (left, -1)).swapaxes(-3, -2)
     return out.reshape(local.shape[:-2] + values.shape)
 
 
@@ -341,9 +343,12 @@ def _site_block(space: HilbertSpace, sites: Sequence[int], matrices: np.ndarray)
     The matrices are reshaped to (traced, kept, traced, ...) on both indices
     and the traced indices of the bra and ket are one einsum label, which
     numpy reads as a diagonal view: a D x D block reads D dim entries of each
-    matrix and makes no dim x dim temporary.
+    matrix and makes no dim x dim temporary.  With every site kept the
+    matrices are returned as they are.
     """
     dims = space.dims
+    if len(sites) == len(dims):
+        return matrices
     cuts = [0, *(c for s in sites for c in (s - 1, s)), len(dims)]
     # segment lengths alternate traced, kept, traced, ...; a traced one may be 1
     seg = [math.prod(dims[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
@@ -353,6 +358,39 @@ def _site_block(space: HilbertSpace, sites: Sequence[int], matrices: np.ndarray)
     block = np.einsum(t, [Ellipsis, *bra, *ket], [Ellipsis, *bra[1::2], *ket[1::2]])
     d = math.prod(seg[1::2])
     return block.reshape(matrices.shape[:-2] + (d, d))
+
+
+def _local_mean(state, factors: Mapping[int, np.ndarray]) -> complex:
+    """<prod_s factors[s]^(s)> for one-site matrices on distinct sites.
+
+    A pure state applies them site by site and takes one inner product, a
+    density matrix traces them against the block of their sites, each factor
+    on its site's (ket, bra) pair, and a ProductState multiplies its blocks'
+    means, a block with no factor counting as 1.
+    """
+    if isinstance(state, ProductState):
+        mean, first = 1 + 0j, 1
+        for block in state.blocks:
+            last = first + block.space.n_sites
+            mine = {s - first + 1: m for s, m in factors.items() if first <= s < last}
+            if mine:
+                mean *= _local_mean(block, mine)
+            first = last
+        return mean
+    space = state.space
+    if isinstance(state, PureState):
+        v = state.amplitudes
+        for site, local in factors.items():
+            v = _apply_site(local, space, site, v)
+        return complex(np.vdot(state.amplitudes, v))
+    if isinstance(state, DensityMatrix):
+        sites = sorted(factors)
+        k, dims = len(sites), tuple(space.dims[s - 1] for s in sites)
+        block = _site_block(space, sites, state.matrix).reshape(dims * 2)
+        # Tr(F rho) = sum F[a, b] rho[b, a]: factor i is labeled (a_i, b_i), the block (b, a)
+        operands = [x for i, s in enumerate(sites) for x in (factors[s], [i, k + i])]
+        return complex(np.einsum(*operands, block, [*range(k, 2 * k), *range(k)], []))
+    raise ValueError(f"cannot take an expectation on {type(state).__name__}")
 
 
 def partial_trace(rho: DensityMatrix, keep_sites: Sequence[int]) -> DensityMatrix:

@@ -4,23 +4,24 @@ the Heisenberg solve and the pulse.
 
 The chain is open: the three-site correlator at the ends drops the
 out-of-range z factor, and the phase-gate exponent couples sites 1..N-1.
-A Pauli string acts on the big-endian basis as a bit flip times a sign
-vector, so expectations of Pauli sums need no 2^n x 2^n matrix.
+A Pauli string is a product of one-site matrices, applied or traced site by
+site through ``qcore``, so expectations of Pauli sums need no 2^n x 2^n
+matrix.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .qcore import DIM_CAP, DensityMatrix, HilbertSpace, ProductState, PureState, Record, _real_part
+from .qcore import DIM_CAP, HilbertSpace, PureState, Record, _apply_site, _local_mean, _real_part
 
 _AXES = ("x", "y", "z")
-# phase of a string with m factors of y, indexed by m mod 4: y = i x z acts on
-# one site as (y v)[b] = -i (-1)^b v[b ^ 1]
-_Y_PHASES = (1 + 0j, -1j, -1 + 0j, 1j)
+# the Pauli matrices x, y, z, stacked (3, 2, 2)
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+_PAULI = dict(zip(_AXES, PAULIS))
+_ID = np.eye(2, dtype=complex)
 
 _QUBIT_EIGENSTATES = {
     ("x", +1): np.array([1, 1], dtype=complex) / np.sqrt(2),
@@ -52,6 +53,7 @@ class ClusterSpec(Record):
     lambdas: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "lambdas", tuple(self.lambdas))
         if len(self.lambdas) != self.chain.n_sites:
             raise ValueError("need one sign per site")
         if any(lam not in (-1, +1) for lam in self.lambdas):
@@ -103,29 +105,14 @@ def _chain_generator(n_sites: int, states: np.ndarray, jxx, jyy, jzz, hz) -> np.
     return mat
 
 
-def _pauli_action(n_sites: int, factors: Mapping[int, str]) -> tuple[int, np.ndarray]:
-    """A Pauli string on sites 1..n_sites as a bit flip and a phase:
-    (P v)[i] = phase[i] * v[i ^ flip].
-
-    x flips its site's bit, z multiplies by (-1)^bit, and y does both and
-    contributes a factor -i.
-    """
-    flipped = [site - 1 for site, axis in factors.items() if axis in ("x", "y")]
-    signed = [site - 1 for site, axis in factors.items() if axis in ("y", "z")]
-    n_y = sum(axis == "y" for axis in factors.values())
-    masks = _site_masks(n_sites)
-    parity = _parity(np.arange(2**n_sites) & masks[signed].sum())
-    return int(masks[flipped].sum()), _Y_PHASES[n_y % 4] * (1.0 - 2.0 * parity)
-
-
 def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[float, float]:
     """<S> and <S^2> for the sum S of the given Pauli strings on a qubit chain.
 
-    No operator matrix is built: a pure state costs O(len(strings) 2^n), a
-    density matrix O(len(strings)^2 2^n).  A ProductState is read block by
-    block: each string splits into strings on the blocks it touches, each on
-    its block's own indices, and its trace is the product of their traces
-    (a block it leaves alone has trace 1).
+    Each string is a product of one-site ``PAULIS`` matrices, so no operator
+    matrix is built.  A pure state takes v = S psi site by site, with
+    <S^2> = |v|^2, in O(len(strings) 2^n).  Any other state is read through
+    ``qcore._local_mean``: <S^2> sums the means of the site-wise products
+    P_a P_c over every pair of strings.
     """
     space = state.space
     if space.kind != "qubit":
@@ -135,49 +122,21 @@ def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[floa
             space.check_site(site)
             if axis not in _AXES:
                 raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+    ops = [{site: _PAULI[axis] for site, axis in factors.items()} for factors in strings]
     if isinstance(state, PureState):
         psi = state.amplitudes
-        idx = np.arange(space.dim)
         v = np.zeros_like(psi)
-        for factors in strings:
-            flip, phase = _pauli_action(space.n_sites, factors)
-            v += phase * psi[idx ^ flip]
+        for factors in ops:
+            term = psi
+            for site, local in factors.items():
+                term = _apply_site(local, space, site, term)
+            v += term
         mean = _real_part(complex(np.vdot(psi, v)), "expectation value")
         return mean, float(np.vdot(v, v).real)
-    if isinstance(state, DensityMatrix):
-        blocks = (state,)
-    elif isinstance(state, ProductState):
-        blocks = state.blocks
-    else:
-        raise ValueError(f"cannot take moments of {type(state).__name__}")
-    # a pure block is read through its density matrix, at most 16 x 16
-    mats = [b.matrix if isinstance(b, DensityMatrix)
-            else np.outer(b.amplitudes, b.amplitudes.conj()) for b in blocks]
-    idx = [np.arange(m.shape[0]) for m in mats]
-    owner = [(b, site) for b, block in enumerate(blocks) for site in range(1, block.space.n_sites + 1)]
-
-    def actions(factors):
-        # {block: (flip, phase)} of the blocks the string touches
-        local: dict[int, dict[int, str]] = {}
-        for site, axis in factors.items():
-            b, s = owner[site - 1]
-            local.setdefault(b, {})[s] = axis
-        return {b: _pauli_action(blocks[b].space.n_sites, f) for b, f in local.items()}
-
-    def trace(acts) -> complex:
-        # the product over blocks of Tr(rho_b Q_b) = sum_j rho_b[j ^ flip, j] phase[j]
-        traces = (complex(mats[b][idx[b] ^ f, idx[b]] @ p) for b, (f, p) in acts.items())
-        return math.prod(traces, start=1 + 0j)
-
-    def product(a, c):
-        # (P_a P_c v)[i] = phase_a[i] phase_c[i ^ flip_a] v[i ^ flip_a ^ flip_c], block by block
-        both = {b: [x.get(b, (0, np.ones(idx[b].size))) for x in (a, c)] for b in a.keys() | c.keys()}
-        return {b: (fa ^ fc, pa * pc[idx[b] ^ fa]) for b, ((fa, pa), (fc, pc)) in both.items()}
-
-    per_string = [actions(factors) for factors in strings]
-    mean = _real_part(sum((trace(a) for a in per_string), 0j), "expectation value")
-    second = sum((trace(product(a, c)) for a in per_string for c in per_string), 0j)
-    return mean, _real_part(second, "second moment")
+    mean = sum((_local_mean(state, a) for a in ops), 0j)
+    products = ({s: a.get(s, _ID) @ c.get(s, _ID) for s in a.keys() | c.keys()} for a in ops for c in ops)
+    second = sum((_local_mean(state, p) for p in products), 0j)
+    return _real_part(mean, "expectation value"), _real_part(second, "second moment")
 
 
 def tilde_factors(chain: ChainSpec, k: int) -> dict[int, str]:

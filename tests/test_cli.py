@@ -470,6 +470,15 @@ def test_pulse_with_overflowing_angles_fails_with_one_line(capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["--n", "4", "--params=1e308,1e308,1e308"],
+                                  ["--n", "10", "--params=-1e308,1e308,-1e308"]])
+def test_pulse_overflow_is_one_line_error_in_a_fresh_process(argv):
+    # no errstate here: numpy's overflow warning must not reach stderr either
+    proc = python_process(f"import sys; from qlatwit.cli import main; sys.exit(main({['pulse', *argv]!r}))")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_pulse_requires_parameters_or_optimize(capsys):
     rc = main(["pulse", "--n", "4"])
     assert rc == 1

@@ -40,12 +40,13 @@ from qlatwit.criteria import (
 from qlatwit.qcore import (
     DensityMatrix,
     HilbertSpace,
+    LinearOperator,
     PureState,
     expectation,
     negativity,
     pure_to_density,
 )
-from qlatwit.spinchain import ChainSpec, ClusterSpec, cluster_state, product_state
+from qlatwit.spinchain import ChainSpec, ClusterSpec, cluster_state, pauli_sum_moments, product_state
 import sampling
 
 TILTED_XZ = Direction.normalized(1.0, 0.0, 1.0)
@@ -516,6 +517,15 @@ def test_density_moments_match_dense_oracles_for_any_size(qubits, n, cutoff, see
     assert_density_moments_match_oracles(random_density(space, gen), random_density(space, gen), gen)
 
 
+def test_one_site_readers_refuse_an_operator():
+    qubits = LinearOperator(qubit_space(2), np.eye(4))
+    with pytest.raises(ValueError, match="LinearOperator"):
+        pauli_sum_moments(qubits, [{1: "x"}])
+    fock = fock_space(2, 1)
+    with pytest.raises(ValueError, match="LinearOperator"):
+        total_particle_number(LinearOperator(fock, np.eye(fock.dim)))
+
+
 @pytest.mark.parametrize("n", range(4, 10))
 def test_cluster_anticommutator_table(n):
     # the zx entry comes from the two chain-end correlators and stays 1 at
@@ -630,6 +640,12 @@ def test_state_is_indistinguishable_from_itself():
     comp = moment_indistinguishability(c, c, [AXIS_X, AXIS_Y, AXIS_Z, TILTED_XZ], 4)
     assert comp.indistinguishable
     assert comp.differences.max() == 0.0
+
+
+def test_list_dims_share_the_site_structure_of_tuple_dims():
+    up = PureState(HilbertSpace([2, 2]), [1, 0, 0, 0])
+    comp = moment_indistinguishability(up, totally_mixed_state(2), [AXIS_Z], 2)
+    assert not comp.indistinguishable and comp.first_difference == (0, 1)
 
 
 def test_mismatched_sizes_rejected():

@@ -358,3 +358,10 @@ def test_propagate_takes_eigh_past_the_crossover(monkeypatch):
     got = optimize._propagate(strong)
     assert calls == [(72, 72)]
     assert np.abs(got - _eigh_propagate(strong, eigh)).max() < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_pulse_angles_raise_a_value_error():
+    with pytest.raises(ValueError, match="overflow the generator"):
+        pulse_state(ChainSpec(4), PulseParams(1e308, 1e308, 1e308))
+    assert np.isfinite(pulse_state(ChainSpec(4), PulseParams(1e307, 1e307, 1e307)).amplitudes).all()

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ID2, SX, SY, SZ, ground_state, kron_all, variance
+from conftest import ID2, SX, SY, SZ, ground_state, kron_all, oracle_product_dense, variance
+from qlatwit import bosonic
 from qlatwit.qcore import (
     DensityMatrix,
     HilbertSpace,
     LinearOperator,
+    ProductState,
     PureState,
     _apply_site,
+    _local_mean,
     _site_block,
     expectation,
     negativity,
@@ -365,14 +368,25 @@ def test_variance_is_nonnegative(seed):
 
 
 def test_apply_site_acts_on_the_named_site(rng):
-    space = HilbertSpace((2, 3, 3, 2), kind="generic")
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    values = rng.normal(size=(space.dim, 5)) + 1j * rng.normal(size=(space.dim, 5))
-    got = _apply_site(a, space, 2, values)
-    assert np.allclose(got, kron_all([ID2, a, np.eye(3), ID2]) @ values, atol=1e-12)
+    dims = (2, 3, 3, 2)
+    space = HilbertSpace(dims, kind="generic")
+    for site in range(1, len(dims) + 1):
+        d = dims[site - 1]
+        for shape in ((d, d), (3, d, d)):
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            dense = [kron_all([m if k == site else np.eye(dims[k - 1]) for k in range(1, 5)])
+                     for m in a.reshape(-1, d, d)]
+            for columns in ((), (5,)):
+                values = (rng.normal(size=(space.dim,) + columns)
+                          + 1j * rng.normal(size=(space.dim,) + columns))
+                got = _apply_site(a, space, site, values)
+                want = np.array([m @ values for m in dense]).reshape(shape[:-2] + values.shape)
+                assert got.shape == want.shape
+                assert np.allclose(got, want, atol=1e-12), (site, shape, columns)
 
 
-@pytest.mark.parametrize("sites", [(1,), (3,), (4,), (1, 2), (1, 4), (2, 4), (3, 4), (1, 3, 4)])
+@pytest.mark.parametrize("sites", [(1,), (3,), (4,), (1, 2), (1, 4), (2, 4), (3, 4), (1, 3, 4),
+                                   (1, 2, 3, 4)])
 def test_site_block_traces_out_every_other_site(sites, rng):
     # oracle: reorder the basis so the kept sites lead, then trace the rest
     dims = (2, 3, 2, 3)
@@ -385,6 +399,47 @@ def test_site_block_traces_out_every_other_site(sites, rng):
     reordered = stack[:, index][:, :, index].reshape(2, block_dim, rest, block_dim, rest)
     want = np.trace(reordered, axis1=2, axis2=4)
     assert np.allclose(_site_block(space, sites, stack), want, atol=1e-12)
+
+
+def _random_density(space, rng):
+    a = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+    rho = a @ a.conj().T
+    return DensityMatrix(space, rho / np.trace(rho))
+
+
+def _mixed_qubit_blocks(rng):
+    """Pure and mixed qubit blocks of 1 to 3 sites, 7 sites in all."""
+    return ProductState([
+        PureState(HilbertSpace((2, 2)), haar_vector(4, rng)),
+        _random_density(HilbertSpace((2,)), rng),
+        _random_density(HilbertSpace((2, 2, 2)), rng),
+        PureState(HilbertSpace((2,)), haar_vector(2, rng)),
+    ])
+
+
+LOCAL_MEAN_STATES = {
+    "pure": lambda rng: PureState(HilbertSpace((2, 3, 2), "generic"), haar_vector(12, rng)),
+    "density": lambda rng: _random_density(HilbertSpace((3, 2, 2), "generic"), rng),
+    "qubit-blocks": _mixed_qubit_blocks,
+    "singlets": lambda rng: bosonic.singlet_chain(2),
+}
+
+
+@pytest.mark.parametrize("builder", LOCAL_MEAN_STATES.values(), ids=LOCAL_MEAN_STATES.keys())
+def test_local_mean_matches_the_kron_built_operator(builder, rng):
+    state = builder(rng)
+    dims = state.space.dims
+    n = len(dims)
+    dense = oracle_product_dense(state) if isinstance(state, ProductState) else state
+    for sites in ((), (n,), (1, n - 1), tuple(range(1, n + 1))):
+        factors = {s: rng.normal(size=(dims[s - 1],) * 2) + 1j * rng.normal(size=(dims[s - 1],) * 2)
+                   for s in sites}
+        op = kron_all([factors.get(k, np.eye(dims[k - 1])) for k in range(1, n + 1)])
+        if isinstance(dense, PureState):
+            want = np.vdot(dense.amplitudes, op @ dense.amplitudes)
+        else:
+            want = np.trace(op @ dense.matrix)
+        assert abs(_local_mean(state, factors) - want) < 1e-12, sites
 
 
 def test_dim_is_exact_past_the_int64_range():

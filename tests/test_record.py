@@ -76,6 +76,11 @@ def test_field_equality_and_hash():
     assert HilbertSpace((3, 3), "generic") == HilbertSpace(dims=(3, 3), kind="generic")
     assert {HilbertSpace((2, 2)): 1}[HilbertSpace((2, 2))] == 1
     assert spinchain.ChainSpec(4) == spinchain.ChainSpec(4) != spinchain.ChainSpec(5)
+    # a list-valued field is stored as a tuple, so it compares and hashes alike
+    assert HilbertSpace([2, 2]).dims == (2, 2)
+    assert {HilbertSpace([2, 2]): 1}[HilbertSpace((2, 2))] == 1
+    chain = spinchain.ChainSpec(2)
+    assert {spinchain.ClusterSpec(chain, [1, -1]): 1}[spinchain.ClusterSpec(chain, (1, -1))] == 1
 
 
 def test_identity_equality():

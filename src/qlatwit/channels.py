@@ -276,8 +276,8 @@ def lifetime_comparison(
     over pair lifetime.  ``witness_p`` admits the threshold of a different
     channel in place of 3/4.
     """
-    if kappa <= 0.0:
-        raise ValueError("decay rate must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("decay rate must be positive and finite")
     if p_crit is None:
         p_crit = pairwise_threshold(n_sites)
         if p_crit is None:

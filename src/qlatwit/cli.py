@@ -230,6 +230,8 @@ def cmd_pulse(args) -> tuple[dict, list, list]:
         raise ValueError(f"pulse needs --n between 2 and {optimize._MAX_SITES}")
     if args.params is None and not args.optimize:
         raise ValueError("pulse needs --params A,B,C and/or --optimize")
+    if args.trace is not None and not args.optimize:
+        raise ValueError("--trace records the search, so it needs --optimize")
     chain = spinchain.ChainSpec(n)
     doc: dict = {"n_sites": n}
     rows = []
@@ -244,7 +246,7 @@ def cmd_pulse(args) -> tuple[dict, list, list]:
         initial = params if params is not None else optimize.PulseParams(0.0, 0.0, 0.0)
         # open --trace before the search, so an unwritable path fails before
         # the budget is spent
-        with open(args.trace, "w") if args.trace else contextlib.nullcontext() as fh:
+        with open(args.trace, "w") if args.trace is not None else contextlib.nullcontext() as fh:
             result = optimize.optimize_pulse(chain, initial, budget=args.budget, seed=args.seed)
             if fh is not None:
                 for iteration, point, ratio in result.trace:

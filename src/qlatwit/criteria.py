@@ -9,7 +9,6 @@ violation requires crossing the bound by more than VIOLATION_TOL.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Sequence
 
@@ -21,13 +20,11 @@ from .qcore import (  # noqa: F401
     DensityMatrix,
     HilbertSpace,
     ProductState,
-    PureState,
     Record,
-    _apply_site,
+    _collective_distribution,
+    _collective_moments,
     _local_mean,
     _real_part,
-    _site_block,
-    _site_sum,
     expectation,
     variance_from_moments,
 )
@@ -40,7 +37,6 @@ INDISTINGUISHABLE_TOL = 1e-9
 MAX_ORDER = 1023
 _ORTHOGONALITY_TOL = 1e-10
 _DENOMINATOR_TOL = 1e-12
-_HALF_INTEGER_TOL = 1e-9
 
 AXES = ("x", "y", "z")
 _HALF_PAULIS = spinchain.PAULIS / 2
@@ -55,7 +51,8 @@ class Direction(Record):
 
     def __post_init__(self):
         norm = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if abs(norm - 1.0) > 1e-12:
+        # a NaN norm fails this test too, so non-finite components are refused
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"direction norm {norm} deviates from 1")
 
     @classmethod
@@ -162,81 +159,10 @@ def _site_spin_matrices(space: HilbertSpace) -> np.ndarray:
     raise ValueError(f"no collective spin defined for space kind {space.kind!r}")
 
 
-def _site_product(u: np.ndarray, space: HilbertSpace, values: np.ndarray) -> np.ndarray:
-    """(u x u x ... x u) applied to the state index of ``values``."""
-    for site in range(1, space.n_sites + 1):
-        values = _apply_site(u, space, site, values)
-    return values
-
-
-def _rotated_diagonal(u: np.ndarray, space: HilbertSpace, matrix: np.ndarray) -> np.ndarray:
-    """diag(U M U^dagger) for U = u x u x ... x u, one site at a time.
-
-    Right after a site is rotated only its diagonal is kept,
-    new[x, i, r, s] = sum_ab u[i, a] conj(u[i, b]) t[x, a, r, b, s], where x
-    runs over the sites already done: the array shrinks by d per site, and
-    neither U M U^dagger nor any other dim x dim product is formed.
-    """
-    d = u.shape[0]
-    pair = u[:, :, None] * u.conj()[:, None, :]
-    t = matrix.reshape((1,) + matrix.shape)
-    for _ in range(space.n_sites):
-        x, r = t.shape[0], t.shape[1] // d
-        t = np.einsum("iab,xarbs->xirs", pair, t.reshape(x, d, r, d, r)).reshape(x * d, r, r)
-    return t.reshape(-1)
-
-
-def _real_array(values: np.ndarray, what: str) -> np.ndarray:
-    return np.array([_real_part(complex(v), what) for v in values.flat]).reshape(values.shape)
-
-
 def collective_moments(state) -> tuple[np.ndarray, np.ndarray]:
-    """<J_k> and the symmetrized <(J_k J_l + J_l J_k) / 2> for k, l in x, y, z.
-
-    No dim x dim operator is built.  A pure state takes v_k = J_k psi, applied
-    site by site, and inner products.  A density matrix is read through its
-    one- and two-site blocks: with J_k = sum_s j_k^(s), <J_k> and the
-    same-site terms sum_s Tr(j_k j_l rho_s) come from the sum of the one-site
-    blocks rho_s, and the cross terms from the sum over pairs s < t of the
-    two-site blocks rho_st, as Tr((j_k x j_l) rho_st) plus its transpose.
-    A ProductState is read block by block: the means add, and
-    <J_k J_l> = sum_b <J_k J_l>_b + sum_{b != c} <J_k>_b <J_l>_c.
-    """
-    if isinstance(state, ProductState):
-        parts = [collective_moments(block) for block in state.blocks]
-        mean = sum(m for m, _ in parts)
-        # sum_{b != c} m_b m_c^T is (sum_b m_b)(sum_c m_c)^T less the b == c terms
-        return mean, sum(s - np.outer(m, m) for m, s in parts) + np.outer(mean, mean)
-    space = state.space
-    local = _site_spin_matrices(space)
-    if isinstance(state, PureState):
-        psi = state.amplitudes
-        v = _site_sum(local, space, psi)
-        mean = v @ psi.conj()
-        gram = v.conj() @ v.T
-    elif isinstance(state, DensityMatrix):
-        d = local.shape[-1]
-        one = _one_site_sum(space, state.matrix)
-        two = sum(
-            (_site_block(space, pair, state.matrix)
-             for pair in itertools.combinations(range(1, space.n_sites + 1), 2)),
-            np.zeros((d * d, d * d), dtype=complex),
-        ).reshape(d, d, d, d)
-        mean = np.einsum("kij,ji->k", local, one)
-        cross = np.einsum("kab,lcd,bdac->kl", local, local, two)
-        gram = np.einsum("kim,lmj,ji->kl", local, local, one) + cross + cross.T
-    else:
-        raise ValueError(f"cannot take moments of {type(state).__name__}")
-    return (
-        _real_array(mean, "expectation value"),
-        _real_array((gram + gram.T) / 2, "second moment"),
-    )
-
-
-def _one_site_sum(space: HilbertSpace, matrix: np.ndarray) -> np.ndarray:
-    """sum_s rho_s, the one-site blocks summed over sites: Tr(local @ it) is
-    <sum_s local^(s)>."""
-    return sum(_site_block(space, (s,), matrix) for s in range(1, space.n_sites + 1))
+    """<J_k> and the symmetrized <(J_k J_l + J_l J_k) / 2> for k, l in x, y, z,
+    read by ``qcore._collective_moments``."""
+    return _collective_moments(state, _site_spin_matrices(state.space))
 
 
 def total_particle_number(state) -> float:
@@ -439,43 +365,6 @@ def _site_eigenbasis(space: HilbertSpace, direction: Direction) -> tuple[np.ndar
     return np.array([-0.5, 0.5]), np.array([[-phase.conjugate() * s, c], [c, phase * s]])
 
 
-def _moment_distribution(state, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of J_n and the state's weights on its eigenbasis.
-
-    J_n = sum_k (n . j)^(k) is diagonal in the product of the one-site
-    eigenbases (a Fock site's from one d x d eigh, a qubit's in closed form):
-    the state is rotated site by site, and the collective eigenvalues are the
-    one-site ones summed over sites.  A density matrix keeps only the diagonal
-    of each site once it is rotated (``_rotated_diagonal``).  For a
-    ProductState J_n adds over the blocks, so its distribution is the
-    convolution of the blocks'; there 2 J_n is an integer, and equal
-    eigenvalues are merged so the support stays O(n).
-    """
-    if isinstance(state, ProductState):
-        lowest, weights = 0, np.ones(1)
-        for block in state.blocks:
-            eig, w = _moment_distribution(block, direction)
-            twice = np.rint(2 * eig)
-            if np.abs(eig - twice / 2).max() > _HALF_INTEGER_TOL:
-                raise ValueError("a block's J_n eigenvalue lies off the half-integer grid")
-            low = int(twice.min())
-            weights = np.convolve(weights, np.bincount((twice - low).astype(int), weights=w))
-            lowest += low
-        return (lowest + np.arange(weights.size)) / 2, weights
-    space = state.space
-    w, v = _site_eigenbasis(space, direction)
-    if isinstance(state, PureState):
-        weights = np.abs(_site_product(v.conj().T, space, state.amplitudes)) ** 2
-    elif isinstance(state, DensityMatrix):
-        weights = np.real(_rotated_diagonal(v.conj().T, space, state.matrix))
-    else:
-        raise ValueError(f"cannot take moments of {type(state).__name__}")
-    eig = w
-    for _ in range(space.n_sites - 1):
-        eig = np.add.outer(eig, w).ravel()
-    return eig, weights
-
-
 def _moment(eig: np.ndarray, weights: np.ndarray, order: int) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(weights @ eig**order)
@@ -488,7 +377,8 @@ def angular_moment(state, direction: Direction, order: int) -> float:
     """<(J_n)^m> along the given direction."""
     if order < 1:
         raise ValueError("moment order must be at least 1")
-    return _moment(*_moment_distribution(state, direction), order)
+    basis = _site_eigenbasis(state.space, direction)
+    return _moment(*_collective_distribution(state, *basis), order)
 
 
 def anticommutator_moments(state) -> np.ndarray:
@@ -569,7 +459,8 @@ def moment_indistinguishability(
     mb = np.zeros((len(axes), max_order))
     for i, direction in enumerate(axes):
         for state, table in ((state_a, ma), (state_b, mb)):
-            eig, weights = _moment_distribution(state, direction)
+            basis = _site_eigenbasis(state.space, direction)
+            eig, weights = _collective_distribution(state, *basis)
             table[i] = [_moment(eig, weights, order) for order in orders]
     diffs = np.abs(ma - mb)
     first = None

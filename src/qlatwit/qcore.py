@@ -8,10 +8,14 @@ space.  A ProductState holds a product of small dense states on consecutive
 sites instead, and never an array over its whole space.  Sites are numbered
 from 1 and site 1 is the most significant index of the composite basis
 (big-endian), a convention shared by every module built on top of this one.
+The readers here (``_local_mean``, ``_sum_moments``, ``_collective_moments``
+and ``_collective_distribution``) are the only code that reads how a state
+is stored.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Mapping, Sequence
 
@@ -23,6 +27,7 @@ TRACE_TOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
 IMAG_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
+_HALF_INTEGER_TOL = 1e-9
 # largest dense state or sector dimension a builder allocates
 DIM_CAP = 4096
 # sites one block of a ProductState may span
@@ -212,9 +217,8 @@ class ProductState(Record, eq=False):
 
     Each block spans at most MAX_BLOCK_SITES sites and all share one site
     kind and cutoff.  ``space`` is their concatenated HilbertSpace, and no
-    array of size ``space.dim`` is ever allocated: ``_local_mean`` and the
-    collective readers in ``criteria`` combine the dense readers' values on
-    the blocks.
+    array of size ``space.dim`` is ever allocated: the readers below combine
+    the dense readers' values on the blocks.
     """
 
     blocks: tuple
@@ -326,6 +330,13 @@ def _apply_site(local: np.ndarray, space: HilbertSpace, site: int, values: np.nd
     return out.reshape(local.shape[:-2] + values.shape)
 
 
+def _apply_product(factors: Mapping, space: HilbertSpace, values: np.ndarray) -> np.ndarray:
+    """prod_s factors[s]^(s) applied to the state index of ``values``, one site at a time."""
+    for site, local in factors.items():
+        values = _apply_site(local, space, site, values)
+    return values
+
+
 def _site_sum(local: np.ndarray, space: HilbertSpace, values: np.ndarray) -> np.ndarray:
     """sum_k local^(k) applied to the state index of ``values``, for a one-site ``local``."""
     total = _apply_site(local, space, 1, values)
@@ -379,10 +390,7 @@ def _local_mean(state, factors: Mapping[int, np.ndarray]) -> complex:
         return mean
     space = state.space
     if isinstance(state, PureState):
-        v = state.amplitudes
-        for site, local in factors.items():
-            v = _apply_site(local, space, site, v)
-        return complex(np.vdot(state.amplitudes, v))
+        return complex(np.vdot(state.amplitudes, _apply_product(factors, space, state.amplitudes)))
     if isinstance(state, DensityMatrix):
         sites = sorted(factors)
         k, dims = len(sites), tuple(space.dims[s - 1] for s in sites)
@@ -391,6 +399,125 @@ def _local_mean(state, factors: Mapping[int, np.ndarray]) -> complex:
         operands = [x for i, s in enumerate(sites) for x in (factors[s], [i, k + i])]
         return complex(np.einsum(*operands, block, [*range(k, 2 * k), *range(k)], []))
     raise ValueError(f"cannot take an expectation on {type(state).__name__}")
+
+
+def _sum_moments(state, terms: Sequence[Mapping[int, np.ndarray]]) -> tuple[float, float]:
+    """<S> and <S^2> for a Hermitian S = sum_t prod_s t[s]^(s), each term a
+    product of one-site matrices on distinct sites; no operator matrix is built.
+
+    A pure state takes v = S psi site by site, with <S^2> = |v|^2, in
+    O(len(terms) dim).  Any other state is read through ``_local_mean``:
+    <S^2> sums the means of the site-wise products t_a t_c over every pair of
+    terms.
+    """
+    if isinstance(state, PureState):
+        psi = state.amplitudes
+        v = sum((_apply_product(t, state.space, psi) for t in terms), np.zeros_like(psi))
+        return _real_part(complex(np.vdot(psi, v)), "expectation value"), float(np.vdot(v, v).real)
+    mean = sum((_local_mean(state, t) for t in terms), 0j)
+    products = ({**a, **c, **{s: a[s] @ c[s] for s in a.keys() & c.keys()}}
+                for a in terms for c in terms)
+    second = sum((_local_mean(state, p) for p in products), 0j)
+    return _real_part(mean, "expectation value"), _real_part(second, "second moment")
+
+
+def _real_array(values: np.ndarray, what: str) -> np.ndarray:
+    return np.array([_real_part(complex(v), what) for v in values.flat]).reshape(values.shape)
+
+
+def _collective_moments(state, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<L_k> and the symmetrized <(L_k L_l + L_l L_k) / 2> for the site sums
+    L_k = sum_s local[k]^(s) of a (K, d, d) stack of one-site matrices.
+
+    No dim x dim operator is built.  A pure state takes v_k = L_k psi, applied
+    site by site, and inner products.  A density matrix is read through its
+    one- and two-site blocks: <L_k> and the same-site terms
+    sum_s Tr(l_k l_l rho_s) come from the sum of the one-site blocks rho_s,
+    and the cross terms from the sum over pairs s < t of the two-site blocks
+    rho_st, as Tr((l_k x l_l) rho_st) plus its transpose.  A ProductState is
+    read block by block: the means add, and
+    <L_k L_l> = sum_b <L_k L_l>_b + sum_{b != c} <L_k>_b <L_l>_c.
+    """
+    if isinstance(state, ProductState):
+        parts = [_collective_moments(block, local) for block in state.blocks]
+        mean = sum(m for m, _ in parts)
+        # sum_{b != c} m_b m_c^T is (sum_b m_b)(sum_c m_c)^T less the b == c terms
+        return mean, sum(s - np.outer(m, m) for m, s in parts) + np.outer(mean, mean)
+    space = state.space
+    if isinstance(state, PureState):
+        psi = state.amplitudes
+        v = _site_sum(local, space, psi)
+        mean = v @ psi.conj()
+        gram = v.conj() @ v.T
+    elif isinstance(state, DensityMatrix):
+        d = local.shape[-1]
+        one = sum(_site_block(space, (s,), state.matrix) for s in range(1, space.n_sites + 1))
+        pairs = itertools.combinations(range(1, space.n_sites + 1), 2)
+        zero = np.zeros((d * d, d * d), dtype=complex)
+        two = sum((_site_block(space, p, state.matrix) for p in pairs), zero).reshape(d, d, d, d)
+        mean = np.einsum("kij,ji->k", local, one)
+        cross = np.einsum("kab,lcd,bdac->kl", local, local, two)
+        gram = np.einsum("kim,lmj,ji->kl", local, local, one) + cross + cross.T
+    else:
+        raise ValueError(f"cannot take moments of {type(state).__name__}")
+    second = (gram + gram.T) / 2
+    return _real_array(mean, "expectation value"), _real_array(second, "second moment")
+
+
+def _rotated_diagonal(u: np.ndarray, space: HilbertSpace, matrix: np.ndarray) -> np.ndarray:
+    """diag(U M U^dagger) for U = u x u x ... x u, one site at a time.
+
+    Right after a site is rotated only its diagonal is kept,
+    new[x, i, r, s] = sum_ab u[i, a] conj(u[i, b]) t[x, a, r, b, s], where x
+    runs over the sites already done: the array shrinks by d per site, and
+    neither U M U^dagger nor any other dim x dim product is formed.
+    """
+    d = u.shape[0]
+    pair = u[:, :, None] * u.conj()[:, None, :]
+    t = matrix.reshape((1,) + matrix.shape)
+    for _ in range(space.n_sites):
+        x, r = t.shape[0], t.shape[1] // d
+        t = np.einsum("iab,xarbs->xirs", pair, t.reshape(x, d, r, d, r)).reshape(x * d, r, r)
+    return t.reshape(-1)
+
+
+def _collective_distribution(state, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of L = sum_s l^(s) and the state's weights on its
+    eigenbasis, from the one-site eigenvalues ``w`` and eigenvector columns
+    ``v`` of l.
+
+    L is diagonal in the product of the one-site eigenbases: the state is
+    rotated site by site, and the eigenvalues are the one-site ones summed
+    over sites.  A density matrix keeps only the diagonal of each site once
+    it is rotated (``_rotated_diagonal``).  For a ProductState L adds over the
+    blocks, so its distribution is the convolution of the blocks'; there 2 w
+    must be integers, and equal eigenvalues are merged so the support stays
+    O(n).
+    """
+    if isinstance(state, ProductState):
+        lowest, weights = 0, np.ones(1)
+        for block in state.blocks:
+            eig, p = _collective_distribution(block, w, v)
+            twice = np.rint(2 * eig)
+            if np.abs(eig - twice / 2).max() > _HALF_INTEGER_TOL:
+                raise ValueError("a block's J_n eigenvalue lies off the half-integer grid")
+            low = int(twice.min())
+            weights = np.convolve(weights, np.bincount((twice - low).astype(int), weights=p))
+            lowest += low
+        return (lowest + np.arange(weights.size)) / 2, weights
+    space = state.space
+    rotation = v.conj().T
+    if isinstance(state, PureState):
+        every_site = {s: rotation for s in range(1, space.n_sites + 1)}
+        weights = np.abs(_apply_product(every_site, space, state.amplitudes)) ** 2
+    elif isinstance(state, DensityMatrix):
+        weights = np.real(_rotated_diagonal(rotation, space, state.matrix))
+    else:
+        raise ValueError(f"cannot take moments of {type(state).__name__}")
+    eig = w
+    for _ in range(space.n_sites - 1):
+        eig = np.add.outer(eig, w).ravel()
+    return eig, weights
 
 
 def partial_trace(rho: DensityMatrix, keep_sites: Sequence[int]) -> DensityMatrix:

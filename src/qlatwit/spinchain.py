@@ -15,13 +15,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .qcore import DIM_CAP, HilbertSpace, PureState, Record, _apply_site, _local_mean, _real_part
+from .qcore import DIM_CAP, HilbertSpace, PureState, Record, _sum_moments
 
 _AXES = ("x", "y", "z")
 # the Pauli matrices x, y, z, stacked (3, 2, 2)
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 _PAULI = dict(zip(_AXES, PAULIS))
-_ID = np.eye(2, dtype=complex)
 
 _QUBIT_EIGENSTATES = {
     ("x", +1): np.array([1, 1], dtype=complex) / np.sqrt(2),
@@ -106,14 +105,8 @@ def _chain_generator(n_sites: int, states: np.ndarray, jxx, jyy, jzz, hz) -> np.
 
 
 def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[float, float]:
-    """<S> and <S^2> for the sum S of the given Pauli strings on a qubit chain.
-
-    Each string is a product of one-site ``PAULIS`` matrices, so no operator
-    matrix is built.  A pure state takes v = S psi site by site, with
-    <S^2> = |v|^2, in O(len(strings) 2^n).  Any other state is read through
-    ``qcore._local_mean``: <S^2> sums the means of the site-wise products
-    P_a P_c over every pair of strings.
-    """
+    """<S> and <S^2> for the sum S of the given Pauli strings on a qubit chain,
+    each a product of one-site ``PAULIS`` matrices, read by ``qcore._sum_moments``."""
     space = state.space
     if space.kind != "qubit":
         raise ValueError("Pauli strings act on qubit-chain states")
@@ -122,21 +115,7 @@ def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[floa
             space.check_site(site)
             if axis not in _AXES:
                 raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    ops = [{site: _PAULI[axis] for site, axis in factors.items()} for factors in strings]
-    if isinstance(state, PureState):
-        psi = state.amplitudes
-        v = np.zeros_like(psi)
-        for factors in ops:
-            term = psi
-            for site, local in factors.items():
-                term = _apply_site(local, space, site, term)
-            v += term
-        mean = _real_part(complex(np.vdot(psi, v)), "expectation value")
-        return mean, float(np.vdot(v, v).real)
-    mean = sum((_local_mean(state, a) for a in ops), 0j)
-    products = ({s: a.get(s, _ID) @ c.get(s, _ID) for s in a.keys() | c.keys()} for a in ops for c in ops)
-    second = sum((_local_mean(state, p) for p in products), 0j)
-    return _real_part(mean, "expectation value"), _real_part(second, "second moment")
+    return _sum_moments(state, [{s: _PAULI[a] for s, a in f.items()} for f in strings])
 
 
 def tilde_factors(chain: ChainSpec, k: int) -> dict[int, str]:

@@ -532,3 +532,10 @@ def test_lifetime_comparison_computes_threshold_when_missing():
 def test_lifetime_comparison_rejects_bad_rate():
     with pytest.raises(ValueError):
         lifetime_comparison(0.0, p_crit=0.71)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+def test_lifetime_comparison_rejects_a_non_finite_rate(kappa):
+    # a NaN rate gives NaN lifetimes, and an infinite one zero lifetimes
+    with pytest.raises(ValueError, match="decay rate"):
+        lifetime_comparison(kappa, p_crit=0.71)

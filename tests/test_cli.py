@@ -490,6 +490,18 @@ def test_pulse_rejects_malformed_params(capsys):
     assert rc == 1
 
 
+def test_pulse_trace_without_optimize_is_refused_before_any_build(tmp_path, capsys, monkeypatch):
+    # a trace records the search, so without --optimize the path is refused, not ignored
+    calls = []
+    monkeypatch.setattr(cli.optimize, "pulse_state", lambda *a: calls.append(a))
+    trace = tmp_path / "trace.jsonl"
+    rc = main(["pulse", "--n", "4", "--params=1,1,0.3", "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert calls == [] and not trace.exists()
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -536,6 +548,14 @@ def test_unwritable_trace_path_is_one_line_error(tmp_path, capsys):
     assert rc == 1
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_empty_trace_path_is_one_line_error(capsys):
+    # an empty path is an unwritable path, not a missing --trace
+    rc = main(["pulse", "--n", "2", "--optimize", "--budget", "2", "--trace", ""])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_unwritable_trace_path_fails_before_the_search(tmp_path, capsys, monkeypatch):

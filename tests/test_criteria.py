@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,6 +325,17 @@ def test_qubit_eigenbasis_diagonalizes_half_pauli_sum(rng):
 def test_direction_requires_unit_norm():
     with pytest.raises(ValueError):
         Direction(1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("components", [
+    (math.nan, 0.0, 0.0), (1.0, math.nan, 0.0), (math.inf, 0.0, 0.0), (1.0, 0.0, -math.inf),
+])
+def test_direction_refuses_non_finite_components(components):
+    # NaN fails every comparison, so the norm test must be one that NaN fails
+    with pytest.raises(ValueError, match="direction norm"):
+        Direction(*components)
+    with pytest.raises(ValueError, match="direction norm"):
+        Direction.normalized(*components)
 
 
 # ---------------------------------------------------------------------------

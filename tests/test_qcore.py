@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -445,3 +448,43 @@ def test_local_mean_matches_the_kron_built_operator(builder, rng):
 def test_dim_is_exact_past_the_int64_range():
     assert HilbertSpace((2,) * 64).dim == 2**64
     assert HilbertSpace((3,) * 41, kind="generic").dim == 3**41
+
+
+# ---------------------------------------------------------------------------
+# qcore is the only module that reads how a state is stored
+
+STATE_TYPES = {"PureState", "DensityMatrix", "ProductState"}
+STORAGE = {"amplitudes", "matrix", "blocks"}
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qlatwit"
+
+
+def state_type_branches(tree: ast.AST) -> list[int]:
+    """Lines of the isinstance calls in ``tree`` that name a state type."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            named = {n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+                     for n in ast.walk(node.args[1])}
+            if named & STATE_TYPES:
+                lines.append(node.lineno)
+    return lines
+
+
+def storage_reads(tree: ast.AST) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in STORAGE]
+
+
+def test_only_qcore_branches_on_the_state_type():
+    modules = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert state_type_branches(modules["qcore.py"])
+    branches = {name: state_type_branches(t) for name, t in modules.items() if name != "qcore.py"}
+    assert all(not lines for lines in branches.values()), branches
+    reads = {name: storage_reads(modules[name]) for name in ("criteria.py", "spinchain.py")}
+    assert all(not lines for lines in reads.values()), reads
+
+
+def test_the_layout_check_sees_a_branch_and_a_read():
+    tree = ast.parse("if isinstance(s, (qcore.PureState, int)):\n    v = s.amplitudes\n")
+    assert state_type_branches(tree) == [1] and storage_reads(tree) == [2]
+    assert state_type_branches(ast.parse("isinstance(s, float)")) == []

@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 from . import spinchain
-from .qcore import DEGENERACY_GAP, DIM_CAP, GroundState, HilbertSpace, ProductState, PureState, Record
+from .qcore import DEGENERACY_GAP, DIM_CAP, GroundState, HilbertSpace, ProductState, PureState, Record, np
 
 SPIN_UP = (1, 0)
 SPIN_DOWN = (0, 1)

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import spinchain
 from .criteria import CriterionReport, _report
 # expectation is unused here; clibench/tests checks that its tracer rebinds this name
-from .qcore import DensityMatrix, Record, expectation, negativity  # noqa: F401
+from .qcore import DensityMatrix, Record, expectation, negativity, np  # noqa: F401
 
 _NEGATIVITY_TOL = 1e-9
 

@@ -12,21 +12,21 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import sys
-
-import numpy as np
 
 from . import __version__, bosonic, channels, criteria, optimize, spinchain
 # expectation is unused here; clibench/tests checks that its tracer rebinds this name
-from .qcore import expectation  # noqa: F401
+from .qcore import expectation, np  # noqa: F401
 
 
 def _versions() -> dict:
-    return {
-        "qlatwit": __version__,
-        "numpy": np.__version__,
-        "python": ".".join(str(v) for v in sys.version_info[:3]),
-    }
+    versions = {"qlatwit": __version__, "python": ".".join(str(v) for v in sys.version_info[:3])}
+    # numpy is listed when the command loaded it (decoherence-scan does not)
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
+        versions["numpy"] = numpy.__version__
+    return versions
 
 
 def _fmtsig(x) -> str:
@@ -54,16 +54,28 @@ def _write_output(doc: dict, rows, fields, fmt: str, out_path: str | None) -> No
         sys.stdout.write(text)
 
 
-def _fit_line(x: np.ndarray, y: np.ndarray):
-    """Least-squares slope and intercept of y against x, in closed form."""
-    x_bar, y_bar = x.mean(), y.mean()
-    dx = x - x_bar
-    slope = np.sum(dx * (y - y_bar)) / np.sum(dx * dx)
+def _fit_line(x: list[float], y: list[float]) -> tuple[float, float]:
+    """Least-squares slope and intercept of y against x, in closed form, from
+    exactly rounded sums."""
+    x_bar, y_bar = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [xi - x_bar for xi in x]
+    slope = math.fsum(d * (yi - y_bar) for d, yi in zip(dx, y)) / math.fsum(d * d for d in dx)
     return slope, y_bar - slope * x_bar
+
+
+def _grid(start: float, stop: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced points from start to stop, equal to np.linspace:
+    point i is start + i * step, and the last point is stop itself."""
+    if steps == 1:
+        return [start]
+    step = (stop - start) / (steps - 1)
+    return [start + i * step for i in range(steps - 1)] + [stop]
 
 
 # the largest --n of the qubit-chain commands
 _MAX_QUBITS = 12
+# the most grid points of decoherence-scan, checked before the grid is built
+_MAX_STEPS = 100_000
 
 
 def _saturating_product(n: int):
@@ -109,23 +121,20 @@ def cmd_decoherence_scan(args) -> tuple[dict, list, list]:
         raise ValueError("need 0.5 <= p-min <= p-max <= 1.0")
     if steps < 1:
         raise ValueError("need at least one grid point")
+    if steps > _MAX_STEPS:
+        raise ValueError(f"--steps must be at most {_MAX_STEPS}")
     if steps > 1 and p_min == p_max:
         raise ValueError("need p-min < p-max for more than one grid point")
-    grid = np.linspace(p_min, p_max, steps) if steps > 1 else np.array([p_min])
     rows = []
-    for p in grid:
-        rep = channels.decoherence_experiment(n, float(p))
-        rows.append(
-            {"p": float(p), "value": rep.value, "bound": rep.bound, "violated": rep.violated}
-        )
-    ps = np.array([r["p"] for r in rows])
-    vals = np.array([r["value"] for r in rows]) / n
+    for p in _grid(p_min, p_max, steps):
+        rep = channels.decoherence_experiment(n, p)
+        rows.append({"p": p, "value": rep.value, "bound": rep.bound, "violated": rep.violated})
     if len(rows) > 1:
-        slope, intercept = _fit_line(ps, vals)
+        slope, intercept = _fit_line([r["p"] for r in rows], [r["value"] / n for r in rows])
         summary = {
-            "slope_value_over_n": float(slope),
-            "intercept_value_over_n": float(intercept),
-            "crossing_p_fit": float((0.5 - intercept) / slope),
+            "slope_value_over_n": slope,
+            "intercept_value_over_n": intercept,
+            "crossing_p_fit": (0.5 - intercept) / slope,
         }
     else:
         summary = {}

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 from . import bosonic, spinchain
 # expectation is unused here; clibench/tests checks that its tracer rebinds this name
 from .qcore import (  # noqa: F401
@@ -26,6 +24,7 @@ from .qcore import (  # noqa: F401
     _local_mean,
     _real_part,
     expectation,
+    np,
     variance_from_moments,
 )
 
@@ -39,7 +38,19 @@ _ORTHOGONALITY_TOL = 1e-10
 _DENOMINATOR_TOL = 1e-12
 
 AXES = ("x", "y", "z")
-_HALF_PAULIS = spinchain.PAULIS / 2
+
+
+def _constant(name: str):
+    """_HALF_PAULIS, the qubit spin matrices sigma / 2 stacked (3, 2, 2), built at
+    its first read.  Building it at first use keeps numpy out of the import."""
+    if name != "_HALF_PAULIS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in globals():
+        globals()[name] = spinchain.PAULIS / 2
+    return globals()[name]
+
+
+__getattr__ = _constant  # a read of the constant before it is built (PEP 562)
 
 
 class Direction(Record):
@@ -50,14 +61,15 @@ class Direction(Record):
     z: float
 
     def __post_init__(self):
-        norm = math.sqrt(self.x**2 + self.y**2 + self.z**2)
+        norm = math.hypot(self.x, self.y, self.z)
         # a NaN norm fails this test too, so non-finite components are refused
         if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"direction norm {norm} deviates from 1")
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "Direction":
-        norm = math.sqrt(x * x + y * y + z * z)
+        # hypot scales its arguments, so no square overflows or underflows
+        norm = math.hypot(x, y, z)
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return cls(x / norm, y / norm, z / norm)
@@ -100,17 +112,17 @@ class CriterionReport(Record):
 
 
 def _jsonable(v):
-    if isinstance(v, (np.floating, float)):
-        f = float(v)
-        return None if math.isnan(f) else f
-    if isinstance(v, (np.integer, int)):
+    if isinstance(v, float):
+        return None if math.isnan(v) else float(v)
+    if isinstance(v, int):
         return int(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
+    # a numpy scalar or array, converted to Python values without reading numpy
+    if type(v).__module__ == "numpy":
+        return _jsonable(v.tolist())
     return v
 
 
@@ -152,7 +164,7 @@ def _site_spin_matrices(space: HilbertSpace) -> np.ndarray:
     chain, the Schwinger j_a on a two-mode Fock lattice.
     """
     if space.kind == "qubit":
-        return _HALF_PAULIS
+        return _constant("_HALF_PAULIS")
     if space.kind == "fock":
         js = bosonic._schwinger_matrices(bosonic.SiteFockSpace(space.fock_cutoff))
         return np.stack([js[ax] for ax in AXES])

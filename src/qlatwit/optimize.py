@@ -25,11 +25,9 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
-
 from . import spinchain
 from .criteria import CriterionReport, collective_uncertainty_criterion
-from .qcore import PureState, Record
+from .qcore import PureState, Record, np
 
 _MAX_SITES = 10
 # simplex searches: one from the initial point, then seeded perturbations of it

@@ -19,7 +19,27 @@ import itertools
 import math
 from typing import Mapping, Sequence
 
-import numpy as np
+
+class _LazyNumpy:
+    """numpy, imported at the first read of one of its names.
+
+    The package's only numpy import: every module reads numpy through ``np``
+    below, so a command that reads no numpy name (``decoherence-scan``) never
+    loads it.  Each name read is stored in the instance's own ``__dict__``, so
+    later reads of it are plain attribute hits.  A dunder lookup (``hasattr``
+    probes by ``inspect``, ``copy`` or ``pickle``) loads nothing.
+    """
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        import numpy
+
+        value = self.__dict__[name] = getattr(numpy, name)
+        return value
+
+
+np = _LazyNumpy()
 
 NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12

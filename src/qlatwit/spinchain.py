@@ -13,23 +13,35 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .qcore import DIM_CAP, HilbertSpace, PureState, Record, _sum_moments
+from .qcore import DIM_CAP, HilbertSpace, PureState, Record, _sum_moments, np
 
 _AXES = ("x", "y", "z")
-# the Pauli matrices x, y, z, stacked (3, 2, 2)
-PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
-_PAULI = dict(zip(_AXES, PAULIS))
+_ARRAY_CONSTANTS = ("PAULIS", "_PAULI", "_QUBIT_EIGENSTATES")
 
-_QUBIT_EIGENSTATES = {
-    ("x", +1): np.array([1, 1], dtype=complex) / np.sqrt(2),
-    ("x", -1): np.array([1, -1], dtype=complex) / np.sqrt(2),
-    ("y", +1): np.array([1, 1j], dtype=complex) / np.sqrt(2),
-    ("y", -1): np.array([1, -1j], dtype=complex) / np.sqrt(2),
-    ("z", +1): np.array([1, 0], dtype=complex),
-    ("z", -1): np.array([0, 1], dtype=complex),
-}
+
+def _constant(name: str):
+    """One of the module's array constants, all built at the first read of any.
+
+    PAULIS stacks the Pauli matrices x, y, z (3, 2, 2), ``_PAULI`` maps each
+    axis to its matrix and ``_QUBIT_EIGENSTATES`` each (axis, sign) to its
+    eigenvector.  Building them at first use keeps numpy out of the import.
+    """
+    if name not in _ARRAY_CONSTANTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in globals():
+        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+        globals().update(PAULIS=paulis, _PAULI=dict(zip(_AXES, paulis)), _QUBIT_EIGENSTATES={
+            ("x", +1): np.array([1, 1], dtype=complex) / np.sqrt(2),
+            ("x", -1): np.array([1, -1], dtype=complex) / np.sqrt(2),
+            ("y", +1): np.array([1, 1j], dtype=complex) / np.sqrt(2),
+            ("y", -1): np.array([1, -1j], dtype=complex) / np.sqrt(2),
+            ("z", +1): np.array([1, 0], dtype=complex),
+            ("z", -1): np.array([0, 1], dtype=complex),
+        })
+    return globals()[name]
+
+
+__getattr__ = _constant  # a read of a constant not yet built (PEP 562)
 
 
 class ChainSpec(Record):
@@ -115,7 +127,8 @@ def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[floa
             space.check_site(site)
             if axis not in _AXES:
                 raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    return _sum_moments(state, [{s: _PAULI[a] for s, a in f.items()} for f in strings])
+    pauli = _constant("_PAULI")
+    return _sum_moments(state, [{s: pauli[a] for s, a in f.items()} for f in strings])
 
 
 def tilde_factors(chain: ChainSpec, k: int) -> dict[int, str]:
@@ -147,11 +160,12 @@ def product_state(site_specs: Sequence[tuple[str, int]]) -> PureState:
     space = ChainSpec(len(site_specs)).space()
     if space.dim > DIM_CAP:
         raise ValueError(f"dimension {space.dim} exceeds cap {DIM_CAP}")
+    eigenstates = _constant("_QUBIT_EIGENSTATES")
     v = np.ones(1, dtype=complex)
     for axis, sign in site_specs:
-        if (axis, sign) not in _QUBIT_EIGENSTATES:
+        if (axis, sign) not in eigenstates:
             raise ValueError(f"bad site spec ({axis!r}, {sign!r})")
-        v = np.kron(v, _QUBIT_EIGENSTATES[(axis, sign)])
+        v = np.kron(v, eigenstates[(axis, sign)])
     return PureState(space, v)
 
 

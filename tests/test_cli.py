@@ -108,7 +108,41 @@ def test_each_command_runs_without_scipy(argv):
             f"sys.exit(main({argv!r}))")
     proc = python_process(code)
     assert proc.returncode == 0, proc.stderr
-    assert isinstance(json.loads(proc.stdout), dict)
+    # numpy is listed exactly when the command loaded it, which all but the scan do
+    versions = ["python", "qlatwit"] if argv[0] == "decoherence-scan" else ["numpy", "python", "qlatwit"]
+    assert sorted(json.loads(proc.stdout)["versions"]) == versions
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["--help"],
+    ["decoherence-scan", "--n", "4", "--bogus"],
+    ["decoherence-scan", "--n", "12", "--steps", "11"],
+    ["decoherence-scan", "--n", "12", "--steps", "11", "--format", "csv"],
+])
+def test_the_scan_usage_and_import_leave_numpy_unloaded(argv):
+    # the echo is scalar arithmetic, and numpy costs ~120 ms and ~13 MB to import
+    code = "import contextlib, io, sys; from qlatwit.cli import main\n"
+    if argv is not None:
+        code += ("with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+                 f"    try: main({argv!r})\n"
+                 "    except SystemExit: pass\n")
+    assert run_python(code + "print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_decoherence_scan_runs_with_numpy_blocked(fmt):
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from qlatwit.cli import main\n"
+            f"sys.exit(main(['decoherence-scan', '--n', '12', '--steps', '11', '--format', {fmt!r}]))")
+    proc = python_process(code)
+    assert proc.returncode == 0, proc.stderr
+    if fmt == "json":
+        doc = json.loads(proc.stdout)
+        assert sorted(doc["versions"]) == ["python", "qlatwit"]
+        assert doc["results"]["summary"]["crossing_p_fit"] == pytest.approx(0.75, abs=1e-12)
+    else:
+        assert len(proc.stdout.splitlines()) == 12
 
 
 def test_pulse_optimize_adds_no_numpy_random():
@@ -229,6 +263,29 @@ def test_line_fit_matches_polyfit(steps):
     y = 2 * x - 1 + rng.normal(0.0, 0.1, size=steps)
     want = np.polyfit(x, y, 1)
     assert np.allclose(cli._fit_line(x, y), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.5, 1.0), (0.5, 0.75), (0.6, 0.9), (0.75, 1.0), (0.51, 0.99), (0.1, 0.7), (0.5, 0.5000000000000001),
+    (0.9999999999999999, 1.0), (0.7071067811865476, 0.9),
+])
+def test_scan_grid_equals_linspace(lo, hi):
+    for steps in [*range(1, 130), 1000, 4097, 99_999]:
+        assert cli._grid(lo, hi, steps) == np.linspace(lo, hi, steps).tolist(), steps
+
+
+def test_decoherence_scan_caps_the_grid_before_building_it(capsys, monkeypatch):
+    # 3e8 points would be a 2.4 GB grid; the refusal comes first
+    assert cli._MAX_STEPS == 100_000
+    for cap, steps in ((cli._MAX_STEPS, cli._MAX_STEPS + 1), (cli._MAX_STEPS, 300_000_000), (5, 6)):
+        monkeypatch.setattr(cli, "_MAX_STEPS", cap)
+        rc = main(["decoherence-scan", "--n", "4", "--steps", str(steps)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: --steps must be at most {cap}\n"
+        assert captured.out == ""
+    # the cap itself is allowed
+    assert len(run_json(capsys, ["decoherence-scan", "--n", "4", "--steps", "5"])["results"]["rows"]) == 5
 
 
 def test_decoherence_scan_rejects_empty_grid(capsys):

@@ -338,6 +338,31 @@ def test_direction_refuses_non_finite_components(components):
         Direction.normalized(*components)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 1e-300])
+def test_direction_normalizes_huge_and_tiny_components(scale):
+    # squaring 1e200 overflows and squaring 1e-200 underflows; hypot does neither
+    assert Direction.normalized(scale, 0.0, 0.0) == AXIS_X
+    assert Direction.normalized(0.0, -scale, 0.0) == Direction(0.0, -1.0, 0.0)
+    d = Direction.normalized(scale, 0.0, scale)
+    assert (d.x, d.y, d.z) == pytest.approx((math.sqrt(0.5), 0.0, math.sqrt(0.5)), abs=1e-15)
+
+
+def test_direction_refuses_a_huge_norm_with_a_value_error():
+    with pytest.raises(ValueError, match="direction norm"):
+        Direction(1e200, 0.0, 0.0)
+
+
+def test_lazily_built_array_constants_keep_their_names_and_values():
+    from qlatwit import criteria, spinchain
+
+    want = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    assert np.array_equal(spinchain.PAULIS, want) and spinchain.PAULIS.dtype == complex
+    assert np.array_equal(_HALF_PAULIS, want / 2) and criteria._HALF_PAULIS is _HALF_PAULIS
+    for module in (spinchain, criteria):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_constant'"):
+            module.no_such_constant
+
+
 # ---------------------------------------------------------------------------
 # moments
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ID2, SX, SY, SZ, ground_state, kron_all, oracle_product_dense, variance
-from qlatwit import bosonic
+from qlatwit import bosonic, qcore
 from qlatwit.qcore import (
     DensityMatrix,
     HilbertSpace,
@@ -488,3 +488,48 @@ def test_the_layout_check_sees_a_branch_and_a_read():
     tree = ast.parse("if isinstance(s, (qcore.PureState, int)):\n    v = s.amplitudes\n")
     assert state_type_branches(tree) == [1] and storage_reads(tree) == [2]
     assert state_type_branches(ast.parse("isinstance(s, float)")) == []
+
+
+def numpy_imports(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing function or class path, line) of each numpy import in ``tree``."""
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{path}.{child.name}" if path else child.name)
+                continue
+            names = ([a.name for a in child.names] if isinstance(child, ast.Import)
+                     else [child.module or ""] if isinstance(child, ast.ImportFrom) else [])
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                found.append((path, child.lineno))
+            visit(child, path)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_qcore_proxy_imports_numpy():
+    # every other module reads numpy through qcore.np, so numpy loads at its first use
+    found = {p.name: [path for path, _ in numpy_imports(ast.parse(p.read_text()))]
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert found.pop("qcore.py") == ["_LazyNumpy.__getattr__"]
+    assert all(not paths for paths in found.values()), found
+
+
+def test_the_numpy_import_check_sees_every_form():
+    tree = ast.parse("import numpy as np\nfrom numpy import linalg\nimport os, numpy.linalg\n"
+                     "def f():\n    import numpy\n")
+    assert numpy_imports(tree) == [("", 1), ("", 2), ("", 3), ("f", 5)]
+    assert numpy_imports(ast.parse("import numpyish\nfrom .qcore import np\n")) == []
+
+
+def test_the_numpy_proxy_keeps_each_name_it_reads():
+    proxy = qcore._LazyNumpy()
+    assert proxy.linalg is np.linalg and proxy.zeros is np.zeros
+    assert vars(proxy) == {"linalg": np.linalg, "zeros": np.zeros}
+    # introspection probes load nothing and find nothing
+    assert not hasattr(proxy, "__wrapped__")
+    with pytest.raises(AttributeError):
+        proxy.no_such_numpy_name
+    assert qcore.np.ndarray is np.ndarray

@@ -120,24 +120,6 @@ def occupation_basis_state(
     return PureState(lattice.space(), v)
 
 
-def embed_qubit_chain(state: PureState) -> PureState:
-    """Map a qubit chain into the unit-filled sector of an n_max=1 lattice.
-
-    Qubit |0> becomes one atom in mode a (spin up), |1> one atom in mode b
-    (spin down): qubit index i lands on Fock index sum_k (1 + b_k) 3^(n-k),
-    with b_k the bit of site k.
-    """
-    if state.space.kind != "qubit":
-        raise ValueError("embed_qubit_chain expects a qubit-chain state")
-    n = state.space.n_sites
-    lattice = FockLatticeSpec(n, SiteFockSpace(1))
-    idx = np.arange(state.space.dim)
-    fock_index = sum((1 + ((idx >> s) & 1)) * 3**s for s in range(n))
-    amps = np.zeros(lattice.space().dim, dtype=complex)
-    amps[fock_index] = state.amplitudes
-    return PureState(lattice.space(), amps)
-
-
 def singlet_pair() -> PureState:
     """Two unit-filled sites sharing a spin singlet, normalized."""
     lattice = FockLatticeSpec(2, SiteFockSpace(1))
@@ -171,9 +153,9 @@ def heisenberg_ground_state(n_sites: int) -> GroundState:
 
     The bond conserves each site's occupation and the total S_z, so the solve
     runs on the unit-filled chain, as qubits, at S_z = 0 (even n) or +1/2 (odd
-    n): qubit |0> is SPIN_UP, as in ``embed_qubit_chain``. The state returned
-    is that 2^n qubit-chain state. ``energy``, ``gap`` and ``degenerate`` are
-    those of the full cutoff-1 Fock space:
+    n): qubit |0> is SPIN_UP, as in the tests' ``embed_qubit_chain``. The
+    state returned is that 2^n qubit-chain state. ``energy``, ``gap`` and
+    ``degenerate`` are those of the full cutoff-1 Fock space:
 
     - the ground level is the unit-filled one. A vacancy splits the chain into
       unit-filled segments whose energies add, and the ground energy E0 is

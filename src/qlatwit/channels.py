@@ -6,12 +6,12 @@ rho -> p rho + (1-p)/3 (X rho X + Y rho Y + Z rho Z).  Both are Pauli
 channels, which map each sigma_a to f_a sigma_a, and each kind is defined
 once, by its scales (f_xy, f_z) at weight p in ``_CHANNELS``: 2p - 1 and 1
 for the phase flip, (4p - 1)/3 for both in the depolarizing channel.  One
-kernel applies them to the four (bra bit, ket bit) blocks of a site, taken
-as views of the density matrix, in place; ``phase_flip``, ``depolarizing``
-and ``apply_all_sites`` run it.  The echo experiment and the localized pair
-read the cluster state through its stabilizers K_k = z_{k-1} x_k z_{k+1}
-instead, in O(n) and with no state vector (Hein, Eisert & Briegel, PRA 69,
-062311 (2004)).
+kernel, ``_apply``, applies them to the four (bra bit, ket bit) blocks of a
+site, taken as views of the density matrix, in place; it builds the localized
+pair here, and the dense per-site channels of the tests run it too.  The echo
+experiment and the localized pair read the cluster state through its
+stabilizers K_k = z_{k-1} x_k z_{k+1} instead, in O(n) and with no state
+vector (Hein, Eisert & Briegel, PRA 69, 062311 (2004)).
 """
 
 from __future__ import annotations
@@ -24,28 +24,6 @@ from .criteria import CriterionReport, _report
 from .qcore import DensityMatrix, Record, expectation, negativity, np  # noqa: F401
 
 _NEGATIVITY_TOL = 1e-9
-
-
-class DecoherenceModel(Record):
-    """A per-site channel at a fixed exposure.
-
-    ``p`` is the keep-state weight, (1 + exp(-kappa t)) / 2 after dephasing at
-    rate kappa for a time t, which confines it to [1/2, 1].
-    """
-
-    kind: str
-    p: float
-
-    def __post_init__(self):
-        _channel(self.kind)
-        if not 0.5 <= self.p <= 1.0:
-            raise ValueError(f"model weight p={self.p} outside [1/2, 1]")
-
-
-def _check_qubit_density(rho: DensityMatrix) -> int:
-    if rho.space.kind != "qubit":
-        raise ValueError("channels act on qubit-chain density matrices")
-    return rho.space.n_sites
 
 
 def _check_p(p: float) -> None:
@@ -87,34 +65,6 @@ def _channel(kind: str):
     if kind not in _CHANNELS:
         raise ValueError(f"unknown channel kind {kind!r}")
     return _CHANNELS[kind]
-
-
-def _one_site(kind: str, rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
-    n = _check_qubit_density(rho)
-    rho.space.check_site(site)
-    _check_p(p)
-    scales = _CHANNELS[kind][0](p)
-    return DensityMatrix(rho.space, _apply(rho.matrix.copy(), n, site, scales))
-
-
-def phase_flip(rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
-    """p rho + (1-p) Z rho Z on one site."""
-    return _one_site("phase_flip", rho, site, p)
-
-
-def depolarizing(rho: DensityMatrix, site: int, p: float) -> DensityMatrix:
-    """p rho + (1-p)/3 (X rho X + Y rho Y + Z rho Z) on one site."""
-    return _one_site("depolarizing", rho, site, p)
-
-
-def apply_all_sites(model: DecoherenceModel, rho: DensityMatrix) -> DensityMatrix:
-    """The model's channel applied to every site (order irrelevant)."""
-    n = _check_qubit_density(rho)
-    scales = _channel(model.kind)[0](model.p)
-    mat = rho.matrix.copy()
-    for site in range(1, n + 1):
-        mat = _apply(mat, n, site, scales)
-    return DensityMatrix(rho.space, mat)
 
 
 def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") -> CriterionReport:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -36,22 +37,22 @@ def _fmtsig(x) -> str:
 
 
 def _write_output(doc: dict, rows, fields, fmt: str, out_path: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    else:
-        import csv  # only this branch writes CSV
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        if fmt == "json":
+            # written in batches of encoder chunks, so the whole text is never held
+            chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+            while batch := "".join(itertools.islice(chunks, 1 << 14)):
+                fh.write(batch)
+            fh.write("\n")
+        else:
+            import csv  # only this branch writes CSV
 
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmtsig(row[k]) for k in fields})
-        text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            buf = io.StringIO()
+            writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+            writer.writeheader()
+            for row in rows:
+                writer.writerow({k: _fmtsig(row[k]) for k in fields})
+            fh.write(buf.getvalue())
 
 
 def _fit_line(x: list[float], y: list[float]) -> tuple[float, float]:
@@ -72,8 +73,12 @@ def _grid(start: float, stop: float, steps: int) -> list[float]:
     return [start + i * step for i in range(steps - 1)] + [stop]
 
 
-# the largest --n of the qubit-chain commands
+# the largest --n of the commands that build 2^n vectors
 _MAX_QUBITS = 12
+# the largest --n of decoherence-scan, whose echo is O(n) scalar arithmetic
+_MAX_SCAN_SITES = 1_000_000
+# the most pairs of singlet-suite, read block by block in O(n)
+_MAX_PAIRS = 1000
 # the most grid points of decoherence-scan, checked before the grid is built
 _MAX_STEPS = 100_000
 
@@ -114,8 +119,8 @@ def cmd_cluster_witness(args) -> tuple[dict, list, list]:
 
 def cmd_decoherence_scan(args) -> tuple[dict, list, list]:
     n = args.n
-    if n is None or n % 2 != 0 or not 2 <= n <= _MAX_QUBITS:
-        raise ValueError(f"decoherence-scan needs --n even, between 2 and {_MAX_QUBITS}")
+    if n is None or n % 2 != 0 or not 2 <= n <= _MAX_SCAN_SITES:
+        raise ValueError(f"decoherence-scan needs --n even, between 2 and {_MAX_SCAN_SITES}")
     p_min, p_max, steps = args.p_min, args.p_max, args.steps
     if not 0.5 <= p_min <= p_max <= 1.0:
         raise ValueError("need 0.5 <= p-min <= p-max <= 1.0")
@@ -148,8 +153,9 @@ def cmd_decoherence_scan(args) -> tuple[dict, list, list]:
 
 def cmd_singlet_suite(args) -> tuple[dict, list, list]:
     n_pairs = args.n
-    if n_pairs is None or not 1 <= n_pairs <= 10:
-        raise ValueError("singlet-suite needs --n between 1 and 10: the cap is 10 singlet pairs")
+    if n_pairs is None or not 1 <= n_pairs <= _MAX_PAIRS:
+        raise ValueError(
+            f"singlet-suite needs --n between 1 and {_MAX_PAIRS}: the cap is {_MAX_PAIRS} singlet pairs")
     state = bosonic.singlet_chain(n_pairs)
     report = criteria.collective_uncertainty_criterion(state)
     mean, second = criteria.collective_moments(state)

@@ -21,8 +21,6 @@ from .qcore import (  # noqa: F401
     Record,
     _collective_distribution,
     _collective_moments,
-    _local_mean,
-    _real_part,
     expectation,
     np,
     variance_from_moments,
@@ -179,15 +177,15 @@ def collective_moments(state) -> tuple[np.ndarray, np.ndarray]:
 
 def total_particle_number(state) -> float:
     """<N_total>: the site count for qubit chains (one spin per site), else
-    the sum of the one-site number means."""
+    the mean of the site sum of the one-site number operator, read by
+    ``qcore._collective_moments``."""
     space = state.space
     if space.kind == "qubit":
         return float(space.n_sites)
     if space.kind != "fock":
         raise ValueError(f"no particle number defined for space kind {space.kind!r}")
     number = bosonic._schwinger_matrices(bosonic.SiteFockSpace(space.fock_cutoff))["n"]
-    value = sum(_local_mean(state, {s: number}) for s in range(1, space.n_sites + 1))
-    return _real_part(complex(value), "expectation value")
+    return float(_collective_moments(state, number[None])[0][0])
 
 
 def _correlator_means(state, chain: spinchain.ChainSpec) -> list[float]:

@@ -4,14 +4,17 @@ itself builds no dense operator; the reference helpers at the end wrap these
 oracles for the acceptance gate and the differentials.  The two cluster readers
 after them are the package's former state-vector forms of the decoherence echo
 and the localized pair, kept to check the stabilizer forms at sizes the 4^n
-density-matrix oracles cannot reach."""
+density-matrix oracles cannot reach.  Last come the dense per-site channels
+and the qubit-to-Fock embedding, which no command runs: the tests apply them
+to whole density matrices and state vectors."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qlatwit.channels import _CHANNELS, _apply
+from qlatwit.bosonic import FockLatticeSpec, SiteFockSpace
+from qlatwit.channels import _CHANNELS, _apply, _channel, _check_p
 from qlatwit.criteria import _correlator_means
 from qlatwit.qcore import (
     DEGENERACY_GAP,
@@ -19,6 +22,7 @@ from qlatwit.qcore import (
     GroundState,
     LinearOperator,
     PureState,
+    Record,
     variance_from_moments,
 )
 from qlatwit.spinchain import (
@@ -293,6 +297,79 @@ def cluster_pair_block(n, p, pair, outcomes, kind):
     block = rows.T @ (weights[:, None] * rows.conj())
     block = _apply(_apply(block, 2, 1, scales), 2, 2, scales)
     return block / np.trace(block).real
+
+
+# ---------------------------------------------------------------------------
+# dense per-site channels on whole density matrices, through the package's
+# kernel ``channels._apply``, and the qubit chain embedded in a Fock lattice
+
+
+class DecoherenceModel(Record):
+    """A per-site channel at a fixed exposure.
+
+    ``p`` is the keep-state weight, (1 + exp(-kappa t)) / 2 after dephasing at
+    rate kappa for a time t, which confines it to [1/2, 1].
+    """
+
+    kind: str
+    p: float
+
+    def __post_init__(self):
+        _channel(self.kind)
+        if not 0.5 <= self.p <= 1.0:
+            raise ValueError(f"model weight p={self.p} outside [1/2, 1]")
+
+
+def _check_qubit_density(rho):
+    if rho.space.kind != "qubit":
+        raise ValueError("channels act on qubit-chain density matrices")
+    return rho.space.n_sites
+
+
+def _one_site(kind, rho, site, p):
+    n = _check_qubit_density(rho)
+    rho.space.check_site(site)
+    _check_p(p)
+    scales = _CHANNELS[kind][0](p)
+    return DensityMatrix(rho.space, _apply(rho.matrix.copy(), n, site, scales))
+
+
+def phase_flip(rho, site, p):
+    """p rho + (1-p) Z rho Z on one site."""
+    return _one_site("phase_flip", rho, site, p)
+
+
+def depolarizing(rho, site, p):
+    """p rho + (1-p)/3 (X rho X + Y rho Y + Z rho Z) on one site."""
+    return _one_site("depolarizing", rho, site, p)
+
+
+def apply_all_sites(model, rho):
+    """The model's channel applied to every site (order irrelevant)."""
+    n = _check_qubit_density(rho)
+    scales = _channel(model.kind)[0](model.p)
+    mat = rho.matrix.copy()
+    for site in range(1, n + 1):
+        mat = _apply(mat, n, site, scales)
+    return DensityMatrix(rho.space, mat)
+
+
+def embed_qubit_chain(state):
+    """Map a qubit chain into the unit-filled sector of an n_max=1 lattice.
+
+    Qubit |0> becomes one atom in mode a (spin up), |1> one atom in mode b
+    (spin down): qubit index i lands on Fock index sum_k (1 + b_k) 3^(n-k),
+    with b_k the bit of site k.
+    """
+    if state.space.kind != "qubit":
+        raise ValueError("embed_qubit_chain expects a qubit-chain state")
+    n = state.space.n_sites
+    lattice = FockLatticeSpec(n, SiteFockSpace(1))
+    idx = np.arange(state.space.dim)
+    fock_index = sum((1 + ((idx >> s) & 1)) * 3**s for s in range(n))
+    amps = np.zeros(lattice.space().dim, dtype=complex)
+    amps[fock_index] = state.amplitudes
+    return PureState(lattice.space(), amps)
 
 
 @pytest.fixture

@@ -11,10 +11,12 @@ import numpy as np
 from conftest import (
     basis_state,
     collective_j_operators,
+    embed_qubit_chain,
     ground_state,
     heisenberg_hamiltonian,
     maximal_angular_momentum_check,
     oracle_product_dense,
+    phase_flip,
     pulse_unitary,
     schwinger_j,
     site_number_operator,
@@ -93,8 +95,6 @@ def test_criterion_03_pairwise_threshold_and_lifetime_ratio():
 
 
 def test_criterion_04_flip_identities():
-    from qlatwit.channels import phase_flip
-
     n = 6
     rho = pure_to_density(make_cluster(n))
     single = witness_criterion(phase_flip(rho, 3, 0.0)).value
@@ -130,7 +130,7 @@ def test_criterion_06_collective_uncertainty():
     rng = np.random.default_rng(17)
     chain = ChainSpec(4)
     for _ in range(200):
-        state = bosonic.embed_qubit_chain(sampling.random_product_state(chain.space(), rng))
+        state = embed_qubit_chain(sampling.random_product_state(chain.space(), rng))
         prod = collective_uncertainty_criterion(state)
         assert abs(prod.value - prod.bound) < 1e-9
 

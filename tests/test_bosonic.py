@@ -10,6 +10,7 @@ from conftest import (
     SZ,
     basis_state,
     collective_j_operators,
+    embed_qubit_chain,
     ground_state,
     heisenberg_hamiltonian,
     kron_all,
@@ -32,7 +33,6 @@ from qlatwit.bosonic import (
     _heisenberg_sector,
     _ladder_matrices,
     _schwinger_matrices,
-    embed_qubit_chain,
     heisenberg_ground_state,
     occupation_basis_state,
     singlet_chain,

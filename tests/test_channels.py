@@ -7,18 +7,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULIS, cluster_echo, cluster_pair_block, kron_all, oracle_site_pauli
+from conftest import (
+    PAULIS,
+    DecoherenceModel,
+    apply_all_sites,
+    cluster_echo,
+    cluster_pair_block,
+    depolarizing,
+    kron_all,
+    oracle_site_pauli,
+    phase_flip,
+)
 from qlatwit import channels, spinchain
 from qlatwit.channels import (
     _CHANNELS,
-    DecoherenceModel,
-    apply_all_sites,
     decoherence_experiment,
-    depolarizing,
     lifetime_comparison,
     localized_pair_state,
     pairwise_threshold,
-    phase_flip,
     witness_threshold,
 )
 from qlatwit.criteria import witness_criterion

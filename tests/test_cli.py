@@ -319,11 +319,37 @@ def test_decoherence_scan_single_point_is_allowed(capsys):
 def test_decoherence_scan_runs_up_to_the_dimension_cap(capsys):
     doc = run_json(capsys, ["decoherence-scan", "--n", "12", "--steps", "2"])
     assert doc["results"]["summary"]["crossing_p_bisection"] == 0.75048828125
-    rc = main(["decoherence-scan", "--n", "14", "--steps", "2"])
+    assert cli._MAX_SCAN_SITES == 1_000_000
+    rc = main(["decoherence-scan", "--n", "1000002", "--steps", "2"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_decoherence_scan_takes_a_hundred_thousand_sites(capsys):
+    # the echo is O(n), so the scan reaches lattice sizes
+    n = 100_000
+    results = run_json(capsys, ["decoherence-scan", "--n", str(n), "--steps", "3"])["results"]
+    rows = results["rows"]
+    assert [r["p"] for r in rows] == [0.5, 0.75, 1.0]
+    assert rows[-1]["value"] == n and rows[-1]["violated"] is True
+    assert all(r["bound"] == n / 2 for r in rows)
+    assert results["summary"]["crossing_p_fit"] == pytest.approx(0.75, abs=1e-12)
+    assert results["summary"]["crossing_p_bisection"] == pytest.approx(0.75, abs=1e-3)
+
+
+@pytest.mark.parametrize("dest", ["stdout", "out"])
+def test_json_spanning_several_write_batches_is_the_one_shot_text(capsys, tmp_path, dest):
+    argv = ["decoherence-scan", "--n", "4", "--steps", "5000"]
+    out = tmp_path / "scan.json"
+    assert main(argv + (["--out", str(out)] if dest == "out" else [])) == 0
+    text = capsys.readouterr().out if dest == "stdout" else out.read_text()
+    doc = json.loads(text)
+    assert len(doc["results"]["rows"]) == 5000
+    # the document is several batches of 2^14 encoder chunks
+    assert sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)) > 3 << 14
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +366,8 @@ def test_singlet_suite(capsys):
 
 
 def test_singlet_suite_respects_cap(capsys):
-    rc = main(["singlet-suite", "--n", "11"])
+    assert cli._MAX_PAIRS == 1000
+    rc = main(["singlet-suite", "--n", "1001"])
     assert rc == 1
     assert "cap" in capsys.readouterr().err
 
@@ -350,6 +377,13 @@ def test_singlet_suite_runs_ten_pairs(capsys):
     rep = doc["results"]["report"]
     assert rep["value"] == pytest.approx(0.0, abs=1e-9)
     assert rep["bound"] == pytest.approx(10.0, abs=1e-9)
+    assert rep["violated"] is True
+
+
+def test_singlet_suite_runs_a_thousand_pairs(capsys):
+    rep = run_json(capsys, ["singlet-suite", "--n", "1000"])["results"]["report"]
+    assert rep["value"] == pytest.approx(0.0, abs=1e-9)
+    assert rep["bound"] == pytest.approx(1000.0, abs=1e-9)
     assert rep["violated"] is True
 
 
@@ -383,7 +417,7 @@ def test_heisenberg_refuses_a_sector_past_the_cap(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["singlet-suite", "--n", "1000"], ["singlet-suite", "--n", "100000000"],
+    [["singlet-suite", "--n", "1001"], ["singlet-suite", "--n", "100000000"],
      ["heisenberg", "--n", "1000000"]],
 )
 def test_oversized_lattices_are_refused_in_one_short_line(argv, capsys):
@@ -485,6 +519,8 @@ def test_pulse_optimize_with_trace(capsys, tmp_path):
     assert len(lines) == optimized["evaluations"]
     first = json.loads(lines[0])
     assert set(first) == {"iteration", "params", "ratio"}
+    # the search evaluates the given pulse first
+    assert first["ratio"] == doc["results"]["ratio"]
 
 
 def test_pulse_optimize_deterministic_given_seed(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     SY,
     SZ,
+    embed_qubit_chain,
     kron_all,
     oracle_collective,
     oracle_fock_collective,
@@ -16,7 +17,7 @@ from conftest import (
     oracle_squeezing_grid,
     tilde_sigma_x,
 )
-from qlatwit import bosonic
+from qlatwit import bosonic, criteria, qcore
 from qlatwit.criteria import (
     _HALF_PAULIS,
     AXIS_X,
@@ -564,6 +565,22 @@ def test_one_site_readers_refuse_an_operator():
         total_particle_number(LinearOperator(fock, np.eye(fock.dim)))
 
 
+def test_total_particle_number_reads_each_block_once(monkeypatch):
+    # one read of the product and one of each block: O(n), where a per-site
+    # read of the product walked every block for every site
+    calls = []
+    read = qcore._collective_moments
+
+    def counted(state, local):
+        calls.append(type(state).__name__)
+        return read(state, local)
+
+    monkeypatch.setattr(qcore, "_collective_moments", counted)
+    monkeypatch.setattr(criteria, "_collective_moments", counted)
+    assert total_particle_number(bosonic.singlet_chain(7)) == pytest.approx(14.0, abs=1e-12)
+    assert calls == ["ProductState"] + ["PureState"] * 7
+
+
 @pytest.mark.parametrize("n", range(4, 10))
 def test_cluster_anticommutator_table(n):
     # the zx entry comes from the two chain-end correlators and stays 1 at
@@ -736,7 +753,7 @@ def test_unit_filled_products_saturate_collective_bound(rng):
     n = 4
     chain = ChainSpec(n)
     for _ in range(200):
-        state = bosonic.embed_qubit_chain(sampling.random_product_state(chain.space(), rng))
+        state = embed_qubit_chain(sampling.random_product_state(chain.space(), rng))
         rep = collective_uncertainty_criterion(state)
         assert rep.value == pytest.approx(rep.bound, abs=1e-9)
         assert not rep.violated

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import DecoherenceModel
 from qlatwit import bosonic, channels, criteria, optimize, qcore, spinchain
 from qlatwit.qcore import HilbertSpace, ProductState, PureState, Record
 
-# every value class of the package, by how it compares
+# every value class of the package and the tests' DecoherenceModel, by how it compares
 FIELD_EQUAL = [
     qcore.HilbertSpace, bosonic.SiteFockSpace, bosonic.FockLatticeSpec, optimize.PulseParams,
     optimize.PulseSearchResult, criteria.Direction, criteria.CriterionReport,
-    channels.DecoherenceModel, channels.LifetimeComparison, spinchain.ChainSpec,
+    DecoherenceModel, channels.LifetimeComparison, spinchain.ChainSpec,
     spinchain.ClusterSpec,
 ]
 IDENTITY_EQUAL = [

@@ -5,13 +5,11 @@ p(t) = (1 + exp(-kappa t)) / 2; the depolarizing channel used here is
 rho -> p rho + (1-p)/3 (X rho X + Y rho Y + Z rho Z).  Both are Pauli
 channels, which map each sigma_a to f_a sigma_a, and each kind is defined
 once, by its scales (f_xy, f_z) at weight p in ``_CHANNELS``: 2p - 1 and 1
-for the phase flip, (4p - 1)/3 for both in the depolarizing channel.  One
-kernel, ``_apply``, applies them to the four (bra bit, ket bit) blocks of a
-site, taken as views of the density matrix, in place; it builds the localized
-pair here, and the dense per-site channels of the tests run it too.  The echo
-experiment and the localized pair read the cluster state through its
-stabilizers K_k = z_{k-1} x_k z_{k+1} instead, in O(n) and with no state
-vector (Hein, Eisert & Briegel, PRA 69, 062311 (2004)).
+for the phase flip, (4p - 1)/3 for both in the depolarizing channel.  The
+echo experiment and the localized pair read the cluster state through its
+stabilizers K_k = z_{k-1} x_k z_{k+1} (Hein, Eisert & Briegel, PRA 69, 062311
+(2004)), so both, and both crossing tests, are closed forms in the two scales:
+O(1) per weight, with no state vector, density-matrix kernel or eigensolver.
 """
 
 from __future__ import annotations
@@ -21,34 +19,12 @@ import math
 from . import spinchain
 from .criteria import CriterionReport, _report
 # expectation is unused here; clibench/tests checks that its tracer rebinds this name
-from .qcore import DensityMatrix, Record, expectation, negativity, np  # noqa: F401
-
-_NEGATIVITY_TOL = 1e-9
+from .qcore import DensityMatrix, Record, expectation, np  # noqa: F401
 
 
 def _check_p(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"channel weight p={p} outside [0, 1]")
-
-
-def _apply(mat: np.ndarray, n_sites: int, site: int, scales: tuple[float, float]) -> np.ndarray:
-    """The Pauli channel with scales (f_xy, f_z) on ``site`` of ``mat``, in place.
-
-    ``mat`` is viewed as (left, bra bit, right, left, ket bit, right), so writes
-    reach a C-contiguous ``mat``.  The off-diagonal blocks are scaled by f_xy;
-    the diagonal blocks move (1 - f_z)/2 of their difference toward each other.
-    """
-    f_xy, f_z = scales
-    left, right = 2 ** (site - 1), 2 ** (n_sites - site)
-    t = mat.reshape(left, 2, right, left, 2, right)
-    t[:, 0, :, :, 1] *= f_xy
-    t[:, 1, :, :, 0] *= f_xy
-    if f_z != 1.0:
-        shift = t[:, 0, :, :, 0] - t[:, 1, :, :, 1]
-        shift *= (1.0 - f_z) / 2.0
-        t[:, 0, :, :, 0] -= shift
-        t[:, 1, :, :, 1] += shift
-    return t.reshape(mat.shape)
 
 
 # channel kind -> (Pauli scales (f_xy, f_z) at weight p, formula reported with results)
@@ -76,7 +52,9 @@ def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") 
     state and the value reaches n; the witness bound stays n/2.  It is
     evaluated in the Heisenberg picture: the gate maps x_k to K_k, whose mean
     on the cluster is 1, and the channel scales K_k by the f_a of its
-    factors: f_xy f_z at the two ends, f_xy f_z f_z inside.
+    factors: f_xy f_z at the two ends, f_xy f_z f_z inside.  The value is
+    the exact 2 end + (n - 2) inner, rounded once (int true division is
+    correctly rounded), so it costs O(1) for any n.
     """
     if n_sites % 2 != 0:
         raise ValueError("the witness experiment requires an even chain")
@@ -85,8 +63,8 @@ def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") 
     f_xy, f_z = scales(p)
     spinchain.ChainSpec(n_sites)  # refuses fewer than 2 sites
     end, inner = f_xy * f_z, f_xy * f_z * f_z
-    per_site = [end] + [inner] * (n_sites - 2) + [end]
-    value = math.fsum(per_site)
+    (a, b), (c, d) = end.as_integer_ratio(), inner.as_integer_ratio()
+    value = (2 * a * d + (n_sites - 2) * c * b) / (b * d)
     return _report(
         "decoherence_witness",
         value,
@@ -95,7 +73,8 @@ def decoherence_experiment(n_sites: int, p: float, channel: str = "phase_flip") 
         {
             "n_sites": n_sites,
             "p": p,
-            "per_site_x": per_site,
+            "end_x": end,
+            "inner_x": inner,
             "channel": f"{channel}: {form}",
         },
     )
@@ -122,11 +101,20 @@ def _bisect(detects, precision: float) -> float:
 
 
 def witness_threshold(n_sites: int, precision: float = 1e-3, channel: str = "phase_flip") -> float:
-    """Bisect the channel weight where the echo witness crosses its bound."""
-    if decoherence_experiment(n_sites, 1.0, channel).value <= n_sites / 2:
-        raise ValueError("witness does not cross its bound even without noise")
+    """Bisect the channel weight where the echo witness crosses its bound.
+
+    At p = 1 the echo is n, above the bound n/2, so there is always a crossing.
+    """
+    decoherence_experiment(n_sites, 1.0, channel)  # validates the request
     bound = n_sites / 2
     return _bisect(lambda p: decoherence_experiment(n_sites, p, channel).value > bound, precision)
+
+
+def _pair_correlators(scales: tuple[float, float], c1: float, c2: float):
+    """The localized pair's X(x)Z, Z(x)X and Y(x)Y coefficients (a1, a2, b),
+    with c_j the x/y scale that the measured neighbour leaves on pair site j."""
+    f_xy, f_z = scales
+    return f_xy * f_z * c1, f_xy * f_z * c2, f_xy * f_xy * c1 * c2
 
 
 def localized_pair_state(
@@ -140,16 +128,18 @@ def localized_pair_state(
 
     Every site outside the pair is measured in the z basis and one outcome
     branch is kept (all +1 by default; ``outcomes`` selects another branch,
-    one bit per non-pair site in site order).  Dephasing commutes with those
-    measurements and the branches differ only by local z rotations, so the
-    branch choice does not affect the pair's entanglement.  (The plain
-    partial trace would erase it: for an interior pair of a cluster state it
-    is exactly the maximally mixed two-qubit state.)  A z measurement removes
-    a graph-state vertex and leaves a z on its neighbours when it reads 1, so
-    the pair holds the two-site graph state (1, 1, 1, -1)/2 with a z on each
-    pair site whose measured neighbour reads 1; further outcomes add a global
-    sign.  An x or y error on a neighbour, probability (1 - f_z)/2, flips its
-    outcome, which z-dephases the pair site beside it by f_z.
+    one bit per non-pair site in site order).  (The plain partial trace would
+    erase the entanglement: for an interior pair of a cluster state it is
+    exactly the maximally mixed two-qubit state.)  A z measurement removes a
+    graph-state vertex and leaves a z on its neighbours when it reads 1, so
+    the pair holds the two-site graph state (II + XZ + ZX + YY)/4 with a z on
+    each pair site whose measured neighbour reads 1; further outcomes add a
+    global sign.  An x or y error on a neighbour, probability (1 - f_z)/2,
+    flips its outcome, which z-dephases the pair site beside it by f_z.  The
+    block is therefore (II + a1 XZ + a2 ZX + b YY)/4 with a1 = f_xy f_z c1,
+    a2 = f_xy f_z c2 and b = f_xy^2 c1 c2, where c_j = (-1)^outcome f_z for a
+    pair site whose measured neighbour has that outcome and c_j = 1 for a
+    site with no measured neighbour.
     """
     if n_sites < 4 or n_sites % 2 != 0:
         raise ValueError("pair reduction defined for even chains of at least 4 sites")
@@ -167,13 +157,14 @@ def localized_pair_state(
     if len(outcomes) != n_sites - 2 or any(b not in (0, 1) for b in outcomes):
         raise ValueError("need one 0/1 outcome per measured site")
     scales = _channel(channel)[0](p)
-    graph = np.array([1.0, 1.0, 1.0, -1.0]) / 2.0
-    block = _apply(_apply(np.outer(graph, graph), 2, 1, scales), 2, 2, scales)
-    # z (scale -1) and the flip (scale f_z) from each measured neighbour; the
-    # k1 - 1 outcomes before the pair end with the left neighbour's
-    for site, has_neighbour, index in ((1, k1 > 1, k1 - 2), (2, k2 < n_sites, k1 - 1)):
-        if has_neighbour:
-            block = _apply(block, 2, site, ((-1.0) ** outcomes[index] * scales[1], 1.0))
+    # the k1 - 1 outcomes before the pair end with the left neighbour's
+    c1, c2 = (
+        (-1.0) ** outcomes[index] * scales[1] if has_neighbour else 1.0
+        for has_neighbour, index in ((k1 > 1, k1 - 2), (k2 < n_sites, k1 - 1))
+    )
+    a1, a2, b = _pair_correlators(scales, c1, c2)
+    x, y, z = spinchain.PAULIS
+    block = (np.eye(4) + a1 * np.kron(x, z) + a2 * np.kron(z, x) + b * np.kron(y, y)) / 4.0
     return DensityMatrix(spinchain.ChainSpec(2).space(), block)
 
 
@@ -182,22 +173,27 @@ def pairwise_threshold(
     pair: tuple[int, int] | None = None,
     precision: float = 1e-3,
     channel: str = "phase_flip",
-) -> float | None:
+) -> float:
     """Bisect the channel weight where the localized pair loses negativity.
 
-    Returns None when the pair is already separable at p=1 (no crossing).
+    XZ, ZX and YY commute and XZ ZX = YY; the partial transpose flips the sign
+    of Y(x)Y, so its smallest eigenvalue is (1 - |a1| - |a2| - |b|)/4 (see
+    ``localized_pair_state``) and the pair is entangled while
+    |a1| + |a2| + |b| > 1.  |c_j| is f_z or 1 whatever the outcome, so the
+    crossing is the same on every measurement branch.  At p = 1 the sum is 3,
+    so there is always a crossing.
     """
-    def entangled(n: int, p: float, pair: tuple[int, int] | None) -> bool:
-        rho = localized_pair_state(n, p, pair, channel=channel)
-        return negativity(rho, [1]) > _NEGATIVITY_TOL
-
-    # one n-site call validates the request; the block reads only which pair
-    # sites have a measured neighbour, so a 4-site chain gives it at each step
-    if not entangled(n_sites, 1.0, pair):
-        return None
+    localized_pair_state(n_sites, 1.0, pair, channel=channel)  # validates the request
     k1, k2 = pair or (2, 3)
-    k = 1 if k1 == 1 else 3 if k2 == n_sites else 2
-    return _bisect(lambda p: entangled(4, p, (k, k + 1)), precision)
+    scales = _channel(channel)[0]
+
+    def entangled(p: float) -> bool:
+        f_xy, f_z = scales(p)
+        a1, a2, b = _pair_correlators(
+            (f_xy, f_z), f_z if k1 > 1 else 1.0, f_z if k2 < n_sites else 1.0)
+        return abs(a1) + abs(a2) + abs(b) > 1.0
+
+    return _bisect(entangled, precision)
 
 
 class LifetimeComparison(Record):
@@ -228,8 +224,6 @@ def lifetime_comparison(
         raise ValueError("decay rate must be positive and finite")
     if p_crit is None:
         p_crit = pairwise_threshold(n_sites)
-        if p_crit is None:
-            raise ValueError("no pairwise entanglement crossing to compare against")
     t_witness = _time_to_reach(witness_p, kappa)
     t_pairwise = _time_to_reach(p_crit, kappa)
     return LifetimeComparison(t_witness, t_pairwise, t_witness / t_pairwise)

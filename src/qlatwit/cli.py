@@ -75,7 +75,7 @@ def _grid(start: float, stop: float, steps: int) -> list[float]:
 
 # the largest --n of the commands that build 2^n vectors
 _MAX_QUBITS = 12
-# the largest --n of decoherence-scan, whose echo is O(n) scalar arithmetic
+# the largest --n of decoherence-scan; its echo is O(1) scalar arithmetic per grid point
 _MAX_SCAN_SITES = 1_000_000
 # the most pairs of singlet-suite, read block by block in O(n)
 _MAX_PAIRS = 1000
@@ -136,6 +136,9 @@ def cmd_decoherence_scan(args) -> tuple[dict, list, list]:
         rows.append({"p": p, "value": rep.value, "bound": rep.bound, "violated": rep.violated})
     if len(rows) > 1:
         slope, intercept = _fit_line([r["p"] for r in rows], [r["value"] / n for r in rows])
+        if slope == 0.0:
+            # over a few adjacent floats every value/n can round to one float
+            raise ValueError("the p window is too narrow to fit: every value/n is the same float")
         summary = {
             "slope_value_over_n": slope,
             "intercept_value_over_n": intercept,

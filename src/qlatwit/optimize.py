@@ -112,6 +112,8 @@ def _propagate(g: np.ndarray) -> np.ndarray:
     terms = math.e * r / 2 + 30
     if not terms <= _SERIES_TERMS_PER_ROW * len(g):
         w, v = np.linalg.eigh(g)
+        if not np.isfinite(w).all():  # a finite g can have a spectrum past the float range
+            raise ValueError("the pulse angles overflow the generator")
         return v @ (np.exp(-1j * w) * v[0])
     terms = int(terms)
     j = [0.0] * terms + [1.0, 0.0]
@@ -163,14 +165,28 @@ class _Spent(Exception):
     """Raised by the search objective once the evaluation budget is spent."""
 
 
+class _OutOfRange(Exception):
+    """Raised by the simplex search at its first point past the float range."""
+
+
 # initial simplex edge, and the spread of vertex values that ends a simplex run
 _STEP = 0.4
 _TOL = 1e-10
 
 
+def _toward(a: np.ndarray, t: float, b: np.ndarray) -> np.ndarray:
+    """a + t (b - a), or ``_OutOfRange`` when that leaves the float range."""
+    with np.errstate(over="ignore"):
+        x = a + t * (b - a)
+    if not np.isfinite(x).all():
+        raise _OutOfRange
+    return x
+
+
 def _nelder_mead(f, x0: np.ndarray):
     """Minimize f from x0 until the simplex values agree within ``_TOL``;
-    returns (x, fx). An exception from f, such as ``_Spent``, ends the run."""
+    returns (x, fx). An exception from f, such as ``_Spent``, ends the run, and
+    so does ``_OutOfRange`` at the first point past the float range."""
     dim = len(x0)
     simplex = [np.array(x0, dtype=float)]
     for i in range(dim):
@@ -185,27 +201,29 @@ def _nelder_mead(f, x0: np.ndarray):
         values = [values[i] for i in order]
         if abs(values[-1] - values[0]) < _TOL:
             return simplex[0], values[0]
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = centroid + (centroid - simplex[-1])
+        # a quarter of each point, so the sum cannot overflow; powers of two
+        # scale exactly, so in the normal range this is the plain mean
+        centroid = np.mean(np.array(simplex[:-1]) / 4.0, axis=0) * 4.0
+        reflected = _toward(centroid, -1.0, simplex[-1])
         fr = f(reflected)
         if values[0] <= fr < values[-2]:
             simplex[-1], values[-1] = reflected, fr
             continue
         if fr < values[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
+            expanded = _toward(centroid, -2.0, simplex[-1])
             fe = f(expanded)
             if fe < fr:
                 simplex[-1], values[-1] = expanded, fe
             else:
                 simplex[-1], values[-1] = reflected, fr
             continue
-        contracted = centroid + 0.5 * (simplex[-1] - centroid)
+        contracted = _toward(centroid, 0.5, simplex[-1])
         fc = f(contracted)
         if fc < values[-1]:
             simplex[-1], values[-1] = contracted, fc
             continue
         for i in range(1, dim + 1):
-            simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+            simplex[i] = _toward(simplex[0], 0.5, simplex[i])
             values[i] = f(simplex[i])
 
 
@@ -247,7 +265,7 @@ def optimize_pulse(
         _nelder_mead(objective, x_init)
         for _ in range(_N_RESTARTS - 1):
             _nelder_mead(objective, x_init + np.array([rng.gauss(0.0, 0.5) for _ in range(3)]))
-    except _Spent:
+    except (_Spent, _OutOfRange):
         pass
     _, best, ratio = max(trace, key=lambda entry: entry[2])  # the first of equal maxima
     return PulseSearchResult(

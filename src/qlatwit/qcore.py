@@ -573,13 +573,11 @@ def negativity(rho: DensityMatrix, partition_sites: Sequence[int]) -> float:
         space.check_site(s)
     if len(side_a) == 0 or len(side_a) == space.n_sites:
         raise ValueError("partition must be a nonempty strict subset of the sites")
-    side_b = [s for s in range(1, space.n_sites + 1) if s not in side_a]
+    # the partial transpose swaps each side-A site's bra and ket axes
     n = space.n_sites
-    t = rho.matrix.reshape(space.dims + space.dims)
-    perm = [s - 1 for s in side_a] + [s - 1 for s in side_b]
-    t = t.transpose(perm + [n + p for p in perm])
-    da = math.prod(space.dims[s - 1] for s in side_a)
-    db = space.dim // da
-    t = t.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(space.dim, space.dim)
+    axes = list(range(2 * n))
+    for s in side_a:
+        axes[s - 1], axes[n + s - 1] = n + s - 1, s - 1
+    t = rho.matrix.reshape(space.dims * 2).transpose(axes).reshape(space.dim, space.dim)
     eigs = np.linalg.eigvalsh(t)
     return float(-eigs[eigs < 0.0].sum())

@@ -4,9 +4,9 @@ itself builds no dense operator; the reference helpers at the end wrap these
 oracles for the acceptance gate and the differentials.  The two cluster readers
 after them are the package's former state-vector forms of the decoherence echo
 and the localized pair, kept to check the stabilizer forms at sizes the 4^n
-density-matrix oracles cannot reach.  Last come the dense per-site channels
-and the qubit-to-Fock embedding, which no command runs: the tests apply them
-to whole density matrices and state vectors."""
+density-matrix oracles cannot reach.  Last come the dense per-site channels,
+which the in-place kernel ``_apply`` here runs on whole density matrices, and
+the qubit-to-Fock embedding; no command runs either."""
 
 import math
 
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qlatwit.bosonic import FockLatticeSpec, SiteFockSpace
-from qlatwit.channels import _CHANNELS, _apply, _channel, _check_p
+from qlatwit.channels import _CHANNELS, _channel, _check_p
 from qlatwit.criteria import _correlator_means
 from qlatwit.qcore import (
     DEGENERACY_GAP,
@@ -300,8 +300,28 @@ def cluster_pair_block(n, p, pair, outcomes, kind):
 
 
 # ---------------------------------------------------------------------------
-# dense per-site channels on whole density matrices, through the package's
-# kernel ``channels._apply``, and the qubit chain embedded in a Fock lattice
+# dense per-site channels on whole density matrices, through the kernel
+# ``_apply``, and the qubit chain embedded in a Fock lattice
+
+
+def _apply(mat, n_sites, site, scales):
+    """The Pauli channel with scales (f_xy, f_z) on ``site`` of ``mat``, in place.
+
+    ``mat`` is viewed as (left, bra bit, right, left, ket bit, right), so writes
+    reach a C-contiguous ``mat``.  The off-diagonal blocks are scaled by f_xy;
+    the diagonal blocks move (1 - f_z)/2 of their difference toward each other.
+    """
+    f_xy, f_z = scales
+    left, right = 2 ** (site - 1), 2 ** (n_sites - site)
+    t = mat.reshape(left, 2, right, left, 2, right)
+    t[:, 0, :, :, 1] *= f_xy
+    t[:, 1, :, :, 0] *= f_xy
+    if f_z != 1.0:
+        shift = t[:, 0, :, :, 0] - t[:, 1, :, :, 1]
+        shift *= (1.0 - f_z) / 2.0
+        t[:, 0, :, :, 0] -= shift
+        t[:, 1, :, :, 1] += shift
+    return t.reshape(mat.shape)
 
 
 class DecoherenceModel(Record):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -306,11 +307,12 @@ def test_thresholds_refuse_a_precision_that_is_not_positive(threshold):
 )
 def test_thresholds_stop_at_float_spacing(threshold, near):
     # below the float spacing near the crossing the midpoint stops moving;
-    # the bisection must stop there instead of spinning
+    # the bisection must stop there instead of spinning.  Both crossing tests
+    # are exact, so each lands on its crossing to within a few float spacings
     start = time.perf_counter()
     p = threshold(4, precision=1e-17)
     assert time.perf_counter() - start < 1.0
-    assert p == pytest.approx(near, abs=1e-9)
+    assert p == pytest.approx(near, abs=1e-15)
 
 
 def oracle_phase_gate(n):
@@ -360,7 +362,8 @@ def test_echo_matches_dense_density_matrix_oracle(n, p, kind):
         echoed = gate @ rho @ gate
         dense = [np.trace(oracle_site_pauli("x", k, n) @ echoed).real for k in range(1, n + 1)]
         assert np.abs(np.array(want) - dense).max() < 1e-12
-    assert np.abs(np.array(rep.aux["per_site_x"]) - want).max() < 1e-12
+    per_site = [rep.aux["end_x"]] + [rep.aux["inner_x"]] * (n - 2) + [rep.aux["end_x"]]
+    assert np.abs(np.array(per_site) - want).max() < 1e-12
     assert rep.value == pytest.approx(sum(want), abs=1e-12)
 
 
@@ -399,6 +402,62 @@ def test_localized_pair_matches_dense_density_matrix_oracle(n, p, kind, seed):
         assert np.abs(got.matrix - want).max() < 1e-12
 
 
+ECHO_WEIGHTS = [i / 64 for i in range(65)] + [0.123456789, 0.7071, 0.7500001, 0.987654321]
+
+
+@pytest.mark.parametrize("kind", ["phase_flip", "depolarizing"])
+@pytest.mark.parametrize("n", list(range(2, 65, 2)) + [10**3, 10**6])
+def test_echo_is_the_correctly_rounded_sum_of_its_sites(n, kind):
+    # the exactly rounded sum over the n sites, p < 1/2 (f_xy < 0) included
+    for p in ECHO_WEIGHTS:
+        rep = decoherence_experiment(n, p, kind)
+        end, inner = rep.aux["end_x"], rep.aux["inner_x"]
+        assert rep.value == math.fsum([end] * 2 + [inner] * (n - 2))
+
+
+@pytest.mark.parametrize("kind", ["phase_flip", "depolarizing"])
+def test_echo_costs_the_same_at_any_size(kind):
+    # a sum over 10^15 sites could not finish, so the echo is O(1) in n
+    n = 10**15
+    for p in (0.3, 0.6, 0.75, 0.9):
+        rep = decoherence_experiment(n, p, kind)
+        end, inner = Fraction(rep.aux["end_x"]), Fraction(rep.aux["inner_x"])
+        assert rep.value == float(2 * end + (n - 2) * inner)
+
+
+@pytest.mark.parametrize("kind", ["phase_flip", "depolarizing"])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_localized_pair_partial_transpose_has_the_closed_form_eigenvalue(n, kind):
+    # the smallest eigenvalue of the partial transpose is (1 - |a1| - |a2| - |b|)/4,
+    # read from the block's X(x)Z, Z(x)X and Y(x)Y coefficients
+    x, y, z = PAULIS["x"], PAULIS["y"], PAULIS["z"]
+    for k, outcomes, p in itertools.product(
+        range(1, n), itertools.product((0, 1), repeat=n - 2), (0.5, 0.6, 0.71, 0.8, 1.0)
+    ):
+        block = localized_pair_state(n, p, (k, k + 1), outcomes, kind).matrix
+        a1, a2, b = (np.trace(block @ np.kron(u, v)).real for u, v in ((x, z), (z, x), (y, y)))
+        transposed = block.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+        smallest = np.linalg.eigvalsh(transposed)[0]
+        assert abs(smallest - (1 - abs(a1) - abs(a2) - abs(b)) / 4) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "kind, pair, want",
+    [
+        ("phase_flip", (2, 3), 0.70751953125),
+        ("phase_flip", (1, 2), 0.70751953125),
+        ("depolarizing", (2, 3), 0.78759765625),
+        ("depolarizing", (1, 2), 0.74267578125),
+    ],
+)
+@pytest.mark.parametrize("n", [4, 10, 10**4])
+def test_pairwise_threshold_is_pinned_at_default_precision(n, kind, pair, want):
+    assert pairwise_threshold(n, pair, channel=kind) == want
+    # the end pair at the far end of the chain is the mirror image
+    if pair == (1, 2):
+        assert pairwise_threshold(n, (n - 1, n), channel=kind) == want
+
+
 def test_localized_pair_and_its_threshold_need_no_cluster_state(monkeypatch):
     def refuse(spec):
         raise AssertionError("the 2^n cluster state was built")
@@ -413,7 +472,7 @@ def test_localized_pair_and_its_threshold_need_no_cluster_state(monkeypatch):
 
 
 def test_pairwise_threshold_validates_the_long_chain_once(monkeypatch):
-    # the bisection steps read a 4-site chain with the pair's neighbours
+    # one call validates the request on the long chain; the bisection steps read the scales
     real, sizes = channels.localized_pair_state, []
 
     def counted(n_sites, *args, **kwargs):

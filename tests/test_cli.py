@@ -572,6 +572,26 @@ def test_pulse_overflow_is_one_line_error_in_a_fresh_process(argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.parametrize("argv, code", [
+    # a finite generator whose spectrum overflows
+    (["pulse", "--n", "4", "--params=1.7e308,1.7e308,0"], 1),
+    # a search whose simplex points sum past the float range
+    (["pulse", "--n", "4", "--params=1,1e308,0", "--optimize", "--budget", "8"], 0),
+    # a p window of adjacent floats, where every value/n rounds alike and the slope is 0
+    (["decoherence-scan", "--n", "12", "--p-min", "0.8412174306221887",
+      "--p-max", "0.8412174306221888", "--steps", "3"], 1),
+], ids=["pulse-spectrum", "pulse-centroid", "scan-narrow-window"])
+def test_float_range_edges_end_cleanly_with_warnings_as_errors(argv, code):
+    proc = python_process(f"import sys; from qlatwit.cli import main; sys.exit(main({argv!r}))",
+                          PYTHONWARNINGS="error::RuntimeWarning")
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_pulse_requires_parameters_or_optimize(capsys):
     rc = main(["pulse", "--n", "4"])
     assert rc == 1

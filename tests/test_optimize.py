@@ -365,3 +365,34 @@ def test_overflowing_pulse_angles_raise_a_value_error():
     with pytest.raises(ValueError, match="overflow the generator"):
         pulse_state(ChainSpec(4), PulseParams(1e308, 1e308, 1e308))
     assert np.isfinite(pulse_state(ChainSpec(4), PulseParams(1e307, 1e307, 1e307)).amplitudes).all()
+    # a finite generator whose eigenvalues are not
+    with pytest.raises(ValueError, match="overflow the generator"):
+        pulse_state(ChainSpec(4), PulseParams(1.7e308, 1.7e308, 0.0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_nelder_mead_stops_at_the_first_point_past_the_float_range():
+    points = []
+
+    def unbounded(x):
+        points.append(x)
+        return -x[0]
+
+    with pytest.raises(optimize._OutOfRange):
+        optimize._nelder_mead(unbounded, np.zeros(3))
+    assert np.isfinite(points).all() and points[-1][0] > 1e307
+
+
+@pytest.mark.filterwarnings("error")
+def test_search_near_the_float_range_keeps_its_budget():
+    # the centroid of three points near 1e308 is in range, though their sum is not
+    result = optimize_pulse(ChainSpec(4), PulseParams(1.0, 1e308, 0.0), budget=8)
+    assert result.evaluations == 8
+    assert result.ratio >= result.trace[0][2]
+
+
+@pytest.mark.filterwarnings("error")
+def test_search_ends_at_its_first_point_past_the_float_range():
+    result = optimize_pulse(ChainSpec(4), PulseParams(1.0, 1e308, 0.0), budget=200)
+    assert 8 < result.evaluations < 200
+    assert np.isfinite([point for _, point, _ in result.trace]).all()

@@ -1,4 +1,6 @@
 import ast
+import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +306,29 @@ def test_negativity_zero_for_random_products(rng):
     for _ in range(1000):
         state = random_product_state(Q2, rng)
         assert negativity(pure_to_density(state), [1]) < 1e-10
+
+
+def schmidt_negativity(amplitudes, dims, side_a):
+    """((sum of Schmidt coefficients)^2 - 1) / 2, the negativity of a pure state
+    across the cut, from an SVD of its amplitudes with side A's axes first."""
+    first = [s - 1 for s in side_a]
+    t = np.moveaxis(amplitudes.reshape(dims), first, list(range(len(first))))
+    s = np.linalg.svd(t.reshape(math.prod(dims[i] for i in first), -1), compute_uv=False)
+    return (s.sum() ** 2 - 1) / 2
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 2), (3, 2, 2, 2), (2, 3, 2, 3)])
+def test_negativity_of_pure_states_matches_the_schmidt_coefficients_on_every_cut(dims, rng):
+    # non-contiguous cuts such as [1, 3] and [2, 4] included
+    n = len(dims)
+    for _ in range(3):
+        amps = haar_vector(math.prod(dims), rng)
+        rho = pure_to_density(PureState(HilbertSpace(dims, "generic"), amps))
+        for size in range(1, n):
+            for side_a in itertools.combinations(range(1, n + 1), size):
+                want = schmidt_negativity(amps, dims, side_a)
+                assert want > 1e-3
+                assert negativity(rho, list(side_a)) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("dims", [(2,) * 6, (3, 2, 3)])

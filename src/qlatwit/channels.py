@@ -163,7 +163,7 @@ def localized_pair_state(
         for has_neighbour, index in ((k1 > 1, k1 - 2), (k2 < n_sites, k1 - 1))
     )
     a1, a2, b = _pair_correlators(scales, c1, c2)
-    x, y, z = spinchain.PAULIS
+    x, y, z = spinchain.paulis()
     block = (np.eye(4) + a1 * np.kron(x, z) + a2 * np.kron(z, x) + b * np.kron(y, y)) / 4.0
     return DensityMatrix(spinchain.ChainSpec(2).space(), block)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import itertools
 import json
 import math
@@ -36,7 +35,7 @@ def _fmtsig(x) -> str:
     return str(x)
 
 
-def _write_output(doc: dict, rows, fields, fmt: str, out_path: str | None) -> None:
+def _write_output(doc: dict, rows: list[dict], fmt: str, out_path: str | None) -> None:
     with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
         if fmt == "json":
             # written in batches of encoder chunks, so the whole text is never held
@@ -47,12 +46,10 @@ def _write_output(doc: dict, rows, fields, fmt: str, out_path: str | None) -> No
         else:
             import csv  # only this branch writes CSV
 
-            buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _fmtsig(row[k]) for k in fields})
-            fh.write(buf.getvalue())
+            # every command returns at least one row, and its keys are the columns
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(rows[0].keys())
+            writer.writerows([_fmtsig(v) for v in row.values()] for row in rows)
 
 
 def _fit_line(x: list[float], y: list[float]) -> tuple[float, float]:
@@ -73,8 +70,6 @@ def _grid(start: float, stop: float, steps: int) -> list[float]:
     return [start + i * step for i in range(steps - 1)] + [stop]
 
 
-# the largest --n of the commands that build 2^n vectors
-_MAX_QUBITS = 12
 # the largest --n of decoherence-scan; its echo is O(1) scalar arithmetic per grid point
 _MAX_SCAN_SITES = 1_000_000
 # the most pairs of singlet-suite, read block by block in O(n)
@@ -96,10 +91,10 @@ def _qubit_reports(state) -> list[dict]:
     ]
 
 
-def cmd_cluster_witness(args) -> tuple[dict, list, list]:
+def cmd_cluster_witness(args) -> tuple[dict, list[dict]]:
     n = args.n
-    if n is None or n % 2 != 0 or not 2 <= n <= _MAX_QUBITS:
-        raise ValueError(f"cluster-witness needs --n even, between 2 and {_MAX_QUBITS}")
+    if n is None or n % 2 != 0 or not 2 <= n <= spinchain._MAX_QUBITS:
+        raise ValueError(f"cluster-witness needs --n even, between 2 and {spinchain._MAX_QUBITS}")
     chain = spinchain.ChainSpec(n)
     states = {
         "cluster": spinchain.cluster_state(spinchain.ClusterSpec(chain, (1,) * n)),
@@ -113,11 +108,10 @@ def cmd_cluster_witness(args) -> tuple[dict, list, list]:
         for label, reps in results.items()
         for rep in reps
     ]
-    fields = ["state", "criterion", "value", "bound", "violated", "margin"]
-    return {"reports": results}, rows, fields
+    return {"reports": results}, rows
 
 
-def cmd_decoherence_scan(args) -> tuple[dict, list, list]:
+def cmd_decoherence_scan(args) -> tuple[dict, list[dict]]:
     n = args.n
     if n is None or n % 2 != 0 or not 2 <= n <= _MAX_SCAN_SITES:
         raise ValueError(f"decoherence-scan needs --n even, between 2 and {_MAX_SCAN_SITES}")
@@ -151,10 +145,10 @@ def cmd_decoherence_scan(args) -> tuple[dict, list, list]:
     if args.format == "csv":
         for key, val in summary.items():
             print(f"{key} = {_fmtsig(val)}", file=sys.stderr)
-    return doc, rows, ["p", "value", "bound", "violated"]
+    return doc, rows
 
 
-def cmd_singlet_suite(args) -> tuple[dict, list, list]:
+def cmd_singlet_suite(args) -> tuple[dict, list[dict]]:
     n_pairs = args.n
     if n_pairs is None or not 1 <= n_pairs <= _MAX_PAIRS:
         raise ValueError(
@@ -172,10 +166,10 @@ def cmd_singlet_suite(args) -> tuple[dict, list, list]:
     rows = [{"quantity": "variance_sum", "value": report.value},
             {"quantity": "bound", "value": report.bound},
             {"quantity": "total_spin_squared", "value": j_total_sq}]
-    return doc, rows, ["quantity", "value"]
+    return doc, rows
 
 
-def cmd_heisenberg(args) -> tuple[dict, list, list]:
+def cmd_heisenberg(args) -> tuple[dict, list[dict]]:
     n = args.n
     if n is None or n < 2:
         raise ValueError("heisenberg needs --n >= 2 lattice sites")
@@ -197,14 +191,14 @@ def cmd_heisenberg(args) -> tuple[dict, list, list]:
             {"quantity": "variance_sum", "value": report.value},
             {"quantity": "bound", "value": report.bound},
             {"quantity": "total_spin_squared", "value": j_total_sq}]
-    return doc, rows, ["quantity", "value"]
+    return doc, rows
 
 
-def cmd_moments_compare(args) -> tuple[dict, list, list]:
+def cmd_moments_compare(args) -> tuple[dict, list[dict]]:
     n = args.n
     max_order = args.max_order
-    if n is None or not 2 <= n <= _MAX_QUBITS:
-        raise ValueError(f"moments-compare needs --n between 2 and {_MAX_QUBITS}")
+    if n is None or not 2 <= n <= spinchain._MAX_QUBITS:
+        raise ValueError(f"moments-compare needs --n between 2 and {spinchain._MAX_QUBITS}")
     if not 1 <= max_order <= criteria.MAX_ORDER:
         raise ValueError(f"--max-order must be between 1 and {criteria.MAX_ORDER}")
     chain = spinchain.ChainSpec(n)
@@ -239,10 +233,10 @@ def cmd_moments_compare(args) -> tuple[dict, list, list]:
             "anticommutator_separable": table_rho_s.tolist(),
             "max_table_difference": float(np.abs(table_cluster - table_rho_s).max()),
         }
-    return doc, rows, ["axis", "order", "difference"]
+    return doc, rows
 
 
-def cmd_pulse(args) -> tuple[dict, list, list]:
+def cmd_pulse(args) -> tuple[dict, list[dict]]:
     n = args.n
     if not 2 <= n <= optimize._MAX_SITES:
         raise ValueError(f"pulse needs --n between 2 and {optimize._MAX_SITES}")
@@ -292,8 +286,7 @@ def cmd_pulse(args) -> tuple[dict, list, list]:
         rows.append({"stage": "optimized", "theta_xx": result.params.theta_xx,
                      "theta_yy": result.params.theta_yy, "theta_z": result.params.theta_z,
                      "ratio": result.ratio})
-    fields = ["stage", "theta_xx", "theta_yy", "theta_z", "ratio"]
-    return doc, rows, fields
+    return doc, rows
 
 
 _COMMANDS = {
@@ -337,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        results, rows, fields = _COMMANDS[args.command](args)
+        results, rows = _COMMANDS[args.command](args)
         # the options the command read, less those that only route its output
         config = {key: value for key, value in vars(args).items()
                   if key not in ("command", "trace", "format", "out")}
@@ -348,7 +341,7 @@ def main(argv=None) -> int:
             "versions": _versions(),
         }
         # an unwritable --out or --trace path is an OSError
-        _write_output(doc, rows, fields, args.format, args.out)
+        _write_output(doc, rows, args.format, args.out)
     except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

@@ -38,19 +38,6 @@ _DENOMINATOR_TOL = 1e-12
 AXES = ("x", "y", "z")
 
 
-def _constant(name: str):
-    """_HALF_PAULIS, the qubit spin matrices sigma / 2 stacked (3, 2, 2), built at
-    its first read.  Building it at first use keeps numpy out of the import."""
-    if name != "_HALF_PAULIS":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if name not in globals():
-        globals()[name] = spinchain.PAULIS / 2
-    return globals()[name]
-
-
-__getattr__ = _constant  # a read of the constant before it is built (PEP 562)
-
-
 class Direction(Record):
     """Unit 3-vector of collective-spin direction cosines."""
 
@@ -112,6 +99,8 @@ class CriterionReport(Record):
 def _jsonable(v):
     if isinstance(v, float):
         return None if math.isnan(v) else float(v)
+    if isinstance(v, bool):
+        return v
     if isinstance(v, int):
         return int(v)
     if isinstance(v, (list, tuple)):
@@ -162,7 +151,7 @@ def _site_spin_matrices(space: HilbertSpace) -> np.ndarray:
     chain, the Schwinger j_a on a two-mode Fock lattice.
     """
     if space.kind == "qubit":
-        return _constant("_HALF_PAULIS")
+        return spinchain.paulis() / 2
     if space.kind == "fock":
         js = bosonic._schwinger_matrices(bosonic.SiteFockSpace(space.fock_cutoff))
         return np.stack([js[ax] for ax in AXES])

@@ -60,7 +60,7 @@ class _PulseSector:
         if n > _MAX_SITES:
             raise ValueError(f"pulse generator capped at {_MAX_SITES} sites")
         self.chain = chain
-        self._even = even = np.flatnonzero(spinchain._parity(np.arange(2**n)) == 0)
+        self._even = even = np.flatnonzero((spinchain._popcount(np.arange(2**n), n) & 1) == 0)
         mirror = sum((((even >> s) & 1) << (n - 1 - s) for s in range(n)), np.zeros_like(even))
         # each orbit is represented by its smaller index, so |0...0> is orbit 0;
         # rows are the representatives' positions in even, partner their mirrors'

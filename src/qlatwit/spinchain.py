@@ -11,37 +11,24 @@ matrix.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, Sequence
 
 from .qcore import DIM_CAP, HilbertSpace, PureState, Record, _sum_moments, np
 
 _AXES = ("x", "y", "z")
-_ARRAY_CONSTANTS = ("PAULIS", "_PAULI", "_QUBIT_EIGENSTATES")
+# the most sites of a built 2^n vector, checked before anything n-sized is built
+_MAX_QUBITS = DIM_CAP.bit_length() - 1
 
 
-def _constant(name: str):
-    """One of the module's array constants, all built at the first read of any.
-
-    PAULIS stacks the Pauli matrices x, y, z (3, 2, 2), ``_PAULI`` maps each
-    axis to its matrix and ``_QUBIT_EIGENSTATES`` each (axis, sign) to its
-    eigenvector.  Building them at first use keeps numpy out of the import.
-    """
-    if name not in _ARRAY_CONSTANTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if name not in globals():
-        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
-        globals().update(PAULIS=paulis, _PAULI=dict(zip(_AXES, paulis)), _QUBIT_EIGENSTATES={
-            ("x", +1): np.array([1, 1], dtype=complex) / np.sqrt(2),
-            ("x", -1): np.array([1, -1], dtype=complex) / np.sqrt(2),
-            ("y", +1): np.array([1, 1j], dtype=complex) / np.sqrt(2),
-            ("y", -1): np.array([1, -1j], dtype=complex) / np.sqrt(2),
-            ("z", +1): np.array([1, 0], dtype=complex),
-            ("z", -1): np.array([0, 1], dtype=complex),
-        })
-    return globals()[name]
-
-
-__getattr__ = _constant  # a read of a constant not yet built (PEP 562)
+@functools.cache
+def paulis() -> np.ndarray:
+    """The Pauli matrices x, y, z stacked (3, 2, 2), read-only because every
+    caller shares this one array.  Built at first use, which keeps numpy out of
+    the import."""
+    stack = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+    stack.flags.writeable = False
+    return stack
 
 
 class ChainSpec(Record):
@@ -71,16 +58,16 @@ class ClusterSpec(Record):
             raise ValueError("signs must be +1 or -1")
 
 
+def _capped_space(chain: ChainSpec) -> HilbertSpace:
+    """The chain's space, refused before it is built when 2^n passes DIM_CAP."""
+    if chain.n_sites > _MAX_QUBITS:
+        raise ValueError(f"dimension 2^{chain.n_sites} exceeds cap {DIM_CAP}")
+    return chain.space()
+
+
 def _site_masks(n_sites: int) -> np.ndarray:
     # site s is bit n - s of the basis index: site 1 is the most significant
     return 1 << np.arange(n_sites - 1, -1, -1)
-
-
-def _parity(values: np.ndarray) -> np.ndarray:
-    """1 where a nonnegative int64 entry has an odd number of set bits, else 0."""
-    for shift in (32, 16, 8, 4, 2, 1):
-        values = values ^ (values >> shift)
-    return values & 1
 
 
 def _popcount(values: np.ndarray, n_bits: int) -> np.ndarray:
@@ -118,7 +105,7 @@ def _chain_generator(n_sites: int, states: np.ndarray, jxx, jyy, jzz, hz) -> np.
 
 def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[float, float]:
     """<S> and <S^2> for the sum S of the given Pauli strings on a qubit chain,
-    each a product of one-site ``PAULIS`` matrices, read by ``qcore._sum_moments``."""
+    each a product of one-site ``paulis()`` matrices, read by ``qcore._sum_moments``."""
     space = state.space
     if space.kind != "qubit":
         raise ValueError("Pauli strings act on qubit-chain states")
@@ -127,7 +114,7 @@ def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[floa
             space.check_site(site)
             if axis not in _AXES:
                 raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    pauli = _constant("_PAULI")
+    pauli = dict(zip(_AXES, paulis()))
     return _sum_moments(state, [{s: pauli[a] for s, a in f.items()} for f in strings])
 
 
@@ -150,17 +137,20 @@ def phase_gate_diagonal(chain: ChainSpec) -> np.ndarray:
     entry is +1 or -1 and the gate is both Hermitian and an involution.
     """
     idx = np.arange(2**chain.n_sites)
-    return 1.0 - 2.0 * _parity(idx & (idx >> 1))
+    return 1.0 - 2.0 * (_popcount(idx & (idx >> 1), chain.n_sites) & 1)
 
 
 def product_state(site_specs: Sequence[tuple[str, int]]) -> PureState:
     """Tensor product of single-qubit eigenstates, one (axis, sign) per site."""
-    if len(site_specs) < 2:
-        raise ValueError("need at least 2 sites")
-    space = ChainSpec(len(site_specs)).space()
-    if space.dim > DIM_CAP:
-        raise ValueError(f"dimension {space.dim} exceeds cap {DIM_CAP}")
-    eigenstates = _constant("_QUBIT_EIGENSTATES")
+    space = _capped_space(ChainSpec(len(site_specs)))
+    eigenstates = {
+        ("x", +1): np.array([1, 1], dtype=complex) / np.sqrt(2),
+        ("x", -1): np.array([1, -1], dtype=complex) / np.sqrt(2),
+        ("y", +1): np.array([1, 1j], dtype=complex) / np.sqrt(2),
+        ("y", -1): np.array([1, -1j], dtype=complex) / np.sqrt(2),
+        ("z", +1): np.array([1, 0], dtype=complex),
+        ("z", -1): np.array([0, 1], dtype=complex),
+    }
     v = np.ones(1, dtype=complex)
     for axis, sign in site_specs:
         if (axis, sign) not in eigenstates:
@@ -179,10 +169,8 @@ def cluster_state(spec: ClusterSpec) -> PureState:
     the phase-gate diagonal.
     """
     chain = spec.chain
-    space = chain.space()
-    if space.dim > DIM_CAP:
-        raise ValueError(f"dimension {space.dim} exceeds cap {DIM_CAP}")
+    space = _capped_space(chain)
     negative = _site_masks(chain.n_sites)[np.array(spec.lambdas) < 0].sum()
-    parity = _parity(np.arange(space.dim) & negative)
+    parity = _popcount(np.arange(space.dim) & negative, chain.n_sites) & 1
     amps = phase_gate_diagonal(chain) * (1.0 - 2.0 * parity) / np.sqrt(space.dim)
     return PureState(space, amps)

@@ -256,6 +256,20 @@ def test_decoherence_scan_csv_format(capsys, tmp_path):
     assert float(rows[-1]["value"]) == pytest.approx(4.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("argv, header", [
+    (["cluster-witness", "--n", "4"], "state,criterion,value,bound,violated,margin"),
+    (["decoherence-scan", "--n", "4", "--steps", "2"], "p,value,bound,violated"),
+    (["singlet-suite", "--n", "1"], "quantity,value"),
+    (["heisenberg", "--n", "2"], "quantity,value"),
+    (["moments-compare", "--n", "2"], "axis,order,difference"),
+    (["pulse", "--n", "3", "--params=1,1,0.3"], "stage,theta_xx,theta_yy,theta_z,ratio"),
+    (["pulse", "--n", "3", "--optimize", "--budget", "2"], "stage,theta_xx,theta_yy,theta_z,ratio"),
+])
+def test_each_command_writes_its_csv_header(argv, header, capsys):
+    assert main(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out.split("\n", 1)[0] == header
+
+
 @pytest.mark.parametrize("steps", range(2, 12))
 def test_line_fit_matches_polyfit(steps):
     rng = np.random.default_rng(steps)

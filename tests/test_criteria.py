@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    SX,
     SY,
     SZ,
     embed_qubit_chain,
@@ -19,7 +22,6 @@ from conftest import (
 )
 from qlatwit import bosonic, criteria, qcore
 from qlatwit.criteria import (
-    _HALF_PAULIS,
     AXIS_X,
     AXIS_Y,
     AXIS_Z,
@@ -275,6 +277,13 @@ def test_spin_squeezing_cannot_detect_singlet_chain():
     assert not rep.violated
 
 
+def test_a_boolean_in_a_report_aux_is_written_as_a_boolean():
+    # bool is a subclass of int, so an int conversion would write True as 1
+    doc = spin_squeezing_best(bosonic.singlet_chain(2)).to_json_dict()
+    assert doc["aux"]["undefined"] is True
+    assert '"undefined": true' in json.dumps(doc)
+
+
 def test_spin_squeezing_coherent_product_saturates():
     rep = spin_squeezing_criterion(product_state([("z", 1)] * 4), AXIS_X, AXIS_Z, AXIS_Y)
     assert rep.value == pytest.approx(1.0, abs=1e-10)
@@ -318,7 +327,7 @@ def test_qubit_eigenbasis_diagonalizes_half_pauli_sum(rng):
     for direction in directions:
         w, v = _site_eigenbasis(HilbertSpace((2,)), direction)
         assert np.array_equal(w, [-0.5, 0.5])
-        half_n_sigma = np.tensordot(direction.as_array(), _HALF_PAULIS, 1)
+        half_n_sigma = np.tensordot(direction.as_array(), np.array([SX, SY, SZ]) / 2, 1)
         assert np.abs(half_n_sigma @ v - v * np.array([-0.5, 0.5])).max() < 1e-14
         assert np.abs(v.conj().T @ v - np.eye(2)).max() < 1e-14
 
@@ -354,14 +363,22 @@ def test_direction_refuses_a_huge_norm_with_a_value_error():
 
 
 def test_lazily_built_array_constants_keep_their_names_and_values():
-    from qlatwit import criteria, spinchain
+    import importlib
+    import pkgutil
+
+    import qlatwit
+    from qlatwit import spinchain
 
     want = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-    assert np.array_equal(spinchain.PAULIS, want) and spinchain.PAULIS.dtype == complex
-    assert np.array_equal(_HALF_PAULIS, want / 2) and criteria._HALF_PAULIS is _HALF_PAULIS
-    for module in (spinchain, criteria):
-        with pytest.raises(AttributeError, match="no attribute 'no_such_constant'"):
-            module.no_such_constant
+    paulis = spinchain.paulis()
+    assert np.array_equal(paulis, want) and paulis.dtype == complex
+    # one cached array, shared by every caller, so no caller may write it
+    assert spinchain.paulis() is paulis and not paulis.flags.writeable
+    # no module keeps a PEP 562 hook that writes its own globals()
+    for info in pkgutil.iter_modules(qlatwit.__path__):
+        module = importlib.import_module(f"qlatwit.{info.name}")
+        assert "__getattr__" not in vars(module), info.name
+        assert "globals()" not in Path(module.__file__).read_text(), info.name
 
 
 # ---------------------------------------------------------------------------

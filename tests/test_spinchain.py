@@ -15,12 +15,12 @@ from conftest import (
     tilde_sigma_x,
 )
 from qlatwit.criteria import _site_spin_matrices
-from qlatwit.qcore import LinearOperator, PureState, _site_sum, expectation
+from qlatwit.qcore import DIM_CAP, LinearOperator, PureState, _site_sum, expectation
 from qlatwit.spinchain import (
     ChainSpec,
     ClusterSpec,
+    _MAX_QUBITS,
     _chain_generator,
-    _parity,
     _popcount,
     cluster_state,
     pauli_sum_moments,
@@ -291,6 +291,19 @@ def test_product_state_refuses_sizes_past_the_cap_before_building():
         product_state([("z", 1)] * 13)
 
 
+def test_qubit_builders_refuse_a_huge_chain_by_its_site_count():
+    # 2^100000 has 30103 digits: the refusal neither multiplies it out nor prints it
+    n = 100_000
+    message = "dimension 2^100000 exceeds cap 4096"
+    with pytest.raises(ValueError) as refused:
+        product_state([("z", 1)] * n)
+    assert str(refused.value) == message
+    with pytest.raises(ValueError) as refused:
+        cluster_state(ClusterSpec(ChainSpec(n), (1,) * n))
+    assert str(refused.value) == message
+    assert 2**_MAX_QUBITS <= DIM_CAP < 2 ** (_MAX_QUBITS + 1)
+
+
 def test_cluster_spec_validates_lambdas():
     with pytest.raises(ValueError):
         ClusterSpec(ChainSpec(2), (1, 2))
@@ -306,7 +319,6 @@ def test_bit_folds_match_bin_count():
     values = np.concatenate([np.arange(4096), 2**62 + np.arange(-8, 8), 2**63 - 1 - np.arange(8)])
     counts = np.array([bin(int(v)).count("1") for v in values])
     assert np.array_equal(_popcount(values, 63), counts)
-    assert np.array_equal(_parity(values), counts % 2)
 
 
 def oracle_chain(n, jxx, jyy, jzz, hz):

@@ -210,20 +210,20 @@ def _time_to_reach(p: float, kappa: float) -> float:
 
 
 def lifetime_comparison(
-    kappa: float, p_crit: float | None = None, n_sites: int = 4, witness_p: float = 0.75
+    kappa: float, p_crit: float | None = None, witness_p: float = 0.75
 ) -> LifetimeComparison:
     """Entanglement lifetimes from the witness and pairwise thresholds.
 
     With dephasing the witness detects until p(t) drops to 3/4, giving
     t = ln(2)/kappa; the pair stays entangled until p(t) reaches the pairwise
-    threshold (computed when not supplied).  The ratio is witness lifetime
-    over pair lifetime.  ``witness_p`` admits the threshold of a different
-    channel in place of 3/4.
+    threshold, which is the same for every even n >= 4 and is computed when
+    not supplied.  The ratio is witness lifetime over pair lifetime.
+    ``witness_p`` admits the threshold of a different channel in place of 3/4.
     """
     if not 0.0 < kappa < math.inf:
         raise ValueError("decay rate must be positive and finite")
     if p_crit is None:
-        p_crit = pairwise_threshold(n_sites)
+        p_crit = pairwise_threshold(4)
     t_witness = _time_to_reach(witness_p, kappa)
     t_pairwise = _time_to_reach(p_crit, kappa)
     return LifetimeComparison(t_witness, t_pairwise, t_witness / t_pairwise)

@@ -148,24 +148,26 @@ def cmd_decoherence_scan(args) -> tuple[dict, list[dict]]:
     return doc, rows
 
 
+def _uncertainty_summary(state) -> tuple[dict, list[dict], np.ndarray]:
+    """The collective-uncertainty report and <J^2> of a lattice state, their CSV
+    rows, and the mean spin <J>."""
+    report = criteria.collective_uncertainty_criterion(state)
+    mean, second = criteria.collective_moments(state)
+    j_total_sq = float(np.trace(second))
+    doc = {"report": report.to_json_dict(), "total_spin_squared": j_total_sq}
+    rows = [{"quantity": "variance_sum", "value": report.value},
+            {"quantity": "bound", "value": report.bound},
+            {"quantity": "total_spin_squared", "value": j_total_sq}]
+    return doc, rows, mean
+
+
 def cmd_singlet_suite(args) -> tuple[dict, list[dict]]:
     n_pairs = args.n
     if n_pairs is None or not 1 <= n_pairs <= _MAX_PAIRS:
         raise ValueError(
             f"singlet-suite needs --n between 1 and {_MAX_PAIRS}: the cap is {_MAX_PAIRS} singlet pairs")
-    state = bosonic.singlet_chain(n_pairs)
-    report = criteria.collective_uncertainty_criterion(state)
-    mean, second = criteria.collective_moments(state)
-    j_total_sq = float(np.trace(second))
-    means = dict(zip("xyz", mean.tolist()))
-    doc = {
-        "report": report.to_json_dict(),
-        "total_spin_squared": j_total_sq,
-        "mean_spin": means,
-    }
-    rows = [{"quantity": "variance_sum", "value": report.value},
-            {"quantity": "bound", "value": report.bound},
-            {"quantity": "total_spin_squared", "value": j_total_sq}]
+    doc, rows, mean = _uncertainty_summary(bosonic.singlet_chain(n_pairs))
+    doc["mean_spin"] = dict(zip(spinchain.AXES, mean.tolist()))
     return doc, rows
 
 
@@ -174,24 +176,13 @@ def cmd_heisenberg(args) -> tuple[dict, list[dict]]:
     if n is None or n < 2:
         raise ValueError("heisenberg needs --n >= 2 lattice sites")
     gs = bosonic.heisenberg_ground_state(n)  # sector dimension checked against the cap
-    report = criteria.collective_uncertainty_criterion(gs.state)
-    j_total_sq = float(np.trace(criteria.collective_moments(gs.state)[1]))
-    doc = {
-        "energy": gs.energy,
-        "degenerate": gs.degenerate,
-        "gap": gs.gap,
-        "report": report.to_json_dict(),
-        "total_spin_squared": j_total_sq,
-    }
+    summary, rows, _ = _uncertainty_summary(gs.state)
+    doc = {"energy": gs.energy, "degenerate": gs.degenerate, "gap": gs.gap, **summary}
     if n == 2:
         singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)  # (|01> - |10>) / sqrt(2)
         fidelity = float(abs(np.vdot(singlet, gs.state.amplitudes)) ** 2)
         doc["singlet_fidelity"] = fidelity
-    rows = [{"quantity": "energy", "value": gs.energy},
-            {"quantity": "variance_sum", "value": report.value},
-            {"quantity": "bound", "value": report.bound},
-            {"quantity": "total_spin_squared", "value": j_total_sq}]
-    return doc, rows
+    return doc, [{"quantity": "energy", "value": gs.energy}] + rows
 
 
 def cmd_moments_compare(args) -> tuple[dict, list[dict]]:
@@ -208,15 +199,15 @@ def cmd_moments_compare(args) -> tuple[dict, list[dict]]:
     comparison = criteria.moment_indistinguishability(cluster, mixed, axes, max_order)
     doc = {
         "cluster_vs_mixed": {
-            "axes": ["x", "y", "z"],
+            "axes": list(spinchain.AXES),
             "orders": list(comparison.orders),
             "differences": comparison.differences.tolist(),
             "indistinguishable": comparison.indistinguishable,
         }
     }
     rows = [
-        {"axis": "xyz"[i], "order": m, "difference": float(comparison.differences[i, j])}
-        for i in range(3)
+        {"axis": axis, "order": m, "difference": float(comparison.differences[i, j])}
+        for i, axis in enumerate(spinchain.AXES)
         for j, m in enumerate(comparison.orders)
     ]
     if n >= 4:

@@ -13,6 +13,7 @@ import math
 from typing import Sequence
 
 from . import bosonic, spinchain
+from .spinchain import AXES
 # expectation is unused here; clibench/tests checks that its tracer rebinds this name
 from .qcore import (  # noqa: F401
     DensityMatrix,
@@ -34,8 +35,6 @@ INDISTINGUISHABLE_TOL = 1e-9
 MAX_ORDER = 1023
 _ORTHOGONALITY_TOL = 1e-10
 _DENOMINATOR_TOL = 1e-12
-
-AXES = ("x", "y", "z")
 
 
 class Direction(Record):
@@ -85,24 +84,12 @@ class CriterionReport(Record):
     aux: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": _jsonable(self.value),
-            "bound": _jsonable(self.bound),
-            "direction": self.direction,
-            "violated": self.violated,
-            "margin": _jsonable(self.margin),
-            "aux": {k: _jsonable(v) for k, v in self.aux.items()},
-        }
+        return {f: _jsonable(getattr(self, f)) for f in self._fields}
 
 
 def _jsonable(v):
     if isinstance(v, float):
         return None if math.isnan(v) else float(v)
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, int):
-        return int(v)
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):
@@ -188,18 +175,17 @@ def _correlator_means(state, chain: spinchain.ChainSpec) -> list[float]:
 # qubit-chain criteria
 
 
+def _witness_report(name: str, value: float, chain: spinchain.ChainSpec, correlators) -> CriterionReport:
+    """A criterion read from the three-site correlators: separable states keep it at or below n/2."""
+    aux = {"n_sites": chain.n_sites, "correlators": correlators}
+    return _report(name, value, chain.n_sites / 2, "<=", aux)
+
+
 def witness_criterion(state) -> CriterionReport:
     """Sum of three-site correlators; above n/2 certifies entanglement."""
     chain = _require_qubit_chain(state, even=True)
     correlators = _correlator_means(state, chain)
-    value = float(sum(correlators))
-    return _report(
-        "witness",
-        value,
-        chain.n_sites / 2,
-        "<=",
-        {"n_sites": chain.n_sites, "correlators": correlators},
-    )
+    return _witness_report("witness", float(sum(correlators)), chain, correlators)
 
 
 def quadruplet_bound(witness_value: float, n_sites: int) -> float:
@@ -213,14 +199,7 @@ def squared_criterion(state) -> CriterionReport:
     """Sum of squared correlator expectations; detects both sign sectors."""
     chain = _require_qubit_chain(state, even=True)
     correlators = _correlator_means(state, chain)
-    value = float(sum(c * c for c in correlators))
-    return _report(
-        "squared_witness",
-        value,
-        chain.n_sites / 2,
-        "<=",
-        {"n_sites": chain.n_sites, "correlators": correlators},
-    )
+    return _witness_report("squared_witness", float(sum(c * c for c in correlators)), chain, correlators)
 
 
 def variance_x_criterion(state) -> CriterionReport:
@@ -305,17 +284,9 @@ def _squeezing_report(
     if denominator < _DENOMINATOR_TOL:
         aux["undefined"] = True
         aux["note"] = "zero mean spin in the measurement plane; criterion cannot detect this state"
-        return CriterionReport(
-            name="spin_squeezing",
-            value=float("nan"),
-            bound=1.0,
-            direction=">=",
-            violated=False,
-            margin=float("nan"),
-            aux=aux,
-        )
-    value = n_total * var1 / denominator
-    return _report("spin_squeezing", value, 1.0, ">=", aux)
+        # NaN lies on neither side of the bound, so the report is not violated
+        return _report("spin_squeezing", float("nan"), 1.0, ">=", aux)
+    return _report("spin_squeezing", n_total * var1 / denominator, 1.0, ">=", aux)
 
 
 def spin_squeezing_best(state) -> CriterionReport:
@@ -364,6 +335,12 @@ def _site_eigenbasis(space: HilbertSpace, direction: Direction) -> tuple[np.ndar
     return np.array([-0.5, 0.5]), np.array([[-phase.conjugate() * s, c], [c, phase * s]])
 
 
+def _check_integer_order(order) -> None:
+    # a real power of the eigenvalues is no moment, and the tables are indexed by order
+    if not isinstance(order, (int, np.integer)):
+        raise ValueError(f"moment order must be an integer, got {order!r}")
+
+
 def _moment(eig: np.ndarray, weights: np.ndarray, order: int) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(weights @ eig**order)
@@ -374,6 +351,7 @@ def _moment(eig: np.ndarray, weights: np.ndarray, order: int) -> float:
 
 def angular_moment(state, direction: Direction, order: int) -> float:
     """<(J_n)^m> along the given direction."""
+    _check_integer_order(order)
     if order < 1:
         raise ValueError("moment order must be at least 1")
     basis = _site_eigenbasis(state.space, direction)
@@ -450,6 +428,7 @@ def moment_indistinguishability(
     """Compare <J_n^m> for both states over the given axes up to max_order."""
     if state_a.space.dims != state_b.space.dims:
         raise ValueError("states live on different site structures")
+    _check_integer_order(max_order)
     if not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must be between 1 and {MAX_ORDER}")
     axes = tuple(axes)

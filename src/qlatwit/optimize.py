@@ -161,12 +161,9 @@ class PulseSearchResult(Record):
     initial_report: CriterionReport
 
 
-class _Spent(Exception):
-    """Raised by the search objective once the evaluation budget is spent."""
-
-
-class _OutOfRange(Exception):
-    """Raised by the simplex search at its first point past the float range."""
+class _Stop(Exception):
+    """Ends the search: raised by the objective once the evaluation budget is
+    spent, and by the simplex search at its first point past the float range."""
 
 
 # initial simplex edge, and the spread of vertex values that ends a simplex run
@@ -175,18 +172,18 @@ _TOL = 1e-10
 
 
 def _toward(a: np.ndarray, t: float, b: np.ndarray) -> np.ndarray:
-    """a + t (b - a), or ``_OutOfRange`` when that leaves the float range."""
+    """a + t (b - a), or ``_Stop`` when that leaves the float range."""
     with np.errstate(over="ignore"):
         x = a + t * (b - a)
     if not np.isfinite(x).all():
-        raise _OutOfRange
+        raise _Stop
     return x
 
 
 def _nelder_mead(f, x0: np.ndarray):
     """Minimize f from x0 until the simplex values agree within ``_TOL``;
-    returns (x, fx). An exception from f, such as ``_Spent``, ends the run, and
-    so does ``_OutOfRange`` at the first point past the float range."""
+    returns (x, fx). An exception from f ends the run, and so does ``_Stop`` at
+    the first point past the float range."""
     dim = len(x0)
     simplex = [np.array(x0, dtype=float)]
     for i in range(dim):
@@ -251,7 +248,7 @@ def optimize_pulse(
 
     def objective(x: np.ndarray) -> float:
         if len(trace) == budget:
-            raise _Spent
+            raise _Stop
         report = collective_uncertainty_criterion(sector.state(PulseParams(*x)))
         if not trace:
             reports.append(report)
@@ -265,7 +262,7 @@ def optimize_pulse(
         _nelder_mead(objective, x_init)
         for _ in range(_N_RESTARTS - 1):
             _nelder_mead(objective, x_init + np.array([rng.gauss(0.0, 0.5) for _ in range(3)]))
-    except (_Spent, _OutOfRange):
+    except _Stop:
         pass
     _, best, ratio = max(trace, key=lambda entry: entry[2])  # the first of equal maxima
     return PulseSearchResult(

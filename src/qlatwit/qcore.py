@@ -48,7 +48,8 @@ PSD_EIG_FLOOR = -1e-10
 IMAG_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
 _HALF_INTEGER_TOL = 1e-9
-# largest dense state or sector dimension a builder allocates
+# the dimension cap: of 2^n in the qubit builders, d^n in FockLatticeSpec, and of the
+# S_z sector C(n, n // 2) in heisenberg_ground_state, which then unfolds 2^n amplitudes
 DIM_CAP = 4096
 # sites one block of a ProductState may span
 MAX_BLOCK_SITES = 4
@@ -296,13 +297,6 @@ def pure_to_density(state: PureState) -> DensityMatrix:
     return DensityMatrix(state.space, np.outer(v, v.conj()))
 
 
-def _check_same_space(op: LinearOperator, state) -> None:
-    if op.space.dims != state.space.dims:
-        raise ValueError(
-            f"operator space {op.space.dims} does not match state space {state.space.dims}"
-        )
-
-
 def _real_part(value: complex, what: str) -> float:
     if abs(value.imag) > IMAG_TOL:
         raise ValueError(f"{what} has imaginary residue {value.imag}")
@@ -313,7 +307,10 @@ def expectation(op: LinearOperator, state) -> float:
     """<psi|op|psi> or Tr(rho op) for a Hermitian operator."""
     if not op.hermitian_hint:
         raise ValueError("expectation requires an operator with hermitian_hint set")
-    _check_same_space(op, state)
+    if op.space.dims != state.space.dims:
+        raise ValueError(
+            f"operator space {op.space.dims} does not match state space {state.space.dims}"
+        )
     if isinstance(state, PureState):
         val = complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
     elif isinstance(state, DensityMatrix):

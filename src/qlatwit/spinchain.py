@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .qcore import DIM_CAP, HilbertSpace, PureState, Record, _sum_moments, np
 
-_AXES = ("x", "y", "z")
+AXES = ("x", "y", "z")
 # the most sites of a built 2^n vector, checked before anything n-sized is built
 _MAX_QUBITS = DIM_CAP.bit_length() - 1
 
@@ -112,9 +112,9 @@ def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[floa
     for factors in strings:
         for site, axis in factors.items():
             space.check_site(site)
-            if axis not in _AXES:
+            if axis not in AXES:
                 raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    pauli = dict(zip(_AXES, paulis()))
+    pauli = dict(zip(AXES, paulis()))
     return _sum_moments(state, [{s: pauli[a] for s, a in f.items()} for f in strings])
 
 
@@ -136,7 +136,7 @@ def phase_gate_diagonal(chain: ChainSpec) -> np.ndarray:
     string a phase pi times its count of adjacent 1-pairs, so every diagonal
     entry is +1 or -1 and the gate is both Hermitian and an involution.
     """
-    idx = np.arange(2**chain.n_sites)
+    idx = np.arange(_capped_space(chain).dim)
     return 1.0 - 2.0 * (_popcount(idx & (idx >> 1), chain.n_sites) & 1)
 
 

@@ -590,7 +590,7 @@ def test_identical_thresholds_give_unit_ratio():
 
 
 def test_lifetime_comparison_computes_threshold_when_missing():
-    out = lifetime_comparison(1.0, n_sites=4)
+    out = lifetime_comparison(1.0)
     assert out.ratio == pytest.approx(0.80, abs=0.02)
 
 

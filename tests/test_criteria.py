@@ -284,6 +284,25 @@ def test_a_boolean_in_a_report_aux_is_written_as_a_boolean():
     assert '"undefined": true' in json.dumps(doc)
 
 
+def test_the_undefined_spin_squeezing_report_field_by_field():
+    # the totally mixed state has zero mean spin, so no measurement plane carries a denominator
+    rep = spin_squeezing_best(totally_mixed_state(2))
+    assert rep.name == "spin_squeezing"
+    assert math.isnan(rep.value) and math.isnan(rep.margin)
+    assert rep.bound == 1.0 and rep.direction == ">="
+    assert rep.violated is False
+    assert rep.aux["undefined"] is True
+    assert rep.aux["note"] == "zero mean spin in the measurement plane; criterion cannot detect this state"
+    doc = rep.to_json_dict()
+    assert list(doc) == ["name", "value", "bound", "direction", "violated", "margin", "aux"]
+    assert doc["value"] is None and doc["margin"] is None
+    assert doc["name"] == "spin_squeezing" and doc["direction"] == ">="
+    assert doc["bound"] == 1.0 and doc["violated"] is False
+    assert doc["aux"]["undefined"] is True and doc["aux"]["note"] == rep.aux["note"]
+    assert doc["aux"]["directions"] == [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    assert json.loads(json.dumps(doc)) == doc
+
+
 def test_spin_squeezing_coherent_product_saturates():
     rep = spin_squeezing_criterion(product_state([("z", 1)] * 4), AXIS_X, AXIS_Z, AXIS_Y)
     assert rep.value == pytest.approx(1.0, abs=1e-10)
@@ -402,6 +421,26 @@ def test_first_moment_of_singlet_vanishes():
 def test_moment_order_must_be_positive():
     with pytest.raises(ValueError):
         angular_moment(totally_mixed_state(2), AXIS_Z, 0)
+
+
+@pytest.mark.parametrize("order", [2.5, 2.0, float("nan")])
+def test_a_non_integer_moment_order_is_refused(order):
+    # an order is a count: 2.5 must not read as an overflow, nor reach range() as max_order
+    state = totally_mixed_state(4)
+    message = f"moment order must be an integer, got {order!r}"
+    with pytest.raises(ValueError) as refused:
+        angular_moment(state, AXIS_Z, order)
+    assert str(refused.value) == message
+    with pytest.raises(ValueError) as refused:
+        moment_indistinguishability(state, state, [AXIS_Z], order)
+    assert str(refused.value) == message
+
+
+def test_an_integer_moment_order_of_any_integer_type_is_read():
+    state = totally_mixed_state(4)
+    assert angular_moment(state, AXIS_Z, np.int64(2)) == angular_moment(state, AXIS_Z, 2) == 1.0
+    comparison = moment_indistinguishability(state, state, [AXIS_Z], np.int64(2))
+    assert comparison.orders == (1, 2) and comparison.indistinguishable
 
 
 def test_moment_overflow_raises_instead_of_returning_nan():

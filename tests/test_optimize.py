@@ -163,10 +163,10 @@ def test_nelder_mead_converges_on_a_quadratic_and_stops_when_spent():
     def spends_ten(x):
         if len(values) == 10:
             refused.append(x)
-            raise optimize._Spent
+            raise optimize._Stop
         return quadratic(x)
 
-    with pytest.raises(optimize._Spent):
+    with pytest.raises(optimize._Stop):
         optimize._nelder_mead(spends_ten, np.zeros(3))
     assert len(values) == 10 and len(refused) == 1
 
@@ -378,7 +378,7 @@ def test_nelder_mead_stops_at_the_first_point_past_the_float_range():
         points.append(x)
         return -x[0]
 
-    with pytest.raises(optimize._OutOfRange):
+    with pytest.raises(optimize._Stop):
         optimize._nelder_mead(unbounded, np.zeros(3))
     assert np.isfinite(points).all() and points[-1][0] > 1e307
 

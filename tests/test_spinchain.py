@@ -285,6 +285,14 @@ def test_cluster_state_refuses_sizes_past_the_int64_range(n):
         cluster_state(ClusterSpec(ChainSpec(n), (1,) * n))
 
 
+@pytest.mark.parametrize("n", [13, 63])
+def test_phase_gate_diagonal_refuses_sizes_past_the_cap(n):
+    # 13 sites would be 8192 entries; 63 would overflow the int64 index arithmetic
+    with pytest.raises(ValueError) as refused:
+        phase_gate_diagonal(ChainSpec(n))
+    assert str(refused.value) == f"dimension 2^{n} exceeds cap {DIM_CAP}"
+
+
 def test_product_state_refuses_sizes_past_the_cap_before_building():
     # 13 sites would be 8192 amplitudes; the check comes before the kron loop
     with pytest.raises(ValueError, match="exceeds cap"):

@@ -151,14 +151,14 @@ def cmd_decoherence_scan(args) -> tuple[dict, list[dict]]:
 def _uncertainty_summary(state) -> tuple[dict, list[dict], np.ndarray]:
     """The collective-uncertainty report and <J^2> of a lattice state, their CSV
     rows, and the mean spin <J>."""
-    report = criteria.collective_uncertainty_criterion(state)
-    mean, second = criteria.collective_moments(state)
-    j_total_sq = float(np.trace(second))
+    moments = criteria.collective_moments(state)
+    report = criteria.uncertainty_report(moments)
+    j_total_sq = float(np.trace(moments.second))
     doc = {"report": report.to_json_dict(), "total_spin_squared": j_total_sq}
     rows = [{"quantity": "variance_sum", "value": report.value},
             {"quantity": "bound", "value": report.bound},
             {"quantity": "total_spin_squared", "value": j_total_sq}]
-    return doc, rows, mean
+    return doc, rows, moments.mean
 
 
 def cmd_singlet_suite(args) -> tuple[dict, list[dict]]:
@@ -212,14 +212,14 @@ def cmd_moments_compare(args) -> tuple[dict, list[dict]]:
     ]
     if n >= 4:
         rho_s = criteria.moment_matching_separable_state(n)
-        first_cluster, second_cluster = criteria.collective_moments(cluster)
-        first_rho_s, second_rho_s = criteria.collective_moments(rho_s)
+        cluster_moments = criteria.collective_moments(cluster)
+        rho_s_moments = criteria.collective_moments(rho_s)
         # the anticommutator table is twice the symmetrized second moments
-        table_cluster = 2 * second_cluster
-        table_rho_s = 2 * second_rho_s
+        table_cluster = 2 * cluster_moments.second
+        table_rho_s = 2 * rho_s_moments.second
         doc["moment_matching_state"] = {
-            "first_moments_cluster": first_cluster.tolist(),
-            "first_moments_separable": first_rho_s.tolist(),
+            "first_moments_cluster": cluster_moments.mean.tolist(),
+            "first_moments_separable": rho_s_moments.mean.tolist(),
             "anticommutator_cluster": table_cluster.tolist(),
             "anticommutator_separable": table_rho_s.tolist(),
             "max_table_difference": float(np.abs(table_cluster - table_rho_s).max()),

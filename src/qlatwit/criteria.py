@@ -132,7 +132,8 @@ def _require_qubit_chain(state, even: bool) -> spinchain.ChainSpec:
 
 
 def _site_spin_matrices(space: HilbertSpace) -> np.ndarray:
-    """The one-site spin matrices j_x, j_y, j_z of this space, stacked (3, d, d).
+    """The one-site j_x, j_y, j_z stacked (3, d, d), with the number operator n as
+    a fourth row on a Fock lattice.  A qubit chain has no n row: its <N> is n_sites.
 
     Every collective spin here is J_a = sum_k j_a^(k): sigma_a / 2 on a qubit
     chain, the Schwinger j_a on a two-mode Fock lattice.
@@ -141,27 +142,26 @@ def _site_spin_matrices(space: HilbertSpace) -> np.ndarray:
         return spinchain.paulis() / 2
     if space.kind == "fock":
         js = bosonic._schwinger_matrices(bosonic.SiteFockSpace(space.fock_cutoff))
-        return np.stack([js[ax] for ax in AXES])
+        return np.stack([js[ax] for ax in (*AXES, "n")])
     raise ValueError(f"no collective spin defined for space kind {space.kind!r}")
 
 
-def collective_moments(state) -> tuple[np.ndarray, np.ndarray]:
-    """<J_k> and the symmetrized <(J_k J_l + J_l J_k) / 2> for k, l in x, y, z,
-    read by ``qcore._collective_moments``."""
-    return _collective_moments(state, _site_spin_matrices(state.space))
+class Moments(Record, eq=False):
+    """One state's <J_k>, symmetrized <(J_k J_l + J_l J_k) / 2> (k, l in x, y, z) and <N_total>:
+    the site count on a qubit chain (one spin per site), else the mean site sum of n."""
+
+    mean: np.ndarray
+    second: np.ndarray
+    number: float
 
 
-def total_particle_number(state) -> float:
-    """<N_total>: the site count for qubit chains (one spin per site), else
-    the mean of the site sum of the one-site number operator, read by
-    ``qcore._collective_moments``."""
+def collective_moments(state) -> Moments:
+    """The ``Moments`` of a state, from one ``qcore._collective_moments`` read
+    of its one-site stack (a Fock lattice's <N> is the stack's fourth row)."""
     space = state.space
-    if space.kind == "qubit":
-        return float(space.n_sites)
-    if space.kind != "fock":
-        raise ValueError(f"no particle number defined for space kind {space.kind!r}")
-    number = bosonic._schwinger_matrices(bosonic.SiteFockSpace(space.fock_cutoff))["n"]
-    return float(_collective_moments(state, number[None])[0][0])
+    mean, second = _collective_moments(state, _site_spin_matrices(space))
+    number = float(space.n_sites) if space.kind == "qubit" else float(mean[3])
+    return Moments(mean[:3], second[:3, :3], number)
 
 
 def _correlator_means(state, chain: spinchain.ChainSpec) -> list[float]:
@@ -229,21 +229,19 @@ def variance_x_criterion(state) -> CriterionReport:
 # collective-uncertainty criteria (qubit chains and Fock lattices)
 
 
-def collective_uncertainty_criterion(state) -> CriterionReport:
+def uncertainty_report(moments: Moments) -> CriterionReport:
     """Total collective-spin variance against half the mean particle number."""
-    mean, second = collective_moments(state)
+    mean, second = moments.mean, moments.second
     variances = {
         ax: variance_from_moments(float(mean[i]), float(second[i, i])) for i, ax in enumerate(AXES)
     }
-    value = float(sum(variances.values()))
-    n_total = total_particle_number(state)
-    return _report(
-        "collective_uncertainty",
-        value,
-        n_total / 2,
-        ">=",
-        {"variances": variances, "total_number": n_total},
-    )
+    aux = {"variances": variances, "total_number": moments.number}
+    return _report("collective_uncertainty", float(sum(variances.values())), moments.number / 2, ">=", aux)
+
+
+def collective_uncertainty_criterion(state) -> CriterionReport:
+    """The ``uncertainty_report`` of one state."""
+    return uncertainty_report(collective_moments(state))
 
 
 def spin_squeezing_criterion(
@@ -261,14 +259,12 @@ def spin_squeezing_criterion(
         for j in range(i + 1, 3):
             if abs(float(vecs[i] @ vecs[j])) > _ORTHOGONALITY_TOL:
                 raise ValueError("spin squeezing directions must be mutually orthogonal")
-    return _squeezing_report(state, *collective_moments(state), np.array(vecs))
+    return _squeezing_report(collective_moments(state), np.array(vecs))
 
 
-def _squeezing_report(
-    state, mean: np.ndarray, second: np.ndarray, vecs: np.ndarray
-) -> CriterionReport:
+def _squeezing_report(moments: Moments, vecs: np.ndarray) -> CriterionReport:
     """The spin-squeezing report for the orthonormal rows n1, n2, n3 of ``vecs``."""
-    n_total = total_particle_number(state)
+    mean, second, n_total = moments.mean, moments.second, moments.number
     var1 = variance_from_moments(float(vecs[0] @ mean), float(vecs[0] @ second @ vecs[0]))
     mean2 = float(vecs[1] @ mean)
     mean3 = float(vecs[2] @ mean)
@@ -301,11 +297,12 @@ def spin_squeezing_best(state) -> CriterionReport:
     orthogonal to m.  n2 is the part of m orthogonal to n1 and n3 = n1 x n2.
     A state with zero mean spin is reported for (x, z, y), flagged undefined.
     """
-    mean, second = collective_moments(state)
+    moments = collective_moments(state)
+    mean, second = moments.mean, moments.second
     norm2 = float(mean @ mean)
     if norm2 < _DENOMINATOR_TOL:
         xzy = np.array([AXIS_X.as_array(), AXIS_Z.as_array(), AXIS_Y.as_array()])
-        return _squeezing_report(state, mean, second, xzy)
+        return _squeezing_report(moments, xzy)
     cov = second - np.outer(mean, mean)
     u = mean / math.sqrt(norm2)
     plane = np.linalg.svd(u[None, :])[2][1:]  # rows: an orthonormal basis orthogonal to u
@@ -317,7 +314,7 @@ def spin_squeezing_best(state) -> CriterionReport:
     n1 /= np.linalg.norm(n1)
     n2 = mean - (mean @ n1) * n1
     n2 /= np.linalg.norm(n2)
-    return _squeezing_report(state, mean, second, np.array([n1, n2, np.cross(n1, n2)]))
+    return _squeezing_report(moments, np.array([n1, n2, np.cross(n1, n2)]))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +325,7 @@ def _site_eigenbasis(space: HilbertSpace, direction: Direction) -> tuple[np.ndar
     """Eigenvalues and eigenvector columns of the one-site n . j; on a qubit in closed form, with
     n = (sin t cos p, sin t sin p, cos t): (-e^{-ip} sin t/2, cos t/2), (cos t/2, e^{ip} sin t/2)."""
     if space.kind != "qubit":
-        return np.linalg.eigh(np.tensordot(direction.as_array(), _site_spin_matrices(space), 1))
+        return np.linalg.eigh(np.tensordot(direction.as_array(), _site_spin_matrices(space)[:3], 1))
     half = math.atan2(math.hypot(direction.x, direction.y), direction.z) / 2
     c, s = math.cos(half), math.sin(half)
     phase = np.exp(1j * math.atan2(direction.y, direction.x))
@@ -360,7 +357,7 @@ def angular_moment(state, direction: Direction, order: int) -> float:
 
 def anticommutator_moments(state) -> np.ndarray:
     """Symmetric 3x3 table <J_k J_l + J_l J_k> for k, l in {x, y, z}."""
-    return 2 * collective_moments(state)[1]
+    return 2 * collective_moments(state).second
 
 
 def _mixed_sites(n_sites: int) -> tuple[DensityMatrix, ...]:

@@ -32,7 +32,6 @@ from qlatwit.bosonic import (
     SiteFockSpace,
     _heisenberg_sector,
     _ladder_matrices,
-    _schwinger_matrices,
     heisenberg_ground_state,
     occupation_basis_state,
     singlet_chain,
@@ -312,7 +311,7 @@ def test_heisenberg_two_sites_ground_is_singlet():
 def test_heisenberg_four_sites_ground_is_many_body_singlet():
     gs = heisenberg_ground_state(4)
     assert not gs.degenerate
-    assert np.trace(collective_moments(gs.state)[1]) < 1e-9
+    assert np.trace(collective_moments(gs.state).second) < 1e-9
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -329,8 +328,8 @@ def test_heisenberg_sector_solve_matches_dense_fock_ground_state(n):
     rep_want = collective_uncertainty_criterion(want.state)
     assert rep_got.value == pytest.approx(rep_want.value, abs=1e-9)
     assert rep_got.bound == pytest.approx(rep_want.bound, abs=1e-9)
-    j2_got = np.trace(collective_moments(got.state)[1])
-    j2_want = np.trace(collective_moments(want.state)[1])
+    j2_got = np.trace(collective_moments(got.state).second)
+    j2_want = np.trace(collective_moments(want.state).second)
     assert j2_got == pytest.approx(j2_want, abs=1e-9)
 
 
@@ -371,7 +370,7 @@ def test_total_spin_squared_eigenvalues():
     lattice = FockLatticeSpec(2, SITE1)
     up_up = occupation_basis_state(lattice, [SPIN_UP, SPIN_UP])
     for state, want in ((singlet_chain(1), 0.0), (up_up, 2.0)):
-        assert np.trace(collective_moments(state)[1]) == pytest.approx(want, abs=1e-12)
+        assert np.trace(collective_moments(state).second) == pytest.approx(want, abs=1e-12)
 
 
 def test_lattice_dimension_cap_enforced():
@@ -399,11 +398,11 @@ def test_collective_and_number_operators_match_kron_oracle(cutoff, n):
     # the site sums applied to every basis vector give their dense matrices
     space = FockLatticeSpec(n, SiteFockSpace(cutoff)).space()
     eye = np.eye(space.dim, dtype=complex)
+    # the one-site stack's rows are j_x, j_y, j_z and the number operator n
     js = _site_sum(_site_spin_matrices(space), space, eye)
-    for k, ax in enumerate("xyz"):
+    assert len(js) == 4
+    for k, ax in enumerate("xyzn"):
         assert np.allclose(js[k], oracle_fock_collective(ax, cutoff, n), atol=1e-12)
-    number = _site_sum(_schwinger_matrices(SiteFockSpace(cutoff))["n"], space, eye)
-    assert np.allclose(number, oracle_fock_collective("n", cutoff, n), atol=1e-12)
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
@@ -426,8 +425,8 @@ def test_total_spin_squared_matches_kron_oracle(cutoff, n, rng):
     js = [oracle_fock_collective(ax, cutoff, n) for ax in "xyz"]
     j2 = sum(j @ j for j in js)
     psi = haar_vector(space.dim, rng)
-    pure = np.trace(collective_moments(PureState(space, psi))[1])
+    pure = np.trace(collective_moments(PureState(space, psi)).second)
     assert pure == pytest.approx(np.vdot(psi, j2 @ psi).real, abs=1e-12)
     rho = random_separable_density(space, rng)
-    mixed = np.trace(collective_moments(rho)[1])
+    mixed = np.trace(collective_moments(rho).second)
     assert mixed == pytest.approx(np.trace(rho.matrix @ j2).real, abs=1e-12)

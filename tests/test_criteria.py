@@ -20,7 +20,7 @@ from conftest import (
     oracle_squeezing_grid,
     tilde_sigma_x,
 )
-from qlatwit import bosonic, criteria, qcore
+from qlatwit import bosonic, cli, criteria, qcore
 from qlatwit.criteria import (
     AXIS_X,
     AXIS_Y,
@@ -37,7 +37,6 @@ from qlatwit.criteria import (
     spin_squeezing_best,
     spin_squeezing_criterion,
     squared_criterion,
-    total_particle_number,
     totally_mixed_state,
     variance_x_criterion,
     witness_criterion,
@@ -497,14 +496,15 @@ def test_collective_path_matches_dense_oracles(spec, mixed, seed):
         assert np.abs(state.matrix - np.diag(np.diagonal(state.matrix))).max() > 1e-8
     else:
         state = PureState(space, sampling.haar_vector(space.dim, gen))
-    mean, second = collective_moments(state)
+    moments = collective_moments(state)
+    mean, second = moments.mean, moments.second
     for k in range(3):
         assert mean[k] == pytest.approx(oracle_mean(js[k], state), abs=1e-12)
         for m in range(3):
             want = oracle_mean((js[k] @ js[m] + js[m] @ js[k]) / 2, state)
             assert second[k, m] == pytest.approx(want, abs=1e-12)
     assert np.array_equal(anticommutator_moments(state), 2 * second)
-    assert total_particle_number(state) == pytest.approx(oracle_mean(number, state), abs=1e-12)
+    assert moments.number == pytest.approx(oracle_mean(number, state), abs=1e-12)
     direction = sampling.random_direction(gen)
     j_n = sum(c * j for c, j in zip(direction, js))
     for order in range(1, 5):
@@ -552,13 +552,14 @@ def oracle_moment_table(js, rho, axes, max_order):
 
 def assert_density_moments_match_oracles(rho, other, gen):
     js, number = dense_collective(rho.space)
-    mean, second = collective_moments(rho)
+    moments = collective_moments(rho)
+    mean, second = moments.mean, moments.second
     for k in range(3):
         assert mean[k] == pytest.approx(oracle_mean(js[k], rho), abs=1e-12)
         for m in range(3):
             want = oracle_mean((js[k] @ js[m] + js[m] @ js[k]) / 2, rho)
             assert second[k, m] == pytest.approx(want, abs=1e-12)
-    assert total_particle_number(rho) == pytest.approx(oracle_mean(number, rho), abs=1e-12)
+    assert moments.number == pytest.approx(oracle_mean(number, rho), abs=1e-12)
     axes = [AXIS_X, AXIS_Y, AXIS_Z, Direction(*sampling.random_direction(gen))]
     want_a = oracle_moment_table(js, rho.matrix, axes, 5)
     want_b = oracle_moment_table(js, other.matrix, axes, 5)
@@ -589,7 +590,8 @@ def test_density_moments_read_correlations_of_distant_pairs(pair, rng):
     paulis = [oracle_site_pauli(ax, s, n) @ oracle_site_pauli(ax, t, n) for ax in "xyz"]
     bell = (np.eye(2**n) + paulis[0] - paulis[1] + paulis[2]) / 2**n
     rho = DensityMatrix(qubit_space(n), bell)
-    mean, second = collective_moments(rho)
+    moments = collective_moments(rho)
+    mean, second = moments.mean, moments.second
     assert np.abs(mean).max() < 1e-12
     assert np.allclose(second, np.diag([n / 4 + 0.5, n / 4 - 0.5, n / 4 + 0.5]), atol=1e-12)
     mixture = DensityMatrix(qubit_space(n), (bell + random_density(qubit_space(n), rng).matrix) / 2)
@@ -618,12 +620,13 @@ def test_one_site_readers_refuse_an_operator():
         pauli_sum_moments(qubits, [{1: "x"}])
     fock = fock_space(2, 1)
     with pytest.raises(ValueError, match="LinearOperator"):
-        total_particle_number(LinearOperator(fock, np.eye(fock.dim)))
+        collective_moments(LinearOperator(fock, np.eye(fock.dim)))
 
 
-def test_total_particle_number_reads_each_block_once(monkeypatch):
-    # one read of the product and one of each block: O(n), where a per-site
-    # read of the product walked every block for every site
+@pytest.fixture
+def reads(monkeypatch):
+    """The type of every state ``qcore._collective_moments`` reads, a
+    ProductState's blocks after the product itself."""
     calls = []
     read = qcore._collective_moments
 
@@ -633,8 +636,48 @@ def test_total_particle_number_reads_each_block_once(monkeypatch):
 
     monkeypatch.setattr(qcore, "_collective_moments", counted)
     monkeypatch.setattr(criteria, "_collective_moments", counted)
-    assert total_particle_number(bosonic.singlet_chain(7)) == pytest.approx(14.0, abs=1e-12)
-    assert calls == ["ProductState"] + ["PureState"] * 7
+    return calls
+
+
+def test_singlet_suite_reads_the_chain_once(reads, capsys):
+    # one read of the product and one of each block: O(n), where a per-site
+    # read of the product walked every block for every site
+    assert cli.main(["singlet-suite", "--n", "7"]) == 0
+    report = json.loads(capsys.readouterr().out)["results"]["report"]
+    assert report["aux"]["total_number"] == pytest.approx(14.0, abs=1e-12)
+    assert reads == ["ProductState"] + ["PureState"] * 7
+
+
+def test_heisenberg_reads_the_ground_state_once(reads):
+    assert cli.main(["heisenberg", "--n", "4"]) == 0
+    assert reads == ["PureState"]
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    [
+        collective_uncertainty_criterion,
+        lambda state: spin_squeezing_criterion(state, AXIS_X, AXIS_Y, AXIS_Z),
+        spin_squeezing_best,
+    ],
+    ids=["uncertainty", "squeezing", "squeezing_best"],
+)
+@pytest.mark.parametrize("fock", ["singlets", "dense"])
+def test_each_collective_criterion_reads_a_state_once(criterion, fock, reads, rng):
+    if fock == "singlets":
+        state, want = bosonic.singlet_chain(2), ["ProductState", "PureState", "PureState"]
+    else:
+        state, want = random_density(fock_space(2, 1), rng), ["DensityMatrix"]
+    criterion(state)
+    assert reads == want
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_a_qubit_chain_number_and_bound_are_exact(n):
+    # a qubit chain's <N> is its site count, not a read of an identity row
+    for state in (make_cluster(n), totally_mixed_state(n)):
+        assert collective_moments(state).number == float(n)
+        assert collective_uncertainty_criterion(state).bound == n / 2
 
 
 @pytest.mark.parametrize("n", range(4, 10))

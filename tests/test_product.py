@@ -17,7 +17,6 @@ from qlatwit.criteria import (
     angular_moment,
     collective_moments,
     moment_matching_separable_state,
-    total_particle_number,
     totally_mixed_state,
     variance_x_criterion,
     witness_criterion,
@@ -67,17 +66,16 @@ def _random_strings(rng, n_sites, count):
 @pytest.mark.parametrize("builder,size", PRODUCT_STATES)
 def test_collective_moments_match_the_dense_state(builder, size):
     state = builder(size)
-    mean, second = collective_moments(state)
-    want_mean, want_second = collective_moments(oracle_product_dense(state))
-    assert np.abs(mean - want_mean).max() < 1e-12
-    assert np.abs(second - want_second).max() < 1e-12
+    got, want = collective_moments(state), collective_moments(oracle_product_dense(state))
+    assert np.abs(got.mean - want.mean).max() < 1e-12
+    assert np.abs(got.second - want.second).max() < 1e-12
 
 
 @pytest.mark.parametrize("builder,size", PRODUCT_STATES)
 def test_total_particle_number_matches_the_dense_state(builder, size):
     state = builder(size)
-    want = total_particle_number(oracle_product_dense(state))
-    assert total_particle_number(state) == pytest.approx(want, abs=1e-12)
+    want = collective_moments(oracle_product_dense(state)).number
+    assert collective_moments(state).number == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("builder,size", PRODUCT_STATES)
@@ -114,8 +112,9 @@ def test_readers_on_pure_and_mixed_qubit_blocks(rng):
     for strings in [_random_strings(rng, 7, 5) for _ in range(10)]:
         got = spinchain.pauli_sum_moments(state, strings)
         assert got == pytest.approx(spinchain.pauli_sum_moments(dense, strings), abs=1e-12)
-    for got, want in zip(collective_moments(state), collective_moments(dense)):
-        assert np.abs(got - want).max() < 1e-12
+    got, want = collective_moments(state), collective_moments(dense)
+    for field in ("mean", "second", "number"):
+        assert np.abs(getattr(got, field) - getattr(want, field)).max() < 1e-12
     for direction in AXES4:
         for order in (1, 2, 3, 4):
             want = angular_moment(dense, direction, order)

@@ -11,9 +11,6 @@ from .qcore import (
     ProductState,
     PureState,
     expectation,
-    negativity,
-    partial_trace,
-    pure_to_density,
 )
 
 __all__ = [
@@ -25,7 +22,4 @@ __all__ = [
     "ProductState",
     "PureState",
     "expectation",
-    "negativity",
-    "partial_trace",
-    "pure_to_density",
 ]

@@ -122,11 +122,11 @@ def _report(name: str, value: float, bound: float, direction: str, aux: dict) ->
 # collective spins for either site kind: site sums of one d x d matrix
 
 
-def _require_qubit_chain(state, even: bool) -> spinchain.ChainSpec:
+def _require_qubit_chain(state) -> spinchain.ChainSpec:
     space = state.space
     if space.kind != "qubit":
         raise ValueError("this criterion expects a qubit-chain state")
-    if even and space.n_sites % 2 != 0:
+    if space.n_sites % 2 != 0:
         raise ValueError(f"this criterion requires an even number of sites, got {space.n_sites}")
     return spinchain.ChainSpec(space.n_sites)
 
@@ -183,7 +183,7 @@ def _witness_report(name: str, value: float, chain: spinchain.ChainSpec, correla
 
 def witness_criterion(state) -> CriterionReport:
     """Sum of three-site correlators; above n/2 certifies entanglement."""
-    chain = _require_qubit_chain(state, even=True)
+    chain = _require_qubit_chain(state)
     correlators = _correlator_means(state, chain)
     return _witness_report("witness", float(sum(correlators)), chain, correlators)
 
@@ -197,7 +197,7 @@ def quadruplet_bound(witness_value: float, n_sites: int) -> float:
 
 def squared_criterion(state) -> CriterionReport:
     """Sum of squared correlator expectations; detects both sign sectors."""
-    chain = _require_qubit_chain(state, even=True)
+    chain = _require_qubit_chain(state)
     correlators = _correlator_means(state, chain)
     return _witness_report("squared_witness", float(sum(c * c for c in correlators)), chain, correlators)
 
@@ -209,7 +209,7 @@ def variance_x_criterion(state) -> CriterionReport:
     different groups, so for separable states the three variances add up to at
     least n/2; falling below that certifies entanglement.
     """
-    chain = _require_qubit_chain(state, even=True)
+    chain = _require_qubit_chain(state)
     n = chain.n_sites
     class_variances = []
     for m in (1, 2, 3):
@@ -438,14 +438,9 @@ def moment_indistinguishability(
             eig, weights = _collective_distribution(state, *basis)
             table[i] = [_moment(eig, weights, order) for order in orders]
     diffs = np.abs(ma - mb)
-    first = None
-    for j in range(max_order):
-        for i in range(len(axes)):
-            if diffs[i, j] > INDISTINGUISHABLE_TOL:
-                first = (i, orders[j])
-                break
-        if first is not None:
-            break
+    # rows of the transposed table are orders, so the lowest order comes first
+    hits = np.argwhere(diffs.T > INDISTINGUISHABLE_TOL)
+    first = (int(hits[0, 1]), orders[hits[0, 0]]) if len(hits) else None
     return MomentComparison(
         axes=axes,
         orders=orders,

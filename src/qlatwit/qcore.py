@@ -290,13 +290,6 @@ class GroundState(Record, eq=False):
     gap: float
 
 
-def pure_to_density(state: PureState) -> DensityMatrix:
-    if not isinstance(state, PureState):
-        raise ValueError(f"cannot convert {type(state).__name__} to a density matrix")
-    v = state.amplitudes
-    return DensityMatrix(state.space, np.outer(v, v.conj()))
-
-
 def _real_part(value: complex, what: str) -> float:
     if abs(value.imag) > IMAG_TOL:
         raise ValueError(f"{what} has imaginary residue {value.imag}")
@@ -364,8 +357,7 @@ def _site_sum(local: np.ndarray, space: HilbertSpace, values: np.ndarray) -> np.
 
 def _site_block(space: HilbertSpace, sites: Sequence[int], matrices: np.ndarray) -> np.ndarray:
     """The block of any increasing list of sites in each of a stack of
-    dim x dim matrices, every other site traced out (``partial_trace`` without
-    validation).
+    dim x dim matrices, every other site traced out.
 
     Tr(local M) for a ``local`` acting on ``sites`` is then Tr(local @ block).
     The matrices are reshaped to (traced, kept, traced, ...) on both indices
@@ -535,46 +527,3 @@ def _collective_distribution(state, w: np.ndarray, v: np.ndarray) -> tuple[np.nd
     for _ in range(space.n_sites - 1):
         eig = np.add.outer(eig, w).ravel()
     return eig, weights
-
-
-def partial_trace(rho: DensityMatrix, keep_sites: Sequence[int]) -> DensityMatrix:
-    """Reduce to ``keep_sites`` (1-based), preserving their original order."""
-    if not isinstance(rho, DensityMatrix):
-        raise ValueError(f"cannot take a partial trace of {type(rho).__name__}")
-    space = rho.space
-    keep = list(keep_sites)
-    if len(keep) == 0:
-        raise ValueError("keep_sites must be nonempty")
-    if len(set(keep)) != len(keep):
-        raise ValueError("keep_sites contains duplicates")
-    for s in keep:
-        space.check_site(s)
-    keep_sorted = sorted(keep)
-    sub_dims = tuple(space.dims[s - 1] for s in keep_sorted)
-    sub_space = HilbertSpace(sub_dims, space.kind, space.fock_cutoff)
-    return DensityMatrix(sub_space, _site_block(space, keep_sorted, rho.matrix))
-
-
-def negativity(rho: DensityMatrix, partition_sites: Sequence[int]) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose.
-
-    ``partition_sites`` lists one side of the bipartition; the complement is
-    the other side.  A value above ~1e-9 certifies entanglement across the cut
-    (and for two qubits the converse holds as well).
-    """
-    if not isinstance(rho, DensityMatrix):
-        raise ValueError(f"cannot take the negativity of {type(rho).__name__}")
-    space = rho.space
-    side_a = sorted(set(partition_sites))
-    for s in side_a:
-        space.check_site(s)
-    if len(side_a) == 0 or len(side_a) == space.n_sites:
-        raise ValueError("partition must be a nonempty strict subset of the sites")
-    # the partial transpose swaps each side-A site's bra and ket axes
-    n = space.n_sites
-    axes = list(range(2 * n))
-    for s in side_a:
-        axes[s - 1], axes[n + s - 1] = n + s - 1, s - 1
-    t = rho.matrix.reshape(space.dims * 2).transpose(axes).reshape(space.dim, space.dim)
-    eigs = np.linalg.eigvalsh(t)
-    return float(-eigs[eigs < 0.0].sum())

@@ -1,7 +1,9 @@
 """Shared independent oracles: dense operator builders written from scratch
 here, so expected values never come from the code under test.  The package
-itself builds no dense operator; the reference helpers at the end wrap these
-oracles for the acceptance gate and the differentials.  The two cluster readers
+itself builds no dense operator.  Beside the builders sit two dense-state
+oracles that no command runs, ``pure_to_density`` and the partial-transpose
+``negativity``.  The reference helpers at the end wrap these oracles for the
+acceptance gate and the differentials.  The two cluster readers
 after them are the package's former state-vector forms of the decoherence echo
 and the localized pair, kept to check the stabilizer forms at sizes the 4^n
 density-matrix oracles cannot reach.  Last come the dense per-site channels,
@@ -15,7 +17,6 @@ import pytest
 
 from qlatwit.bosonic import FockLatticeSpec, SiteFockSpace
 from qlatwit.channels import _CHANNELS, _channel, _check_p
-from qlatwit.criteria import _correlator_means
 from qlatwit.qcore import (
     DEGENERACY_GAP,
     DensityMatrix,
@@ -31,7 +32,6 @@ from qlatwit.spinchain import (
     _chain_generator,
     cluster_state,
     product_state,
-    tilde_factors,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -81,6 +81,23 @@ def oracle_product_dense(state):
     mats = [np.outer(b.amplitudes, b.amplitudes.conj()) if isinstance(b, PureState) else b.matrix
             for b in blocks]
     return DensityMatrix(state.space, kron_all(mats))
+
+
+def pure_to_density(state):
+    v = state.amplitudes
+    return DensityMatrix(state.space, np.outer(v, v.conj()))
+
+
+def negativity(rho, side_a):
+    """Sum of |negative eigenvalues| of the partial transpose on the sites in
+    ``side_a`` (Peres): each of their bra and ket axes swapped."""
+    n = rho.space.n_sites
+    axes = list(range(2 * n))
+    for s in side_a:
+        axes[s - 1], axes[n + s - 1] = n + s - 1, s - 1
+    t = rho.matrix.reshape(rho.space.dims * 2).transpose(axes).reshape(rho.space.dim, -1)
+    eigs = np.linalg.eigvalsh(t)
+    return float(-eigs[eigs < 0.0].sum())
 
 
 def oracle_fock_basis(cutoff):
@@ -266,17 +283,28 @@ def plus_chain(chain):
     return product_state([("x", +1)] * chain.n_sites)
 
 
+def oracle_string_mean(amplitudes, factors, n):
+    """<psi| prod_s PAULIS[factors[s]]^(s) |psi>: the kron product of the
+    one-site Paulis applied one tensor axis at a time, so no 2^n x 2^n matrix
+    is built."""
+    t = amplitudes.reshape((2,) * n)
+    out = t
+    for site, axis in factors.items():
+        out = np.moveaxis(np.tensordot(PAULIS[axis], out, axes=(1, site - 1)), 0, site - 1)
+    return float(np.vdot(t, out).real)
+
+
 def cluster_echo(n, p, kind):
     """The echo's per-site <x_k> read on the 2^n cluster state: the channel's
-    scale of each correlator K_k times <K_k> on the state."""
+    scale of each correlator K_k = z(k-1) x(k) z(k+1) times <K_k> on the state."""
     f_xy, f_z = _CHANNELS[kind][0](p)
     scale = {"x": f_xy, "y": f_xy, "z": f_z}
-    chain = ChainSpec(n)
-    cluster = cluster_state(ClusterSpec(chain, (1,) * n))
-    return [
-        math.prod(scale[axis] for axis in tilde_factors(chain, k).values()) * mean
-        for k, mean in enumerate(_correlator_means(cluster, chain), start=1)
-    ]
+    amps = cluster_state(ClusterSpec(ChainSpec(n), (1,) * n)).amplitudes
+    echo = []
+    for k in range(1, n + 1):
+        factors = {s: a for s, a in ((k - 1, "z"), (k, "x"), (k + 1, "z")) if 1 <= s <= n}
+        echo.append(math.prod(scale[a] for a in factors.values()) * oracle_string_mean(amps, factors, n))
+    return echo
 
 
 def cluster_pair_block(n, p, pair, outcomes, kind):

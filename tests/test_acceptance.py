@@ -18,6 +18,7 @@ from conftest import (
     oracle_product_dense,
     phase_flip,
     pulse_unitary,
+    pure_to_density,
     schwinger_j,
     site_number_operator,
     tilde_sigma_x,
@@ -40,7 +41,7 @@ from qlatwit.criteria import (
     witness_criterion,
 )
 from qlatwit.optimize import PulseParams, violation_ratio
-from qlatwit.qcore import PureState, expectation, pure_to_density
+from qlatwit.qcore import PureState, expectation
 from qlatwit.spinchain import ChainSpec, ClusterSpec, cluster_state, product_state
 import sampling
 

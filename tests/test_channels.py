@@ -16,8 +16,10 @@ from conftest import (
     cluster_pair_block,
     depolarizing,
     kron_all,
+    negativity,
     oracle_site_pauli,
     phase_flip,
+    pure_to_density,
 )
 from qlatwit import channels, spinchain
 from qlatwit.channels import (
@@ -29,7 +31,7 @@ from qlatwit.channels import (
     witness_threshold,
 )
 from qlatwit.criteria import witness_criterion
-from qlatwit.qcore import DensityMatrix, HilbertSpace, negativity, pure_to_density
+from qlatwit.qcore import DensityMatrix, HilbertSpace
 from qlatwit.spinchain import ChainSpec, ClusterSpec, cluster_state, product_state
 from sampling import haar_vector, random_separable_density
 

@@ -13,11 +13,13 @@ from conftest import (
     SZ,
     embed_qubit_chain,
     kron_all,
+    negativity,
     oracle_collective,
     oracle_fock_collective,
     oracle_product_dense,
     oracle_site_pauli,
     oracle_squeezing_grid,
+    pure_to_density,
     tilde_sigma_x,
 )
 from qlatwit import bosonic, cli, criteria, qcore
@@ -47,8 +49,6 @@ from qlatwit.qcore import (
     LinearOperator,
     PureState,
     expectation,
-    negativity,
-    pure_to_density,
 )
 from qlatwit.spinchain import ChainSpec, ClusterSpec, cluster_state, pauli_sum_moments, product_state
 import sampling
@@ -800,6 +800,18 @@ def test_list_dims_share_the_site_structure_of_tuple_dims():
     up = PureState(HilbertSpace([2, 2]), [1, 0, 0, 0])
     comp = moment_indistinguishability(up, totally_mixed_state(2), [AXIS_Z], 2)
     assert not comp.indistinguishable and comp.first_difference == (0, 1)
+
+
+def test_first_difference_takes_the_lowest_order_before_the_lowest_axis():
+    # |00> against (|00> + |11>)/sqrt(2): along x the means agree (0) and the
+    # second moments differ (1/2 against 1); along z the means differ (1 against 0)
+    up = PureState(HilbertSpace((2, 2)), [1, 0, 0, 0])
+    bell = PureState(HilbertSpace((2, 2)), np.array([1, 0, 0, 1]) / math.sqrt(2))
+    comp = moment_indistinguishability(up, bell, [AXIS_X, AXIS_Z], 2)
+    assert comp.differences[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert comp.differences[0, 1] == pytest.approx(0.5, abs=1e-12)
+    assert comp.first_difference == (1, 1)
+    assert all(type(v) is int for v in comp.first_difference)
 
 
 def test_mismatched_sizes_rejected():

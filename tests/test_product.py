@@ -27,9 +27,6 @@ from qlatwit.qcore import (
     ProductState,
     PureState,
     expectation,
-    negativity,
-    partial_trace,
-    pure_to_density,
 )
 import sampling
 
@@ -163,19 +160,3 @@ def test_dense_only_readers_refuse_a_product_state():
         expectation(collective_j_operators(state.space)["z"], state)
 
 
-def _bell_pair():
-    return PureState(HilbertSpace((2, 2)), np.array([1, 0, 0, 1]) / math.sqrt(2))
-
-
-@pytest.mark.parametrize("reader,state,kind", [
-    (lambda s: negativity(s, [1]), lambda: totally_mixed_state(3), "ProductState"),
-    (lambda s: negativity(s, [1]), _bell_pair, "PureState"),
-    (lambda s: partial_trace(s, [1]), lambda: totally_mixed_state(3), "ProductState"),
-    (lambda s: partial_trace(s, [1]), _bell_pair, "PureState"),
-    (pure_to_density, lambda: totally_mixed_state(3), "ProductState"),
-    (pure_to_density, lambda: pure_to_density(_bell_pair()), "DensityMatrix"),
-], ids=["negativity-product", "negativity-pure", "partial_trace-product", "partial_trace-pure",
-        "pure_to_density-product", "pure_to_density-density"])
-def test_density_readers_name_a_wrong_state_type(reader, state, kind):
-    with pytest.raises(ValueError, match=kind):
-        reader(state())

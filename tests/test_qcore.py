@@ -8,7 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ID2, SX, SY, SZ, ground_state, kron_all, oracle_product_dense, variance
+from conftest import (
+    ID2,
+    SX,
+    SY,
+    SZ,
+    ground_state,
+    kron_all,
+    negativity,
+    oracle_product_dense,
+    pure_to_density,
+    variance,
+)
 from qlatwit import bosonic, qcore
 from qlatwit.qcore import (
     DensityMatrix,
@@ -20,9 +31,6 @@ from qlatwit.qcore import (
     _local_mean,
     _site_block,
     expectation,
-    negativity,
-    partial_trace,
-    pure_to_density,
 )
 from sampling import haar_vector, random_product_state
 
@@ -222,48 +230,7 @@ def test_variance_collective_z_on_product():
 
 
 # ---------------------------------------------------------------------------
-# partial trace
-
-
-def test_partial_trace_product_state():
-    rho = pure_to_density(ket(1, 0, 0, 0))
-    red = partial_trace(rho, [1])
-    assert np.allclose(red.matrix, [[1, 0], [0, 0]])
-
-
-def test_partial_trace_singlet_marginal():
-    red = partial_trace(pure_to_density(SINGLET), [1])
-    assert np.allclose(red.matrix, np.eye(2) / 2)
-
-
-def test_partial_trace_nested_consistency(rng):
-    state = random_product_state(HilbertSpace((2, 2, 2, 2)), rng)
-    rho = pure_to_density(state)
-    via_pair = partial_trace(partial_trace(rho, [1, 2]), [1])
-    direct = partial_trace(rho, [1])
-    assert np.allclose(via_pair.matrix, direct.matrix, atol=1e-12)
-
-
-def test_partial_trace_preserves_trace(rng):
-    from sampling import random_separable_density
-
-    rho = random_separable_density(HilbertSpace((2, 2, 2)), rng)
-    red = partial_trace(rho, [2, 3])
-    assert np.trace(red.matrix).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_partial_trace_rejects_empty_keep():
-    with pytest.raises(ValueError):
-        partial_trace(pure_to_density(SINGLET), [])
-
-
-def test_partial_trace_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        partial_trace(pure_to_density(SINGLET), [3])
-
-
-# ---------------------------------------------------------------------------
-# negativity
+# the negativity oracle of conftest
 
 
 def test_negativity_product_state_zero():
@@ -291,14 +258,6 @@ def test_negativity_werner_crossing_at_one_third():
         else:
             lo = mid
     assert (lo + hi) / 2 == pytest.approx(1 / 3, abs=1e-9)
-
-
-def test_negativity_rejects_trivial_partition():
-    rho = pure_to_density(SINGLET)
-    with pytest.raises(ValueError):
-        negativity(rho, [])
-    with pytest.raises(ValueError):
-        negativity(rho, [1, 2])
 
 
 def test_negativity_zero_for_random_products(rng):

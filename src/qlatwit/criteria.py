@@ -28,6 +28,7 @@ from .qcore import (  # noqa: F401
 )
 
 VIOLATION_TOL = 1e-9
+# at order m, times max(1, j_max)^m with j_max the largest |J_n| level compared
 INDISTINGUISHABLE_TOL = 1e-9
 # the largest moment order compared, checked before the tables are built:
 # (n/2)^1024 overflows for n >= 4, and J_n has at most 4 distinct eigenvalues
@@ -338,9 +339,11 @@ def _check_integer_order(order) -> None:
         raise ValueError(f"moment order must be an integer, got {order!r}")
 
 
-def _moment(eig: np.ndarray, weights: np.ndarray, order: int) -> float:
+def _moment(lowest: int, weights: np.ndarray, order: int) -> float:
+    """<L^m> of the law (lowest, weights) that ``qcore._collective_distribution`` returns."""
+    levels = (lowest + np.arange(weights.size)) / 2
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(weights @ eig**order)
+        value = float(weights @ levels**order)
     if not math.isfinite(value):
         raise ValueError(f"the order-{order} moment overflows double precision")
     return value
@@ -432,14 +435,20 @@ def moment_indistinguishability(
     orders = tuple(range(1, max_order + 1))
     ma = np.zeros((len(axes), max_order))
     mb = np.zeros((len(axes), max_order))
+    # max(1, j_max) per axis
+    scale = np.ones(len(axes))
     for i, direction in enumerate(axes):
         for state, table in ((state_a, ma), (state_b, mb)):
             basis = _site_eigenbasis(state.space, direction)
-            eig, weights = _collective_distribution(state, *basis)
-            table[i] = [_moment(eig, weights, order) for order in orders]
+            lowest, weights = _collective_distribution(state, *basis)
+            table[i] = [_moment(lowest, weights, order) for order in orders]
+            scale[i] = max(scale[i], abs(lowest) / 2, abs(lowest + weights.size - 1) / 2)
     diffs = np.abs(ma - mb)
+    # an order-m moment sums terms up to j_max^m, so its round-off grows with them;
+    # every moment is finite here, so no power of the scale overflows
+    tol = INDISTINGUISHABLE_TOL * scale[:, None] ** np.array(orders)
     # rows of the transposed table are orders, so the lowest order comes first
-    hits = np.argwhere(diffs.T > INDISTINGUISHABLE_TOL)
+    hits = np.argwhere((diffs > tol).T)
     first = (int(hits[0, 1]), orders[hits[0, 0]]) if len(hits) else None
     return MomentComparison(
         axes=axes,

@@ -490,40 +490,34 @@ def _rotated_diagonal(u: np.ndarray, space: HilbertSpace, matrix: np.ndarray) ->
     return t.reshape(-1)
 
 
-def _collective_distribution(state, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of L = sum_s l^(s) and the state's weights on its
-    eigenbasis, from the one-site eigenvalues ``w`` and eigenvector columns
-    ``v`` of l.
+def _collective_distribution(state, w: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray]:
+    """The law of L = sum_s l^(s) in the state, as ``(lowest, weights)``:
+    L = (lowest + i) / 2 with probability weights[i], from the one-site
+    eigenvalues ``w`` and eigenvector columns ``v`` of l.
 
-    L is diagonal in the product of the one-site eigenbases: the state is
-    rotated site by site, and the eigenvalues are the one-site ones summed
-    over sites.  A density matrix keeps only the diagonal of each site once
-    it is rotated (``_rotated_diagonal``).  For a ProductState L adds over the
-    blocks, so its distribution is the convolution of the blocks'; there 2 w
-    must be integers, and equal eigenvalues are merged so the support stays
-    O(n).
+    2 w must be integers, which is checked once, here.  L is diagonal in the
+    product of the one-site eigenbases: a dense state is rotated site by site
+    and its weights are binned by the sum of their sites' levels, so the law
+    has O(n) support.  A density matrix keeps only the diagonal of each site
+    once it is rotated (``_rotated_diagonal``).  For a ProductState L adds
+    over the blocks, so its law is the convolution of the blocks'.
     """
-    if isinstance(state, ProductState):
-        lowest, weights = 0, np.ones(1)
-        for block in state.blocks:
-            eig, p = _collective_distribution(block, w, v)
-            twice = np.rint(2 * eig)
-            if np.abs(eig - twice / 2).max() > _HALF_INTEGER_TOL:
-                raise ValueError("a block's J_n eigenvalue lies off the half-integer grid")
-            low = int(twice.min())
-            weights = np.convolve(weights, np.bincount((twice - low).astype(int), weights=p))
-            lowest += low
-        return (lowest + np.arange(weights.size)) / 2, weights
-    space = state.space
+    twice = np.rint(2 * w)
+    if np.abs(w - twice / 2).max() > _HALF_INTEGER_TOL:
+        raise ValueError("a one-site eigenvalue lies off the half-integer grid")
+    low = int(twice.min())
+    levels = (twice - low).astype(int)
     rotation = v.conj().T
-    if isinstance(state, PureState):
-        every_site = {s: rotation for s in range(1, space.n_sites + 1)}
-        weights = np.abs(_apply_product(every_site, space, state.amplitudes)) ** 2
-    elif isinstance(state, DensityMatrix):
-        weights = np.real(_rotated_diagonal(rotation, space, state.matrix))
-    else:
-        raise ValueError(f"cannot take moments of {type(state).__name__}")
-    eig = w
-    for _ in range(space.n_sites - 1):
-        eig = np.add.outer(eig, w).ravel()
-    return eig, weights
+    weights = np.ones(1)
+    for block in state.blocks if isinstance(state, ProductState) else (state,):
+        space = block.space
+        if isinstance(block, PureState):
+            every_site = {s: rotation for s in range(1, space.n_sites + 1)}
+            p = np.abs(_apply_product(every_site, space, block.amplitudes)) ** 2
+        elif isinstance(block, DensityMatrix):
+            p = np.real(_rotated_diagonal(rotation, space, block.matrix))
+        else:
+            raise ValueError(f"cannot take moments of {type(block).__name__}")
+        level_sums = sum(np.ix_(*(levels,) * space.n_sites)).ravel()
+        weights = np.convolve(weights, np.bincount(level_sums, weights=p))
+    return low * state.space.n_sites, weights

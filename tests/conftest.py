@@ -17,6 +17,7 @@ import pytest
 
 from qlatwit.bosonic import FockLatticeSpec, SiteFockSpace
 from qlatwit.channels import _CHANNELS, _channel, _check_p
+from qlatwit.optimize import PulseParams
 from qlatwit.qcore import (
     DEGENERACY_GAP,
     DensityMatrix,
@@ -29,7 +30,6 @@ from qlatwit.qcore import (
 from qlatwit.spinchain import (
     ChainSpec,
     ClusterSpec,
-    _chain_generator,
     cluster_state,
     product_state,
 )
@@ -162,15 +162,20 @@ def oracle_pulse_generator(n, params):
 
 def oracle_pulse_fold(n):
     """The mirror-even sector by a dense fold: orbit of each even-parity
-    index, its weight, and fold.T @ G @ fold for the three pulse terms."""
+    index, its weight, and fold.T @ G @ fold for the three pulse terms, each
+    G the kron-built ``oracle_pulse_generator`` at one unit angle, restricted
+    to the even-parity indices, where it is real."""
     even = np.array([i for i in range(2**n) if bin(i).count("1") % 2 == 0])
     mirror = np.array([int(format(i, f"0{n}b")[::-1], 2) for i in even])
     reps, orbit = np.unique(np.minimum(even, mirror), return_inverse=True)
     weight = np.where(even == mirror, 1.0, np.sqrt(0.5))
     fold = np.zeros((even.size, reps.size))
     fold[np.arange(even.size), orbit] = weight
-    terms = [fold.T @ _chain_generator(n, even, *couplings) @ fold
-             for couplings in ((1.0, 0, 0, 0), (0, 1.0, 0, 0), (0, 0, 0, 1.0))]
+    terms = []
+    for angles in ((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0)):
+        g = oracle_pulse_generator(n, PulseParams(*angles))[np.ix_(even, even)]
+        assert not g.imag.any()
+        terms.append(fold.T @ g.real @ fold)
     return orbit.ravel(), weight, terms
 
 

@@ -483,6 +483,17 @@ def test_moments_compare_overflowing_order_is_one_line_error(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_moments_compare_reads_twelve_sites_up_to_the_last_finite_order(capsys):
+    # 6^396 is finite and 6^397 is not; round-off that grows as 6^m is no moment difference
+    doc = run_json(capsys, ["moments-compare", "--n", "12", "--max-order", "396"])
+    assert doc["results"]["cluster_vs_mixed"]["indistinguishable"] is True
+    assert main(["moments-compare", "--n", "12", "--max-order", "397"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_moments_compare_refuses_a_huge_order_before_allocating():
     # the order tuple alone would take ~8 GB; under a 2 GiB address-space limit
     # the refusal must come before any allocation is attempted

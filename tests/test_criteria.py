@@ -448,6 +448,59 @@ def test_moment_overflow_raises_instead_of_returning_nan():
 
 
 # ---------------------------------------------------------------------------
+# J_n's law (lowest, weights) on its half-integer grid, J_n = (lowest + i) / 2
+
+
+def law(state, direction):
+    return qcore._collective_distribution(state, *_site_eigenbasis(state.space, direction))
+
+
+def test_the_law_of_a_twelve_site_cluster_has_thirteen_levels():
+    # a qubit's levels are -1/2 and 1/2, so J_x = -6, -5, ..., 6 sit on every
+    # other point of the grid; the cluster's law there is the binomial one of
+    # the totally mixed state
+    lowest, weights = law(make_cluster(12), AXIS_X)
+    assert lowest == -12 and weights.size == 25
+    assert not weights[1::2].any()
+    binomial = np.array([math.comb(12, k) for k in range(13)]) / 4096
+    assert np.abs(weights[::2] - binomial).max() < 1e-15
+
+
+def test_the_law_of_a_three_site_density_matrix_bins_the_dense_spectrum(rng):
+    space = HilbertSpace((2,) * 3)
+    rho = random_density(space, rng)
+    direction = Direction(*sampling.random_direction(rng))
+    lowest, weights = law(rho, direction)
+    assert lowest == -3 and weights.size == 7
+    js = [oracle_collective(axis, 3) for axis in "xyz"]
+    w, v = np.linalg.eigh(sum(c * j for c, j in zip(direction.as_array(), js)))
+    dense = np.real(np.einsum("ai,ab,bi->i", v.conj(), rho.matrix, v))
+    want = np.bincount((np.rint(2 * w) + 3).astype(int), weights=dense)
+    assert np.abs(weights - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("direction", [AXIS_X, AXIS_Y, AXIS_Z, TILTED_XZ], ids="x y z xz".split())
+def test_the_law_of_a_fock_singlet_chain_sits_at_zero(direction):
+    # two Fock singlet pairs: each site's j_n has levels -1/2, 0, 1/2, and a
+    # singlet has J = 0, so J_n = 0 along every direction
+    lowest, weights = law(bosonic.singlet_chain(2), direction)
+    assert lowest == -4 and weights.size == 9
+    assert np.abs(weights - np.eye(9)[4]).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "state",
+    [PureState(HilbertSpace((2, 2)), [1, 0, 0, 0]),
+     DensityMatrix(HilbertSpace((2, 2)), np.eye(4) / 4),
+     totally_mixed_state(2)],
+    ids=["pure", "density", "product"],
+)
+def test_one_site_eigenvalues_off_the_half_integer_grid_are_refused(state):
+    with pytest.raises(ValueError, match="one-site eigenvalue lies off the half-integer grid"):
+        qcore._collective_distribution(state, np.array([-0.3, 0.3]), np.eye(2))
+
+
+# ---------------------------------------------------------------------------
 # site-by-site collective spins against dense kron-built oracles
 
 
@@ -817,6 +870,31 @@ def test_first_difference_takes_the_lowest_order_before_the_lowest_axis():
 def test_mismatched_sizes_rejected():
     with pytest.raises(ValueError):
         moment_indistinguishability(make_cluster(4), totally_mixed_state(6), [AXIS_Z], 2)
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_cluster_matches_mixed_on_the_axes_up_to_order_thirty(n):
+    # the laws agree, so what differs is round-off, which grows as (n/2)^m
+    comp = moment_indistinguishability(
+        make_cluster(n), totally_mixed_state(n), [AXIS_X, AXIS_Y, AXIS_Z], 30
+    )
+    assert comp.indistinguishable and comp.first_difference is None
+
+
+@pytest.mark.parametrize("n", range(3, 12, 2))
+def test_odd_clusters_first_differ_from_mixed_along_x_at_half_their_length(n):
+    comp = moment_indistinguishability(
+        make_cluster(n), totally_mixed_state(n), [AXIS_X, AXIS_Y, AXIS_Z], 30
+    )
+    assert comp.first_difference == (0, (n + 1) // 2)
+
+
+def test_the_eight_site_cluster_differs_from_mixed_along_y_at_sixth_order():
+    comp = moment_indistinguishability(
+        make_cluster(8), totally_mixed_state(8), [AXIS_X, AXIS_Y, AXIS_Z], 30
+    )
+    assert comp.first_difference == (1, 6)
+    assert comp.differences[1, 5] == pytest.approx(11.25, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,14 @@ SPIN_UP = (1, 0)
 SPIN_DOWN = (0, 1)
 EMPTY = (0, 0)
 
+# the Lanczos run stops once each wanted Ritz pair has a residual below this;
+# a level is then within residual^2 / gap of the sector's
+_RESIDUAL = 1e-12
+# Lanczos steps between two convergence checks, each an O(k) bisection in Python
+_CHECK_EVERY = 8
+# a zero pivot of a tridiagonal factorization is replaced by the float resolution
+_PIVOT_FLOOR = 2.0**-52
+
 
 class SiteFockSpace(Record):
     """Single-site two-mode Fock space with at most ``n_max`` particles.
@@ -136,15 +144,129 @@ def singlet_chain(n_pairs: int) -> ProductState:
     return ProductState((singlet_pair(),) * n_pairs)
 
 
-def _heisenberg_sector(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+def _heisenberg_hops(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The open chain sum_k S_k . S_{k+1} on the qubit-chain indices with popcount n // 2.
 
-    Returns those indices, ascending, and the real symmetric matrix on them
-    from ``spinchain._chain_generator`` at unit couplings: the bond's
+    Returns those indices, ascending, the diagonal (n - 1 - 2 a) / 4 with a
+    the count of antiparallel bonds, and the hops (rows, cols): a bond whose two
+    bits differ swaps them with weight 1/2, taking position cols to rows.  The
     equal-bits hop has weight zero, so no term leaves the sector.
     """
     states = np.flatnonzero(spinchain._popcount(np.arange(2**n_sites), n_sites) == n_sites // 2)
-    return states, spinchain._chain_generator(n_sites, states, 1, 1, 1, 0)
+    # bit s of antiparallel is set when bits s and s + 1 of the index differ
+    antiparallel = states ^ (states >> 1)
+    diag = (n_sites - 1 - 2.0 * spinchain._popcount(antiparallel, n_sites - 1)) / 4
+    masks = spinchain._site_masks(n_sites)
+    # bond k joins the bits masks[k] and masks[k + 1], which differ where antiparallel has masks[k + 1]
+    rows, bond = np.nonzero(antiparallel[:, None] & masks[1:])
+    cols = np.searchsorted(states, states[rows] ^ (masks[bond] | masks[bond + 1]))
+    return states, diag, rows, cols
+
+
+def _tridiagonal_levels(alpha: list[float], beta: list[float], n_levels: int) -> list[float]:
+    """The ``n_levels`` lowest eigenvalues of the symmetric tridiagonal matrix with
+    diagonal ``alpha`` and off-diagonal ``beta[:k - 1]``, each bisected to float
+    resolution inside the Gershgorin interval.
+
+    The Sturm count, the number of negative pivots of T - x = L D L^T, is the
+    number of eigenvalues below x (Sylvester's law of inertia).
+    """
+    off = [0.0] + beta[: len(alpha) - 1]
+    squares = [b * b for b in off]
+
+    def below(x: float) -> int:
+        count, pivot = 0, 1.0
+        for a, b2 in zip(alpha, squares):
+            pivot = (a - x) - b2 / pivot
+            if pivot < 0.0:
+                count += 1
+            elif pivot == 0.0:
+                pivot = _PIVOT_FLOOR
+        return count
+
+    radius = [abs(b) + abs(c) for b, c in zip(off, off[1:] + [0.0])]
+    lo = min(a - r for a, r in zip(alpha, radius))
+    hi = max(a + r for a, r in zip(alpha, radius))
+    levels = []
+    for j in range(min(n_levels, len(alpha))):
+        # level j stays in [lo, top): at most j eigenvalues lie below lo, more below top
+        top = hi
+        while lo < (mid := 0.5 * (lo + top)) < top:
+            if below(mid) > j:
+                top = mid
+            else:
+                lo = mid
+        levels.append(lo)
+    return levels
+
+
+def _tridiagonal_vector(alpha: list[float], beta: list[float], level: float) -> list[float]:
+    """Unit eigenvector of the tridiagonal matrix of ``_tridiagonal_levels`` at
+    one of its eigenvalues, by two inverse-iteration solves of (T - level) y = y'
+    with the Thomas algorithm: L U elimination without pivoting, a zero pivot
+    replaced by the float resolution."""
+    k = len(alpha)
+    upper = beta[: k - 1] + [0.0]
+    off = [0.0] + upper[:-1]
+    y = [1.0] * k
+    for _ in range(2):
+        pivots, rhs = [], []
+        pivot, carry = 1.0, 0.0
+        for a, b, r in zip(alpha, off, y):
+            m = b / pivot
+            pivot = (a - level) - m * b or _PIVOT_FLOOR
+            carry = r - m * carry
+            pivots.append(pivot)
+            rhs.append(carry)
+        x, nxt = [0.0] * k, 0.0
+        for i in range(k - 1, -1, -1):
+            nxt = x[i] = (rhs[i] - upper[i] * nxt) / pivots[i]
+        norm = math.sqrt(math.fsum(v * v for v in x))
+        y = [v / norm for v in x]
+    return y
+
+
+def _heisenberg_lanczos(n_sites: int, n_levels: int) -> tuple[np.ndarray, list[float], np.ndarray]:
+    """The sector of ``_heisenberg_hops`` by Lanczos with full reorthogonalization.
+
+    Returns the sector's indices, its ``n_levels`` lowest distinct levels and
+    the unit ground vector on the indices, its largest amplitude positive.  The
+    run starts from cos(2.39996 i + 0.3), neither even nor odd under the
+    chain's spin flip or reflection, so no level is missed for want of
+    overlap, as the triplet can be for a uniform or Neel start.  Each new vector is orthogonalized twice
+    against every stored one ("twice is enough"), so no converged level comes
+    back as a ghost copy.  Every ``_CHECK_EVERY`` steps the tridiagonal
+    levels and vectors are taken without LAPACK, and the run stops when the
+    residual of each of the ``n_levels`` lowest Ritz pairs is below
+    ``_RESIDUAL``, or on breakdown, when the Krylov space closes (n <= 6 does).
+    """
+    states, diag, rows, cols = _heisenberg_hops(n_sites)
+    dim = states.size
+    basis = np.empty((min(dim, 4 * _CHECK_EVERY), dim))
+    start = np.cos(2.39996 * np.arange(dim) + 0.3)
+    basis[0] = start / np.linalg.norm(start)
+    alpha: list[float] = []
+    beta: list[float] = []
+    for k in range(1, dim + 1):
+        q = basis[k - 1]
+        w = diag * q + 0.5 * np.bincount(rows, q[cols], minlength=dim)
+        alpha.append(float(q @ w))
+        done = basis[:k]
+        for _ in range(2):
+            w -= done.T @ (done @ w)
+        beta.append(float(np.linalg.norm(w)))
+        if k % _CHECK_EVERY == 0 or beta[-1] <= _RESIDUAL or k == dim:
+            levels = _tridiagonal_levels(alpha, beta, n_levels)
+            vectors = [_tridiagonal_vector(alpha, beta, level) for level in levels]
+            if k == dim or all(beta[-1] * abs(y[-1]) <= _RESIDUAL for y in vectors):
+                break
+        if k == len(basis):
+            basis = np.concatenate((basis, np.empty((min(k, dim - k), dim))))
+        basis[k] = w / beta[-1]
+    ground = np.array(vectors[0]) @ basis[:k]
+    if ground[np.argmax(np.abs(ground))] < 0:
+        ground = -ground
+    return states, levels, ground
 
 
 def heisenberg_ground_state(n_sites: int) -> GroundState:
@@ -166,23 +288,28 @@ def heisenberg_ground_state(n_sites: int) -> GroundState:
     - odd n: the ground level is the S_z <-> -S_z doublet, so the gap is 0.
     - even n: every level has an S_z = 0 member, so the second level is the
       lower of the sector's second eigenvalue and E0(n - 1), with E0(1) = 0.
+
+    The sector is solved by ``_heisenberg_lanczos``, which finds each level
+    once whatever its multiplicity in the sector.  That is enough: at even n
+    the ground level is a non-degenerate total-spin singlet (Lieb & Mattis),
+    so the second distinct level is the sector's second eigenvalue, and at odd
+    n the gap is the exact 0.0 of the doublet, whatever the sector holds.
     """
     if n_sites < 1:
         raise ValueError("lattice needs at least one site")
     # C(n, j) grows with j up to n // 2, so any() stops soon after the cap
     if any(math.comb(n_sites, j) > DIM_CAP for j in range(n_sites // 2 + 1)):
         raise ValueError(f"S_z sector dimension C({n_sites}, {n_sites // 2}) exceeds cap {DIM_CAP}")
-    states, mat = _heisenberg_sector(n_sites)
-    w, v = np.linalg.eigh(mat)
+    states, levels, ground = _heisenberg_lanczos(n_sites, 1 if n_sites % 2 else 2)
     if n_sites % 2:
         gap = 0.0
     else:
-        vacancy = np.linalg.eigvalsh(_heisenberg_sector(n_sites - 1)[1])[0]
-        gap = float(min(w[1], vacancy) - w[0])
+        vacancy = _heisenberg_lanczos(n_sites - 1, 1)[1][0]
+        gap = min(levels[1], vacancy) - levels[0]
     amps = np.zeros(2**n_sites)
-    amps[states] = v[:, 0]
+    amps[states] = ground
     return GroundState(
-        energy=float(w[0]),
+        energy=levels[0],
         state=PureState(HilbertSpace((2,) * n_sites, kind="qubit"), amps),
         degenerate=gap < DEGENERACY_GAP,
         gap=gap,

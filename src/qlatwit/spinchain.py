@@ -1,6 +1,6 @@
 """Qubit-chain builders: Pauli-string moments, three-site correlators, the
 neighbor phase gate, cluster and product states, and the chain generator of
-the Heisenberg solve and the pulse.
+the pulse.
 
 The chain is open: the three-site correlator at the ends drops the
 out-of-range z factor, and the phase-gate exponent couples sites 1..N-1.

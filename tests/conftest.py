@@ -147,17 +147,19 @@ def oracle_heisenberg(cutoff, n, sign):
 
 
 def oracle_pulse_generator(n, params):
-    """The pulse generator from kron products of sigma / 2, one matrix per term."""
+    """The pulse generator from kron products of sigma / 2, one matrix per term;
+    a term at a zero angle is not built."""
     def site_term(k, mats):
         # mats act on the sites from k on, identity elsewhere
         return kron_all([ID2] * (k - 1) + mats + [ID2] * (n - k - len(mats) + 1))
 
-    g = sum(
-        params.theta_xx * site_term(k, [SX / 2, SX / 2])
-        + params.theta_yy * site_term(k, [SY / 2, SY / 2])
-        for k in range(1, n)
-    )
-    return g + sum(params.theta_z * site_term(k, [SZ / 2]) for k in range(1, n + 1))
+    g = np.zeros((2**n, 2**n), dtype=complex)
+    for angle, mats in ((params.theta_xx, [SX / 2, SX / 2]), (params.theta_yy, [SY / 2, SY / 2]),
+                        (params.theta_z, [SZ / 2])):
+        if angle:
+            for k in range(1, n + 2 - len(mats)):
+                g += angle * site_term(k, mats)
+    return g
 
 
 def oracle_pulse_fold(n):

@@ -24,13 +24,16 @@ from conftest import (
     site_number_operator,
     variance,
 )
+from qlatwit import bosonic
 from qlatwit.bosonic import (
     EMPTY,
     SPIN_DOWN,
     SPIN_UP,
     FockLatticeSpec,
     SiteFockSpace,
-    _heisenberg_sector,
+    _RESIDUAL,
+    _heisenberg_hops,
+    _heisenberg_lanczos,
     _ladder_matrices,
     heisenberg_ground_state,
     occupation_basis_state,
@@ -38,7 +41,7 @@ from qlatwit.bosonic import (
 )
 from qlatwit.criteria import _site_spin_matrices, collective_moments, collective_uncertainty_criterion
 from qlatwit.qcore import DEGENERACY_GAP, HilbertSpace, PureState, _site_sum, expectation
-from qlatwit.spinchain import ChainSpec
+from qlatwit.spinchain import ChainSpec, _chain_generator
 from sampling import haar_vector, random_separable_density
 
 SITE1 = SiteFockSpace(1)
@@ -340,9 +343,17 @@ def unit_filling_fock_index(i, n, site=SITE1):
                for k, b in enumerate(bits, start=1))
 
 
+def hop_block(n):
+    """The sector's indices and its dense matrix assembled from the package's hops."""
+    states, diag, rows, cols = _heisenberg_hops(n)
+    mat = np.diag(diag)
+    mat[rows, cols] = 0.5
+    return states, mat
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_heisenberg_sector_matches_kron_oracle_block(n):
-    states, mat = _heisenberg_sector(n)
+    states, mat = hop_block(n)
     assert all(bin(int(i)).count("1") == n // 2 for i in states)
     fock = [unit_filling_fock_index(int(i), n) for i in states]
     assert np.allclose(mat, oracle_heisenberg(1, n, +1)[np.ix_(fock, fock)], atol=1e-12)
@@ -350,13 +361,78 @@ def test_heisenberg_sector_matches_kron_oracle_block(n):
 
 @pytest.mark.parametrize("n", [8, 9, 10])
 def test_heisenberg_sector_matches_pauli_chain_block(n):
-    states, mat = _heisenberg_sector(n)
+    states, mat = hop_block(n)
     assert all(bin(int(i)).count("1") == n // 2 for i in states)
     dense = sum(0.25 * oracle_pauli_string({k: a, k + 1: a}, n) for k in range(1, n) for a in "xyz")
     assert np.allclose(mat, dense[np.ix_(states, states)], atol=1e-12)
     # popcount n // 2 is one closed sector: no bond leaves it
     others = np.setdiff1d(np.arange(2**n), states)
     assert np.abs(dense[np.ix_(others, states)]).max() == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_heisenberg_hops_match_the_pulse_chain_generator(n):
+    # the pulse's dense generator at unit couplings is the same sector block
+    states, mat = hop_block(n)
+    assert np.array_equal(mat, _chain_generator(n, states, 1, 1, 1, 0))
+
+
+def dense_sector_levels(n):
+    """The sector's eigenvalues and ground vector from one dense eigh of the
+    hop block, the vector's largest amplitude positive."""
+    w, v = np.linalg.eigh(hop_block(n)[1])
+    ground = v[:, 0]
+    return w, ground * np.sign(ground[np.argmax(np.abs(ground))])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_heisenberg_lanczos_matches_dense_sector_eigh(n):
+    w, ground = dense_sector_levels(n)
+    states, levels, vector = _heisenberg_lanczos(n, 2)
+    assert np.array_equal(states, hop_block(n)[0])
+    # the ground level is non-degenerate in the sector, so w[1] is the second level
+    assert w[1] - w[0] > 1e-3
+    assert levels[0] == pytest.approx(w[0], abs=1e-12)
+    assert levels[1] == pytest.approx(w[1], abs=1e-12)
+    assert abs(np.vdot(ground, vector)) == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-14)
+    assert vector[np.argmax(np.abs(vector))] > 0
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_heisenberg_lanczos_breakdown_returns_the_sector_spectrum(n, monkeypatch):
+    # a sector of distinct levels closes its Krylov space only after dim steps,
+    # and the tridiagonal matrix is then the whole sector in another basis
+    sizes = []
+    levels_of = bosonic._tridiagonal_levels
+    monkeypatch.setattr(bosonic, "_tridiagonal_levels",
+                        lambda alpha, beta, n_levels: sizes.append(len(alpha)) or levels_of(alpha, beta, n_levels))
+    w, _ = dense_sector_levels(n)
+    _, levels, _ = _heisenberg_lanczos(n, 2)
+    assert sizes[-1] == len(w) == 1 + np.count_nonzero(np.diff(w) > 1e-9)
+    assert levels == pytest.approx(w[:2], abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_heisenberg_lieb_mattis_spin_at_thirteen_and_fourteen_sites(n):
+    # the ground multiplet has total spin 0 on an even chain and 1/2 on an odd one
+    gs = heisenberg_ground_state(n)
+    j2 = np.trace(collective_moments(gs.state).second)
+    if n % 2 == 0:
+        assert j2 < 1e-9
+        assert gs.gap > 0.1 and not gs.degenerate
+    else:
+        assert j2 == pytest.approx(0.75, abs=1e-9)
+        assert gs.gap == 0.0 and gs.degenerate
+
+
+def test_heisenberg_lanczos_converges_below_the_residual():
+    # every stop leaves the wanted Ritz pairs' residual under _RESIDUAL
+    for n in (7, 10, 14):
+        _, levels, vector = _heisenberg_lanczos(n, 2)
+        states, diag, rows, cols = _heisenberg_hops(n)
+        hv = diag * vector + 0.5 * np.bincount(rows, vector[cols], minlength=states.size)
+        assert np.linalg.norm(hv - levels[0] * vector) < 100 * _RESIDUAL
 
 
 def test_heisenberg_commutes_with_collective_spin():
@@ -411,7 +487,7 @@ def test_heisenberg_matches_kron_oracle(cutoff, n, sign):
     # heisenberg_ground_state solves this unit-filling block at every cutoff,
     # and no bond leaves it
     site = SiteFockSpace(cutoff)
-    states, mat = _heisenberg_sector(n)
+    states, mat = hop_block(n)
     fock = [unit_filling_fock_index(int(i), n, site) for i in states]
     dense = oracle_heisenberg(cutoff, n, sign)
     assert np.allclose(sign * mat, dense[np.ix_(fock, fock)], atol=1e-12)

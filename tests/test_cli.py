@@ -161,20 +161,27 @@ def test_pulse_optimize_adds_no_numpy_random():
 @pytest.mark.parametrize("argv", [
     ["pulse", "--n", "8", "--params=-3.2,-9.6,0.8", "--optimize", "--budget", "40"],
     ["moments-compare", "--n", "9"],
+    ["heisenberg", "--n", "2"],
+    ["heisenberg", "--n", "6"],
+    ["heisenberg", "--n", "14"],
+    ["singlet-suite", "--n", "3"],
 ])
-def test_pulse_search_and_moments_compare_call_no_lapack_eigensolver(argv):
-    # the pulse takes a Chebyshev series and a qubit site its closed-form
-    # eigenbasis; a first LAPACK eigensolver call costs 1.7-2.2 MB of memory
-    code = ("import contextlib, io, numpy.linalg as la\n"
+def test_pulse_search_moments_compare_and_lattice_ground_call_no_lapack_eigensolver(argv):
+    # the pulse takes a Chebyshev series, a qubit site its closed-form
+    # eigenbasis and the Heisenberg sector a Lanczos run; a first LAPACK
+    # eigensolver call costs 0.5-2.2 MB of memory.  numpy 1.x imports
+    # numpy.random itself, so only what the command adds is checked
+    code = ("import contextlib, io, sys, numpy.linalg as la\n"
             "calls = []\n"
             "def counted(name, solve):\n"
             "    return lambda *a, **k: calls.append(name) or solve(*a, **k)\n"
             "for name in ('eigh', 'eigvalsh', 'svd'):\n"
             "    setattr(la, name, counted(name, getattr(la, name)))\n"
             "from qlatwit.cli import main\n"
+            "before = 'numpy.random' in sys.modules\n"
             f"with contextlib.redirect_stdout(io.StringIO()): rc = main({argv!r})\n"
-            "print(rc, calls)")
-    assert run_python(code) == "0 []"
+            "print(rc, calls, ('numpy.random' in sys.modules) == before)")
+    assert run_python(code) == "0 [] True"
 
 
 # ---------------------------------------------------------------------------

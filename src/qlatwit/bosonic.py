@@ -157,7 +157,8 @@ def _heisenberg_hops(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     antiparallel = states ^ (states >> 1)
     diag = (n_sites - 1 - 2.0 * spinchain._popcount(antiparallel, n_sites - 1)) / 4
     masks = spinchain._site_masks(n_sites)
-    # bond k joins the bits masks[k] and masks[k + 1], which differ where antiparallel has masks[k + 1]
+    # bond k joins the bits masks[k] and masks[k + 1]; they differ where
+    # antiparallel has masks[k + 1]
     rows, bond = np.nonzero(antiparallel[:, None] & masks[1:])
     cols = np.searchsorted(states, states[rows] ^ (masks[bond] | masks[bond + 1]))
     return states, diag, rows, cols
@@ -230,15 +231,17 @@ def _heisenberg_lanczos(n_sites: int, n_levels: int) -> tuple[np.ndarray, list[f
     """The sector of ``_heisenberg_hops`` by Lanczos with full reorthogonalization.
 
     Returns the sector's indices, its ``n_levels`` lowest distinct levels and
-    the unit ground vector on the indices, its largest amplitude positive.  The
-    run starts from cos(2.39996 i + 0.3), neither even nor odd under the
-    chain's spin flip or reflection, so no level is missed for want of
-    overlap, as the triplet can be for a uniform or Neel start.  Each new vector is orthogonalized twice
-    against every stored one ("twice is enough"), so no converged level comes
-    back as a ghost copy.  Every ``_CHECK_EVERY`` steps the tridiagonal
-    levels and vectors are taken without LAPACK, and the run stops when the
-    residual of each of the ``n_levels`` lowest Ritz pairs is below
-    ``_RESIDUAL``, or on breakdown, when the Krylov space closes (n <= 6 does).
+    the unit ground vector on the indices, its largest amplitude positive.
+
+    The run starts from cos(2.39996 i + 0.3), neither even nor odd under the
+    chain's spin flip or reflection, so no level is missed for want of overlap,
+    as the triplet can be for a uniform or Neel start.  Each new vector is
+    orthogonalized twice against every stored one ("twice is enough"), so no
+    converged level comes back as a ghost copy.  Every ``_CHECK_EVERY`` steps
+    the tridiagonal levels and vectors are taken without LAPACK, and the run
+    stops when the residual of each of the ``n_levels`` lowest Ritz pairs is
+    below ``_RESIDUAL``, or on breakdown, when the Krylov space closes (n <= 6
+    does).
     """
     states, diag, rows, cols = _heisenberg_hops(n_sites)
     dim = states.size

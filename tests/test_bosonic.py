@@ -405,8 +405,12 @@ def test_heisenberg_lanczos_breakdown_returns_the_sector_spectrum(n, monkeypatch
     # and the tridiagonal matrix is then the whole sector in another basis
     sizes = []
     levels_of = bosonic._tridiagonal_levels
-    monkeypatch.setattr(bosonic, "_tridiagonal_levels",
-                        lambda alpha, beta, n_levels: sizes.append(len(alpha)) or levels_of(alpha, beta, n_levels))
+
+    def recorded(alpha, beta, n_levels):
+        sizes.append(len(alpha))
+        return levels_of(alpha, beta, n_levels)
+
+    monkeypatch.setattr(bosonic, "_tridiagonal_levels", recorded)
     w, _ = dense_sector_levels(n)
     _, levels, _ = _heisenberg_lanczos(n, 2)
     assert sizes[-1] == len(w) == 1 + np.count_nonzero(np.diff(w) > 1e-9)
@@ -427,7 +431,7 @@ def test_heisenberg_lieb_mattis_spin_at_thirteen_and_fourteen_sites(n):
 
 
 def test_heisenberg_lanczos_converges_below_the_residual():
-    # every stop leaves the wanted Ritz pairs' residual under _RESIDUAL
+    # the stopping rule leaves the ground vector an eigenvector to within _RESIDUAL
     for n in (7, 10, 14):
         _, levels, vector = _heisenberg_lanczos(n, 2)
         states, diag, rows, cols = _heisenberg_hops(n)

@@ -158,15 +158,7 @@ def test_pulse_optimize_adds_no_numpy_random():
     assert after == before
 
 
-@pytest.mark.parametrize("argv", [
-    ["pulse", "--n", "8", "--params=-3.2,-9.6,0.8", "--optimize", "--budget", "40"],
-    ["moments-compare", "--n", "9"],
-    ["heisenberg", "--n", "2"],
-    ["heisenberg", "--n", "6"],
-    ["heisenberg", "--n", "14"],
-    ["singlet-suite", "--n", "3"],
-])
-def test_pulse_search_moments_compare_and_lattice_ground_call_no_lapack_eigensolver(argv):
+def assert_no_eigensolver_call_and_no_new_random(argv):
     # the pulse takes a Chebyshev series, a qubit site its closed-form
     # eigenbasis and the Heisenberg sector a Lanczos run; a first LAPACK
     # eigensolver call costs 0.5-2.2 MB of memory.  numpy 1.x imports
@@ -182,6 +174,24 @@ def test_pulse_search_moments_compare_and_lattice_ground_call_no_lapack_eigensol
             f"with contextlib.redirect_stdout(io.StringIO()): rc = main({argv!r})\n"
             "print(rc, calls, ('numpy.random' in sys.modules) == before)")
     assert run_python(code) == "0 [] True"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pulse", "--n", "8", "--params=-3.2,-9.6,0.8", "--optimize", "--budget", "40"],
+    ["moments-compare", "--n", "9"],
+])
+def test_pulse_search_and_moments_compare_call_no_lapack_eigensolver(argv):
+    assert_no_eigensolver_call_and_no_new_random(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["heisenberg", "--n", "2"],
+    ["heisenberg", "--n", "6"],
+    ["heisenberg", "--n", "14"],
+    ["singlet-suite", "--n", "3"],
+])
+def test_lattice_ground_commands_call_no_lapack_eigensolver(argv):
+    assert_no_eigensolver_call_and_no_new_random(argv)
 
 
 # ---------------------------------------------------------------------------

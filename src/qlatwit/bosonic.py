@@ -148,19 +148,16 @@ def _heisenberg_hops(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     """The open chain sum_k S_k . S_{k+1} on the qubit-chain indices with popcount n // 2.
 
     Returns those indices, ascending, the diagonal (n - 1 - 2 a) / 4 with a
-    the count of antiparallel bonds, and the hops (rows, cols): a bond whose two
-    bits differ swaps them with weight 1/2, taking position cols to rows.  The
-    equal-bits hop has weight zero, so no term leaves the sector.
+    the count of antiparallel bonds, and the hops (rows, cols) of
+    ``spinchain._bond_hops``: a bond whose two bits differ swaps them with
+    weight 1/2.  The equal-bits hop has weight zero, so no term leaves the
+    sector.
     """
     states = np.flatnonzero(spinchain._popcount(np.arange(2**n_sites), n_sites) == n_sites // 2)
     # bit s of antiparallel is set when bits s and s + 1 of the index differ
     antiparallel = states ^ (states >> 1)
     diag = (n_sites - 1 - 2.0 * spinchain._popcount(antiparallel, n_sites - 1)) / 4
-    masks = spinchain._site_masks(n_sites)
-    # bond k joins the bits masks[k] and masks[k + 1]; they differ where
-    # antiparallel has masks[k + 1]
-    rows, bond = np.nonzero(antiparallel[:, None] & masks[1:])
-    cols = np.searchsorted(states, states[rows] ^ (masks[bond] | masks[bond + 1]))
+    rows, cols, _ = spinchain._bond_hops(n_sites, states, 0.0, 0.5)
     return states, diag, rows, cols
 
 

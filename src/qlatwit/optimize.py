@@ -14,7 +14,8 @@ parity sector. Its orthonormal basis has one vector per reversal orbit
 {i, reverse(i)}, |i> for a palindrome and (|i> + |reverse(i)>)/sqrt(2)
 otherwise, so it has (2^(n-1) + P)/2 rows with P the even-popcount
 palindromes (72 at n = 8). ``_PulseSector`` folds the three terms of the
-generator from ``spinchain._chain_generator`` into that basis once per chain,
+generator into that basis once per chain, the bond terms from the hops of
+``spinchain._bond_hops`` and the field from the popcounts,
 G = theta_xx G_xx + theta_yy G_yy + theta_z G_z; each pulse is then one
 weighted sum, a Chebyshev series for exp(-i G) |0...0> (``_propagate``; a
 real eigh at large angles) and an unfold into the 2^n amplitudes.
@@ -62,26 +63,25 @@ class _PulseSector:
         self.chain = chain
         self._even = even = np.flatnonzero((spinchain._popcount(np.arange(2**n), n) & 1) == 0)
         mirror = sum((((even >> s) & 1) << (n - 1 - s) for s in range(n)), np.zeros_like(even))
-        # each orbit is represented by its smaller index, so |0...0> is orbit 0;
-        # rows are the representatives' positions in even, partner their mirrors'
-        rows = np.flatnonzero(even <= mirror)
-        partner = np.searchsorted(even, mirror[rows])
-        self._orbit = np.searchsorted(even[rows], np.minimum(even, mirror))
+        # each orbit is represented by its smaller index, so |0...0> is orbit 0
+        is_rep = even <= mirror
+        reps = np.flatnonzero(is_rep)
+        self._orbit = orbit = np.searchsorted(even[reps], np.minimum(even, mirror))
         self._weight = np.where(even == mirror, 1.0, np.sqrt(0.5))
-        w = self._weight[rows]
+        w = self._weight[reps]
         scale = w / w[:, None]
-        palindrome = rows == partner
 
-        def fold(g):
-            # G is reversal-symmetric, so the orbit sums reduce to two gathers:
-            # (G[a, b] + [b not a palindrome] G[a, mirror(b)]) w_b / w_a
-            top = g[rows]
-            return (top[:, rows] + np.where(palindrome, 0.0, top[:, partner])) * scale
+        def fold(equal, differ):
+            # G is reversal-symmetric, so the orbit sums reduce to the rows of the
+            # representatives: sum_{j in orbit b} G[rep(a), j] w_b / w_a
+            rows, cols, weights = spinchain._bond_hops(n, even, equal, differ)
+            mine = is_rep[rows]
+            g = np.zeros((reps.size, reps.size))
+            np.add.at(g, (orbit[rows[mine]], orbit[cols[mine]]), weights[mine])
+            return g * scale
 
-        self.terms = tuple(
-            fold(spinchain._chain_generator(n, even, *couplings))
-            for couplings in ((1.0, 0, 0, 0), (0, 1.0, 0, 0), (0, 0, 0, 1.0))
-        )
+        field = np.diag((n - 2.0 * spinchain._popcount(even[reps], n)) / 2)
+        self.terms = (fold(0.25, 0.25), fold(-0.25, 0.25), field)
 
     def state(self, params: PulseParams) -> PureState:
         """exp(-i G) |0...0>, solved in the sector and unfolded."""

@@ -365,6 +365,9 @@ def _site_block(space: HilbertSpace, sites: Sequence[int], matrices: np.ndarray)
     numpy reads as a diagonal view: a D x D block reads D dim entries of each
     matrix and makes no dim x dim temporary.  With every site kept the
     matrices are returned as they are.
+
+    ``_collective_moments`` reads a density matrix through these blocks: its
+    K^2 means <L_k L_l> applied to the rows would cost O(K^2 n d dim^2).
     """
     dims = space.dims
     if len(sites) == len(dims):
@@ -384,9 +387,9 @@ def _local_mean(state, factors: Mapping[int, np.ndarray]) -> complex:
     """<prod_s factors[s]^(s)> for one-site matrices on distinct sites.
 
     A pure state applies them site by site and takes one inner product, a
-    density matrix traces them against the block of their sites, each factor
-    on its site's (ket, bra) pair, and a ProductState multiplies its blocks'
-    means, a block with no factor counting as 1.
+    density matrix applies them the same way to its rows and takes the trace,
+    and a ProductState multiplies its blocks' means, a block with no factor
+    counting as 1.
     """
     if isinstance(state, ProductState):
         mean, first = 1 + 0j, 1
@@ -401,12 +404,7 @@ def _local_mean(state, factors: Mapping[int, np.ndarray]) -> complex:
     if isinstance(state, PureState):
         return complex(np.vdot(state.amplitudes, _apply_product(factors, space, state.amplitudes)))
     if isinstance(state, DensityMatrix):
-        sites = sorted(factors)
-        k, dims = len(sites), tuple(space.dims[s - 1] for s in sites)
-        block = _site_block(space, sites, state.matrix).reshape(dims * 2)
-        # Tr(F rho) = sum F[a, b] rho[b, a]: factor i is labeled (a_i, b_i), the block (b, a)
-        operands = [x for i, s in enumerate(sites) for x in (factors[s], [i, k + i])]
-        return complex(np.einsum(*operands, block, [*range(k, 2 * k), *range(k)], []))
+        return complex(np.trace(_apply_product(factors, space, state.matrix)))
     raise ValueError(f"cannot take an expectation on {type(state).__name__}")
 
 
@@ -473,23 +471,6 @@ def _collective_moments(state, local: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _real_array(mean, "expectation value"), _real_array(second, "second moment")
 
 
-def _rotated_diagonal(u: np.ndarray, space: HilbertSpace, matrix: np.ndarray) -> np.ndarray:
-    """diag(U M U^dagger) for U = u x u x ... x u, one site at a time.
-
-    Right after a site is rotated only its diagonal is kept,
-    new[x, i, r, s] = sum_ab u[i, a] conj(u[i, b]) t[x, a, r, b, s], where x
-    runs over the sites already done: the array shrinks by d per site, and
-    neither U M U^dagger nor any other dim x dim product is formed.
-    """
-    d = u.shape[0]
-    pair = u[:, :, None] * u.conj()[:, None, :]
-    t = matrix.reshape((1,) + matrix.shape)
-    for _ in range(space.n_sites):
-        x, r = t.shape[0], t.shape[1] // d
-        t = np.einsum("iab,xarbs->xirs", pair, t.reshape(x, d, r, d, r)).reshape(x * d, r, r)
-    return t.reshape(-1)
-
-
 def _collective_distribution(state, w: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray]:
     """The law of L = sum_s l^(s) in the state, as ``(lowest, weights)``:
     L = (lowest + i) / 2 with probability weights[i], from the one-site
@@ -498,9 +479,10 @@ def _collective_distribution(state, w: np.ndarray, v: np.ndarray) -> tuple[int, 
     2 w must be integers, which is checked once, here.  L is diagonal in the
     product of the one-site eigenbases: a dense state is rotated site by site
     and its weights are binned by the sum of their sites' levels, so the law
-    has O(n) support.  A density matrix keeps only the diagonal of each site
-    once it is rotated (``_rotated_diagonal``).  For a ProductState L adds
-    over the blocks, so its law is the convolution of the blocks'.
+    has O(n) support.  A density matrix is rotated on its rows twice,
+    p = diag(U (U rho)^dagger), with the site application of a pure state.
+    For a ProductState L adds over the blocks, so its law is the convolution
+    of the blocks'.
     """
     twice = np.rint(2 * w)
     if np.abs(w - twice / 2).max() > _HALF_INTEGER_TOL:
@@ -511,11 +493,12 @@ def _collective_distribution(state, w: np.ndarray, v: np.ndarray) -> tuple[int, 
     weights = np.ones(1)
     for block in state.blocks if isinstance(state, ProductState) else (state,):
         space = block.space
+        every_site = {s: rotation for s in range(1, space.n_sites + 1)}
         if isinstance(block, PureState):
-            every_site = {s: rotation for s in range(1, space.n_sites + 1)}
             p = np.abs(_apply_product(every_site, space, block.amplitudes)) ** 2
         elif isinstance(block, DensityMatrix):
-            p = np.real(_rotated_diagonal(rotation, space, block.matrix))
+            half = _apply_product(every_site, space, block.matrix)
+            p = np.real(np.diagonal(_apply_product(every_site, space, half.conj().T)))
         else:
             raise ValueError(f"cannot take moments of {type(block).__name__}")
         level_sums = sum(np.ix_(*(levels,) * space.n_sites)).ravel()

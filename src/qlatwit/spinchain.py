@@ -1,6 +1,6 @@
 """Qubit-chain builders: Pauli-string moments, three-site correlators, the
-neighbor phase gate, cluster and product states, and the chain generator of
-the pulse.
+neighbor phase gate, cluster and product states, and the bond flips of the
+open XY(Z) chain that the pulse and the Heisenberg sector are built from.
 
 The chain is open: the three-site correlator at the ends drops the
 out-of-range z factor, and the phase-gate exponent couples sites 1..N-1.
@@ -75,32 +75,25 @@ def _popcount(values: np.ndarray, n_bits: int) -> np.ndarray:
     return sum(((values >> shift) & 1 for shift in range(n_bits)), np.zeros_like(values))
 
 
-def _chain_generator(n_sites: int, states: np.ndarray, jxx, jyy, jzz, hz) -> np.ndarray:
-    """sum_k (jxx x_k x_{k+1} + jyy y_k y_{k+1} + jzz z_k z_{k+1}) / 4 + hz/2 sum_k z_k
-    on the open chain, as a real symmetric matrix on ``states``.
+def _bond_hops(
+    n_sites: int, states: np.ndarray, equal: float, differ: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bond flips of the open chain as matrix entries (rows, cols) = weights
+    on ``states``, ascending indices that the flips map among themselves.
 
-    ``states`` are ascending basis indices that the generator maps among
-    themselves.  With m_k the bit of site k, a bond k, k+1 links i to
-    i ^ (m_k | m_{k+1}) with weight (jxx - jyy)/4 when its two bits are equal
-    and (jxx + jyy)/4 when they differ.  A zero weight is skipped, so an S_z
-    sector (jxx == jyy) is never left.
+    With m_k the bit of site k, bond k, k+1 links states[rows] to
+    states[cols] = states[rows] ^ (m_k | m_{k+1}), with weight ``equal`` where
+    its two bits agree and ``differ`` where they differ.  A zero weight is
+    skipped, so at ``equal == 0`` an S_z sector is never left.  x x / 4 hops
+    by (1/4, 1/4), y y / 4 by (-1/4, 1/4) and S . S by (0, 1/2).
     """
     masks = _site_masks(n_sites)
-    # bit s of antiparallel is set when bits s and s + 1 of the index differ
-    antiparallel = states ^ (states >> 1)
-    diag = hz / 2 * (n_sites - 2.0 * _popcount(states, n_sites))
-    # a zero jzz adds nothing, not even a signed zero, which eigh would notice
-    if jzz:
-        diag += jzz / 4 * (n_sites - 1 - 2.0 * _popcount(antiparallel, n_sites - 1))
-    mat = np.diag(diag)
-    rows = np.arange(states.size)
-    for k in range(n_sites - 1):
-        differ = (antiparallel & masks[k + 1]) != 0
-        for weight, hop in (((jxx - jyy) / 4, ~differ), ((jxx + jyy) / 4, differ)):
-            if weight:
-                targets = states[hop] ^ (masks[k] | masks[k + 1])
-                mat[rows[hop], np.searchsorted(states, targets)] = weight
-    return mat
+    # bit s of states ^ states >> 1 is set when bits s and s + 1 of the index
+    # differ; bond k joins masks[k] and masks[k + 1], so it reads masks[k + 1]
+    weight = np.where((states ^ states >> 1)[:, None] & masks[1:], differ, equal)
+    rows, bond = np.nonzero(weight)
+    cols = np.searchsorted(states, states[rows] ^ (masks[bond] | masks[bond + 1]))
+    return rows, cols, weight[rows, bond]
 
 
 def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[float, float]:

@@ -41,7 +41,7 @@ from qlatwit.bosonic import (
 )
 from qlatwit.criteria import _site_spin_matrices, collective_moments, collective_uncertainty_criterion
 from qlatwit.qcore import DEGENERACY_GAP, HilbertSpace, PureState, _site_sum, expectation
-from qlatwit.spinchain import ChainSpec, _chain_generator
+from qlatwit.spinchain import ChainSpec
 from sampling import haar_vector, random_separable_density
 
 SITE1 = SiteFockSpace(1)
@@ -370,11 +370,34 @@ def test_heisenberg_sector_matches_pauli_chain_block(n):
     assert np.abs(dense[np.ix_(others, states)]).max() == 0.0
 
 
+def bit_loop_heisenberg_block(n):
+    """The popcount n // 2 indices and the block of sum_k S_k . S_{k+1} on them,
+    one basis string and one bond at a time in pure Python: a bond adds 1/4 to
+    the diagonal where its two bits agree, and where they differ adds -1/4 and
+    swaps them with weight 1/2."""
+    states = [i for i in range(2**n) if bin(i).count("1") == n // 2]
+    position = {s: j for j, s in enumerate(states)}
+    mat = np.zeros((len(states), len(states)))
+    for j, s in enumerate(states):
+        bits = format(s, f"0{n}b")
+        for k in range(n - 1):
+            if bits[k] == bits[k + 1]:
+                mat[j, j] += 0.25
+            else:
+                mat[j, j] -= 0.25
+                swapped = bits[:k] + bits[k + 1] + bits[k] + bits[k + 2:]
+                mat[position[int(swapped, 2)], j] = 0.5
+    return states, mat
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_heisenberg_hops_match_the_pulse_chain_generator(n):
-    # the pulse's dense generator at unit couplings is the same sector block
+    # the chain's generator at unit xx, yy and zz couplings, written out bit by
+    # bit, is the block that the package's hops assemble, entry for entry
     states, mat = hop_block(n)
-    assert np.array_equal(mat, _chain_generator(n, states, 1, 1, 1, 0))
+    want_states, want = bit_loop_heisenberg_block(n)
+    assert states.tolist() == want_states
+    assert np.array_equal(mat, want)
 
 
 def dense_sector_levels(n):

@@ -9,7 +9,7 @@ from conftest import basis_state, oracle_pulse_fold, oracle_pulse_generator, pul
 from qlatwit import bosonic, cli, criteria, optimize
 from qlatwit.optimize import PulseParams, _PulseSector, optimize_pulse, pulse_state, violation_ratio
 from qlatwit.qcore import PureState
-from qlatwit.spinchain import ChainSpec, _chain_generator, product_state
+from qlatwit.spinchain import ChainSpec, _bond_hops, product_state
 
 REFERENCE_PULSE = PulseParams(-3.2, -9.6, 0.8)
 # frozen regression value of the reference pulse on a 6-site chain under the
@@ -242,13 +242,17 @@ def test_optimizer_restarts_follow_the_seed():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_generator_matches_kron_oracle(n, rng):
-    # the even-parity block that _PulseSector folds its three term matrices
-    # from, and no term leaves it
+    # the even-parity block that _PulseSector folds its three terms from: the
+    # xx and yy hops and the field, and no term leaves it
     even = np.array([i for i in range(2**n) if bin(i).count("1") % 2 == 0])
     odd = np.setdiff1d(np.arange(2**n), even)
+    popcount = np.array([bin(i).count("1") for i in even])
     for _ in range(5):
         params = PulseParams(*rng.uniform(-10, 10, size=3))
-        gen = _chain_generator(n, even, params.theta_xx, params.theta_yy, 0, params.theta_z)
+        gen = np.diag(params.theta_z * (n - 2.0 * popcount) / 2)
+        for angle, equal in ((params.theta_xx, 0.25), (params.theta_yy, -0.25)):
+            rows, cols, weights = _bond_hops(n, even, equal, 0.25)
+            gen[rows, cols] += angle * weights
         dense = oracle_pulse_generator(n, params)
         assert np.allclose(gen, dense[np.ix_(even, even)], atol=1e-12)
         assert np.abs(dense[np.ix_(odd, even)]).max() == 0.0

@@ -20,7 +20,7 @@ from qlatwit.spinchain import (
     ChainSpec,
     ClusterSpec,
     _MAX_QUBITS,
-    _chain_generator,
+    _bond_hops,
     _popcount,
     cluster_state,
     pauli_sum_moments,
@@ -320,7 +320,7 @@ def test_cluster_spec_validates_lambdas():
 
 
 # ---------------------------------------------------------------------------
-# bit folds and the chain generator
+# bit folds and the bond hops
 
 
 def test_bit_folds_match_bin_count():
@@ -345,14 +345,17 @@ def test_chain_generator_matches_kron_oracle(n, rng):
     even = idx[popcount % 2 == 0]
     half = idx[popcount == n // 2]
     for _ in range(5):
-        jxx, jyy, jzz, hz = rng.uniform(-3, 3, size=4)
+        jxx, jyy = rng.uniform(-3, 3, size=2)
         # any couplings keep the parity; an S_z sector is closed only at jxx == jyy
-        for rows, couplings in ((idx, (jxx, jyy)), (even, (jxx, jyy)), (half, (jxx, jxx))):
-            dense = oracle_chain(n, *couplings, jzz, hz)
-            got = _chain_generator(n, rows, *couplings, jzz, hz)
-            assert np.allclose(got, dense[np.ix_(rows, rows)], atol=1e-12)
-            others = np.setdiff1d(idx, rows)
-            assert others.size == 0 or np.abs(dense[np.ix_(others, rows)]).max() == 0.0
+        for states, (a, b) in ((idx, (jxx, jyy)), (even, (jxx, jyy)), (half, (jxx, jxx))):
+            rows, cols, weights = _bond_hops(n, states, (a - b) / 4, (a + b) / 4)
+            assert weights.all()
+            got = np.zeros((states.size, states.size))
+            got[rows, cols] = weights
+            dense = oracle_chain(n, a, b, 0, 0)
+            assert np.allclose(got, dense[np.ix_(states, states)], atol=1e-12)
+            others = np.setdiff1d(idx, states)
+            assert others.size == 0 or np.abs(dense[np.ix_(others, states)]).max() == 0.0
 
 
 # ---------------------------------------------------------------------------

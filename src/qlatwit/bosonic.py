@@ -13,7 +13,8 @@ import math
 from typing import Sequence
 
 from . import spinchain
-from .qcore import DEGENERACY_GAP, DIM_CAP, GroundState, HilbertSpace, ProductState, PureState, Record, np
+from .qcore import (DEGENERACY_GAP, DIM_CAP, GroundState, HilbertSpace, ProductState, PureState, Record,
+                    SectorState, np)
 
 SPIN_UP = (1, 0)
 SPIN_DOWN = (0, 1)
@@ -26,6 +27,8 @@ _RESIDUAL = 1e-12
 _CHECK_EVERY = 8
 # a zero pivot of a tridiagonal factorization is replaced by the float resolution
 _PIVOT_FLOOR = 2.0**-52
+# amplitudes within this fraction of the largest magnitude tie for the ground vector's sign
+_TIE = 1e-9
 
 
 class SiteFockSpace(Record):
@@ -228,7 +231,7 @@ def _heisenberg_lanczos(n_sites: int, n_levels: int) -> tuple[np.ndarray, list[f
     """The sector of ``_heisenberg_hops`` by Lanczos with full reorthogonalization.
 
     Returns the sector's indices, its ``n_levels`` lowest distinct levels and
-    the unit ground vector on the indices, its largest amplitude positive.
+    the unit ground vector on the indices, its sign fixed by ``_sign_fixed``.
 
     The run starts from cos(2.39996 i + 0.3), neither even nor odd under the
     chain's spin flip or reflection, so no level is missed for want of overlap,
@@ -263,10 +266,15 @@ def _heisenberg_lanczos(n_sites: int, n_levels: int) -> tuple[np.ndarray, list[f
         if k == len(basis):
             basis = np.concatenate((basis, np.empty((min(k, dim - k), dim))))
         basis[k] = w / beta[-1]
-    ground = np.array(vectors[0]) @ basis[:k]
-    if ground[np.argmax(np.abs(ground))] < 0:
-        ground = -ground
-    return states, levels, ground
+    return states, levels, _sign_fixed(np.array(vectors[0]) @ basis[:k])
+
+
+def _sign_fixed(vector: np.ndarray) -> np.ndarray:
+    """``vector`` with its first amplitude within ``_TIE`` of the largest
+    magnitude made positive, so amplitudes that tie by symmetry leave no
+    choice to round-off."""
+    size = np.abs(vector)
+    return vector if vector[np.argmax(size >= (1 - _TIE) * size.max())] > 0 else -vector
 
 
 def heisenberg_ground_state(n_sites: int) -> GroundState:
@@ -276,8 +284,9 @@ def heisenberg_ground_state(n_sites: int) -> GroundState:
     The bond conserves each site's occupation and the total S_z, so the solve
     runs on the unit-filled chain, as qubits, at S_z = 0 (even n) or +1/2 (odd
     n): qubit |0> is SPIN_UP, as in the tests' ``embed_qubit_chain``. The
-    state returned is that 2^n qubit-chain state. ``energy``, ``gap`` and
-    ``degenerate`` are those of the full cutoff-1 Fock space:
+    state returned is the qubit chain's ``SectorState`` on that sector, with no
+    2^n array. ``energy``, ``gap`` and ``degenerate`` are those of the full
+    cutoff-1 Fock space:
 
     - the ground level is the unit-filled one. A vacancy splits the chain into
       unit-filled segments whose energies add, and the ground energy E0 is
@@ -306,11 +315,9 @@ def heisenberg_ground_state(n_sites: int) -> GroundState:
     else:
         vacancy = _heisenberg_lanczos(n_sites - 1, 1)[1][0]
         gap = min(levels[1], vacancy) - levels[0]
-    amps = np.zeros(2**n_sites)
-    amps[states] = ground
     return GroundState(
         energy=levels[0],
-        state=PureState(HilbertSpace((2,) * n_sites, kind="qubit"), amps),
+        state=SectorState(HilbertSpace((2,) * n_sites, kind="qubit"), states, ground),
         degenerate=gap < DEGENERACY_GAP,
         gap=gap,
     )

@@ -179,7 +179,7 @@ def cmd_heisenberg(args) -> tuple[dict, list[dict]]:
     summary, rows, _ = _uncertainty_summary(gs.state)
     doc = {"energy": gs.energy, "degenerate": gs.degenerate, "gap": gs.gap, **summary}
     if n == 2:
-        singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)  # (|01> - |10>) / sqrt(2)
+        singlet = np.array([1.0, -1.0]) / np.sqrt(2)  # (|01> - |10>) / sqrt(2) on the sector |01>, |10>
         fidelity = float(abs(np.vdot(singlet, gs.state.amplitudes)) ** 2)
         doc["singlet_fidelity"] = fidelity
     return doc, [{"quantity": "energy", "value": gs.energy}] + rows

@@ -5,12 +5,14 @@ pure states carry unit norm, density matrices are Hermitian trace-one
 positive-semidefinite (up to small numerical floors), operators know whether
 they are meant to be Hermitian.  These three hold dense arrays over the whole
 space.  A ProductState holds a product of small dense states on consecutive
-sites instead, and never an array over its whole space.  Sites are numbered
-from 1 and site 1 is the most significant index of the composite basis
-(big-endian), a convention shared by every module built on top of this one.
+sites instead, and a SectorState the real amplitudes of a qubit chain on the
+indices of one popcount; neither holds an array over its whole space.  Sites
+are numbered from 1 and site 1 is the most significant index of the composite
+basis (big-endian), a convention shared by every module built on top of this
+one.
 The readers here (``_local_mean``, ``_sum_moments``, ``_collective_moments``
 and ``_collective_distribution``) are the only code that reads how a state
-is stored.
+is stored; a SectorState is read by ``_collective_moments`` alone.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ IMAG_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
 _HALF_INTEGER_TOL = 1e-9
 # the dimension cap: of 2^n in the qubit builders, d^n in FockLatticeSpec, and of the
-# S_z sector C(n, n // 2) in heisenberg_ground_state, which then unfolds 2^n amplitudes
+# S_z sector C(n, n // 2) in heisenberg_ground_state, whose state stays in that sector
 DIM_CAP = 4096
 # sites one block of a ProductState may span
 MAX_BLOCK_SITES = 4
@@ -283,9 +285,55 @@ class LinearOperator(Record, eq=False):
         object.__setattr__(self, "matrix", mat)
 
 
+def _popcount(values: np.ndarray, n_bits: int) -> np.ndarray:
+    """Number of set bits among the lowest ``n_bits`` of each entry."""
+    return sum(((values >> shift) & 1 for shift in range(n_bits)), np.zeros_like(values))
+
+
+def _sector_ranks(values: np.ndarray, n_bits: int) -> np.ndarray:
+    """The position of each index among the ascending indices of its popcount:
+    its c-th lowest set bit, at s, adds C(s, c) (the combinatorial number system)."""
+    rank, seen = np.zeros_like(values), np.zeros_like(values)
+    for s in range(n_bits):
+        bit = (values >> s) & 1
+        seen += bit
+        rank += bit * np.array([math.comb(s, c) for c in range(n_bits + 1)])[seen]
+    return rank
+
+
+class SectorState(Record, eq=False):
+    """Real unit amplitudes of a qubit chain on ascending indices ``states``
+    that share one popcount, set as ``popcount``; every other amplitude is 0."""
+
+    space: HilbertSpace
+    states: np.ndarray
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        if self.space.kind != "qubit" or np.iscomplexobj(self.amplitudes):
+            raise ValueError("a sector state holds real amplitudes of a qubit chain")
+        states, amps = np.array(self.states, dtype=np.int64), np.array(self.amplitudes, dtype=float)
+        if amps.ndim != 1 or amps.shape != states.shape:
+            raise ValueError(f"need one amplitude per sector index, got {amps.shape} for {states.shape}")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes contains NaN or Inf entries")
+        if not states.size or states[0] < 0 or states[-1] >= self.space.dim or np.any(np.diff(states) <= 0):
+            raise ValueError(f"sector indices must ascend strictly inside [0, {self.space.dim})")
+        counts = _popcount(states, self.space.n_sites)
+        if np.any(counts != counts[0]):
+            raise ValueError("sector indices must share one popcount")
+        norm = float(np.linalg.norm(amps))
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+        states.setflags(write=False)
+        amps.setflags(write=False)
+        for name, value in (("states", states), ("amplitudes", amps), ("popcount", int(counts[0]))):
+            object.__setattr__(self, name, value)
+
+
 class GroundState(Record, eq=False):
     energy: float
-    state: PureState
+    state: PureState | SectorState
     degenerate: bool
     gap: float
 
@@ -432,6 +480,20 @@ def _real_array(values: np.ndarray, what: str) -> np.ndarray:
     return np.array([_real_part(complex(v), what) for v in values.flat]).reshape(values.shape)
 
 
+def _flip_norm(state: SectorState, bit: int) -> float:
+    """|sum_s f_s psi|^2, f_s flipping site s where it holds ``bit``: R psi
+    clears a set bit (bit 1) and F psi sets a clear one (bit 0).  The sum lies
+    in the sector of popcount p - 1 or p + 1, binned there by rank, one
+    ``np.bincount`` per site."""
+    n, states, psi = state.space.n_sites, state.states, state.amplitudes
+    target = state.popcount + 1 - 2 * bit
+    out = np.zeros(math.comb(n, target) if target >= 0 else 0)
+    for s in range(n):
+        mine = ((states >> s) & 1) == bit
+        out += np.bincount(_sector_ranks(states[mine] ^ (1 << s), n), psi[mine], minlength=out.size)
+    return float(out @ out)
+
+
 def _collective_moments(state, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """<L_k> and the symmetrized <(L_k L_l + L_l L_k) / 2> for the site sums
     L_k = sum_s local[k]^(s) of a (K, d, d) stack of one-site matrices.
@@ -443,7 +505,11 @@ def _collective_moments(state, local: np.ndarray) -> tuple[np.ndarray, np.ndarra
     and the cross terms from the sum over pairs s < t of the two-site blocks
     rho_st, as Tr((l_k x l_l) rho_st) plus its transpose.  A ProductState is
     read block by block: the means add, and
-    <L_k L_l> = sum_b <L_k L_l>_b + sum_{b != c} <L_k>_b <L_l>_c.
+    <L_k L_l> = sum_b <L_k L_l>_b + sum_{b != c} <L_k>_b <L_l>_c.  On a
+    SectorState of popcount p, L_k psi = delta_k psi + b_k R psi + c_k F psi
+    with delta_k = (n - p) l_k[0, 0] + p l_k[1, 1], b_k = l_k[0, 1] and
+    c_k = l_k[1, 0], three parts in three sectors: <L_k> = delta_k, and
+    <L_k L_l> needs only |R psi|^2 and |F psi|^2 (``_flip_norm``).
     """
     if isinstance(state, ProductState):
         parts = [_collective_moments(block, local) for block in state.blocks]
@@ -456,6 +522,12 @@ def _collective_moments(state, local: np.ndarray) -> tuple[np.ndarray, np.ndarra
         v = _site_sum(local, space, psi)
         mean = v @ psi.conj()
         gram = v.conj() @ v.T
+    elif isinstance(state, SectorState):
+        p = state.popcount
+        mean = (space.n_sites - p) * local[:, 0, 0] + p * local[:, 1, 1]
+        gram = np.outer(mean.conj(), mean)
+        for bit, part in ((1, local[:, 0, 1]), (0, local[:, 1, 0])):
+            gram = gram + np.outer(part.conj(), part) * _flip_norm(state, bit)
     elif isinstance(state, DensityMatrix):
         d = local.shape[-1]
         one = sum(_site_block(space, (s,), state.matrix) for s in range(1, space.n_sites + 1))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from typing import Mapping, Sequence
 
-from .qcore import DIM_CAP, HilbertSpace, PureState, Record, _sum_moments, np
+from .qcore import DIM_CAP, HilbertSpace, PureState, Record, _popcount, _sum_moments, np
 
 AXES = ("x", "y", "z")
 # the most sites of a built 2^n vector, checked before anything n-sized is built
@@ -68,11 +68,6 @@ def _capped_space(chain: ChainSpec) -> HilbertSpace:
 def _site_masks(n_sites: int) -> np.ndarray:
     # site s is bit n - s of the basis index: site 1 is the most significant
     return 1 << np.arange(n_sites - 1, -1, -1)
-
-
-def _popcount(values: np.ndarray, n_bits: int) -> np.ndarray:
-    """Number of set bits among the lowest ``n_bits`` of each entry."""
-    return sum(((values >> shift) & 1 for shift in range(n_bits)), np.zeros_like(values))
 
 
 def _bond_hops(

@@ -7,8 +7,9 @@ acceptance gate and the differentials.  The two cluster readers
 after them are the package's former state-vector forms of the decoherence echo
 and the localized pair, kept to check the stabilizer forms at sizes the 4^n
 density-matrix oracles cannot reach.  Last come the dense per-site channels,
-which the in-place kernel ``_apply`` here runs on whole density matrices, and
-the qubit-to-Fock embedding; no command runs either."""
+which the in-place kernel ``_apply`` here runs on whole density matrices, the
+qubit-to-Fock embedding and the unfold of a sector state into its 2^n
+amplitudes; no command runs any of them."""
 
 import math
 
@@ -425,6 +426,13 @@ def embed_qubit_chain(state):
     amps = np.zeros(lattice.space().dim, dtype=complex)
     amps[fock_index] = state.amplitudes
     return PureState(lattice.space(), amps)
+
+
+def unfold(state):
+    """The PureState of a SectorState: its amplitudes scattered into a 2^n vector of zeros."""
+    amps = np.zeros(state.space.dim, dtype=complex)
+    amps[state.states] = state.amplitudes
+    return PureState(state.space, amps)
 
 
 @pytest.fixture

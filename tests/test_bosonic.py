@@ -22,6 +22,7 @@ from conftest import (
     oracle_product_dense,
     schwinger_j,
     site_number_operator,
+    unfold,
     variance,
 )
 from qlatwit import bosonic
@@ -306,7 +307,7 @@ def test_heisenberg_two_sites_ground_is_singlet():
 
     gs = heisenberg_ground_state(2)
     assert gs.energy == pytest.approx(oracle_energy, abs=1e-10)
-    embedded = embed_qubit_chain(gs.state).amplitudes
+    embedded = embed_qubit_chain(unfold(gs.state)).amplitudes
     fidelity = abs(np.vdot(oracle_product_dense(singlet_chain(1)).amplitudes, embedded)) ** 2
     assert fidelity > 1 - 1e-10
 
@@ -402,10 +403,12 @@ def test_heisenberg_hops_match_the_pulse_chain_generator(n):
 
 def dense_sector_levels(n):
     """The sector's eigenvalues and ground vector from one dense eigh of the
-    hop block, the vector's largest amplitude positive."""
+    hop block, its sign fixed by the package's rule: the first amplitude within
+    1e-9 of the largest magnitude is positive."""
     w, v = np.linalg.eigh(hop_block(n)[1])
     ground = v[:, 0]
-    return w, ground * np.sign(ground[np.argmax(np.abs(ground))])
+    first = next(i for i, a in enumerate(np.abs(ground)) if a >= (1 - 1e-9) * np.abs(ground).max())
+    return w, ground * np.sign(ground[first])
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -417,9 +420,30 @@ def test_heisenberg_lanczos_matches_dense_sector_eigh(n):
     assert w[1] - w[0] > 1e-3
     assert levels[0] == pytest.approx(w[0], abs=1e-12)
     assert levels[1] == pytest.approx(w[1], abs=1e-12)
-    assert abs(np.vdot(ground, vector)) == pytest.approx(1.0, abs=1e-10)
+    # the same vector, sign included
+    assert np.abs(vector - ground).max() < 1e-10
     assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-14)
-    assert vector[np.argmax(np.abs(vector))] > 0
+
+
+def test_heisenberg_sign_rule_is_tie_free_at_six_sites():
+    # sector indices 5 and 14 tie in magnitude with opposite signs, so "the
+    # largest amplitude positive" was decided by round-off
+    w, ground = dense_sector_levels(6)
+    _, _, vector = _heisenberg_lanczos(6, 2)
+    assert abs(ground[5]) == pytest.approx(abs(ground[14]), rel=1e-12)
+    assert ground[5] == pytest.approx(-ground[14], rel=1e-12)
+    assert np.abs(vector - ground).max() < 1e-10
+    assert np.abs(vector + ground).max() > 0.5
+
+
+@pytest.mark.parametrize("vector,want", [
+    ([0.1, 0.5, -0.5 * (1 + 1e-15)], [0.1, 0.5, -0.5 * (1 + 1e-15)]),
+    ([0.1, -0.5 * (1 + 1e-15), 0.5], [-0.1, 0.5 * (1 + 1e-15), -0.5]),
+    ([0.2, -0.5, 0.5 * (1 + 1e-6)], [0.2, -0.5, 0.5 * (1 + 1e-6)]),
+])
+def test_sign_rule_takes_the_first_of_the_tied_amplitudes(vector, want):
+    # a relative difference of 1e-15 is a tie, one of 1e-6 is not
+    assert bosonic._sign_fixed(np.array(vector)).tolist() == want
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -194,6 +194,45 @@ def test_lattice_ground_commands_call_no_lapack_eigensolver(argv):
     assert_no_eigensolver_call_and_no_new_random(argv)
 
 
+def peak_rss_mb(args):
+    """Peak resident memory of ``python <args>`` run to a 0 exit with src/ on
+    the path and one BLAS thread, read from ``os.wait4`` in MB."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, args
+    return usage.ru_maxrss / 1024
+
+
+NUMPY_BASELINE = ["-c", "import numpy; numpy.linalg.eigh(numpy.eye(2))"]
+CLI_BASELINE = ["-c", "import qlatwit.cli"]
+
+
+# Each command at its cap holds megabytes above its baseline child, not the
+# 268 MB of one dense 4096^2 complex operator.  Measured above the baseline
+# (2 vCPUs, OpenBLAS): cluster-witness 2.6 MB, moments-compare 3.2 MB, pulse
+# 6.3 MB, heisenberg 7.6 MB, singlet-suite 2.0 MB; the scan 36.6 MB, its 10^5 rows.
+CAP_RUNS = [
+    (["cluster-witness", "--n", "12"], NUMPY_BASELINE, 16),
+    (["moments-compare", "--n", "12", "--max-order", "396"], NUMPY_BASELINE, 16),
+    (["pulse", "--n", "10", "--params=-3.2,-9.6,0.8", "--optimize", "--budget", "100", "--seed", "1"],
+     NUMPY_BASELINE, 16),
+    (["heisenberg", "--n", "14"], NUMPY_BASELINE, 16),
+    (["singlet-suite", "--n", "1000"], NUMPY_BASELINE, 16),
+    (["decoherence-scan", "--n", "1000000", "--steps", "100000"], CLI_BASELINE, 64),
+]
+
+
+@pytest.mark.parametrize("argv,baseline,bound_mb", CAP_RUNS, ids=[argv[0] for argv, _, _ in CAP_RUNS])
+def test_each_command_at_its_cap_fits_in_megabytes(argv, baseline, bound_mb):
+    base = peak_rss_mb(baseline)
+    assert peak_rss_mb(["-m", "qlatwit.cli", *argv]) - base < bound_mb
+
+
 # ---------------------------------------------------------------------------
 # cluster-witness
 

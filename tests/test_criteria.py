@@ -703,7 +703,7 @@ def test_singlet_suite_reads_the_chain_once(reads, capsys):
 
 def test_heisenberg_reads_the_ground_state_once(reads):
     assert cli.main(["heisenberg", "--n", "4"]) == 0
-    assert reads == ["PureState"]
+    assert reads == ["SectorState"]
 
 
 @pytest.mark.parametrize(

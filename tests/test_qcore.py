@@ -18,18 +18,24 @@ from conftest import (
     negativity,
     oracle_product_dense,
     pure_to_density,
+    unfold,
     variance,
 )
 from qlatwit import bosonic, qcore
+from qlatwit.spinchain import paulis
 from qlatwit.qcore import (
     DensityMatrix,
     HilbertSpace,
     LinearOperator,
     ProductState,
     PureState,
+    SectorState,
     _apply_site,
+    _collective_distribution,
+    _collective_moments,
     _local_mean,
     _site_block,
+    _sum_moments,
     expectation,
 )
 from sampling import haar_vector, random_product_state
@@ -435,9 +441,93 @@ def test_dim_is_exact_past_the_int64_range():
 
 
 # ---------------------------------------------------------------------------
+# a SectorState is read in its sector, against its 2^n unfold
+
+
+def random_sector_state(n, p, rng):
+    """A random real unit vector on a random nonempty subset of the popcount-p indices."""
+    states = np.array([i for i in range(2**n) if bin(i).count("1") == p])
+    keep = rng.random(states.size) < 0.7
+    keep[rng.integers(states.size)] = True
+    amps = rng.normal(size=keep.sum())
+    return SectorState(HilbertSpace((2,) * n), states[keep], amps / np.linalg.norm(amps))
+
+
+def random_hermitian_stack(k, rng):
+    """k complex Hermitian 2 x 2 matrices, each of spectral norm 1."""
+    a = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+    h = a + a.conj().transpose(0, 2, 1)
+    return h / np.abs(np.linalg.eigvalsh(h)).max(axis=1)[:, None, None]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_sector_moments_match_the_unfold_on_the_ground_state(n):
+    state = bosonic.heisenberg_ground_state(n).state
+    assert isinstance(state, SectorState) and state.popcount == n // 2
+    spins = paulis() / 2
+    for got, want in zip(_collective_moments(state, spins), _collective_moments(unfold(state), spins)):
+        assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sector_moments_match_the_unfold_on_random_stacks(n, rng):
+    for p in range(n + 1):
+        state, local = random_sector_state(n, p, rng), random_hermitian_stack(4, rng)
+        got, want = _collective_moments(state, local), _collective_moments(unfold(state), local)
+        assert state.popcount == p
+        assert np.abs(got[0] - want[0]).max() < 1e-12
+        assert np.abs(got[1] - want[1]).max() < 1e-12
+
+
+SECTOR_REFUSALS = {
+    "mixed popcount": ((2, 2, 2), [1, 3], [0.6, 0.8], "popcount"),
+    "unsorted": ((2, 2, 2), [2, 1], [0.6, 0.8], "ascend"),
+    "duplicate": ((2, 2, 2), [1, 1], [0.6, 0.8], "ascend"),
+    "negative index": ((2, 2, 2), [-1, 1], [0.6, 0.8], "ascend"),
+    "index past 2^n": ((2, 2), [2, 4], [0.6, 0.8], "ascend"),
+    "empty": ((2, 2), [], [], "ascend"),
+    "NaN": ((2, 2, 2), [1, 2], [0.6, np.nan], "NaN"),
+    "wrong norm": ((2, 2, 2), [1, 2], [0.6, 0.7], "norm"),
+    "length mismatch": ((2, 2, 2), [1, 2, 4], [0.6, 0.8], "one amplitude"),
+    "complex": ((2, 2, 2), [1, 2], [0.6, 0.8j], "real"),
+}
+
+
+@pytest.mark.parametrize("dims,states,amps,match", SECTOR_REFUSALS.values(), ids=SECTOR_REFUSALS.keys())
+def test_sector_state_refuses_invalid_input(dims, states, amps, match):
+    with pytest.raises(ValueError, match=match):
+        SectorState(HilbertSpace(dims), states, amps)
+
+
+def test_sector_state_refuses_a_fock_space():
+    with pytest.raises(ValueError, match="qubit"):
+        SectorState(HilbertSpace((3, 3), kind="fock", fock_cutoff=1), [1, 3], [0.6, 0.8])
+
+
+def test_sector_state_is_read_only():
+    state = SectorState(HilbertSpace((2, 2)), [1, 2], [0.6, 0.8])
+    for arr in (state.states, state.amplitudes):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(AttributeError):
+        state.popcount = 0
+
+
+def test_other_readers_refuse_a_sector_state():
+    state = SectorState(HilbertSpace((2, 2)), [1, 2], [0.6, 0.8])
+    w, v = np.linalg.eigh(SZ / 2)
+    with pytest.raises(ValueError, match="SectorState"):
+        _local_mean(state, {1: SZ})
+    with pytest.raises(ValueError, match="SectorState"):
+        _sum_moments(state, [{1: SZ}])
+    with pytest.raises(ValueError, match="SectorState"):
+        _collective_distribution(state, w, v)
+
+
+# ---------------------------------------------------------------------------
 # qcore is the only module that reads how a state is stored
 
-STATE_TYPES = {"PureState", "DensityMatrix", "ProductState"}
+STATE_TYPES = {"PureState", "DensityMatrix", "ProductState", "SectorState"}
 STORAGE = {"amplitudes", "matrix", "blocks"}
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qlatwit"
 

@@ -25,6 +25,8 @@ EMPTY = (0, 0)
 _RESIDUAL = 1e-12
 # Lanczos steps between two convergence checks, each an O(k) bisection in Python
 _CHECK_EVERY = 8
+# the stored Lanczos basis grows by blocks of this many rows, so no step copies it
+_BLOCK_ROWS = 32
 # a zero pivot of a tridiagonal factorization is replaced by the float resolution
 _PIVOT_FLOOR = 2.0**-52
 # amplitudes within this fraction of the largest magnitude tie for the ground vector's sign
@@ -245,28 +247,29 @@ def _heisenberg_lanczos(n_sites: int, n_levels: int) -> tuple[np.ndarray, list[f
     """
     states, diag, rows, cols = _heisenberg_hops(n_sites)
     dim = states.size
-    basis = np.empty((min(dim, 4 * _CHECK_EVERY), dim))
+    blocks = [np.empty((min(dim, _BLOCK_ROWS), dim))]
     start = np.cos(2.39996 * np.arange(dim) + 0.3)
-    basis[0] = start / np.linalg.norm(start)
+    blocks[0][0] = start / np.linalg.norm(start)
     alpha: list[float] = []
     beta: list[float] = []
     for k in range(1, dim + 1):
-        q = basis[k - 1]
+        q = blocks[-1][(k - 1) % _BLOCK_ROWS]
         w = diag * q + 0.5 * np.bincount(rows, q[cols], minlength=dim)
         alpha.append(float(q @ w))
-        done = basis[:k]
-        for _ in range(2):
-            w -= done.T @ (done @ w)
+        done = [block[: k - i * _BLOCK_ROWS] for i, block in enumerate(blocks)]  # the k rows so far
+        for block in done * 2:
+            w -= block.T @ (block @ w)
         beta.append(float(np.linalg.norm(w)))
         if k % _CHECK_EVERY == 0 or beta[-1] <= _RESIDUAL or k == dim:
             levels = _tridiagonal_levels(alpha, beta, n_levels)
             vectors = [_tridiagonal_vector(alpha, beta, level) for level in levels]
             if k == dim or all(beta[-1] * abs(y[-1]) <= _RESIDUAL for y in vectors):
                 break
-        if k == len(basis):
-            basis = np.concatenate((basis, np.empty((min(k, dim - k), dim))))
-        basis[k] = w / beta[-1]
-    return states, levels, _sign_fixed(np.array(vectors[0]) @ basis[:k])
+        if k % _BLOCK_ROWS == 0:
+            blocks.append(np.empty((min(_BLOCK_ROWS, dim - k), dim)))
+        blocks[-1][k % _BLOCK_ROWS] = w / beta[-1]
+    ground = sum(vectors[0][i * _BLOCK_ROWS : (i + 1) * _BLOCK_ROWS] @ block for i, block in enumerate(done))
+    return states, levels, _sign_fixed(ground)
 
 
 def _sign_fixed(vector: np.ndarray) -> np.ndarray:

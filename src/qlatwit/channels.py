@@ -19,7 +19,7 @@ import math
 from . import spinchain
 from .criteria import CriterionReport, _report
 # expectation is unused here; clibench/tests checks that its tracer rebinds this name
-from .qcore import DensityMatrix, Record, expectation, np  # noqa: F401
+from .qcore import Record, expectation  # noqa: F401
 
 
 def _check_p(p: float) -> None:
@@ -110,88 +110,42 @@ def witness_threshold(n_sites: int, precision: float = 1e-3, channel: str = "pha
     return _bisect(lambda p: decoherence_experiment(n_sites, p, channel).value > bound, precision)
 
 
-def _pair_correlators(scales: tuple[float, float], c1: float, c2: float):
-    """The localized pair's X(x)Z, Z(x)X and Y(x)Y coefficients (a1, a2, b),
-    with c_j the x/y scale that the measured neighbour leaves on pair site j."""
-    f_xy, f_z = scales
-    return f_xy * f_z * c1, f_xy * f_z * c2, f_xy * f_xy * c1 * c2
-
-
-def localized_pair_state(
-    n_sites: int,
-    p: float,
-    pair: tuple[int, int] | None = None,
-    outcomes: tuple[int, ...] | None = None,
-    channel: str = "phase_flip",
-) -> DensityMatrix:
-    """Neighboring-pair state of the dephased cluster after measuring out the rest.
-
-    Every site outside the pair is measured in the z basis and one outcome
-    branch is kept (all +1 by default; ``outcomes`` selects another branch,
-    one bit per non-pair site in site order).  (The plain partial trace would
-    erase the entanglement: for an interior pair of a cluster state it is
-    exactly the maximally mixed two-qubit state.)  A z measurement removes a
-    graph-state vertex and leaves a z on its neighbours when it reads 1, so
-    the pair holds the two-site graph state (II + XZ + ZX + YY)/4 with a z on
-    each pair site whose measured neighbour reads 1; further outcomes add a
-    global sign.  An x or y error on a neighbour, probability (1 - f_z)/2,
-    flips its outcome, which z-dephases the pair site beside it by f_z.  The
-    block is therefore (II + a1 XZ + a2 ZX + b YY)/4 with a1 = f_xy f_z c1,
-    a2 = f_xy f_z c2 and b = f_xy^2 c1 c2, where c_j = (-1)^outcome f_z for a
-    pair site whose measured neighbour has that outcome and c_j = 1 for a
-    site with no measured neighbour.
-    """
-    if n_sites < 4 or n_sites % 2 != 0:
-        raise ValueError("pair reduction defined for even chains of at least 4 sites")
-    if pair is None:
-        pair = (2, 3)  # interior by default; end sites have shorter correlators
-    k1, k2 = pair
-    if k2 != k1 + 1:
-        raise ValueError("pair must be two neighboring sites")
-    space = spinchain.ChainSpec(n_sites).space()
-    space.check_site(k1)
-    space.check_site(k2)
-    _check_p(p)
-    if outcomes is None:
-        outcomes = (0,) * (n_sites - 2)
-    if len(outcomes) != n_sites - 2 or any(b not in (0, 1) for b in outcomes):
-        raise ValueError("need one 0/1 outcome per measured site")
-    scales = _channel(channel)[0](p)
-    # the k1 - 1 outcomes before the pair end with the left neighbour's
-    c1, c2 = (
-        (-1.0) ** outcomes[index] * scales[1] if has_neighbour else 1.0
-        for has_neighbour, index in ((k1 > 1, k1 - 2), (k2 < n_sites, k1 - 1))
-    )
-    a1, a2, b = _pair_correlators(scales, c1, c2)
-    x, y, z = spinchain.paulis()
-    block = (np.eye(4) + a1 * np.kron(x, z) + a2 * np.kron(z, x) + b * np.kron(y, y)) / 4.0
-    return DensityMatrix(spinchain.ChainSpec(2).space(), block)
-
-
 def pairwise_threshold(
     n_sites: int,
-    pair: tuple[int, int] | None = None,
+    pair: tuple[int, int] = (2, 3),
     precision: float = 1e-3,
     channel: str = "phase_flip",
 ) -> float:
     """Bisect the channel weight where the localized pair loses negativity.
 
+    The pair is two neighbouring sites of the noisy cluster once every other
+    site is measured in z and one outcome branch kept (the partial trace of an
+    interior pair is maximally mixed).  A z measurement removes a graph-state
+    vertex and leaves a z on its neighbours when it reads 1, so the pair holds
+    (II + XZ + ZX + YY)/4 up to those z's and a sign.  An x or y error on a
+    neighbour, probability (1 - f_z)/2, flips its outcome, which z-dephases
+    the pair site beside it by f_z.  The block is (II + a1 XZ + a2 ZX + b YY)/4
+    with a1 = f_xy f_z c1, a2 = f_xy f_z c2, b = f_xy^2 c1 c2, where c_j is
+    (-1)^outcome f_z for a pair site with a measured neighbour and 1 without.
     XZ, ZX and YY commute and XZ ZX = YY; the partial transpose flips the sign
-    of Y(x)Y, so its smallest eigenvalue is (1 - |a1| - |a2| - |b|)/4 (see
-    ``localized_pair_state``) and the pair is entangled while
-    |a1| + |a2| + |b| > 1.  |c_j| is f_z or 1 whatever the outcome, so the
-    crossing is the same on every measurement branch.  At p = 1 the sum is 3,
-    so there is always a crossing.
+    of Y(x)Y, so its smallest eigenvalue is (1 - |a1| - |a2| - |b|)/4 and the
+    pair is entangled while |a1| + |a2| + |b| > 1 (Peres).  |c_j| is f_z or 1
+    on every branch, so all branches share one crossing, which exists as the
+    sum is 3 at p = 1.
     """
-    localized_pair_state(n_sites, 1.0, pair, channel=channel)  # validates the request
-    k1, k2 = pair or (2, 3)
+    if n_sites < 4 or n_sites % 2 != 0:
+        raise ValueError("pair reduction defined for even chains of at least 4 sites")
+    k1, k2 = pair
+    if k2 != k1 + 1:
+        raise ValueError("pair must be two neighboring sites")
+    if k1 < 1 or k2 > n_sites:
+        raise ValueError(f"pair {pair} out of range 1..{n_sites}")
     scales = _channel(channel)[0]
 
     def entangled(p: float) -> bool:
         f_xy, f_z = scales(p)
-        a1, a2, b = _pair_correlators(
-            (f_xy, f_z), f_z if k1 > 1 else 1.0, f_z if k2 < n_sites else 1.0)
-        return abs(a1) + abs(a2) + abs(b) > 1.0
+        c1, c2 = f_z if k1 > 1 else 1.0, f_z if k2 < n_sites else 1.0
+        return abs(f_xy * f_z * c1) + abs(f_xy * f_z * c2) + abs(f_xy * f_xy * c1 * c2) > 1.0
 
     return _bisect(entangled, precision)
 
@@ -202,11 +156,11 @@ class LifetimeComparison(Record):
     ratio: float
 
 
-def _time_to_reach(p: float, kappa: float) -> float:
-    # invert p(t) = (1 + exp(-kappa t)) / 2
-    if not 0.5 < p < 1.0:
-        raise ValueError(f"threshold p={p} must lie strictly between 1/2 and 1")
-    return math.log(1.0 / (2.0 * p - 1.0)) / kappa
+def _time_to_reach(f: float, kappa: float) -> float:
+    # the time at which a Pauli scale decaying as exp(-kappa t) reaches f
+    if not 0.0 < f < 1.0:
+        raise ValueError(f"threshold scale f={f} must lie strictly between 0 and 1")
+    return math.log(1.0 / f) / kappa
 
 
 def lifetime_comparison(
@@ -214,16 +168,15 @@ def lifetime_comparison(
 ) -> LifetimeComparison:
     """Entanglement lifetimes from the witness and pairwise thresholds.
 
-    With dephasing the witness detects until p(t) drops to 3/4, giving
-    t = ln(2)/kappa; the pair stays entangled until p(t) reaches the pairwise
-    threshold, which is the same for every even n >= 4 and is computed when
-    not supplied.  The ratio is witness lifetime over pair lifetime.
-    ``witness_p`` admits the threshold of a different channel in place of 3/4.
+    Both weights are phase-flip weights, with scale 2p(t) - 1 = exp(-kappa t):
+    the witness detects until p(t) = 3/4, at t = ln(2)/kappa, and the pair
+    until p(t) reaches the pairwise threshold, the same for every even n >= 4
+    and computed when not supplied.  The ratio is witness over pair lifetime.
     """
     if not 0.0 < kappa < math.inf:
         raise ValueError("decay rate must be positive and finite")
     if p_crit is None:
         p_crit = pairwise_threshold(4)
-    t_witness = _time_to_reach(witness_p, kappa)
-    t_pairwise = _time_to_reach(p_crit, kappa)
+    t_witness = _time_to_reach(2.0 * witness_p - 1.0, kappa)
+    t_pairwise = _time_to_reach(2.0 * p_crit - 1.0, kappa)
     return LifetimeComparison(t_witness, t_pairwise, t_witness / t_pairwise)

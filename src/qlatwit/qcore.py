@@ -414,8 +414,8 @@ def _site_block(space: HilbertSpace, sites: Sequence[int], matrices: np.ndarray)
     matrix and makes no dim x dim temporary.  With every site kept the
     matrices are returned as they are.
 
-    ``_collective_moments`` reads a density matrix through these blocks: its
-    K^2 means <L_k L_l> applied to the rows would cost O(K^2 n d dim^2).
+    ``_local_mean`` and ``_collective_moments`` read a density matrix so: the
+    K^2 means <L_k L_l> applied to its rows would cost O(K^2 n d dim^2).
     """
     dims = space.dims
     if len(sites) == len(dims):
@@ -435,9 +435,9 @@ def _local_mean(state, factors: Mapping[int, np.ndarray]) -> complex:
     """<prod_s factors[s]^(s)> for one-site matrices on distinct sites.
 
     A pure state applies them site by site and takes one inner product, a
-    density matrix applies them the same way to its rows and takes the trace,
-    and a ProductState multiplies its blocks' means, a block with no factor
-    counting as 1.
+    density matrix takes Tr(F B), F their kron product and B its block on
+    their sites (``_site_block``), and a ProductState multiplies its blocks'
+    means, a block with no factor counting as 1.
     """
     if isinstance(state, ProductState):
         mean, first = 1 + 0j, 1
@@ -452,7 +452,12 @@ def _local_mean(state, factors: Mapping[int, np.ndarray]) -> complex:
     if isinstance(state, PureState):
         return complex(np.vdot(state.amplitudes, _apply_product(factors, space, state.amplitudes)))
     if isinstance(state, DensityMatrix):
-        return complex(np.trace(_apply_product(factors, space, state.matrix)))
+        sites = sorted(factors)
+        block = _site_block(space, sites, state.matrix)
+        if sites:
+            kept = HilbertSpace(tuple(space.dims[s - 1] for s in sites), "generic")
+            block = _apply_product({i: factors[s] for i, s in enumerate(sites, 1)}, kept, block)
+        return complex(np.trace(block))
     raise ValueError(f"cannot take an expectation on {type(state).__name__}")
 
 

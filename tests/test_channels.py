@@ -1,5 +1,9 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -21,12 +25,11 @@ from conftest import (
     phase_flip,
     pure_to_density,
 )
-from qlatwit import channels, spinchain
 from qlatwit.channels import (
     _CHANNELS,
+    _time_to_reach,
     decoherence_experiment,
     lifetime_comparison,
-    localized_pair_state,
     pairwise_threshold,
     witness_threshold,
 )
@@ -45,7 +48,7 @@ def cluster_density(n):
     [
         lambda: DecoherenceModel("amplitude_damping", 0.9),
         lambda: decoherence_experiment(4, 0.9, "amplitude_damping"),
-        lambda: localized_pair_state(4, 0.9, channel="amplitude_damping"),
+        lambda: pairwise_threshold(4, channel="amplitude_damping"),
     ],
 )
 def test_unknown_channel_kind_rejected(build):
@@ -369,26 +372,60 @@ def test_echo_matches_dense_density_matrix_oracle(n, p, kind):
     assert rep.value == pytest.approx(sum(want), abs=1e-12)
 
 
+def pair_density(n, p, pair, outcomes, kind):
+    """``cluster_pair_block`` as a two-site DensityMatrix, for ``negativity``."""
+    return DensityMatrix(ChainSpec(2).space(), cluster_pair_block(n, p, pair, outcomes, kind))
+
+
+def oracle_bisect(entangled, precision):
+    """The weight in [1/2, 1] where ``entangled`` turns true, halving to ``precision``."""
+    lo, hi = 0.5, 1.0
+    while hi - lo > precision:
+        mid = (lo + hi) / 2
+        if entangled(mid):
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+# the pairwise thresholds at the default precision 1e-3, by channel and pair
+PAIR_THRESHOLDS = {
+    ("phase_flip", (2, 3)): 0.70751953125,
+    ("phase_flip", (1, 2)): 0.70751953125,
+    ("depolarizing", (2, 3)): 0.78759765625,
+    ("depolarizing", (1, 2)): 0.74267578125,
+}
+
+
+def test_pairwise_threshold_is_the_bisected_pair_negativity():
+    # the closed-form threshold is the bisection, at the same precision, of the
+    # negativity of the pair block gathered from the 2^n cluster state, on a
+    # random measurement branch; at 1e-3 it is also the pinned value
+    gen = np.random.default_rng(0)
+    for n, (kind, pair) in itertools.product((4, 6, 8), PAIR_THRESHOLDS):
+        outcomes = tuple(int(b) for b in gen.integers(0, 2, n - 2))
+
+        def entangled(p):
+            return negativity(pair_density(n, p, pair, outcomes, kind), [1]) > 0.0
+
+        for precision in (1e-3, 2.0**-30):
+            assert pairwise_threshold(n, pair, precision, kind) == oracle_bisect(entangled, precision)
+        assert pairwise_threshold(n, pair, channel=kind) == PAIR_THRESHOLDS[kind, pair]
+
+
 @settings(max_examples=20, deadline=None)
 @given(
-    n=st.sampled_from(range(4, 13, 2)),
+    n=st.sampled_from(range(4, 9, 2)),
     p=st.floats(0.5, 1.0),
     kind=st.sampled_from(["phase_flip", "depolarizing"]),
     seed=st.integers(0, 2**31),
 )
-@with_examples(SIZES_AND_KINDS[2:], p=0.71, seed=0)
+@with_examples(SIZES_AND_KINDS[2:8], p=0.71, seed=0)
 def test_localized_pair_matches_dense_density_matrix_oracle(n, p, kind, seed):
-    # up to 8 sites: one random branch per pair against the dense 4^n oracle,
-    # and every branch against the 2^n cluster state; past 8 sites the
-    # default branch against the cluster state
-    branches = list(itertools.product((0, 1), repeat=n - 2)) if n <= 8 else [(0,) * (n - 2)]
-    for k in range(1, n):
-        for outcomes in branches:
-            want = cluster_pair_block(n, p, (k, k + 1), outcomes, kind)
-            got = localized_pair_state(n, p, (k, k + 1), outcomes, kind)
-            assert np.abs(got.matrix - want).max() < 1e-12
-    if n > 8:
-        return
+    # one random branch per pair: the block ``cluster_pair_block`` gathers from
+    # the 2^n cluster state against the dense 4^n density matrix, measured and
+    # renormalized
     gen = np.random.default_rng(seed)
     _, rho = oracle_noisy_cluster(kind, n, p)
     t = rho.reshape((2,) * (2 * n))
@@ -400,8 +437,8 @@ def test_localized_pair_matches_dense_density_matrix_oracle(n, p, kind, seed):
             index[site - 1] = index[n + site - 1] = bit
         want = t[tuple(index)].reshape(4, 4)
         want = want / np.trace(want).real
-        got = localized_pair_state(n, p, (k, k + 1), outcomes, kind)
-        assert np.abs(got.matrix - want).max() < 1e-12
+        got = cluster_pair_block(n, p, (k, k + 1), outcomes, kind)
+        assert np.abs(got - want).max() < 1e-12
 
 
 ECHO_WEIGHTS = [i / 64 for i in range(65)] + [0.123456789, 0.7071, 0.7500001, 0.987654321]
@@ -436,7 +473,7 @@ def test_localized_pair_partial_transpose_has_the_closed_form_eigenvalue(n, kind
     for k, outcomes, p in itertools.product(
         range(1, n), itertools.product((0, 1), repeat=n - 2), (0.5, 0.6, 0.71, 0.8, 1.0)
     ):
-        block = localized_pair_state(n, p, (k, k + 1), outcomes, kind).matrix
+        block = cluster_pair_block(n, p, (k, k + 1), outcomes, kind)
         a1, a2, b = (np.trace(block @ np.kron(u, v)).real for u, v in ((x, z), (z, x), (y, y)))
         transposed = block.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
         smallest = np.linalg.eigvalsh(transposed)[0]
@@ -460,31 +497,49 @@ def test_pairwise_threshold_is_pinned_at_default_precision(n, kind, pair, want):
         assert pairwise_threshold(n, (n - 1, n), channel=kind) == want
 
 
-def test_localized_pair_and_its_threshold_need_no_cluster_state(monkeypatch):
-    def refuse(spec):
-        raise AssertionError("the 2^n cluster state was built")
+def test_pair_and_lifetime_thresholds_run_with_numpy_blocked():
+    # the pair is its closed form in the channel scales: on any chain, neither
+    # threshold builds a state or imports numpy
+    code = ("import json, sys; sys.modules['numpy'] = None\n"
+            "from qlatwit.channels import lifetime_comparison, pairwise_threshold\n"
+            "n = 10**5\n"
+            "print(json.dumps([[pairwise_threshold(n, pair, channel=kind) for pair in ((2, 3), (1, 2), (n - 1, n))]"
+            " for kind in ('phase_flip', 'depolarizing')]))\n"
+            "print(repr(lifetime_comparison(1.0).ratio))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    thresholds, ratio = proc.stdout.splitlines()
+    assert json.loads(thresholds) == [
+        [PAIR_THRESHOLDS[kind, (2, 3)], PAIR_THRESHOLDS[kind, (1, 2)], PAIR_THRESHOLDS[kind, (1, 2)]]
+        for kind in ("phase_flip", "depolarizing")
+    ]
+    assert float(ratio) == 0.7882202259311704
 
-    monkeypatch.setattr(spinchain, "cluster_state", refuse)
-    n = 10**5
-    # the block depends only on which neighbours the pair has
-    for pair, small in [((1, 2), (1, 2)), ((2, 3), (2, 3)), ((n - 1, n), (3, 4))]:
-        got = localized_pair_state(n, 0.8, pair)
-        assert np.abs(got.matrix - localized_pair_state(4, 0.8, small).matrix).max() == 0.0
-    assert pairwise_threshold(n) == pairwise_threshold(4)
+
+@pytest.mark.parametrize(
+    "n, pair, match",
+    [
+        (2, (1, 2), "even chains of at least 4 sites"),
+        (5, (2, 3), "even chains of at least 4 sites"),
+        (7, (2, 3), "even chains of at least 4 sites"),
+        (6, (2, 4), "two neighboring sites"),
+        (6, (3, 2), "two neighboring sites"),
+        (6, (0, 1), r"out of range 1\.\.6"),
+        (6, (6, 7), r"out of range 1\.\.6"),
+    ],
+)
+def test_pairwise_threshold_refuses_an_invalid_request(n, pair, match):
+    with pytest.raises(ValueError, match=match):
+        pairwise_threshold(n, pair)
 
 
-def test_pairwise_threshold_validates_the_long_chain_once(monkeypatch):
-    # one call validates the request on the long chain; the bisection steps read the scales
-    real, sizes = channels.localized_pair_state, []
-
-    def counted(n_sites, *args, **kwargs):
-        sizes.append(n_sites)
-        return real(n_sites, *args, **kwargs)
-
-    monkeypatch.setattr(channels, "localized_pair_state", counted)
-    n = 10**5
-    assert pairwise_threshold(n) == pairwise_threshold(4)
-    assert [m for m in sizes if m > 4] == [n]
+@pytest.mark.parametrize("weights", [{"p_crit": 0.5}, {"p_crit": 1.0}, {"witness_p": 0.4}, {"witness_p": 1.0}])
+def test_lifetime_comparison_refuses_a_weight_outside_the_open_half_interval(weights):
+    # the scale 2p - 1 decays from 1 towards 0, so it reaches neither 0 nor 1 at t > 0
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        lifetime_comparison(1.0, **weights)
 
 
 def test_depolarizing_echo_matches_twirl_algebra():
@@ -522,7 +577,10 @@ def test_depolarizing_thresholds_are_pinned(n):
     assert p_dep is not None
     assert 0.5 < w_dep < 1.0
     assert 0.5 < p_dep < 1.0
-    ratio_dep = lifetime_comparison(1.0, p_crit=p_dep, witness_p=w_dep).ratio
+    # both lifetimes follow the depolarizing scale f = (4p - 1)/3 = exp(-kappa t)
+    f_w, f_p = (4 * w_dep - 1) / 3, (4 * p_dep - 1) / 3
+    ratio_dep = _time_to_reach(f_w, 1.0) / _time_to_reach(f_p, 1.0)
+    assert ratio_dep == pytest.approx(math.log(f_w) / math.log(f_p), rel=1e-15)
     assert 0.0 < ratio_dep <= 1.0 + 1e-9
     print(
         f"depolarizing analogs: witness threshold {w_dep:.4f}, pairwise {p_dep:.4f}, "
@@ -535,21 +593,21 @@ def test_depolarizing_thresholds_are_pinned(n):
 
 
 def test_localized_pair_is_entangled_without_noise():
-    rho = localized_pair_state(4, 1.0)
+    rho = pair_density(4, 1.0, (2, 3), (0, 0), "phase_flip")
     assert negativity(rho, [1]) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_localized_pair_negativity_branch_independent():
     for outcomes in itertools.product((0, 1), repeat=2):
-        rho = localized_pair_state(4, 0.85, outcomes=outcomes)
+        rho = pair_density(4, 0.85, (2, 3), outcomes, "phase_flip")
         assert negativity(rho, [1]) == pytest.approx(
-            negativity(localized_pair_state(4, 0.85), [1]), abs=1e-12
+            negativity(pair_density(4, 0.85, (2, 3), (0, 0), "phase_flip"), [1]), abs=1e-12
         )
 
 
 def test_localized_pair_negativity_monotone_in_noise():
     grid = np.linspace(1.0, 0.5, 11)
-    values = [negativity(localized_pair_state(4, float(p)), [1]) for p in grid]
+    values = [negativity(pair_density(4, float(p), (2, 3), (0, 0), "phase_flip"), [1]) for p in grid]
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-12
 

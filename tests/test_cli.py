@@ -215,7 +215,7 @@ CLI_BASELINE = ["-c", "import qlatwit.cli"]
 # Each command at its cap holds megabytes above its baseline child, not the
 # 268 MB of one dense 4096^2 complex operator.  Measured above the baseline
 # (2 vCPUs, OpenBLAS): cluster-witness 2.6 MB, moments-compare 3.2 MB, pulse
-# 6.3 MB, heisenberg 7.6 MB, singlet-suite 2.0 MB; the scan 36.6 MB, its 10^5 rows.
+# 6.3 MB, heisenberg 4.5 MB, singlet-suite 2.0 MB; the scan 36.6 MB, its 10^5 rows.
 CAP_RUNS = [
     (["cluster-witness", "--n", "12"], NUMPY_BASELINE, 16),
     (["moments-compare", "--n", "12", "--max-order", "396"], NUMPY_BASELINE, 16),

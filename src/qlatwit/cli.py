@@ -17,12 +17,12 @@ import sys
 
 from . import __version__, bosonic, channels, criteria, optimize, spinchain
 # expectation is unused here; clibench/tests checks that its tracer rebinds this name
-from .qcore import expectation, np  # noqa: F401
+from .qcore import StabilizerState, expectation, np  # noqa: F401
 
 
 def _versions() -> dict:
     versions = {"qlatwit": __version__, "python": ".".join(str(v) for v in sys.version_info[:3])}
-    # numpy is listed when the command loaded it (decoherence-scan does not)
+    # numpy is listed when the command loaded it (decoherence-scan and cluster-witness do not)
     numpy = sys.modules.get("numpy")
     if numpy is not None:
         versions["numpy"] = numpy.__version__
@@ -78,11 +78,6 @@ _MAX_PAIRS = 1000
 _MAX_STEPS = 100_000
 
 
-def _saturating_product(n: int):
-    # alternating +x / +z eigenstates, the pattern that meets the witness bound
-    return spinchain.product_state([("x", +1) if k % 2 == 1 else ("z", +1) for k in range(1, n + 1)])
-
-
 def _qubit_reports(state) -> list[dict]:
     return [
         criteria.witness_criterion(state).to_json_dict(),
@@ -95,13 +90,17 @@ def cmd_cluster_witness(args) -> tuple[dict, list[dict]]:
     n = args.n
     if n is None or n % 2 != 0 or not 2 <= n <= spinchain._MAX_QUBITS:
         raise ValueError(f"cluster-witness needs --n even, between 2 and {spinchain._MAX_QUBITS}")
-    chain = spinchain.ChainSpec(n)
-    states = {
-        "cluster": spinchain.cluster_state(spinchain.ClusterSpec(chain, (1,) * n)),
-        "saturating_product": _saturating_product(n),
-        "totally_mixed": criteria.totally_mixed_state(n),
+    chain, sites = spinchain.ChainSpec(n), range(1, n + 1)
+    # each state by its stabilizer generators, so every Pauli moment is read exactly:
+    # the correlators at lambda = +1, alternating +x / +z (the pattern that meets
+    # the witness bound) and none for I / 2^n
+    generators = {
+        "cluster": [(spinchain.tilde_factors(chain, k), 1) for k in sites],
+        "saturating_product": [({k: "x" if k % 2 else "z"}, 1) for k in sites],
+        "totally_mixed": [],
     }
-    results = {label: _qubit_reports(state) for label, state in states.items()}
+    results = {label: _qubit_reports(StabilizerState(chain.space(), gens))
+               for label, gens in generators.items()}
     rows = [
         {"state": label, "criterion": rep["name"], "value": rep["value"],
          "bound": rep["bound"], "violated": rep["violated"], "margin": rep["margin"]}

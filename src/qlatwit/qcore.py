@@ -5,14 +5,17 @@ pure states carry unit norm, density matrices are Hermitian trace-one
 positive-semidefinite (up to small numerical floors), operators know whether
 they are meant to be Hermitian.  These three hold dense arrays over the whole
 space.  A ProductState holds a product of small dense states on consecutive
-sites instead, and a SectorState the real amplitudes of a qubit chain on the
-indices of one popcount; neither holds an array over its whole space.  Sites
-are numbered from 1 and site 1 is the most significant index of the composite
-basis (big-endian), a convention shared by every module built on top of this
-one.
-The readers here (``_local_mean``, ``_sum_moments``, ``_collective_moments``
-and ``_collective_distribution``) are the only code that reads how a state
-is stored; a SectorState is read by ``_collective_moments`` alone.
+sites instead, a SectorState the real amplitudes of a qubit chain on the
+indices of one popcount, and a StabilizerState the Pauli generators of a
+qubit-chain stabilizer state as integer bit masks; none holds an array over
+its whole space.  Sites are numbered from 1 and site 1 is the most
+significant index of the composite basis (big-endian), a convention shared
+by every module built on top of this one.
+The readers here (``_local_mean``, ``_sum_moments``, ``_pauli_moments``,
+``_collective_moments`` and ``_collective_distribution``) are the only code
+that reads how a state is stored; a SectorState is read by
+``_collective_moments`` alone and a StabilizerState by ``_pauli_moments``
+alone.
 """
 
 from __future__ import annotations
@@ -331,6 +334,69 @@ class SectorState(Record, eq=False):
             object.__setattr__(self, name, value)
 
 
+def _pauli_bits(factors: Mapping[int, str], sign: int = 1) -> tuple[int, int, int]:
+    """sign * prod_s sigma_{factors[s]}^(s) as (x, z, e), the operator i^e X^x Z^z: site s
+    is bit s - 1 of x and z, and y = i x z sets both bits and adds 1 to e."""
+    x = z = 0
+    for site, axis in factors.items():
+        if axis not in ("x", "y", "z"):
+            raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+        bit = 1 << (site - 1)
+        x |= bit if axis != "z" else 0
+        z |= bit if axis != "x" else 0
+    return x, z, (sum(a == "y" for a in factors.values()) + 1 - sign) % 4
+
+
+def _times(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The product a b of two (x, z, e) strings: Z^z_a X^x_b = (-1)^|z_a & x_b| X^x_b Z^z_a."""
+    return a[0] ^ b[0], a[1] ^ b[1], (a[2] + b[2] + 2 * (a[1] & b[0]).bit_count()) % 4
+
+
+class StabilizerState(Record, eq=False):
+    """The qubit-chain state stabilized by commuting, independent Pauli
+    generators ``(factors, sign)``, each sign * prod_s sigma_{factors[s]}^(s)
+    with ``factors`` a {site: "x" | "y" | "z"} map: rho = prod_g (I + g) / 2^n.
+    Fewer than n generators leave the rest maximally mixed; none is I / 2^n.
+
+    The generators are reduced once, by Gaussian elimination over GF(2), to
+    ``table``: rows (lead, x, z, e) of the stabilizer group in echelon form,
+    ``lead`` being the leading bit of x << n | z, and no row holding the lead
+    of a row before it.  Nothing is held per amplitude."""
+
+    space: HilbertSpace
+    generators: tuple
+
+    def __post_init__(self):
+        space = self.space
+        if space.kind != "qubit":
+            raise ValueError("a stabilizer state lives on a qubit chain")
+        generators, table = tuple((dict(f), s) for f, s in self.generators), []
+        for factors, sign in generators:
+            if sign not in (-1, 1):
+                raise ValueError(f"a generator's sign must be +1 or -1, got {sign!r}")
+            for site in factors:
+                space.check_site(site)
+            g = _pauli_bits(factors, sign)
+            if any(((g[0] & h[2]) ^ (g[1] & h[1])).bit_count() % 2 for h in table):
+                raise ValueError(f"generator {factors} does not commute with the ones before it")
+            x, z, e = _reduce(table, space.n_sites, g)
+            if not x | z:
+                raise ValueError(f"generator {factors} is not independent of the ones before it")
+            table.append((1 << ((x << space.n_sites | z).bit_length() - 1), x, z, e))
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "table", tuple(table))
+
+
+def _reduce(table, n_sites: int, p: tuple[int, int, int]) -> tuple[int, int, int]:
+    """p times each row of ``table`` whose lead it holds, in order: no later row
+    holds that lead, so none is left in the result, which is I exactly when p is
+    in the span of the rows."""
+    for lead, *row in table:
+        if (p[0] << n_sites | p[1]) & lead:
+            p = _times(p, row)
+    return p
+
+
 class GroundState(Record, eq=False):
     energy: float
     state: PureState | SectorState
@@ -479,6 +545,28 @@ def _sum_moments(state, terms: Sequence[Mapping[int, np.ndarray]]) -> tuple[floa
                 for a in terms for c in terms)
     second = sum((_local_mean(state, p) for p in products), 0j)
     return _real_part(mean, "expectation value"), _real_part(second, "second moment")
+
+
+def _pauli_moments(state, strings: Sequence[Mapping[int, str]], paulis) -> tuple[float, float]:
+    """<S> and <S^2> for the sum S of Pauli strings {site: "x" | "y" | "z"}.
+
+    A StabilizerState is read exactly, from its table: <P> = i^e when the
+    table reduces P to i^e I and 0 otherwise, as Tr(rho P g) = Tr(rho P) for
+    every stabilizer g, and <S^2> sums <P_a P_c> over every pair of strings.
+    Any other state goes to ``_sum_moments`` with the one-site matrices of
+    ``paulis()`` (x, y, z stacked), which is called only then.
+    """
+    if not isinstance(state, StabilizerState):
+        pauli = dict(zip("xyz", paulis()))
+        return _sum_moments(state, [{s: pauli[a] for s, a in f.items()} for f in strings])
+
+    def mean(p):
+        x, z, e = _reduce(state.table, state.space.n_sites, p)
+        return 0 if x | z else (1, 1j, -1, -1j)[e]
+
+    ps = [_pauli_bits(f) for f in strings]
+    first, second = sum(map(mean, ps)), sum(mean(_times(a, c)) for a in ps for c in ps)
+    return _real_part(complex(first), "expectation value"), _real_part(complex(second), "second moment")
 
 
 def _real_array(values: np.ndarray, what: str) -> np.ndarray:

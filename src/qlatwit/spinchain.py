@@ -6,7 +6,7 @@ The chain is open: the three-site correlator at the ends drops the
 out-of-range z factor, and the phase-gate exponent couples sites 1..N-1.
 A Pauli string is a product of one-site matrices, applied or traced site by
 site through ``qcore``, so expectations of Pauli sums need no 2^n x 2^n
-matrix.
+matrix; on a stabilizer state it is read as bit masks, with no matrix at all.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from typing import Mapping, Sequence
 
-from .qcore import DIM_CAP, HilbertSpace, PureState, Record, _popcount, _sum_moments, np
+from .qcore import DIM_CAP, HilbertSpace, PureState, Record, _pauli_moments, _popcount, np
 
 AXES = ("x", "y", "z")
 # the most sites of a built 2^n vector, checked before anything n-sized is built
@@ -93,7 +93,8 @@ def _bond_hops(
 
 def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[float, float]:
     """<S> and <S^2> for the sum S of the given Pauli strings on a qubit chain,
-    each a product of one-site ``paulis()`` matrices, read by ``qcore._sum_moments``."""
+    read by ``qcore._pauli_moments``: exactly from a StabilizerState's table,
+    else as products of one-site ``paulis()`` matrices."""
     space = state.space
     if space.kind != "qubit":
         raise ValueError("Pauli strings act on qubit-chain states")
@@ -102,8 +103,7 @@ def pauli_sum_moments(state, strings: Sequence[Mapping[int, str]]) -> tuple[floa
             space.check_site(site)
             if axis not in AXES:
                 raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    pauli = dict(zip(AXES, paulis()))
-    return _sum_moments(state, [{s: pauli[a] for s, a in f.items()} for f in strings])
+    return _pauli_moments(state, strings, paulis)
 
 
 def tilde_factors(chain: ChainSpec, k: int) -> dict[int, str]:

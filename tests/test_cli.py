@@ -108,8 +108,9 @@ def test_each_command_runs_without_scipy(argv):
             f"sys.exit(main({argv!r}))")
     proc = python_process(code)
     assert proc.returncode == 0, proc.stderr
-    # numpy is listed exactly when the command loaded it, which all but the scan do
-    versions = ["python", "qlatwit"] if argv[0] == "decoherence-scan" else ["numpy", "python", "qlatwit"]
+    # numpy is listed exactly when the command loaded it, which all but the scan and the witness do
+    numpy_free = argv[0] in ("decoherence-scan", "cluster-witness")
+    versions = ["python", "qlatwit"] if numpy_free else ["numpy", "python", "qlatwit"]
     assert sorted(json.loads(proc.stdout)["versions"]) == versions
 
 
@@ -119,9 +120,11 @@ def test_each_command_runs_without_scipy(argv):
     ["decoherence-scan", "--n", "4", "--bogus"],
     ["decoherence-scan", "--n", "12", "--steps", "11"],
     ["decoherence-scan", "--n", "12", "--steps", "11", "--format", "csv"],
+    ["cluster-witness", "--n", "12"],
 ])
 def test_the_scan_usage_and_import_leave_numpy_unloaded(argv):
-    # the echo is scalar arithmetic, and numpy costs ~120 ms and ~13 MB to import
+    # the echo is scalar arithmetic, the witness reads stabilizer tables, and
+    # numpy costs ~120 ms and ~13 MB to import
     code = "import contextlib, io, sys; from qlatwit.cli import main\n"
     if argv is not None:
         code += ("with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
@@ -130,19 +133,35 @@ def test_the_scan_usage_and_import_leave_numpy_unloaded(argv):
     assert run_python(code + "print('numpy' in sys.modules)") == "False"
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_decoherence_scan_runs_with_numpy_blocked(fmt):
+SCAN_12 = ["decoherence-scan", "--n", "12", "--steps", "11"]
+WITNESS_12 = ["cluster-witness", "--n", "12"]
+
+
+@pytest.mark.parametrize("argv,fmt", [
+    pytest.param(SCAN_12, "json", id="json"),
+    pytest.param(SCAN_12, "csv", id="csv"),
+    pytest.param(WITNESS_12, "json", id="cluster-witness-json"),
+    pytest.param(WITNESS_12, "csv", id="cluster-witness-csv"),
+])
+def test_decoherence_scan_runs_with_numpy_blocked(argv, fmt):
     code = ("import sys; sys.modules['numpy'] = None\n"
             "from qlatwit.cli import main\n"
-            f"sys.exit(main(['decoherence-scan', '--n', '12', '--steps', '11', '--format', {fmt!r}]))")
+            f"sys.exit(main({argv + ['--format', fmt]!r}))")
     proc = python_process(code)
     assert proc.returncode == 0, proc.stderr
-    if fmt == "json":
-        doc = json.loads(proc.stdout)
-        assert sorted(doc["versions"]) == ["python", "qlatwit"]
+    if fmt == "csv":
+        # a header and one row per grid point, or per state and criterion
+        assert len(proc.stdout.splitlines()) == (12 if argv is SCAN_12 else 10)
+        return
+    doc = json.loads(proc.stdout)
+    assert sorted(doc["versions"]) == ["python", "qlatwit"]
+    if argv is SCAN_12:
         assert doc["results"]["summary"]["crossing_p_fit"] == pytest.approx(0.75, abs=1e-12)
     else:
-        assert len(proc.stdout.splitlines()) == 12
+        values = {label: [r["value"] for r in reps] for label, reps in doc["results"]["reports"].items()}
+        # witness, squared and variance_x, each an exact integer
+        assert values == {"cluster": [12.0, 12.0, 0.0], "saturating_product": [6.0, 6.0, 6.0],
+                          "totally_mixed": [0.0, 0.0, 12.0]}
 
 
 def test_pulse_optimize_adds_no_numpy_random():
@@ -214,10 +233,12 @@ CLI_BASELINE = ["-c", "import qlatwit.cli"]
 
 # Each command at its cap holds megabytes above its baseline child, not the
 # 268 MB of one dense 4096^2 complex operator.  Measured above the baseline
-# (2 vCPUs, OpenBLAS): cluster-witness 2.6 MB, moments-compare 3.2 MB, pulse
-# 6.3 MB, heisenberg 4.5 MB, singlet-suite 2.0 MB; the scan 36.6 MB, its 10^5 rows.
+# (2 vCPUs, OpenBLAS): moments-compare 3.2 MB, pulse 6.3 MB, heisenberg 4.5 MB,
+# singlet-suite 2.0 MB; the scan 36.6 MB, its 10^5 rows.  cluster-witness reads
+# stabilizer tables and loads no numpy: -0.03 to 0.09 MB above `import qlatwit.cli`,
+# so 2 MB is far below the ~13 MB that importing numpy would add.
 CAP_RUNS = [
-    (["cluster-witness", "--n", "12"], NUMPY_BASELINE, 16),
+    (["cluster-witness", "--n", "12"], CLI_BASELINE, 2),
     (["moments-compare", "--n", "12", "--max-order", "396"], NUMPY_BASELINE, 16),
     (["pulse", "--n", "10", "--params=-3.2,-9.6,0.8", "--optimize", "--budget", "100", "--seed", "1"],
      NUMPY_BASELINE, 16),

@@ -527,8 +527,8 @@ def test_other_readers_refuse_a_sector_state():
 # ---------------------------------------------------------------------------
 # qcore is the only module that reads how a state is stored
 
-STATE_TYPES = {"PureState", "DensityMatrix", "ProductState", "SectorState"}
-STORAGE = {"amplitudes", "matrix", "blocks"}
+STATE_TYPES = {"PureState", "DensityMatrix", "ProductState", "SectorState", "StabilizerState"}
+STORAGE = {"amplitudes", "matrix", "blocks", "table"}
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qlatwit"
 
 

@@ -22,7 +22,8 @@ from .qcore import StabilizerState, expectation, np  # noqa: F401
 
 def _versions() -> dict:
     versions = {"qlatwit": __version__, "python": ".".join(str(v) for v in sys.version_info[:3])}
-    # numpy is listed when the command loaded it (decoherence-scan and cluster-witness do not)
+    # numpy is listed when the command loaded it (decoherence-scan, cluster-witness and
+    # moments-compare do not)
     numpy = sys.modules.get("numpy")
     if numpy is not None:
         versions["numpy"] = numpy.__version__
@@ -86,16 +87,21 @@ def _qubit_reports(state) -> list[dict]:
     ]
 
 
+def _cluster_generators(chain: spinchain.ChainSpec) -> list:
+    """The cluster state's stabilizer generators: every correlator at lambda = +1."""
+    return [(spinchain.tilde_factors(chain, k), 1) for k in range(1, chain.n_sites + 1)]
+
+
 def cmd_cluster_witness(args) -> tuple[dict, list[dict]]:
     n = args.n
     if n is None or n % 2 != 0 or not 2 <= n <= spinchain._MAX_QUBITS:
         raise ValueError(f"cluster-witness needs --n even, between 2 and {spinchain._MAX_QUBITS}")
     chain, sites = spinchain.ChainSpec(n), range(1, n + 1)
     # each state by its stabilizer generators, so every Pauli moment is read exactly:
-    # the correlators at lambda = +1, alternating +x / +z (the pattern that meets
-    # the witness bound) and none for I / 2^n
+    # the cluster, alternating +x / +z (the pattern that meets the witness bound)
+    # and none for I / 2^n
     generators = {
-        "cluster": [(spinchain.tilde_factors(chain, k), 1) for k in sites],
+        "cluster": _cluster_generators(chain),
         "saturating_product": [({k: "x" if k % 2 else "z"}, 1) for k in sites],
         "totally_mixed": [],
     }
@@ -191,37 +197,38 @@ def cmd_moments_compare(args) -> tuple[dict, list[dict]]:
         raise ValueError(f"moments-compare needs --n between 2 and {spinchain._MAX_QUBITS}")
     if not 1 <= max_order <= criteria.MAX_ORDER:
         raise ValueError(f"--max-order must be between 1 and {criteria.MAX_ORDER}")
+    # every state by its stabilizer generators, so each law and moment is read exactly
     chain = spinchain.ChainSpec(n)
-    cluster = spinchain.cluster_state(spinchain.ClusterSpec(chain, (1,) * n))
-    mixed = criteria.totally_mixed_state(n)
+    cluster = StabilizerState(chain.space(), _cluster_generators(chain))
+    mixed = StabilizerState(chain.space(), [])
     axes = [criteria.AXIS_X, criteria.AXIS_Y, criteria.AXIS_Z]
-    comparison = criteria.moment_indistinguishability(cluster, mixed, axes, max_order)
+    orders, _, _, differences, first = criteria._moment_tables(cluster, mixed, axes, max_order)
     doc = {
         "cluster_vs_mixed": {
             "axes": list(spinchain.AXES),
-            "orders": list(comparison.orders),
-            "differences": comparison.differences.tolist(),
-            "indistinguishable": comparison.indistinguishable,
+            "orders": list(orders),
+            "differences": differences,
+            "indistinguishable": first is None,
         }
     }
     rows = [
-        {"axis": axis, "order": m, "difference": float(comparison.differences[i, j])}
+        {"axis": axis, "order": m, "difference": differences[i][j]}
         for i, axis in enumerate(spinchain.AXES)
-        for j, m in enumerate(comparison.orders)
+        for j, m in enumerate(orders)
     ]
     if n >= 4:
-        rho_s = criteria.moment_matching_separable_state(n)
-        cluster_moments = criteria.collective_moments(cluster)
-        rho_s_moments = criteria.collective_moments(rho_s)
+        cluster_mean, cluster_second, _ = criteria._moments(cluster)
+        rho_s_mean, rho_s_second, _ = criteria._moments(criteria.moment_matching_separable_state(n))
         # the anticommutator table is twice the symmetrized second moments
-        table_cluster = 2 * cluster_moments.second
-        table_rho_s = 2 * rho_s_moments.second
+        table_cluster = [[2 * v for v in row] for row in cluster_second]
+        table_rho_s = [[2 * v for v in row] for row in rho_s_second]
         doc["moment_matching_state"] = {
-            "first_moments_cluster": cluster_moments.mean.tolist(),
-            "first_moments_separable": rho_s_moments.mean.tolist(),
-            "anticommutator_cluster": table_cluster.tolist(),
-            "anticommutator_separable": table_rho_s.tolist(),
-            "max_table_difference": float(np.abs(table_cluster - table_rho_s).max()),
+            "first_moments_cluster": cluster_mean,
+            "first_moments_separable": rho_s_mean,
+            "anticommutator_cluster": table_cluster,
+            "anticommutator_separable": table_rho_s,
+            "max_table_difference": max(abs(a - b) for ra, rb in zip(table_cluster, table_rho_s)
+                                        for a, b in zip(ra, rb)),
         }
     return doc, rows
 

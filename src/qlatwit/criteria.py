@@ -20,6 +20,7 @@ from .qcore import (  # noqa: F401
     HilbertSpace,
     ProductState,
     Record,
+    StabilizerState,
     _collective_distribution,
     _collective_moments,
     expectation,
@@ -156,13 +157,19 @@ class Moments(Record, eq=False):
     number: float
 
 
-def collective_moments(state) -> Moments:
-    """The ``Moments`` of a state, from one ``qcore._collective_moments`` read
-    of its one-site stack (a Fock lattice's <N> is the stack's fourth row)."""
+def _moments(state) -> tuple:
+    """<J>, the symmetrized second moments and <N> of a state, from one
+    ``qcore._collective_moments`` read of its one-site stack (a Fock lattice's
+    <N> is the stack's fourth row): lists for a StabilizerState, else arrays."""
     space = state.space
-    mean, second = _collective_moments(state, _site_spin_matrices(space))
-    number = float(space.n_sites) if space.kind == "qubit" else float(mean[3])
-    return Moments(mean[:3], second[:3, :3], number)
+    mean, second = _collective_moments(state, lambda: _site_spin_matrices(space))
+    return mean, second, float(space.n_sites) if space.kind == "qubit" else float(mean[3])
+
+
+def collective_moments(state) -> Moments:
+    """The ``Moments`` of a state: ``_moments`` packed as arrays."""
+    mean, second, number = _moments(state)
+    return Moments(np.array(mean[:3]), np.array(second)[:3, :3], number)
 
 
 def _correlator_means(state, chain: spinchain.ChainSpec) -> list[float]:
@@ -334,16 +341,25 @@ def _site_eigenbasis(space: HilbertSpace, direction: Direction) -> tuple[np.ndar
 
 
 def _check_integer_order(order) -> None:
-    # a real power of the eigenvalues is no moment, and the tables are indexed by order
-    if not isinstance(order, (int, np.integer)):
+    # a real power of the eigenvalues is no moment, and the tables are indexed by order;
+    # an integer (int, numpy's integers) has __index__, which reads no numpy name
+    if not hasattr(order, "__index__"):
         raise ValueError(f"moment order must be an integer, got {order!r}")
 
 
-def _moment(lowest: int, weights: np.ndarray, order: int) -> float:
-    """<L^m> of the law (lowest, weights) that ``qcore._collective_distribution`` returns."""
-    levels = (lowest + np.arange(weights.size)) / 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(weights @ levels**order)
+def _law(state, direction: Direction) -> tuple:
+    """The law of J_n, ``qcore._collective_distribution`` along ``direction``."""
+    axis = {AXIS_X: "x", AXIS_Y: "y", AXIS_Z: "z"}.get(direction)
+    return _collective_distribution(state, axis, lambda: _site_eigenbasis(state.space, direction))
+
+
+def _moment(lowest: int, weights, order: int) -> float:
+    """<L^m> of the law (lowest, weights) that ``_law`` returns, as an exactly
+    rounded sum over the nonzero weights (a qubit grid holds n exact zeros)."""
+    try:
+        value = math.fsum(float(w) * ((lowest + i) / 2) ** order for i, w in enumerate(weights) if w)
+    except (OverflowError, ValueError):  # a power past the doubles, or inf - inf in the sum
+        value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"the order-{order} moment overflows double precision")
     return value
@@ -354,8 +370,7 @@ def angular_moment(state, direction: Direction, order: int) -> float:
     _check_integer_order(order)
     if order < 1:
         raise ValueError("moment order must be at least 1")
-    basis = _site_eigenbasis(state.space, direction)
-    return _moment(*_collective_distribution(state, *basis), order)
+    return _moment(*_law(state, direction), order)
 
 
 def anticommutator_moments(state) -> np.ndarray:
@@ -363,51 +378,28 @@ def anticommutator_moments(state) -> np.ndarray:
     return 2 * collective_moments(state).second
 
 
-def _mixed_sites(n_sites: int) -> tuple[DensityMatrix, ...]:
-    site = DensityMatrix(HilbertSpace((2,)), np.eye(2, dtype=complex) / 2)
-    return (site,) * n_sites
-
-
 def totally_mixed_state(n_sites: int) -> ProductState:
     """Uniform mixture of spin up/down at every site (identity / 2^n), held as
     n one-site blocks I/2."""
     spinchain.ChainSpec(n_sites)  # refuses fewer than 2 sites
-    return ProductState(_mixed_sites(n_sites))
+    return ProductState((DensityMatrix(HilbertSpace((2,)), np.eye(2, dtype=complex) / 2),) * n_sites)
 
 
-def moment_matching_separable_state(n_sites: int) -> ProductState:
+def moment_matching_separable_state(n_sites: int) -> StabilizerState:
     """Separable state with the same first and second collective moments as
-    the matching cluster state.
-
-    A classical x-correlated pair on sites 1-2, a z-anticorrelated pair on
-    sites 3-4, and fully mixed spins elsewhere, all rotated by 45 degrees
-    about the collective y axis.  The rotation converts the two classical
-    pair correlations into the cross moment <J_z J_x + J_x J_z> = 1 that a
-    cluster state carries from its chain ends, while leaving every
-    single-direction second moment at the fully mixed value.  Needs at least
-    4 sites for the two pair blocks.  Held as the two rotated 4x4 pair
-    blocks and n - 4 one-site blocks I/2.
+    the matching cluster state: (I + g_1)(I + g_n) / 2^n, the cluster's two
+    chain-end correlators g_1 = x_1 z_2 and g_n = z_(n-1) x_n as its only
+    generators.  Those are two classically correlated pairs on sites 1-2 and
+    n-1..n, fully mixed spins elsewhere; they carry the cross moment
+    <J_z J_x + J_x J_z> = 1 that the cluster carries from its chain ends, and
+    every other first and second moment is the fully mixed one, as on the
+    cluster.  Needs at least 4 sites for the two pairs.
     """
     if n_sites < 4:
         raise ValueError("moment matching construction needs at least 4 sites")
-    up = np.array([1, 0], dtype=complex)
-    down = np.array([0, 1], dtype=complex)
-    up_x = (up + down) / np.sqrt(2)
-    down_x = (up - down) / np.sqrt(2)
-
-    def proj(vec: np.ndarray) -> np.ndarray:
-        return np.outer(vec, vec.conj())
-
-    block_x = 0.5 * (proj(np.kron(up_x, up_x)) + proj(np.kron(down_x, down_x)))
-    block_z = 0.5 * (proj(np.kron(up, down)) + proj(np.kron(down, up)))
-    # exp(i pi/4 J_y) is exp(i pi/8 sigma_y) = cos(pi/8) + i sin(pi/8) sigma_y on every
-    # site; it rotates each pair block by u x u and leaves the mixed sites' I/2 alone
-    c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
-    u = np.array([[c, s], [-s, c]], dtype=complex)
-    uu = np.kron(u, u)
-    pair_space = HilbertSpace((2, 2))
-    pairs = tuple(DensityMatrix(pair_space, uu @ b @ uu.conj().T) for b in (block_x, block_z))
-    return ProductState(pairs + _mixed_sites(n_sites - 4))
+    chain = spinchain.ChainSpec(n_sites)
+    ends = [(spinchain.tilde_factors(chain, k), 1) for k in (1, n_sites)]
+    return StabilizerState(chain.space(), ends)
 
 
 class MomentComparison(Record, eq=False):
@@ -422,40 +414,46 @@ class MomentComparison(Record, eq=False):
     first_difference: tuple[int, int] | None  # (axis index, order)
 
 
-def moment_indistinguishability(
-    state_a, state_b, axes: Sequence[Direction], max_order: int
-) -> MomentComparison:
-    """Compare <J_n^m> for both states over the given axes up to max_order."""
+def _moment_tables(state_a, state_b, axes: Sequence[Direction], max_order: int) -> tuple:
+    """The lists behind ``moment_indistinguishability``: the orders, both
+    states' <J_n^m> and their differences per axis, and the first difference."""
     if state_a.space.dims != state_b.space.dims:
         raise ValueError("states live on different site structures")
     _check_integer_order(max_order)
     if not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must be between 1 and {MAX_ORDER}")
-    axes = tuple(axes)
     orders = tuple(range(1, max_order + 1))
-    ma = np.zeros((len(axes), max_order))
-    mb = np.zeros((len(axes), max_order))
-    # max(1, j_max) per axis
-    scale = np.ones(len(axes))
+    tables, differences, hits = ([], []), [], []
     for i, direction in enumerate(axes):
-        for state, table in ((state_a, ma), (state_b, mb)):
-            basis = _site_eigenbasis(state.space, direction)
-            lowest, weights = _collective_distribution(state, *basis)
-            table[i] = [_moment(lowest, weights, order) for order in orders]
-            scale[i] = max(scale[i], abs(lowest) / 2, abs(lowest + weights.size - 1) / 2)
-    diffs = np.abs(ma - mb)
-    # an order-m moment sums terms up to j_max^m, so its round-off grows with them;
-    # every moment is finite here, so no power of the scale overflows
-    tol = INDISTINGUISHABLE_TOL * scale[:, None] ** np.array(orders)
-    # rows of the transposed table are orders, so the lowest order comes first
-    hits = np.argwhere((diffs > tol).T)
-    first = (int(hits[0, 1]), orders[hits[0, 0]]) if len(hits) else None
+        laws = [_law(state, direction) for state in (state_a, state_b)]
+        for (lowest, weights), table in zip(laws, tables):
+            table.append([_moment(lowest, weights, order) for order in orders])
+        # an order-m moment sums terms up to j_max^m, with j_max the largest |J_n| level
+        # compared, so its round-off grows with them; past the doubles tol is inf
+        scale = max(1, *(abs(lowest + k) / 2 for lowest, weights in laws for k in (0, len(weights) - 1)))
+        tol, row = INDISTINGUISHABLE_TOL, []
+        for order, a, b in zip(orders, tables[0][-1], tables[1][-1]):
+            tol *= scale
+            row.append(abs(a - b))
+            if row[-1] > tol:
+                hits.append((order, i))
+        differences.append(row)
+    # the lowest order first, then the lowest axis, reported as (axis index, order)
+    return orders, *tables, differences, min(hits)[::-1] if hits else None
+
+
+def moment_indistinguishability(
+    state_a, state_b, axes: Sequence[Direction], max_order: int
+) -> MomentComparison:
+    """Compare <J_n^m> for both states over the given axes up to max_order."""
+    axes = tuple(axes)
+    orders, ma, mb, diffs, first = _moment_tables(state_a, state_b, axes, max_order)
     return MomentComparison(
         axes=axes,
         orders=orders,
-        moments_a=ma,
-        moments_b=mb,
-        differences=diffs,
+        moments_a=np.array(ma),
+        moments_b=np.array(mb),
+        differences=np.array(diffs),
         indistinguishable=first is None,
         first_difference=first,
     )

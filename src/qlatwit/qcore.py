@@ -14,8 +14,7 @@ by every module built on top of this one.
 The readers here (``_local_mean``, ``_sum_moments``, ``_pauli_moments``,
 ``_collective_moments`` and ``_collective_distribution``) are the only code
 that reads how a state is stored; a SectorState is read by
-``_collective_moments`` alone and a StabilizerState by ``_pauli_moments``
-alone.
+``_collective_moments`` alone and a StabilizerState by the last three.
 """
 
 from __future__ import annotations
@@ -559,14 +558,16 @@ def _pauli_moments(state, strings: Sequence[Mapping[int, str]], paulis) -> tuple
     if not isinstance(state, StabilizerState):
         pauli = dict(zip("xyz", paulis()))
         return _sum_moments(state, [{s: pauli[a] for s, a in f.items()} for f in strings])
-
-    def mean(p):
-        x, z, e = _reduce(state.table, state.space.n_sites, p)
-        return 0 if x | z else (1, 1j, -1, -1j)[e]
-
     ps = [_pauli_bits(f) for f in strings]
-    first, second = sum(map(mean, ps)), sum(mean(_times(a, c)) for a in ps for c in ps)
+    first = sum(_stabilizer_mean(state, p) for p in ps)
+    second = sum(_stabilizer_mean(state, _times(a, c)) for a in ps for c in ps)
     return _real_part(complex(first), "expectation value"), _real_part(complex(second), "second moment")
+
+
+def _stabilizer_mean(state: StabilizerState, p: tuple[int, int, int]) -> complex:
+    """<P> = i^e when the table reduces P to i^e I, else 0; an int for a Hermitian P."""
+    x, z, e = _reduce(state.table, state.space.n_sites, p)
+    return 0 if x | z else (1, 1j, -1, -1j)[e]
 
 
 def _real_array(values: np.ndarray, what: str) -> np.ndarray:
@@ -587,14 +588,17 @@ def _flip_norm(state: SectorState, bit: int) -> float:
     return float(out @ out)
 
 
-def _collective_moments(state, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _collective_moments(state, local) -> tuple:
     """<L_k> and the symmetrized <(L_k L_l + L_l L_k) / 2> for the site sums
-    L_k = sum_s local[k]^(s) of a (K, d, d) stack of one-site matrices.
+    L_k = sum_s l_k^(s) of the (K, d, d) stack of one-site matrices l = ``local()``.
 
-    No dim x dim operator is built.  A pure state takes v_k = L_k psi, applied
-    site by site, and inner products.  A density matrix is read through its
-    one- and two-site blocks: <L_k> and the same-site terms
-    sum_s Tr(l_k l_l rho_s) come from the sum of the one-site blocks rho_s,
+    No dim x dim operator is built, and only the dense branches call ``local``.
+    A StabilizerState's stack is the qubit spin sigma / 2 (x, y, z), read
+    exactly as lists: <J_a> sums <sigma_a^s> / 2, and 4 <J_a J_b> sums
+    <sigma_a^s sigma_b^t> over s != t, plus n where a == b.  A pure state
+    takes v_k = L_k psi, applied site by site, and inner products.  A density
+    matrix is read through its one- and two-site blocks: <L_k> and the
+    same-site terms sum_s Tr(l_k l_l rho_s) come from the sum of the one-site blocks rho_s,
     and the cross terms from the sum over pairs s < t of the two-site blocks
     rho_st, as Tr((l_k x l_l) rho_st) plus its transpose.  A ProductState is
     read block by block: the means add, and
@@ -604,12 +608,20 @@ def _collective_moments(state, local: np.ndarray) -> tuple[np.ndarray, np.ndarra
     c_k = l_k[1, 0], three parts in three sectors: <L_k> = delta_k, and
     <L_k L_l> needs only |R psi|^2 and |F psi|^2 (``_flip_norm``).
     """
+    if isinstance(state, StabilizerState):
+        sites = range(1, state.space.n_sites + 1)
+        mean = [sum(_stabilizer_mean(state, _pauli_bits({s: a})) for s in sites) / 2 for a in "xyz"]
+        second = [[(len(sites) * (a == b) + sum(_stabilizer_mean(state, _pauli_bits({s: a, t: b}))
+                                                for s in sites for t in sites if s != t)) / 4
+                   for b in "xyz"] for a in "xyz"]
+        return mean, second
     if isinstance(state, ProductState):
-        parts = [_collective_moments(block, local) for block in state.blocks]
+        stack = local()
+        parts = [_collective_moments(block, lambda: stack) for block in state.blocks]
         mean = sum(m for m, _ in parts)
         # sum_{b != c} m_b m_c^T is (sum_b m_b)(sum_c m_c)^T less the b == c terms
         return mean, sum(s - np.outer(m, m) for m, s in parts) + np.outer(mean, mean)
-    space = state.space
+    space, local = state.space, local()
     if isinstance(state, PureState):
         psi = state.amplitudes
         v = _site_sum(local, space, psi)
@@ -636,10 +648,10 @@ def _collective_moments(state, local: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _real_array(mean, "expectation value"), _real_array(second, "second moment")
 
 
-def _collective_distribution(state, w: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray]:
+def _collective_distribution(state, axis: str | None, eigenbasis) -> tuple[int, Sequence[float]]:
     """The law of L = sum_s l^(s) in the state, as ``(lowest, weights)``:
     L = (lowest + i) / 2 with probability weights[i], from the one-site
-    eigenvalues ``w`` and eigenvector columns ``v`` of l.
+    eigenvalues w and eigenvector columns v of l, ``eigenbasis()`` = (w, v).
 
     2 w must be integers, which is checked once, here.  L is diagonal in the
     product of the one-site eigenbases: a dense state is rotated site by site
@@ -647,8 +659,15 @@ def _collective_distribution(state, w: np.ndarray, v: np.ndarray) -> tuple[int, 
     has O(n) support.  A density matrix is rotated on its rows twice,
     p = diag(U (U rho)^dagger), with the site application of a pure state.
     For a ProductState L adds over the blocks, so its law is the convolution
-    of the blocks'.
+    of the blocks'.  A StabilizerState is read as ``_stabilizer_law`` along
+    ``axis``, the x, y or z that l = sigma_axis / 2 points along, with no
+    call of ``eigenbasis``; it has no law along a tilted l (``axis`` None).
     """
+    if isinstance(state, StabilizerState):
+        if axis is None:
+            raise ValueError("cannot take moments of StabilizerState off the x, y and z axes")
+        return _stabilizer_law(state, axis)
+    w, v = eigenbasis()
     twice = np.rint(2 * w)
     if np.abs(w - twice / 2).max() > _HALF_INTEGER_TOL:
         raise ValueError("a one-site eigenvalue lies off the half-integer grid")
@@ -669,3 +688,38 @@ def _collective_distribution(state, w: np.ndarray, v: np.ndarray) -> tuple[int, 
         level_sums = sum(np.ix_(*(levels,) * space.n_sites)).ravel()
         weights = np.convolve(weights, np.bincount(level_sums, weights=p))
     return low * state.space.n_sites, weights
+
+
+def _stabilizer_law(state: StabilizerState, axis: str) -> tuple[int, list[float]]:
+    """The law of J_axis, exact, on the step-1/2 grid from -n/2.
+
+    The code C = {S : +-sigma_axis^S in the group} is the span of the table's
+    combinations whose part off the axis cancels (z for x, x for z, x xor z
+    for y), found by elimination over GF(2); the sign s(S) = <sigma_axis^S>
+    is a character on C.  The outcomes with w spins at -1/2 have probability
+    sum_{S in C} s(S) K_w(|S|) / 2^n, K_w the Krawtchouk polynomial
+    sum_i (-1)^i C(|S|, i) C(n - |S|, w - i), an integer over 2^n."""
+    n, pivots, code = state.space.n_sites, {}, []
+    for _, x, z, _ in state.table:
+        off, on = {"x": (z, x), "y": (x ^ z, x), "z": (x, z)}[axis]
+        while off:
+            top = off.bit_length()
+            if top not in pivots:
+                pivots[top] = off, on
+                break
+            off, on = off ^ pivots[top][0], on ^ pivots[top][1]
+        else:
+            code.append(on)
+    elements = [(0, 1)]
+    for s in code:
+        sign = _stabilizer_mean(state, _pauli_bits({k + 1: axis for k in range(n) if s >> k & 1}))
+        elements += [(t ^ s, c * sign) for t, c in elements]
+    enumerator = [0] * (n + 1)  # sum of s(S) over the S in C of each size
+    for t, c in elements:
+        enumerator[t.bit_count()] += c
+    weights = [0.0] * (2 * n + 1)
+    for w in range(n + 1):
+        count = sum(a * (-1) ** i * math.comb(j, i) * math.comb(n - j, w - i)
+                    for j, a in enumerate(enumerator) if a for i in range(min(j, w) + 1))
+        weights[2 * (n - w)] = count / 2**n
+    return -n, weights

@@ -1,8 +1,11 @@
 """Shared independent oracles: dense operator builders written from scratch
 here, so expected values never come from the code under test.  The package
-itself builds no dense operator.  Beside the builders sit two dense-state
-oracles that no command runs, ``pure_to_density`` and the partial-transpose
-``negativity``.  The reference helpers at the end wrap these oracles for the
+itself builds no dense operator.  Beside the builders sit the dense-state
+oracles that no command runs: ``oracle_density``, the kron-built
+prod_g (I + g) / 2^n of stabilizer generators, ``pure_to_density``, the
+partial-transpose ``negativity``, and the rotated-pair moment-matching state
+that ``criteria.moment_matching_separable_state`` was before it became a
+stabilizer state, kept as a ProductState test subject.  The reference helpers at the end wrap these oracles for the
 acceptance gate and the differentials.  The two cluster readers
 after them are the package's former state-vector forms of the decoherence echo
 and the localized pair, kept to check the stabilizer forms at sizes the 4^n
@@ -23,9 +26,12 @@ from qlatwit.qcore import (
     DEGENERACY_GAP,
     DensityMatrix,
     GroundState,
+    HilbertSpace,
     LinearOperator,
+    ProductState,
     PureState,
     Record,
+    StabilizerState,
     variance_from_moments,
 )
 from qlatwit.spinchain import (
@@ -73,15 +79,52 @@ def oracle_collective(axis, n):
     return sum(oracle_site_pauli(axis, k, n) for k in range(1, n + 1)) / 2
 
 
+def oracle_density(generators, n):
+    """prod_g (I + g) / 2^n for generators (factors, sign), built from the kron
+    oracles and validated."""
+    rho = kron_all([ID2] * n) / 2**n
+    for factors, sign in generators:
+        rho = rho @ (kron_all([ID2] * n) + sign * oracle_pauli_string(factors, n))
+    return DensityMatrix(HilbertSpace((2,) * n), rho)
+
+
 def oracle_product_dense(state):
     """A qcore.ProductState as one dense state, by kron products of its blocks:
-    a PureState when every block is pure, a DensityMatrix otherwise."""
+    a PureState when every block is pure, a DensityMatrix otherwise.  A
+    qcore.StabilizerState is the ``oracle_density`` of its generators."""
+    if isinstance(state, StabilizerState):
+        return oracle_density(state.generators, state.space.n_sites)
     blocks = state.blocks
     if all(isinstance(b, PureState) for b in blocks):
         return PureState(state.space, kron_all([b.amplitudes[:, None] for b in blocks])[:, 0])
     mats = [np.outer(b.amplitudes, b.amplitudes.conj()) if isinstance(b, PureState) else b.matrix
             for b in blocks]
     return DensityMatrix(state.space, kron_all(mats))
+
+
+def rotated_matching_state(n_sites):
+    """A separable ProductState with the cluster's first and second collective
+    moments: a classical x-correlated pair on sites 1-2, a z-anticorrelated
+    pair on sites 3-4, and fully mixed spins elsewhere, all rotated by 45
+    degrees about the collective y axis.  The rotation turns the two pair
+    correlations into the cross moment <J_z J_x + J_x J_z> = 1 and leaves every
+    single-direction second moment at the fully mixed value.  Held as the two
+    rotated 4x4 pair blocks and n - 4 one-site blocks I/2."""
+    up, down = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
+    up_x, down_x = (up + down) / np.sqrt(2), (up - down) / np.sqrt(2)
+
+    def proj(vec):
+        return np.outer(vec, vec.conj())
+
+    block_x = 0.5 * (proj(np.kron(up_x, up_x)) + proj(np.kron(down_x, down_x)))
+    block_z = 0.5 * (proj(np.kron(up, down)) + proj(np.kron(down, up)))
+    # exp(i pi/4 J_y) is exp(i pi/8 sigma_y) = cos(pi/8) + i sin(pi/8) sigma_y on every
+    # site; it rotates each pair block by u x u and leaves the mixed sites' I/2 alone
+    c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
+    uu = np.kron(*[np.array([[c, s], [-s, c]], dtype=complex)] * 2)
+    pairs = tuple(DensityMatrix(HilbertSpace((2, 2)), uu @ b @ uu.conj().T) for b in (block_x, block_z))
+    mixed = DensityMatrix(HilbertSpace((2,)), ID2 / 2)
+    return ProductState(pairs + (mixed,) * (n_sites - 4))
 
 
 def pure_to_density(state):

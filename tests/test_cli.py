@@ -108,8 +108,9 @@ def test_each_command_runs_without_scipy(argv):
             f"sys.exit(main({argv!r}))")
     proc = python_process(code)
     assert proc.returncode == 0, proc.stderr
-    # numpy is listed exactly when the command loaded it, which all but the scan and the witness do
-    numpy_free = argv[0] in ("decoherence-scan", "cluster-witness")
+    # numpy is listed exactly when the command loaded it, which all but the scan, the
+    # witness and the moment comparison do
+    numpy_free = argv[0] in ("decoherence-scan", "cluster-witness", "moments-compare")
     versions = ["python", "qlatwit"] if numpy_free else ["numpy", "python", "qlatwit"]
     assert sorted(json.loads(proc.stdout)["versions"]) == versions
 
@@ -121,10 +122,11 @@ def test_each_command_runs_without_scipy(argv):
     ["decoherence-scan", "--n", "12", "--steps", "11"],
     ["decoherence-scan", "--n", "12", "--steps", "11", "--format", "csv"],
     ["cluster-witness", "--n", "12"],
+    ["moments-compare", "--n", "9"],
 ])
 def test_the_scan_usage_and_import_leave_numpy_unloaded(argv):
-    # the echo is scalar arithmetic, the witness reads stabilizer tables, and
-    # numpy costs ~120 ms and ~13 MB to import
+    # the echo is scalar arithmetic, the witness and the moment comparison read
+    # stabilizer tables, and numpy costs ~120 ms and ~13 MB to import
     code = "import contextlib, io, sys; from qlatwit.cli import main\n"
     if argv is not None:
         code += ("with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
@@ -135,6 +137,15 @@ def test_the_scan_usage_and_import_leave_numpy_unloaded(argv):
 
 SCAN_12 = ["decoherence-scan", "--n", "12", "--steps", "11"]
 WITNESS_12 = ["cluster-witness", "--n", "12"]
+MOMENTS_9 = ["moments-compare", "--n", "9"]
+MOMENTS_12 = ["moments-compare", "--n", "12", "--max-order", "396"]
+
+
+def run_with_numpy_blocked(argv):
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from qlatwit.cli import main\n"
+            f"sys.exit(main({argv!r}))")
+    return python_process(code)
 
 
 @pytest.mark.parametrize("argv,fmt", [
@@ -142,26 +153,43 @@ WITNESS_12 = ["cluster-witness", "--n", "12"]
     pytest.param(SCAN_12, "csv", id="csv"),
     pytest.param(WITNESS_12, "json", id="cluster-witness-json"),
     pytest.param(WITNESS_12, "csv", id="cluster-witness-csv"),
+    pytest.param(MOMENTS_9, "json", id="moments-compare-json"),
+    pytest.param(MOMENTS_9, "csv", id="moments-compare-csv"),
+    pytest.param(MOMENTS_12, "json", id="moments-compare-order-396-json"),
 ])
 def test_decoherence_scan_runs_with_numpy_blocked(argv, fmt):
-    code = ("import sys; sys.modules['numpy'] = None\n"
-            "from qlatwit.cli import main\n"
-            f"sys.exit(main({argv + ['--format', fmt]!r}))")
-    proc = python_process(code)
+    proc = run_with_numpy_blocked(argv + ["--format", fmt])
     assert proc.returncode == 0, proc.stderr
     if fmt == "csv":
-        # a header and one row per grid point, or per state and criterion
-        assert len(proc.stdout.splitlines()) == (12 if argv is SCAN_12 else 10)
+        # a header and one row per grid point, per state and criterion, or per axis and order
+        assert len(proc.stdout.splitlines()) == {SCAN_12[0]: 12, WITNESS_12[0]: 10, MOMENTS_9[0]: 13}[argv[0]]
         return
     doc = json.loads(proc.stdout)
     assert sorted(doc["versions"]) == ["python", "qlatwit"]
     if argv is SCAN_12:
         assert doc["results"]["summary"]["crossing_p_fit"] == pytest.approx(0.75, abs=1e-12)
+    elif argv[0] == "moments-compare":
+        # the laws agree along x, y and z up to these orders, so every difference is an
+        # exact zero, and the moments-matching table is the cluster's, exactly
+        section, matching = doc["results"]["cluster_vs_mixed"], doc["results"]["moment_matching_state"]
+        assert section["indistinguishable"] and {d for row in section["differences"] for d in row} == {0.0}
+        half = int(argv[2]) / 2
+        assert matching["anticommutator_cluster"] == [[half, 0, 1], [0, half, 0], [1, 0, half]]
+        assert matching["anticommutator_separable"] == matching["anticommutator_cluster"]
+        assert matching["max_table_difference"] == 0.0
     else:
         values = {label: [r["value"] for r in reps] for label, reps in doc["results"]["reports"].items()}
         # witness, squared and variance_x, each an exact integer
         assert values == {"cluster": [12.0, 12.0, 0.0], "saturating_product": [6.0, 6.0, 6.0],
                           "totally_mixed": [0.0, 0.0, 12.0]}
+
+
+def test_an_overflowing_order_is_one_line_with_numpy_blocked():
+    # 6^397 overflows in the pure-Python moment as in the array one
+    proc = run_with_numpy_blocked(["moments-compare", "--n", "12", "--max-order", "397"])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "order-397 moment overflows double precision" in proc.stderr
 
 
 def test_pulse_optimize_adds_no_numpy_random():
@@ -233,13 +261,14 @@ CLI_BASELINE = ["-c", "import qlatwit.cli"]
 
 # Each command at its cap holds megabytes above its baseline child, not the
 # 268 MB of one dense 4096^2 complex operator.  Measured above the baseline
-# (2 vCPUs, OpenBLAS): moments-compare 3.2 MB, pulse 6.3 MB, heisenberg 4.5 MB,
-# singlet-suite 2.0 MB; the scan 36.6 MB, its 10^5 rows.  cluster-witness reads
-# stabilizer tables and loads no numpy: -0.03 to 0.09 MB above `import qlatwit.cli`,
-# so 2 MB is far below the ~13 MB that importing numpy would add.
+# (2 vCPUs, OpenBLAS): pulse 6.3 MB, heisenberg 4.5 MB, singlet-suite 2.0 MB; the
+# scan 36.6 MB, its 10^5 rows.  cluster-witness and moments-compare read
+# stabilizer tables and load no numpy: cluster-witness -0.03 to 0.09 MB and
+# moments-compare 0.0 MB (7 of 7 runs) above `import qlatwit.cli`, so 2 MB is far
+# below the ~13 MB that importing numpy would add.
 CAP_RUNS = [
     (["cluster-witness", "--n", "12"], CLI_BASELINE, 2),
-    (["moments-compare", "--n", "12", "--max-order", "396"], NUMPY_BASELINE, 16),
+    (["moments-compare", "--n", "12", "--max-order", "396"], CLI_BASELINE, 2),
     (["pulse", "--n", "10", "--params=-3.2,-9.6,0.8", "--optimize", "--budget", "100", "--seed", "1"],
      NUMPY_BASELINE, 16),
     (["heisenberg", "--n", "14"], NUMPY_BASELINE, 16),
@@ -292,11 +321,13 @@ def test_json_output_is_reproducible(capsys):
     assert text_a == text_b
 
 
-def test_json_includes_command_config_versions(capsys):
-    doc = run_json(capsys, ["cluster-witness", "--n", "4"])
+def test_json_includes_command_config_versions():
+    # in a fresh process, so the versions are what the command loaded, not what
+    # this test module imported: the witness loads no numpy
+    doc = json.loads(run_python("from qlatwit.cli import main; main(['cluster-witness', '--n', '4'])"))
     assert doc["command"] == "cluster-witness"
     assert doc["config"]["n"] == 4
-    assert sorted(doc["versions"]) == ["numpy", "python", "qlatwit"]
+    assert sorted(doc["versions"]) == ["python", "qlatwit"]
 
 
 # ---------------------------------------------------------------------------

@@ -452,7 +452,7 @@ def test_moment_overflow_raises_instead_of_returning_nan():
 
 
 def law(state, direction):
-    return qcore._collective_distribution(state, *_site_eigenbasis(state.space, direction))
+    return qcore._collective_distribution(state, None, lambda: _site_eigenbasis(state.space, direction))
 
 
 def test_the_law_of_a_twelve_site_cluster_has_thirteen_levels():
@@ -497,7 +497,7 @@ def test_the_law_of_a_fock_singlet_chain_sits_at_zero(direction):
 )
 def test_one_site_eigenvalues_off_the_half_integer_grid_are_refused(state):
     with pytest.raises(ValueError, match="one-site eigenvalue lies off the half-integer grid"):
-        qcore._collective_distribution(state, np.array([-0.3, 0.3]), np.eye(2))
+        qcore._collective_distribution(state, None, lambda: (np.array([-0.3, 0.3]), np.eye(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +800,9 @@ def test_moment_matching_needs_four_sites():
 
 
 def test_moment_matching_second_moments_any_direction(rng):
-    # first plus second moments fix <J_n^m> for m <= 2 along any direction
-    rho = moment_matching_separable_state(4)
+    # first plus second moments fix <J_n^m> for m <= 2 along any direction; a
+    # stabilizer state has a law along x, y and z only, so its dense form is read
+    rho = oracle_product_dense(moment_matching_separable_state(4))
     cl = make_cluster(4)
     for _ in range(10):
         d = Direction.normalized(*sampling.random_direction(rng))

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import collective_j_operators, oracle_product_dense
+from conftest import collective_j_operators, oracle_product_dense, rotated_matching_state
 from qlatwit import bosonic, spinchain
 from qlatwit.criteria import (
     AXIS_X,
@@ -16,7 +16,6 @@ from qlatwit.criteria import (
     Direction,
     angular_moment,
     collective_moments,
-    moment_matching_separable_state,
     totally_mixed_state,
     variance_x_criterion,
     witness_criterion,
@@ -35,7 +34,7 @@ AXES4 = (AXIS_X, AXIS_Y, AXIS_Z, TILTED)
 
 PRODUCT_STATES = (
     [pytest.param(totally_mixed_state, n, id=f"mixed-{n}") for n in range(4, 10)]
-    + [pytest.param(moment_matching_separable_state, n, id=f"matching-{n}") for n in range(4, 10)]
+    + [pytest.param(rotated_matching_state, n, id=f"matching-{n}") for n in range(4, 10)]
     + [pytest.param(bosonic.singlet_chain, p, id=f"singlets-{p}") for p in (1, 2, 3)]
 )
 
@@ -135,7 +134,7 @@ def test_forty_site_mixed_state_in_closed_form():
 
 
 def test_product_state_space_concatenates_the_blocks():
-    state = moment_matching_separable_state(6)
+    state = rotated_matching_state(6)
     assert state.space == HilbertSpace((2,) * 6)
     assert [b.space.n_sites for b in state.blocks] == [2, 2, 1, 1]
     chain = bosonic.singlet_chain(3)

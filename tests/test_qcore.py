@@ -465,7 +465,7 @@ def test_sector_moments_match_the_unfold_on_the_ground_state(n):
     state = bosonic.heisenberg_ground_state(n).state
     assert isinstance(state, SectorState) and state.popcount == n // 2
     spins = paulis() / 2
-    for got, want in zip(_collective_moments(state, spins), _collective_moments(unfold(state), spins)):
+    for got, want in zip(_collective_moments(state, lambda: spins), _collective_moments(unfold(state), lambda: spins)):
         assert np.abs(got - want).max() < 1e-12
 
 
@@ -473,7 +473,7 @@ def test_sector_moments_match_the_unfold_on_the_ground_state(n):
 def test_sector_moments_match_the_unfold_on_random_stacks(n, rng):
     for p in range(n + 1):
         state, local = random_sector_state(n, p, rng), random_hermitian_stack(4, rng)
-        got, want = _collective_moments(state, local), _collective_moments(unfold(state), local)
+        got, want = _collective_moments(state, lambda: local), _collective_moments(unfold(state), lambda: local)
         assert state.popcount == p
         assert np.abs(got[0] - want[0]).max() < 1e-12
         assert np.abs(got[1] - want[1]).max() < 1e-12
@@ -521,7 +521,7 @@ def test_other_readers_refuse_a_sector_state():
     with pytest.raises(ValueError, match="SectorState"):
         _sum_moments(state, [{1: SZ}])
     with pytest.raises(ValueError, match="SectorState"):
-        _collective_distribution(state, w, v)
+        _collective_distribution(state, None, lambda: (w, v))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""The stabilizer-state reader against the kron oracles of conftest.py.
+"""The stabilizer-state readers against the kron oracles of conftest.py.
 
 Every Pauli moment of a stabilizer state is an integer, so each read is
 compared with ``==`` to the integer nearest the dense oracle's float, and
-that float must lie within 1e-9 of it.
+that float must lie within 1e-9 of it.  The laws of J_x, J_y and J_z are
+integers over 2^n: each equals a brute-force scan of the 2^n strings
+sigma_a^S exactly, and the dense law of the same state within 1e-12.
 """
 
 import itertools
@@ -10,16 +12,18 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import ID2, kron_all, oracle_pauli_string
+from conftest import ID2, PAULIS, negativity, oracle_density, oracle_pauli_string, oracle_product_dense
+from qlatwit import criteria
+from qlatwit.criteria import AXIS_X, AXIS_Y, AXIS_Z, Direction, angular_moment, collective_moments
 from qlatwit.qcore import (
-    DensityMatrix,
     HilbertSpace,
     LinearOperator,
     PureState,
     StabilizerState,
     _collective_distribution,
-    _collective_moments,
     _local_mean,
+    _pauli_bits,
+    _reduce,
     _sum_moments,
     expectation,
 )
@@ -45,18 +49,18 @@ def dense_generator(factors, sign, n):
 
 
 def times(g, h, n):
-    """The generator g h as (factors, sign), its sign read from the kron oracle."""
-    axes = {}
+    """The generator g h as (factors, sign).  Kron products multiply site by
+    site, so each site's 2 x 2 product of the Pauli oracles gives its axis and
+    a phase tr(P m) / 2, and the sign is the product of the phases."""
+    axes, phase = {}, g[1] * h[1]
     for site in sorted(g[0].keys() | h[0].keys()):
-        a, b = g[0].get(site), h[0].get(site)
-        if a is None or b is None:
-            axes[site] = a or b
-        elif a != b:
-            axes[site] = (set(AXES) - {a, b}).pop()
-    product = dense_generator(*g, n) @ dense_generator(*h, n)
-    c = np.vdot(oracle_pauli_string(axes, n), product) / 2**n
-    assert abs(c.imag) < 1e-12 and abs(abs(c) - 1) < 1e-12
-    return axes, int(round(c.real))
+        m = PAULIS.get(g[0].get(site), ID2) @ PAULIS.get(h[0].get(site), ID2)
+        axis = next((a for a in AXES if abs(np.trace(PAULIS[a] @ m)) > 1), None)
+        if axis is not None:
+            axes[site] = axis
+        phase *= np.trace(PAULIS.get(axis, ID2) @ m) / 2
+    assert abs(phase.imag) < 1e-12 and abs(abs(phase) - 1) < 1e-12
+    return axes, int(round(phase.real))
 
 
 def mixed_generators(rng, generators, n):
@@ -69,14 +73,6 @@ def mixed_generators(rng, generators, n):
         i, j = rng.choice(len(keep), 2, replace=False)
         keep[i] = times(keep[i], keep[j], n)
     return keep
-
-
-def oracle_density(generators, n):
-    """prod_g (I + g) / 2^n, built from the kron oracles and validated."""
-    rho = kron_all([ID2] * n) / 2**n
-    for g in generators:
-        rho = rho @ (kron_all([ID2] * n) + dense_generator(*g, n))
-    return DensityMatrix(HilbertSpace((2,) * n), rho)
 
 
 def random_strings(rng, n, count):
@@ -196,14 +192,160 @@ def test_stabilizer_state_refuses_a_non_qubit_space(space):
 def test_other_readers_refuse_a_stabilizer_state():
     state = StabilizerState(HilbertSpace((2, 2)), [({1: "z"}, 1), ({2: "x"}, 1)])
     sz = np.diag([1.0, -1.0]).astype(complex)
-    w, v = np.linalg.eigh(sz / 2)
     with pytest.raises(ValueError, match="StabilizerState"):
         _local_mean(state, {1: sz})
     with pytest.raises(ValueError, match="StabilizerState"):
         _sum_moments(state, [{1: sz}])
     with pytest.raises(ValueError, match="StabilizerState"):
-        _collective_moments(state, np.stack([sz / 2]))
-    with pytest.raises(ValueError, match="StabilizerState"):
-        _collective_distribution(state, w, v)
-    with pytest.raises(ValueError, match="StabilizerState"):
         expectation(LinearOperator(state.space, np.eye(4), hermitian_hint=True), state)
+
+
+# ---------------------------------------------------------------------------
+# the laws of J_x, J_y and J_z and the collective table, read from the table
+
+DIRECTIONS = {"x": AXIS_X, "y": AXIS_Y, "z": AXIS_Z}
+
+
+def not_called():
+    pytest.fail("a stabilizer read called a dense input")
+
+
+def stabilizer_law(state, axis):
+    return _collective_distribution(state, axis, not_called)
+
+
+def subset_scan_law(state, axis):
+    """The law of J_axis from all 2^n means <sigma_axis^S>, each reduced by the
+    table: an outcome x, the set of spins at -1/2, has probability
+    sum_S <sigma_axis^S> (-1)^|x & S| / 2^n."""
+    n = state.space.n_sites
+    means = {}
+    for subset in range(2**n):
+        x, z, e = _reduce(state.table, n, _pauli_bits({s + 1: axis for s in range(n) if subset >> s & 1}))
+        if not x | z:
+            means[subset] = (1, 1j, -1, -1j)[e]
+    counts = [0] * (n + 1)
+    for outcome in range(2**n):
+        counts[outcome.bit_count()] += sum(m * (-1) ** (outcome & t).bit_count() for t, m in means.items())
+    weights = [0.0] * (2 * n + 1)
+    for w, count in enumerate(counts):
+        assert count == int(count.real)
+        weights[2 * (n - w)] = int(count.real) / 2**n
+    return -n, weights
+
+
+def dense_law(state, axis):
+    direction = DIRECTIONS[axis]
+    return _collective_distribution(state, None, lambda: criteria._site_eigenbasis(state.space, direction))
+
+
+def stabilizer_vector(generators, n, rng):
+    """The joint +1 eigenvector of a full generator set: prod_g (I + g) / 2
+    applied to a random vector, with each g built by the kron oracle."""
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    for g in generators:
+        v = v + dense_generator(*g, n) @ v
+    return PureState(HilbertSpace((2,) * n), v / np.linalg.norm(v))
+
+
+def random_generator_sets(rng, n, count):
+    """``count`` recombined subsets, y factors among them, of the cluster
+    generators at a random sign pattern and of random one-site generators,
+    the first of each kind full (n generators), the rest of random size."""
+    chain = ChainSpec(n)
+    sets = []
+    for i in range(count):
+        lambdas = tuple(int(s) for s in rng.choice((1, -1), n))
+        products = [({k: AXES[rng.integers(3)]}, int(rng.choice((1, -1)))) for k in range(1, n + 1)]
+        full = cluster_generators(chain, lambdas) if i % 2 == 0 else products
+        keep = full if i < 2 else mixed_generators(rng, full, n)
+        for _ in range(2 * n if i < 2 else 0):
+            a, b = rng.choice(n, 2, replace=False)
+            keep[a] = times(keep[a], keep[b], n)
+        sets.append(keep)
+    return sets
+
+
+def assert_laws_close(got, want):
+    assert got[0] == want[0] and len(got[1]) == len(want[1])
+    assert np.abs(np.array(got[1]) - want[1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_laws_equal_the_subset_scan(n, rng):
+    chain = ChainSpec(n)
+    states = [StabilizerState(chain.space(), g) for g in random_generator_sets(rng, n, 6)]
+    states.append(StabilizerState(chain.space(), cluster_generators(chain, (1,) * n)))
+    states.append(StabilizerState(chain.space(), [({k: "x"}, 1) for k in range(1, n + 1)]))
+    states.append(StabilizerState(chain.space(), []))
+    for state in states:
+        for axis in AXES:
+            assert stabilizer_law(state, axis) == subset_scan_law(state, axis)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_laws_match_the_dense_cluster_at_every_sign_pattern(n):
+    chain = ChainSpec(n)
+    for lambdas in itertools.product((1, -1), repeat=n):
+        state = StabilizerState(chain.space(), cluster_generators(chain, lambdas))
+        psi = cluster_state(ClusterSpec(chain, lambdas))
+        for axis in AXES:
+            assert_laws_close(stabilizer_law(state, axis), dense_law(psi, axis))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_the_laws_match_the_dense_laws_of_random_generator_sets(n, rng):
+    # the full sets against their joint eigenvector; a partial set's 4^n density
+    # oracle is built for n <= 8 and for one set at 9 and 10
+    for i, generators in enumerate(random_generator_sets(rng, n, 6 if n <= 8 else 3)):
+        state = StabilizerState(ChainSpec(n).space(), generators)
+        if len(generators) == n:
+            dense = stabilizer_vector(generators, n, rng)
+        elif n <= 8 or i == 2:
+            dense = oracle_density(generators, n)
+        else:
+            continue
+        for axis in AXES:
+            assert_laws_close(stabilizer_law(state, axis), dense_law(dense, axis))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_collective_table_matches_the_dense_one(n, rng):
+    for generators in random_generator_sets(rng, n, 4):
+        state = StabilizerState(ChainSpec(n).space(), generators)
+        mean, second, number = criteria._moments(state)
+        # every entry is an integer over 4, read exactly
+        assert all(type(v) is float and 4 * v == round(4 * v) for v in [*mean, *sum(second, [])])
+        want = collective_moments(oracle_density(generators, n))
+        assert np.abs(np.array(mean) - want.mean).max() < 1e-12
+        assert np.abs(np.array(second) - want.second).max() < 1e-12
+        assert number == want.number == n
+
+
+def test_a_tilted_direction_is_refused():
+    state = StabilizerState(HilbertSpace((2,) * 4), cluster_generators(ChainSpec(4), (1,) * 4))
+    tilted = Direction.normalized(1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="StabilizerState off the x, y and z axes"):
+        angular_moment(state, tilted, 2)
+    with pytest.raises(ValueError, match="StabilizerState"):
+        _collective_distribution(state, None, not_called)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_the_moment_matching_state_is_ppt_on_every_cut(n):
+    rho = oracle_product_dense(criteria.moment_matching_separable_state(n))
+    # every bipartition, named by its side holding site 1
+    for bits in range(2 ** (n - 1) - 1):
+        side = [1] + [s + 2 for s in range(n - 1) if bits >> s & 1]
+        assert negativity(rho, side) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_the_moment_matching_table_equals_the_cluster_table(n):
+    chain = ChainSpec(n)
+    cluster = StabilizerState(chain.space(), cluster_generators(chain, (1,) * n))
+    matching = criteria.moment_matching_separable_state(n)
+    assert criteria._moments(matching) == criteria._moments(cluster)
+    mean, second, _ = criteria._moments(cluster)
+    assert mean == [0.0] * 3
+    assert second == [[n / 4, 0.0, 0.5], [0.0, n / 4, 0.0], [0.5, 0.0, n / 4]]

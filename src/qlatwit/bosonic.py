@@ -2,9 +2,9 @@
 
 Each lattice site holds two bosonic modes (a, b) truncated at ``n_max`` total
 particles; a site with n particles behaves as a spin of length n/2.  The
-Schwinger operators conserve the per-site particle number, so they are built
-annihilation-first (a^dag b, b^dag a): no intermediate state ever leaves the
-truncated basis and the spin algebra stays exact on every occupation shell.
+Schwinger operators conserve the per-site particle number, so each entry is a
+closed form in the occupations (n_a, n_b): none leaves the truncated basis and
+the spin algebra stays exact on every occupation shell.
 """
 
 from __future__ import annotations
@@ -90,32 +90,17 @@ class FockLatticeSpec(Record):
         )
 
 
-def _ladder_matrices(n_max: int) -> dict[str, np.ndarray]:
-    space = SiteFockSpace(n_max)
-    d = space.dim
-    a = np.zeros((d, d), dtype=complex)
-    b = np.zeros((d, d), dtype=complex)
-    for na, nb in space.basis():
-        col = space.index(na, nb)
-        if na >= 1:
-            a[space.index(na - 1, nb), col] = np.sqrt(na)
-        if nb >= 1:
-            b[space.index(na, nb - 1), col] = np.sqrt(nb)
-    return {"a": a, "b": b}
-
-
-def _schwinger_matrices(space: SiteFockSpace) -> dict[str, np.ndarray]:
-    """The one-site spin components "x", "y", "z" and the number operator "n"."""
-    lad = _ladder_matrices(space.n_max)
-    a, b = lad["a"], lad["b"]
-    ad, bd = a.conj().T, b.conj().T
-    # annihilate-before-create keeps every term inside the truncated basis
-    return {
-        "x": (ad @ b + bd @ a) / 2,
-        "y": 1j * (bd @ a - ad @ b) / 2,
-        "z": (ad @ a - bd @ b) / 2,
-        "n": ad @ a + bd @ b,
-    }
+def _schwinger_stack(space: SiteFockSpace) -> np.ndarray:
+    """The one-site j_x, j_y, j_z and number operator n stacked (4, d, d), in closed
+    form in the occupations: j_z = (n_a - n_b)/2 and n = n_a + n_b are diagonal, and
+    j_+ = a^dag b takes |n_a, n_b> to sqrt((n_a + 1) n_b) |n_a + 1, n_b - 1>, the basis
+    state just before it in its shell, so j_+ is the superdiagonal.  Then
+    j_x = (j_+ + j_+^T)/2 and j_y = (j_+ - j_+^T)/2i.
+    """
+    na, nb = np.array(space.basis(), dtype=float).T
+    raising = np.diag(np.sqrt((na + 1) * nb)[1:], 1)
+    return np.array([(raising + raising.T) / 2, (raising - raising.T) / 2j,
+                     np.diag((na - nb) / 2), np.diag(na + nb)], dtype=complex)
 
 
 def occupation_basis_state(

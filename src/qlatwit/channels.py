@@ -163,9 +163,7 @@ def _time_to_reach(f: float, kappa: float) -> float:
     return math.log(1.0 / f) / kappa
 
 
-def lifetime_comparison(
-    kappa: float, p_crit: float | None = None, witness_p: float = 0.75
-) -> LifetimeComparison:
+def lifetime_comparison(kappa: float, p_crit: float | None = None) -> LifetimeComparison:
     """Entanglement lifetimes from the witness and pairwise thresholds.
 
     Both weights are phase-flip weights, with scale 2p(t) - 1 = exp(-kappa t):
@@ -177,6 +175,7 @@ def lifetime_comparison(
         raise ValueError("decay rate must be positive and finite")
     if p_crit is None:
         p_crit = pairwise_threshold(4)
-    t_witness = _time_to_reach(2.0 * witness_p - 1.0, kappa)
+    # the witness weight 3/4 is the scale 2 * 3/4 - 1 = 1/2
+    t_witness = _time_to_reach(0.5, kappa)
     t_pairwise = _time_to_reach(2.0 * p_crit - 1.0, kappa)
     return LifetimeComparison(t_witness, t_pairwise, t_witness / t_pairwise)

@@ -87,11 +87,6 @@ def _qubit_reports(state) -> list[dict]:
     ]
 
 
-def _cluster_generators(chain: spinchain.ChainSpec) -> list:
-    """The cluster state's stabilizer generators: every correlator at lambda = +1."""
-    return [(spinchain.tilde_factors(chain, k), 1) for k in range(1, chain.n_sites + 1)]
-
-
 def cmd_cluster_witness(args) -> tuple[dict, list[dict]]:
     n = args.n
     if n is None or n % 2 != 0 or not 2 <= n <= spinchain._MAX_QUBITS:
@@ -101,7 +96,7 @@ def cmd_cluster_witness(args) -> tuple[dict, list[dict]]:
     # the cluster, alternating +x / +z (the pattern that meets the witness bound)
     # and none for I / 2^n
     generators = {
-        "cluster": _cluster_generators(chain),
+        "cluster": spinchain.cluster_generators(chain),
         "saturating_product": [({k: "x" if k % 2 else "z"}, 1) for k in sites],
         "totally_mixed": [],
     }
@@ -199,7 +194,7 @@ def cmd_moments_compare(args) -> tuple[dict, list[dict]]:
         raise ValueError(f"--max-order must be between 1 and {criteria.MAX_ORDER}")
     # every state by its stabilizer generators, so each law and moment is read exactly
     chain = spinchain.ChainSpec(n)
-    cluster = StabilizerState(chain.space(), _cluster_generators(chain))
+    cluster = StabilizerState(chain.space(), spinchain.cluster_generators(chain))
     mixed = StabilizerState(chain.space(), [])
     axes = [criteria.AXIS_X, criteria.AXIS_Y, criteria.AXIS_Z]
     orders, _, _, differences, first = criteria._moment_tables(cluster, mixed, axes, max_order)

@@ -143,8 +143,7 @@ def _site_spin_matrices(space: HilbertSpace) -> np.ndarray:
     if space.kind == "qubit":
         return spinchain.paulis() / 2
     if space.kind == "fock":
-        js = bosonic._schwinger_matrices(bosonic.SiteFockSpace(space.fock_cutoff))
-        return np.stack([js[ax] for ax in (*AXES, "n")])
+        return bosonic._schwinger_stack(bosonic.SiteFockSpace(space.fock_cutoff))
     raise ValueError(f"no collective spin defined for space kind {space.kind!r}")
 
 
@@ -398,8 +397,8 @@ def moment_matching_separable_state(n_sites: int) -> StabilizerState:
     if n_sites < 4:
         raise ValueError("moment matching construction needs at least 4 sites")
     chain = spinchain.ChainSpec(n_sites)
-    ends = [(spinchain.tilde_factors(chain, k), 1) for k in (1, n_sites)]
-    return StabilizerState(chain.space(), ends)
+    generators = spinchain.cluster_generators(chain)
+    return StabilizerState(chain.space(), [generators[0], generators[-1]])
 
 
 class MomentComparison(Record, eq=False):

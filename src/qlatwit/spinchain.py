@@ -11,7 +11,6 @@ matrix; on a stabilizer state it is read as bit masks, with no matrix at all.
 
 from __future__ import annotations
 
-import functools
 from typing import Mapping, Sequence
 
 from .qcore import DIM_CAP, HilbertSpace, PureState, Record, _pauli_moments, _popcount, np
@@ -21,14 +20,9 @@ AXES = ("x", "y", "z")
 _MAX_QUBITS = DIM_CAP.bit_length() - 1
 
 
-@functools.cache
 def paulis() -> np.ndarray:
-    """The Pauli matrices x, y, z stacked (3, 2, 2), read-only because every
-    caller shares this one array.  Built at first use, which keeps numpy out of
-    the import."""
-    stack = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
-    stack.flags.writeable = False
-    return stack
+    """The Pauli matrices x, y, z stacked (3, 2, 2), a new array at each call."""
+    return np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
 class ChainSpec(Record):
@@ -115,6 +109,11 @@ def tilde_factors(chain: ChainSpec, k: int) -> dict[int, str]:
     if k < chain.n_sites:
         factors[k + 1] = "z"
     return factors
+
+
+def cluster_generators(chain: ChainSpec) -> list:
+    """The cluster state's stabilizer generators: every correlator at lambda = +1."""
+    return [(tilde_factors(chain, k), 1) for k in range(1, chain.n_sites + 1)]
 
 
 def phase_gate_diagonal(chain: ChainSpec) -> np.ndarray:

@@ -20,6 +20,7 @@ from conftest import (
     oracle_heisenberg,
     oracle_pauli_string,
     oracle_product_dense,
+    oracle_schwinger_site,
     schwinger_j,
     site_number_operator,
     unfold,
@@ -35,7 +36,7 @@ from qlatwit.bosonic import (
     _RESIDUAL,
     _heisenberg_hops,
     _heisenberg_lanczos,
-    _ladder_matrices,
+    _schwinger_stack,
     heisenberg_ground_state,
     occupation_basis_state,
     singlet_chain,
@@ -78,42 +79,20 @@ def test_index_rejects_overfull_site():
 
 
 # ---------------------------------------------------------------------------
-# ladder operators
-
-
-def ladder(space):
-    """The annihilation and creation matrices of mode a on one site."""
-    a = _ladder_matrices(space.n_max)["a"]
-    return a, a.conj().T
-
-
-def test_annihilation_lowers_mode_a():
-    a, _ = ladder(SITE2)
-    assert np.allclose(a @ site_ket(SITE2, 1, 0), site_ket(SITE2, 0, 0))
-
-
-def test_creation_raises_mode_a():
-    _, ad = ladder(SITE2)
-    assert np.allclose(ad @ site_ket(SITE2, 0, 0), site_ket(SITE2, 1, 0))
-
-
-def test_creation_at_cutoff_maps_to_zero():
-    _, ad = ladder(SITE1)
-    assert np.allclose(ad @ site_ket(SITE1, 0, 1), 0.0)
-
-
-def test_canonical_commutator_below_cutoff():
-    space = SiteFockSpace(3)
-    a, ad = ladder(space)
-    comm = a @ ad - ad @ a
-    for na, nb in space.basis():
-        if na + nb < space.n_max:
-            v = site_ket(space, na, nb)
-            assert np.allclose(comm @ v, v)
-
-
-# ---------------------------------------------------------------------------
 # Schwinger operators
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
+def test_schwinger_stack_matches_the_ladder_oracle(n_max):
+    # the closed form takes one square root per entry, the oracle a product of two
+    stack = _schwinger_stack(SiteFockSpace(n_max))
+    site = oracle_schwinger_site(n_max)
+    want = np.array([site[ax] for ax in "xyzn"])
+    assert stack.shape == want.shape and stack.dtype == complex
+    if n_max == 1:
+        assert np.array_equal(stack, want)
+    else:
+        assert np.abs(stack - want).max() <= 1e-15
 
 
 def test_jz_eigenvalue_on_single_atom():

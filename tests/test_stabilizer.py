@@ -30,6 +30,7 @@ from qlatwit.qcore import (
 from qlatwit.spinchain import (
     ChainSpec,
     ClusterSpec,
+    cluster_generators as package_cluster_generators,
     cluster_state,
     pauli_sum_moments,
     product_state,
@@ -108,6 +109,8 @@ def check_reads(stabilizer, oracle, rng, n):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_cluster_generators_read_as_the_dense_cluster_state(n, rng):
     chain = ChainSpec(n)
+    # the commands' cluster is the all +1 sector
+    assert package_cluster_generators(chain) == cluster_generators(chain, (1,) * n)
     patterns = itertools.product((1, -1), repeat=n) if n <= 4 else (
         tuple(int(s) for s in rng.choice((1, -1), n)) for _ in range(3))
     for lambdas in patterns:

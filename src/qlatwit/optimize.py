@@ -45,7 +45,7 @@ class PulseParams(Record):
 
     def __post_init__(self):
         for v in (self.theta_xx, self.theta_yy, self.theta_z):
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError("pulse angles must be finite")
 
     def as_array(self) -> np.ndarray:
@@ -171,36 +171,40 @@ _STEP = 0.4
 _TOL = 1e-10
 
 
-def _toward(a: np.ndarray, t: float, b: np.ndarray) -> np.ndarray:
+def _toward(a: tuple[float, ...], t: float, b: tuple[float, ...]) -> tuple[float, ...]:
     """a + t (b - a), or ``_Stop`` when that leaves the float range."""
-    with np.errstate(over="ignore"):
-        x = a + t * (b - a)
-    if not np.isfinite(x).all():
+    x = tuple(p + t * (q - p) for p, q in zip(a, b))
+    if not all(map(math.isfinite, x)):
         raise _Stop
     return x
 
 
-def _nelder_mead(f, x0: np.ndarray):
+def _nelder_mead(f, x0):
     """Minimize f from x0 until the simplex values agree within ``_TOL``;
-    returns (x, fx). An exception from f ends the run, and so does ``_Stop`` at
-    the first point past the float range."""
+    returns (x, fx) with x a tuple of floats. An exception from f ends the run,
+    and so does ``_Stop`` at the first point past the float range.
+
+    The vertices are tuples of Python floats, ordered by value with the stable
+    ``sorted``, so tied vertices keep their order on every host."""
+    x0 = tuple(map(float, x0))
     dim = len(x0)
-    simplex = [np.array(x0, dtype=float)]
-    for i in range(dim):
-        x = np.array(x0, dtype=float)
-        x[i] += _STEP
-        simplex.append(x)
+    simplex = [x0] + [x0[:i] + (x0[i] + _STEP,) + x0[i + 1:] for i in range(dim)]
     values = [f(x) for x in simplex]
 
     while True:
-        order = np.argsort(values)
+        order = sorted(range(len(values)), key=values.__getitem__)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         if abs(values[-1] - values[0]) < _TOL:
             return simplex[0], values[0]
         # a quarter of each point, so the sum cannot overflow; powers of two
-        # scale exactly, so in the normal range this is the plain mean
-        centroid = np.mean(np.array(simplex[:-1]) / 4.0, axis=0) * 4.0
+        # scale exactly, so in the normal range this is the plain mean.  The sum
+        # runs left to right from the first point, as numpy's reduction does
+        # (``sum`` would start from 0 and lose a -0.0, and compensates on 3.12)
+        total = [c / 4.0 for c in simplex[0]]
+        for x in simplex[1:-1]:
+            total = [s + c / 4.0 for s, c in zip(total, x)]
+        centroid = tuple(s / dim * 4.0 for s in total)
         reflected = _toward(centroid, -1.0, simplex[-1])
         fr = f(reflected)
         if values[0] <= fr < values[-2]:
@@ -246,22 +250,22 @@ def optimize_pulse(
     trace: list[tuple[int, tuple[float, float, float], float]] = []
     reports: list[CriterionReport] = []  # the report of the first evaluation
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: tuple[float, float, float]) -> float:
         if len(trace) == budget:
             raise _Stop
         report = collective_uncertainty_criterion(sector.state(PulseParams(*x)))
         if not trace:
             reports.append(report)
         r = _ratio(report)
-        trace.append((len(trace) + 1, (float(x[0]), float(x[1]), float(x[2])), r))
+        trace.append((len(trace) + 1, x, r))
         return -r
 
-    x_init = initial.as_array()
+    x_init = (initial.theta_xx, initial.theta_yy, initial.theta_z)
     rng = random.Random(seed)
     try:
         _nelder_mead(objective, x_init)
         for _ in range(_N_RESTARTS - 1):
-            _nelder_mead(objective, x_init + np.array([rng.gauss(0.0, 0.5) for _ in range(3)]))
+            _nelder_mead(objective, tuple(a + rng.gauss(0.0, 0.5) for a in x_init))
     except _Stop:
         pass
     _, best, ratio = max(trace, key=lambda entry: entry[2])  # the first of equal maxima

@@ -231,6 +231,22 @@ def test_pulse_search_and_moments_compare_call_no_lapack_eigensolver(argv):
     assert_no_eigensolver_call_and_no_new_random(argv)
 
 
+def test_pulse_search_calls_no_numpy_sort():
+    # the simplex orders its four vertices with Python's stable sorted(); a
+    # first numpy sort faults in ~0.24 MB of its SIMD sort code
+    argv = ["pulse", "--n", "8", "--params=-3.2,-9.6,0.8", "--optimize", "--budget", "40"]
+    code = ("import contextlib, io, numpy\n"
+            "calls = []\n"
+            "def counted(name, sort):\n"
+            "    return lambda *a, **k: calls.append(name) or sort(*a, **k)\n"
+            "for name in ('argsort', 'sort'):\n"
+            "    setattr(numpy, name, counted(name, getattr(numpy, name)))\n"
+            "from qlatwit.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): rc = main({argv!r})\n"
+            "print(rc, calls)")
+    assert run_python(code) == "0 []"
+
+
 @pytest.mark.parametrize("argv", [
     ["heisenberg", "--n", "2"],
     ["heisenberg", "--n", "6"],

@@ -171,6 +171,23 @@ def test_nelder_mead_converges_on_a_quadratic_and_stops_when_spent():
     assert len(values) == 10 and len(refused) == 1
 
 
+def test_nelder_mead_orders_tied_vertices_stably():
+    # the start values tie as (2, 2, 1, 1): the stable order [2, 3, 0, 1] reflects
+    # the start point through the other three; numpy's argsort may give [3, 2, 1, 0]
+    points = []
+
+    def step(x):
+        points.append(x)
+        if len(points) == 5:
+            raise optimize._Stop
+        return 1.0 if max(x[1], x[2]) > 0.2 else 2.0
+
+    with pytest.raises(optimize._Stop):
+        optimize._nelder_mead(step, (0.0, 0.0, 0.0))
+    assert tuple(points[4]) == (-0.4, 0.26666666666666666, 0.26666666666666666)
+    assert all(type(c) is float for point in points for c in point)
+
+
 def test_pulse_command_builds_one_sector_and_solves_the_given_pulse_once(monkeypatch, capsys):
     # the given pulse is the search's first evaluation, so the command reuses
     # the search's sector and state instead of solving it on its own

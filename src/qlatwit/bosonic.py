@@ -151,28 +151,26 @@ def _heisenberg_hops(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return states, diag, rows, cols
 
 
+def _pivots(rows: list[tuple[float, float]], x: float) -> tuple[list[float], int]:
+    """The pivots d_i = (alpha_i - x) - beta_(i-1)^2 / d_(i-1) of T - x = L D L^T, a
+    zero pivot replaced by the float resolution, and the count of negative ones.
+    ``rows`` holds the pairs (alpha_i, beta_(i-1)^2), with beta_(-1) = 0."""
+    pivots, count, d = [], 0, 1.0
+    for a, b2 in rows:
+        pivots.append(d := (a - x) - b2 / d or _PIVOT_FLOOR)
+        if d < 0.0:
+            count += 1
+    return pivots, count
+
+
 def _tridiagonal_levels(alpha: list[float], beta: list[float], n_levels: int) -> list[float]:
-    """The ``n_levels`` lowest eigenvalues of the symmetric tridiagonal matrix with
+    """The ``n_levels`` lowest eigenvalues of the symmetric tridiagonal matrix T with
     diagonal ``alpha`` and off-diagonal ``beta[:k - 1]``, each bisected to float
-    resolution inside the Gershgorin interval.
-
-    The Sturm count, the number of negative pivots of T - x = L D L^T, is the
-    number of eigenvalues below x (Sylvester's law of inertia).
-    """
-    off = [0.0] + beta[: len(alpha) - 1]
-    squares = [b * b for b in off]
-
-    def below(x: float) -> int:
-        count, pivot = 0, 1.0
-        for a, b2 in zip(alpha, squares):
-            pivot = (a - x) - b2 / pivot
-            if pivot < 0.0:
-                count += 1
-            elif pivot == 0.0:
-                pivot = _PIVOT_FLOOR
-        return count
-
-    radius = [abs(b) + abs(c) for b, c in zip(off, off[1:] + [0.0])]
+    resolution inside the Gershgorin interval on the Sturm count: by Sylvester's law
+    of inertia, T - x has as many negative ``_pivots`` as eigenvalues below x."""
+    off = [0.0] + beta[: len(alpha) - 1] + [0.0]
+    rows = [(a, b * b) for a, b in zip(alpha, off)]
+    radius = [abs(b) + abs(c) for b, c in zip(off, off[1:])]
     lo = min(a - r for a, r in zip(alpha, radius))
     hi = max(a + r for a, r in zip(alpha, radius))
     levels = []
@@ -180,7 +178,7 @@ def _tridiagonal_levels(alpha: list[float], beta: list[float], n_levels: int) ->
         # level j stays in [lo, top): at most j eigenvalues lie below lo, more below top
         top = hi
         while lo < (mid := 0.5 * (lo + top)) < top:
-            if below(mid) > j:
+            if _pivots(rows, mid)[1] > j:
                 top = mid
             else:
                 lo = mid
@@ -189,28 +187,21 @@ def _tridiagonal_levels(alpha: list[float], beta: list[float], n_levels: int) ->
 
 
 def _tridiagonal_vector(alpha: list[float], beta: list[float], level: float) -> list[float]:
-    """Unit eigenvector of the tridiagonal matrix of ``_tridiagonal_levels`` at
-    one of its eigenvalues, by two inverse-iteration solves of (T - level) y = y'
-    with the Thomas algorithm: L U elimination without pivoting, a zero pivot
-    replaced by the float resolution."""
-    k = len(alpha)
-    upper = beta[: k - 1] + [0.0]
-    off = [0.0] + upper[:-1]
-    y = [1.0] * k
+    """Unit eigenvector of the tridiagonal matrix T of ``_tridiagonal_levels`` at one
+    of its eigenvalues, by two inverse-iteration solves of (T - level) y = y' through
+    its ``_pivots``: L u = y' with L_i = beta_(i-1) / d_(i-1), then D L^T y = u, where
+    D L^T has the pivots on its diagonal and beta above it."""
+    off = [0.0] + beta[: len(alpha) - 1] + [0.0]
+    pivots = _pivots([(a, b * b) for a, b in zip(alpha, off)], level)[0]
+    lower = [b / d for b, d in zip(off, [1.0] + pivots)]
+    y = [1.0] * len(alpha)
     for _ in range(2):
-        pivots, rhs = [], []
-        pivot, carry = 1.0, 0.0
-        for a, b, r in zip(alpha, off, y):
-            m = b / pivot
-            pivot = (a - level) - m * b or _PIVOT_FLOOR
-            carry = r - m * carry
-            pivots.append(pivot)
-            rhs.append(carry)
-        x, nxt = [0.0] * k, 0.0
-        for i in range(k - 1, -1, -1):
-            nxt = x[i] = (rhs[i] - upper[i] * nxt) / pivots[i]
-        norm = math.sqrt(math.fsum(v * v for v in x))
-        y = [v / norm for v in x]
+        u = z = 0.0
+        y = [u := r - m * u for r, m in zip(y, lower)]
+        for i in reversed(range(len(y))):
+            z = y[i] = (y[i] - off[i + 1] * z) / pivots[i]
+        norm = math.sqrt(math.fsum(v * v for v in y))
+        y = [v / norm for v in y]
     return y
 
 

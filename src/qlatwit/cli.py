@@ -264,14 +264,14 @@ def cmd_pulse(args) -> tuple[dict, list[dict]]:
         else:
             report = criteria.collective_uncertainty_criterion(optimize.pulse_state(chain, params))
             ratio = optimize._ratio(report)
-        doc["params"] = list(params.as_array())
+        doc["params"] = [params.theta_xx, params.theta_yy, params.theta_z]
         doc["ratio"] = ratio
         doc["report"] = report.to_json_dict()
         rows.append({"stage": "given", "theta_xx": params.theta_xx,
                      "theta_yy": params.theta_yy, "theta_z": params.theta_z, "ratio": ratio})
     if result is not None:
         doc["optimized"] = {
-            "params": list(result.params.as_array()),
+            "params": [result.params.theta_xx, result.params.theta_yy, result.params.theta_z],
             "ratio": result.ratio,
             "evaluations": result.evaluations,
         }

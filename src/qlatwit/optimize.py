@@ -48,9 +48,6 @@ class PulseParams(Record):
             if not math.isfinite(v):
                 raise ValueError("pulse angles must be finite")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta_xx, self.theta_yy, self.theta_z])
-
 
 class _PulseSector:
     """The mirror-even, even-parity sector of the pulse on one chain: its

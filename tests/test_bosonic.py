@@ -36,7 +36,10 @@ from qlatwit.bosonic import (
     _RESIDUAL,
     _heisenberg_hops,
     _heisenberg_lanczos,
+    _pivots,
     _schwinger_stack,
+    _tridiagonal_levels,
+    _tridiagonal_vector,
     heisenberg_ground_state,
     occupation_basis_state,
     singlet_chain,
@@ -465,6 +468,56 @@ def test_heisenberg_lanczos_converges_below_the_residual():
         assert np.linalg.norm(hv - levels[0] * vector) < 100 * _RESIDUAL
 
 
+# ---------------------------------------------------------------------------
+# the tridiagonal routines of the Lanczos run against LAPACK
+
+
+def random_tridiagonal(k):
+    """Diagonal, off-diagonal (with a Lanczos residual norm last, which the routines
+    ignore) and the dense matrix of a seeded random symmetric tridiagonal."""
+    rng = np.random.default_rng(1000 + k)
+    alpha, beta = rng.normal(size=k).tolist(), rng.normal(size=k).tolist()
+    return alpha, beta, np.diag(alpha) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
+
+
+def sturm_count(alpha, beta, x):
+    return _pivots([(a, b * b) for a, b in zip(alpha, [0.0] + beta)], x)[1]
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_sturm_count_is_the_number_of_eigenvalues_below_the_shift(k):
+    alpha, beta, t = random_tridiagonal(k)
+    w = np.linalg.eigvalsh(t)
+    for x in np.concatenate([[w[0] - 1], (w[1:] + w[:-1]) / 2, [w[-1] + 1]]):
+        assert sturm_count(alpha, beta, x) == np.count_nonzero(w < x)
+    for j, x in enumerate(w):
+        # at an eigenvalue its own pivot is round-off, of either sign
+        assert sturm_count(alpha, beta, x) in (j, j + 1)
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_tridiagonal_levels_and_vectors_match_eigh(k):
+    alpha, beta, t = random_tridiagonal(k)
+    w, v = np.linalg.eigh(t)
+    levels = _tridiagonal_levels(alpha, beta, k)
+    assert np.abs(np.array(levels) - w).max() < 1e-12
+    for level, want in zip(levels, v.T):
+        y = np.array(_tridiagonal_vector(alpha, beta, level))
+        assert min(np.abs(y - want).max(), np.abs(y + want).max()) < 1e-12
+
+
+def test_zero_pivot_is_replaced_by_the_float_resolution():
+    # T - 0 with alpha = 0, beta = 1 has d_1 = 0 exactly; the floor carries the
+    # count and both inverse-iteration solves past it
+    alpha, beta = [0.0, 0.0, 0.0], [1.0, 1.0]
+    assert _pivots([(0.0, 0.0), (0.0, 1.0), (0.0, 1.0)], 0.0) == ([2.0**-52, -(2.0**52), 2.0**-52], 1)
+    levels = _tridiagonal_levels(alpha, beta, 3)
+    assert levels == pytest.approx([-np.sqrt(2), 0.0, np.sqrt(2)], abs=1e-15)
+    for level in (levels[1], 0.0):
+        y = np.array(_tridiagonal_vector(alpha, beta, level))
+        assert np.abs(np.abs(y) - [0.5**0.5, 0.0, 0.5**0.5]).max() < 1e-15 and y[0] * y[2] < 0
+
+
 def test_heisenberg_commutes_with_collective_spin():
     h = oracle_heisenberg(1, 3, +1)
     for ax in "xyz":
@@ -477,6 +530,18 @@ def test_total_spin_squared_eigenvalues():
     up_up = occupation_basis_state(lattice, [SPIN_UP, SPIN_UP])
     for state, want in ((singlet_chain(1), 0.0), (up_up, 2.0)):
         assert np.trace(collective_moments(state).second) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: SiteFockSpace(0), "site cutoff must be at least 1"),
+    (lambda: FockLatticeSpec(0, SITE1), "lattice needs at least one site"),
+    (lambda: occupation_basis_state(FockLatticeSpec(2, SITE1), [SPIN_UP]), "one occupation pair per site"),
+    (lambda: singlet_chain(0), "need at least one pair"),
+    (lambda: heisenberg_ground_state(0), "lattice needs at least one site"),
+], ids=["site cutoff", "lattice sites", "occupations", "singlet pairs", "heisenberg sites"])
+def test_lattice_builders_refuse_empty_input(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_lattice_dimension_cap_enforced():

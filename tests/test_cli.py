@@ -206,8 +206,8 @@ def test_pulse_optimize_adds_no_numpy_random():
 
 
 def assert_no_eigensolver_call_and_no_new_random(argv):
-    # the pulse takes a Chebyshev series, a qubit site its closed-form
-    # eigenbasis and the Heisenberg sector a Lanczos run; a first LAPACK
+    # the pulse takes a Chebyshev series, moments-compare the stabilizer laws
+    # of its two states and the Heisenberg sector a Lanczos run; a first LAPACK
     # eigensolver call costs 0.5-2.2 MB of memory.  numpy 1.x imports
     # numpy.random itself, so only what the command adds is checked
     code = ("import contextlib, io, sys, numpy.linalg as la\n"
@@ -745,6 +745,13 @@ def test_pulse_requires_parameters_or_optimize(capsys):
     rc = main(["pulse", "--n", "4"])
     assert rc == 1
     assert "params" in capsys.readouterr().err
+
+
+def test_pulse_refuses_a_chain_past_the_generator_cap(capsys):
+    rc = main(["pulse", "--n", "11", "--params=1,1,1"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: pulse needs --n between 2 and {cli.optimize._MAX_SITES}\n"
 
 
 def test_pulse_rejects_malformed_params(capsys):

@@ -375,6 +375,22 @@ def test_direction_normalizes_huge_and_tiny_components(scale):
     assert (d.x, d.y, d.z) == pytest.approx((math.sqrt(0.5), 0.0, math.sqrt(0.5)), abs=1e-15)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: Direction.normalized(0.0, 0.0, 0.0), "cannot normalize the zero vector"),
+    (lambda: criteria._report("witness", 0.0, 0.0, "==", {}), "direction must be '<=' or '>=', got '=='"),
+    (lambda: witness_criterion(bosonic.singlet_chain(1)), "this criterion expects a qubit-chain state"),
+    (lambda: collective_moments(PureState(HilbertSpace((2,), "generic"), [1.0, 0.0])),
+     "no collective spin defined for space kind 'generic'"),
+    (lambda: quadruplet_bound(1.0, 7), "quadruplet bound is defined for even chains"),
+    (lambda: moment_indistinguishability(make_cluster(4), totally_mixed_state(4), [AXIS_Z], max_order=0),
+     "max_order must be between 1 and"),
+], ids=["zero direction", "report direction", "fock witness", "generic moments", "odd quadruplets",
+        "order zero"])
+def test_criteria_refuse_invalid_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_direction_refuses_a_huge_norm_with_a_value_error():
     with pytest.raises(ValueError, match="direction norm"):
         Direction(1e200, 0.0, 0.0)

@@ -11,7 +11,8 @@ from qlatwit.optimize import PulseParams, _PulseSector, optimize_pulse, pulse_st
 from qlatwit.qcore import PureState
 from qlatwit.spinchain import ChainSpec, _bond_hops, product_state
 
-REFERENCE_PULSE = PulseParams(-3.2, -9.6, 0.8)
+REFERENCE_ANGLES = (-3.2, -9.6, 0.8)
+REFERENCE_PULSE = PulseParams(*REFERENCE_ANGLES)
 # frozen regression value of the reference pulse on a 6-site chain under the
 # open-sum conventions of the generator in the qlatwit.optimize docstring
 REFERENCE_RATIO = 0.49265671385397736
@@ -136,12 +137,13 @@ def test_optimizer_solves_each_evaluation_once(monkeypatch, budget):
 def test_optimizer_result_is_the_first_best_trace_entry(budget):
     # the start point is evaluated once, so the second evaluation is a new vertex
     result = optimize_pulse(ChainSpec(6), REFERENCE_PULSE, budget=budget, seed=1)
-    assert result.trace[0][1] == tuple(REFERENCE_PULSE.as_array())
+    assert result.trace[0][1] == REFERENCE_ANGLES
     assert result.trace[0][1] != result.trace[1][1]
     assert result.evaluations == len(result.trace) == budget
     top = max(entry[2] for entry in result.trace)
     first_best = next(entry for entry in result.trace if entry[2] == top)
-    assert (tuple(result.params.as_array()), result.ratio) == first_best[1:]
+    params = result.params
+    assert ((params.theta_xx, params.theta_yy, params.theta_z), result.ratio) == first_best[1:]
 
 
 def test_nelder_mead_converges_on_a_quadratic_and_stops_when_spent():
@@ -370,7 +372,7 @@ def test_propagate_takes_eigh_past_the_crossover(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    reference = _sector_generator(8, REFERENCE_PULSE.as_array())
+    reference = _sector_generator(8, REFERENCE_ANGLES)
     got = optimize._propagate(reference)
     assert calls == []
     assert np.abs(got - _eigh_propagate(reference, eigh)).max() < 1e-12

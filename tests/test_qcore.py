@@ -37,6 +37,7 @@ from qlatwit.qcore import (
     _site_block,
     _sum_moments,
     expectation,
+    variance_from_moments,
 )
 from sampling import haar_vector, random_product_state
 
@@ -161,6 +162,23 @@ def test_fock_space_needs_a_cutoff_matching_its_dims(dims, cutoff, match):
 def test_fock_space_accepts_matching_cutoff():
     assert HilbertSpace((6, 6), "fock", 2).dim == 36
     assert HilbertSpace((3,), "fock", np.int64(1)).fock_cutoff == 1
+
+
+SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: HilbertSpace(()), "a Hilbert space needs at least one site"),
+    (lambda: HilbertSpace((0,), "generic"), "local dimensions must be positive"),
+    (lambda: LinearOperator(Q1, np.eye(4)), "does not match space dimension 2"),
+    # <sigma_+> = i/2 on (|0> + i|1>)/sqrt 2: a non-Hermitian sum has no real mean
+    (lambda: _sum_moments(PureState(Q1, np.array([1, 1j]) / np.sqrt(2)), [{1: SIGMA_PLUS}]),
+     "expectation value has imaginary residue"),
+    (lambda: variance_from_moments(0.0, -1.0), "variance -1.0 is negative beyond tolerance"),
+], ids=["no sites", "zero dimension", "operator shape", "imaginary mean", "negative variance"])
+def test_qcore_refuses_invalid_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 INVALID_DENSITIES = {

@@ -312,6 +312,11 @@ def test_qubit_builders_refuse_a_huge_chain_by_its_site_count():
     assert 2**_MAX_QUBITS <= DIM_CAP < 2 ** (_MAX_QUBITS + 1)
 
 
+def test_chain_needs_two_sites():
+    with pytest.raises(ValueError, match="a chain needs at least 2 sites"):
+        ChainSpec(1)
+
+
 def test_cluster_spec_validates_lambdas():
     with pytest.raises(ValueError):
         ClusterSpec(ChainSpec(2), (1, 2))
